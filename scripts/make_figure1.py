@@ -2,9 +2,10 @@
 """Reproduce the Bayes-bound comparison curve on the Bernoulli-uniform model.
 
 Sweeps epsilon, computing the mutual-information lower bound and the
-hockey-stick lower bound side by side, and writes the curve plus a run
-manifest. Equivalent to `ldpkit figure1`; kept as a standalone script for
-experimenting with n, delta, and the quadrature knob.
+hockey-stick lower bound side by side, and writes the curve as CSV (no
+run manifest; `ldpkit figure1` writes the same CSV plus a manifest).
+Kept as a standalone script for experimenting with n, delta, and the
+quadrature knob.
 """
 
 import argparse

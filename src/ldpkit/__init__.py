@@ -30,6 +30,8 @@ from .contraction import (
     eta_kl_bsc,
     eta_tv_dobrushin,
     eta_tv_from_eta_gamma,
+    gamma_from_epsilon,
+    pairwise_egamma,
     phi,
     phi_n,
 )

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .contraction import PrivacyParams, phi, phi_n
+from .contraction import PrivacyParams, gamma_from_epsilon, phi, phi_n
 from .errors import DomainError
 from .oracle import grid_max
 
@@ -357,7 +357,7 @@ def bayes_egamma_lb(cfg: BayesConfig) -> BoundReport:
     where the contraction coefficient c is delta itself for n = 1 and
     phi_n for n > 1.
     """
-    gamma = math.exp(cfg.params.epsilon)
+    gamma = gamma_from_epsilon(cfg.params.epsilon)
     c = cfg.params.delta if cfg.n == 1 else phi_n(cfg.params, cfg.n)
     small_ball = np.vectorize(cfg.small_ball, otypes=[float])
 

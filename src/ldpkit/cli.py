@@ -44,12 +44,12 @@ from .bounds import (
     moment_estimation_lb,
     small_ball_uniform01,
 )
-from .contraction import PrivacyParams, eta_gamma_two_point
+from .contraction import PrivacyParams, eta_gamma_two_point, gamma_from_epsilon
 from .dist import FGenerator
 from .errors import CapacityError, DimensionError, DomainError
 from .info import BernoulliUniformModel, bu_igamma, bu_mutual_information
 from .kernel import load_kernel
-from .ldp import DEFAULT_SEED, delta_at, is_ldp, verify_equivalence
+from .ldp import DEFAULT_SEED, delta_at, is_ldp, privacy_profile, verify_equivalence
 from .oracle import SearchConfig, brute_eta_f, brute_profile_check
 
 LN2 = math.log(2.0)
@@ -155,7 +155,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     exit_code = 0
 
     if args.epsilon is not None:
-        two_point = eta_gamma_two_point(kernel, math.exp(args.epsilon))
+        two_point = eta_gamma_two_point(kernel, gamma_from_epsilon(args.epsilon))
         report["epsilon"] = args.epsilon
         report["delta_tight"] = two_point.eta_gamma
         report["eta_tv"] = two_point.eta_tv
@@ -175,11 +175,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
     if args.profile_grid is not None:
         grid = parse_linear_grid(args.profile_grid)
-        points = [(float(e), delta_at(kernel, float(e))) for e in grid]
-        report["profile"] = [[e, d] for e, d in points]
+        points = [[e, d] for e, d in privacy_profile(kernel, grid).points]
+        report["profile"] = points
         if args.out:
             out = resolve_out(args.out)
-            write_csv(out, ["epsilon", "delta"], [[e, d] for e, d in points])
+            write_csv(out, ["epsilon", "delta"], points)
             outputs.append(out)
 
     if outputs:
@@ -205,7 +205,7 @@ def cmd_figure1(args: argparse.Namespace) -> int:
         mi_bound = bayes_xu_raginsky_private(
             BayesConfig(small_ball=small_ball_uniform01, info_value=mi, n=args.n, params=params)
         )
-        ig = bu_igamma(model, math.exp(eps))
+        ig = bu_igamma(model, gamma_from_epsilon(eps))
         eg_bound = bayes_egamma_lb(
             BayesConfig(small_ball=small_ball_uniform01, info_value=ig, n=args.n, params=params)
         )
@@ -265,7 +265,7 @@ def _bound_report(args: argparse.Namespace, epsilon: float | None = None) -> Bou
             if which == "bayes-mi":
                 info = bu_mutual_information(model)
             else:
-                info = bu_igamma(model, math.exp(params.epsilon))
+                info = bu_igamma(model, gamma_from_epsilon(params.epsilon))
         calculator = bayes_xu_raginsky_private if which == "bayes-mi" else bayes_egamma_lb
         report = calculator(
             BayesConfig(

@@ -93,6 +93,13 @@ class Distribution:
         return "[" + ",".join(f"{x:.17g}" for x in self.probs) + "]"
 
 
+def normalize_rows(v: np.ndarray) -> np.ndarray:
+    """Each vector along the last axis divided by its sum, as Distribution
+    rescales a single vector (dividing by a sum of exactly 1.0 changes
+    nothing, so the values match Distribution's bit for bit)."""
+    return v / v.sum(axis=-1, keepdims=True)
+
+
 _F_KINDS = ("tv", "kl", "chi2", "hellinger_sq", "egamma")
 
 

@@ -72,25 +72,34 @@ class Kernel:
 
 
 def parse_kernel(text: str) -> Kernel:
-    """Parse a kernel from JSON {"rows": [[...], ...]} or CSV (one row per line)."""
+    """Parse a kernel from JSON {"rows": [[...], ...]} or CSV (one row per line).
+
+    Text that is neither raises DomainError, never a bare parse error.
+    """
     stripped = text.strip()
-    if stripped.startswith("{"):
-        payload = json.loads(stripped)
-        if "rows" not in payload:
-            raise DomainError('kernel JSON must contain a "rows" field')
-        rows = payload["rows"]
-    else:
-        rows = [
-            [float(tok) for tok in line.split(",") if tok.strip()]
-            for line in stripped.splitlines()
-            if line.strip()
-        ]
-    if not rows:
-        raise DomainError("kernel file contains no rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise DimensionError("kernel rows have inconsistent lengths")
-    return Kernel(np.asarray(rows, dtype=float))
+    try:
+        if stripped.startswith("{"):
+            payload = json.loads(stripped)
+            if "rows" not in payload:
+                raise DomainError('kernel JSON must contain a "rows" field')
+            rows = payload["rows"]
+        else:
+            rows = [
+                [float(tok) for tok in line.split(",") if tok.strip()]
+                for line in stripped.splitlines()
+                if line.strip()
+            ]
+        if not rows:
+            raise DomainError("kernel file contains no rows")
+        widths = {len(r) for r in rows}
+        if len(widths) != 1:
+            raise DimensionError("kernel rows have inconsistent lengths")
+        matrix = np.asarray(rows, dtype=float)
+    except (DomainError, DimensionError):
+        raise
+    except (ValueError, TypeError) as exc:
+        raise DomainError(f"malformed kernel file: {exc}") from None
+    return Kernel(matrix)
 
 
 def load_kernel(path: str | Path) -> Kernel:
@@ -134,13 +143,13 @@ def k_rr(epsilon: float, k: int) -> Kernel:
     return Kernel(rows)
 
 
-def _check_cap(size: int, n: int, cap: int, what: str) -> int:
-    total = size**n
-    if total > cap:
-        raise CapacityError(
-            f"{what} would have {total} states ({size}^{n}), exceeding the cap {cap}"
-        )
-    return total
+def _check_cap(size: int, n: int, cap: int, what: str) -> None:
+    # size^n >= 2^n > cap once n passes cap's bit length; the count is
+    # then left unbuilt, since printing it could take millions of digits.
+    total = size**n if size < 2 or n <= cap.bit_length() else None
+    if total is None or total > cap:
+        count = f"{size}^{n}" if total is None else f"{total} ({size}^{n})"
+        raise CapacityError(f"{what} would have {count} states, exceeding the cap {cap}")
 
 
 def tensor_power(k: Kernel, n: int, state_cap: int = DEFAULT_STATE_CAP) -> Kernel:

@@ -13,15 +13,21 @@ direction exact rather than probabilistic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .contraction import PrivacyParams, eta_gamma_two_point
-from .dist import Distribution, egamma
+from .contraction import (
+    SCAN_BYTES,
+    PrivacyParams,
+    excess,
+    gamma_from_epsilon,
+    pairwise_egamma,
+    scan_rows,
+)
+from .dist import Distribution, normalize_rows
 from .errors import DomainError
-from .kernel import Kernel, pushforward
+from .kernel import Kernel
 
 # Fixed default seed for the sampled verifier; override per call for
 # independent replications.
@@ -32,10 +38,8 @@ VERIFY_TOL = 1e-10
 
 
 def delta_at(k: Kernel, epsilon: float) -> float:
-    """Smallest delta for which k is (epsilon, delta)-LDP."""
-    if epsilon < 0:
-        raise DomainError(f"epsilon must be >= 0, got {epsilon!r}")
-    return eta_gamma_two_point(k, math.exp(epsilon)).eta_gamma
+    """Smallest delta for which k is (epsilon, delta)-LDP; epsilon may be +inf."""
+    return float(pairwise_egamma(k, [gamma_from_epsilon(epsilon)]).max())
 
 
 def is_ldp(k: Kernel, params: PrivacyParams) -> bool:
@@ -62,9 +66,10 @@ class PrivacyProfile:
 
 
 def privacy_profile(k: Kernel, epsilons, kernel_id: str = "") -> PrivacyProfile:
-    """Evaluate the exact profile on a strictly increasing epsilon grid."""
-    pts = tuple((float(e), delta_at(k, float(e))) for e in epsilons)
-    return PrivacyProfile(points=pts, kernel_id=kernel_id)
+    """Evaluate the exact profile on a strictly increasing epsilon grid, in one scan."""
+    eps = [float(e) for e in epsilons]
+    deltas = pairwise_egamma(k, [gamma_from_epsilon(e) for e in eps]).max(axis=(1, 2))
+    return PrivacyProfile(points=tuple(zip(eps, map(float, deltas))), kernel_id=kernel_id)
 
 
 @dataclass(frozen=True)
@@ -72,57 +77,47 @@ class EpsilonSearchResult:
     """Outcome of inverting the profile at a target delta.
 
     ``epsilon`` is +inf when no finite level achieves the target (the
-    kernel leaks some mass even at infinite epsilon); ``saturated`` marks
-    the defensive case where the search hit its epsilon ceiling without
-    bracketing.
+    kernel leaks some mass even at infinite epsilon).
     """
 
     epsilon: float
     delta_achieved: float
-    saturated: bool = False
 
 
-def _infinite_epsilon_residual(k: Kernel) -> float:
-    # lim_{gamma -> inf} E_gamma(row_x || row_x') is the mass row_x puts
-    # where row_x' is exactly zero.
-    best = 0.0
-    for x in range(k.input_size):
-        for xp in range(k.input_size):
-            if x == xp:
-                continue
-            mass = float(k.rows[x][k.rows[xp] == 0.0].sum())
-            best = max(best, mass)
-    return best
+def tightest_epsilon(k: Kernel, delta: float) -> EpsilonSearchResult:
+    """Smallest epsilon with delta_at(k, epsilon) <= delta, exactly.
 
-
-def tightest_epsilon(
-    k: Kernel, delta: float, eps_max: float = 50.0, tol: float = 1e-9
-) -> EpsilonSearchResult:
-    """Smallest epsilon with delta_at(k, epsilon) <= delta, by bisection.
-
-    Bisects on [0, eps_max] to absolute tolerance ``tol``. Returns +inf
-    when delta is below the kernel's infinite-epsilon residual (then no
-    finite epsilon suffices).
+    For an ordered pair (x, x'), E_gamma(K_x || K_x') is the max over
+    output sets A of K_x(A) - gamma K_x'(A), and the maximizing sets are
+    the prefixes of the outputs sorted by likelihood ratio
+    K_x(z) / K_x'(z). With P_j, Q_j the prefix masses, the pair meets
+    delta exactly when gamma >= (P_j - delta) / Q_j for every prefix, and
+    never when some prefix has Q_j = 0 < P_j - delta. So
+    gamma* = max(1, max over pairs and prefixes) and epsilon* = log gamma*.
     """
     if not 0.0 <= delta <= 1.0:
         raise DomainError(f"delta must be in [0, 1], got {delta!r}")
-    d0 = delta_at(k, 0.0)
-    if d0 <= delta:
-        return EpsilonSearchResult(epsilon=0.0, delta_achieved=d0)
-    residual = _infinite_epsilon_residual(k)
-    if delta < residual:
-        return EpsilonSearchResult(epsilon=math.inf, delta_achieved=residual)
-    d_max = delta_at(k, eps_max)
-    if d_max > delta:
-        return EpsilonSearchResult(epsilon=eps_max, delta_achieved=d_max, saturated=True)
-    lo, hi = 0.0, eps_max
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if delta_at(k, mid) <= delta:
-            hi = mid
-        else:
-            lo = mid
-    return EpsilonSearchResult(epsilon=hi, delta_achieved=delta_at(k, hi))
+    rows = scan_rows(k)
+    n, m = rows.shape
+    gamma = 1.0
+    step = max(1, SCAN_BYTES // (8 * n * m))
+    for lo in range(0, n, step):
+        p = rows[lo : lo + step, None, :]
+        neg_ratio = np.full((p.shape[0], n, m), -np.inf)
+        np.divide(-p, rows, out=neg_ratio, where=rows > 0.0)
+        order = np.argsort(neg_ratio, axis=-1, kind="stable")
+        big_p = np.take_along_axis(p, order, axis=-1)
+        big_q = np.take_along_axis(rows[None], order, axis=-1)
+        np.cumsum(big_p, axis=-1, out=big_p)
+        np.cumsum(big_q, axis=-1, out=big_q)
+        if np.any((big_q == 0.0) & (big_p > delta)):
+            gamma = np.inf
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            need = (big_p - delta) / big_q
+        gamma = max(gamma, float(need[big_q > 0.0].max(initial=1.0)))
+    epsilon = float(np.log(gamma))
+    return EpsilonSearchResult(epsilon=epsilon, delta_achieved=delta_at(k, epsilon))
 
 
 @dataclass(frozen=True)
@@ -162,6 +157,12 @@ class EquivalenceReport:
         }
 
 
+def _pushforward(ps: np.ndarray, k: Kernel) -> np.ndarray:
+    # A stack of vector-matrix products rounds like pushforward does row
+    # by row; one (trials, |X|) @ (|X|, |Z|) product would not.
+    return normalize_rows((ps[:, None, :] @ k.rows)[:, 0, :])
+
+
 def verify_equivalence(
     k: Kernel, params: PrivacyParams, trials: int, seed: int = DEFAULT_SEED
 ) -> EquivalenceReport:
@@ -171,47 +172,45 @@ def verify_equivalence(
     violate the inequality beyond an additive 1e-10. When it is not, the
     point-mass sweep is guaranteed to exhibit a violating pair, because
     the two-point supremum is attained there.
+
+    Pairs are probed in a fixed order: the point masses (x, x'), x != x',
+    row-major, then the Dirichlet pairs in draw order. The first violating
+    pair and the first pair of largest ratio are reported. E_gamma between
+    two distinct point masses is 1, and their pushforwards are rows of k,
+    so that sweep reads straight off the pairwise scan.
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
-    gamma = math.exp(params.epsilon)
+    gamma = gamma_from_epsilon(params.epsilon)
     certified = is_ldp(k, params)
     d = k.input_size
 
-    pairs = []
-    for x in range(d):
-        for xp in range(d):
-            if x != xp:
-                pairs.append(
-                    (Distribution.point_mass(x, d), Distribution.point_mass(xp, d))
-                )
     rng = np.random.default_rng(seed)
-    ps = rng.dirichlet(np.ones(d), size=trials)
-    qs = rng.dirichlet(np.ones(d), size=trials)
-    pairs.extend((Distribution(p), Distribution(q)) for p, q in zip(ps, qs))
+    ps = normalize_rows(rng.dirichlet(np.ones(d), size=trials))
+    qs = normalize_rows(rng.dirichlet(np.ones(d), size=trials))
+    off_diagonal = np.flatnonzero(~np.eye(d, dtype=bool))
+    point_num = pairwise_egamma(k, [gamma])[0].reshape(-1)[off_diagonal]
+    num = np.concatenate([point_num, excess(_pushforward(ps, k), _pushforward(qs, k), gamma)])
+    den = np.concatenate([np.ones(point_num.size), excess(ps, qs, gamma)])
 
-    max_ratio = 0.0
-    max_ratio_pair = None
-    violation_found = False
-    violation_pair = None
-    for p, q in pairs:
-        den = egamma(p, q, gamma)
-        num = egamma(pushforward(p, k), pushforward(q, k), gamma)
-        if num > params.delta * den + VERIFY_TOL and not violation_found:
-            violation_found = True
-            violation_pair = (p.probs, q.probs)
-        if den > 1e-12:
-            ratio = num / den
-            if ratio > max_ratio:
-                max_ratio = ratio
-                max_ratio_pair = (p.probs, q.probs)
+    def pair(i: int) -> tuple:
+        if i < point_num.size:
+            x, xp = divmod(int(off_diagonal[i]), d)
+            return Distribution.point_mass(x, d).probs, Distribution.point_mass(xp, d).probs
+        return ps[i - point_num.size], qs[i - point_num.size]
+
+    violations = np.flatnonzero(num > params.delta * den + VERIFY_TOL)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(den > 1e-12, num / den, 0.0)
+    best = int(np.argmax(ratios))
+    max_ratio = float(ratios[best])
     return EquivalenceReport(
         epsilon=params.epsilon,
         delta=params.delta,
         certified=certified,
         trials=trials,
         max_ratio=max_ratio,
-        max_ratio_pair=max_ratio_pair,
-        violation_found=violation_found,
-        violation_pair=violation_pair,
+        max_ratio_pair=pair(best) if max_ratio > 0.0 else None,
+        violation_found=violations.size > 0,
+        violation_pair=pair(int(violations[0])) if violations.size else None,
     )

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .contraction import gamma_from_epsilon
 from .dist import Distribution, FGenerator, f_divergence
 from .errors import CapacityError, DomainError
 from .kernel import Kernel, pushforward
@@ -192,14 +193,12 @@ def brute_profile_check(
     all 2^|Z| output sets A (the empty set pins the value at >= 0). The
     result must agree with the hockey-stick formula to 1e-12.
     """
-    if epsilon < 0:
-        raise DomainError(f"epsilon must be >= 0, got {epsilon!r}")
+    gamma = gamma_from_epsilon(epsilon)
     nz = k.output_size
     if nz > output_cap:
         raise CapacityError(
             f"exhaustive set enumeration needs output size <= {output_cap}, got {nz}"
         )
-    gamma = math.exp(epsilon)
     best = 0.0
     witness_pair = None
     witness_set = None
@@ -207,7 +206,10 @@ def brute_profile_check(
         for xp in range(k.input_size):
             if x == xp:
                 continue
-            diff = k.rows[x] - gamma * k.rows[xp]
+            # gamma * 0 counts as 0: at epsilon = inf an output that row x'
+            # never emits still adds row x's mass.
+            with np.errstate(invalid="ignore"):
+                diff = np.where(k.rows[xp] > 0.0, k.rows[x] - gamma * k.rows[xp], k.rows[x])
             sums = np.zeros(1)
             for z in range(nz):
                 sums = np.concatenate([sums, sums + diff[z]])

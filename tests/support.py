@@ -5,8 +5,8 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from ldpkit.dist import Distribution
-from ldpkit.kernel import Kernel, bsc, k_rr, randomized_response
+from ldpkit.dist import Distribution, egamma, tv
+from ldpkit.kernel import Kernel, bsc, k_rr, pushforward, randomized_response
 
 
 def random_distribution(rng, size: int) -> Distribution:
@@ -57,3 +57,95 @@ def kernels(draw, min_in: int = 2, max_in: int = 4, min_out: int = 2, max_out: i
     nz = draw(st.integers(min_out, max_out))
     rows = [draw(distributions(size=nz)).probs for _ in range(nx)]
     return Kernel(np.vstack(rows))
+
+
+# --------------------------------------------------------------------------
+# Per-pair reference implementations of the two-point scan, the profile
+# inversion and the sampled verifier: one row pair (or input pair) at a
+# time through the scalar Distribution API, which the batched engine must
+# reproduce. Test-only and slow.
+
+
+def loop_two_point(k: Kernel, gamma: float) -> tuple[float, float, tuple[int, int]]:
+    """(eta_gamma, eta_tv, argmax pair) by scanning every ordered row pair;
+    the first pair in row-major order to reach the max wins. Finite
+    gamma >= 1 only (egamma's 0 * inf is NaN)."""
+    best = 0.0
+    best_tv = 0.0
+    best_pair = (0, 0)
+    for x in range(k.input_size):
+        px = k.row(x)
+        for xp in range(k.input_size):
+            qx = k.row(xp)
+            value = egamma(px, qx, gamma)
+            if value > best:
+                best = value
+                best_pair = (x, xp)
+            best_tv = max(best_tv, tv(px, qx))
+    return best, best_tv, best_pair
+
+
+def loop_infinite_epsilon_residual(k: Kernel) -> float:
+    """Largest mass one row puts where another row is exactly zero."""
+    best = 0.0
+    for x in range(k.input_size):
+        for xp in range(k.input_size):
+            if x == xp:
+                continue
+            best = max(best, float(k.rows[x][k.rows[xp] == 0.0].sum()))
+    return best
+
+
+def bisect_tightest_epsilon(k: Kernel, delta: float, eps_max: float = 50.0, tol: float = 1e-9):
+    """Smallest epsilon with delta(epsilon) <= delta by bisection on
+    [0, eps_max] to absolute tolerance tol, using loop_two_point.
+
+    Returns (epsilon, saturated): +inf when delta is below the
+    infinite-epsilon residual, (eps_max, True) when eps_max is not enough.
+    """
+
+    def delta_at(eps: float) -> float:
+        return loop_two_point(k, math.exp(eps))[0]
+
+    if delta_at(0.0) <= delta:
+        return 0.0, False
+    if delta < loop_infinite_epsilon_residual(k):
+        return math.inf, False
+    if delta_at(eps_max) > delta:
+        return eps_max, True
+    lo, hi = 0.0, eps_max
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if delta_at(mid) <= delta:
+            hi = mid
+        else:
+            lo = mid
+    return hi, False
+
+
+def loop_verify(k: Kernel, epsilon: float, delta: float, trials: int, seed: int):
+    """The sampled verifier pair by pair: point masses (x, x'), x != x',
+    row-major, then Dirichlet pairs in draw order. Returns
+    (violation_pair, max_ratio, max_ratio_pair) with first-found pairs."""
+    gamma = math.exp(epsilon)
+    d = k.input_size
+    pairs = [
+        (Distribution.point_mass(x, d), Distribution.point_mass(xp, d))
+        for x in range(d)
+        for xp in range(d)
+        if x != xp
+    ]
+    rng = np.random.default_rng(seed)
+    ps = rng.dirichlet(np.ones(d), size=trials)
+    qs = rng.dirichlet(np.ones(d), size=trials)
+    pairs.extend((Distribution(p), Distribution(q)) for p, q in zip(ps, qs))
+    max_ratio, max_ratio_pair, violation_pair = 0.0, None, None
+    for p, q in pairs:
+        den = egamma(p, q, gamma)
+        num = egamma(pushforward(p, k), pushforward(q, k), gamma)
+        if num > delta * den + 1e-10 and violation_pair is None:
+            violation_pair = (p.probs, q.probs)
+        if den > 1e-12 and num / den > max_ratio:
+            max_ratio = num / den
+            max_ratio_pair = (p.probs, q.probs)
+    return violation_pair, max_ratio, max_ratio_pair

@@ -67,6 +67,30 @@ class TestAudit:
         assert code == 1
         assert "row 1" in err
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("token.csv", "0.5,abc\n0.5,0.5\n"),
+            ("truncated.json", '{"rows": [[0.5, 0.5], [0.2'),
+            ("array.json", "[[0.5, 0.5], [0.2, 0.8]]\n"),
+        ],
+    )
+    def test_unparseable_kernel_is_one_error_line(self, capsys, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(capsys, ["audit", str(path), "--epsilon", "1"])
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: malformed kernel file")
+
+    def test_overflowing_epsilon_is_one_error_line(self, capsys, rr1_file):
+        code, out, err = run(capsys, ["audit", str(rr1_file), "--epsilon", "1e6"])
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "overflows" in err
+
     def test_missing_file_exit_one(self, capsys, tmp_path):
         code, _, err = run(capsys, ["audit", str(tmp_path / "nope.json"), "--epsilon", "1"])
         assert code == 1

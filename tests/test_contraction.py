@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ldpkit.contraction
 from ldpkit.contraction import (
     PrivacyParams,
     eta_f_tensor_upper,
@@ -14,14 +15,15 @@ from ldpkit.contraction import (
     eta_kl_bsc,
     eta_tv_dobrushin,
     eta_tv_from_eta_gamma,
+    pairwise_egamma,
     phi,
     phi_n,
 )
-from ldpkit.dist import FGenerator
+from ldpkit.dist import FGenerator, egamma
 from ldpkit.errors import DomainError
 from ldpkit.kernel import Kernel, bsc, k_rr, randomized_response, tensor_power
 from ldpkit.oracle import SearchConfig, brute_eta_f
-from support import kernels, random_kernel
+from support import kernels, loop_infinite_epsilon_residual, loop_two_point, random_kernel
 
 
 class TestPrivacyParams:
@@ -95,6 +97,74 @@ class TestTwoPoint:
     def test_report_serialization(self):
         d = eta_gamma_two_point(bsc(0.2), 2.0).to_dict()
         assert set(d) == {"eta_gamma", "gamma", "eta_tv", "argmax_pair", "upper_bounds"}
+
+
+class TestPairwiseScan:
+    @given(kernels(max_in=5, max_out=6), st.floats(1.0, 5.0))
+    def test_matches_per_pair_loop(self, k, gamma):
+        eta, eta_tv, pair = loop_two_point(k, gamma)
+        report = eta_gamma_two_point(k, gamma)
+        assert report.eta_gamma == pytest.approx(eta, abs=1e-12)
+        assert report.eta_tv == pytest.approx(eta_tv, abs=1e-12)
+        assert report.argmax_pair == pair
+
+    def test_matches_per_pair_loop_on_dense_rows(self, rng):
+        for _ in range(20):
+            k = random_kernel(rng, int(rng.integers(2, 9)), int(rng.integers(2, 12)))
+            for gamma in (1.0, 1.4, 3.0):
+                eta, _, pair = loop_two_point(k, gamma)
+                report = eta_gamma_two_point(k, gamma)
+                assert report.eta_gamma == eta
+                assert report.argmax_pair == pair
+
+    def test_gamma_grid_in_one_scan(self, rng):
+        k = random_kernel(rng, 5, 7)
+        gammas = [1.0, 1.5, 2.0, math.inf]
+        scan = pairwise_egamma(k, gammas)
+        assert scan.shape == (4, 5, 5)
+        for g, values in zip(gammas[:-1], scan):
+            assert values.max() == eta_gamma_two_point(k, g).eta_gamma
+        assert np.all(np.diagonal(scan, axis1=1, axis2=2) == 0.0)
+
+    def test_infinite_gamma_is_the_residual(self, rng):
+        k = Kernel(np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]))
+        assert pairwise_egamma(k, [math.inf])[0].tolist() == [[0.0, 0.0], [0.5, 0.0]]
+        for _ in range(10):
+            rows = random_kernel(rng, 4, 6).rows * (rng.random((4, 6)) < 0.6)
+            rows[:, 0] += 0.1
+            k = Kernel(rows / rows.sum(axis=1, keepdims=True))
+            assert pairwise_egamma(k, [math.inf]).max() == pytest.approx(
+                loop_infinite_epsilon_residual(k), abs=1e-15
+            )
+
+    def test_blocks_give_the_same_values(self, rng, monkeypatch):
+        k = random_kernel(rng, 9, 5)
+        gammas = np.linspace(1.0, 4.0, 7)
+        whole = pairwise_egamma(k, gammas)
+        monkeypatch.setattr(ldpkit.contraction, "SCAN_BYTES", 8 * 9 * 5 * 2)
+        assert np.array_equal(pairwise_egamma(k, gammas), whole)
+        monkeypatch.setattr(ldpkit.contraction, "SCAN_BYTES", 1)
+        assert np.array_equal(pairwise_egamma(k, gammas), whole)
+
+    def test_disjoint_rows_clamped_to_one(self):
+        # Seeded instance whose unclamped E_2 sums to 1 + 1 ulp; before the
+        # clamp, eta_tv_from_eta_gamma rejected it and the scan raised.
+        rng = np.random.default_rng(30)
+        rows = np.zeros((2, 6))
+        rows[0, :3] = rng.dirichlet(np.ones(3))
+        rows[1, 3:] = rng.dirichlet(np.ones(3))
+        k = Kernel(rows)
+        assert egamma(k.row(0), k.row(1), 2.0) > 1.0
+        report = eta_gamma_two_point(k, 2.0)
+        assert report.eta_gamma == 1.0
+        assert report.eta_tv == 1.0
+        assert report.upper_bounds["eta_tv_from_eta_gamma"] == 1.0
+
+    def test_rejects_gamma_below_one_in_grid(self):
+        with pytest.raises(DomainError, match="0.5"):
+            pairwise_egamma(bsc(0.25), [1.0, 0.5])
+        with pytest.raises(DomainError):
+            pairwise_egamma(bsc(0.25), [math.nan])
 
 
 class TestDobrushin:

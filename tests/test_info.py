@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from ldpkit.dist import Distribution, tv
 from ldpkit.errors import DomainError
 from ldpkit.info import (
     BernoulliUniformModel,
+    simpson,
     JointDistribution,
     bu_class_marginal,
     bu_igamma,
@@ -193,3 +198,21 @@ class TestBuMutualInformation:
             bu_mutual_information(BernoulliUniformModel(n, panels=2000)) for n in (1, 2, 4, 8)
         ]
         assert all(a < b for a, b in zip(values, values[1:]))
+
+
+class TestSimpson:
+    @pytest.mark.parametrize("panels", [2, 4, 10, 1000])
+    def test_exact_on_cubics(self, panels):
+        x = np.linspace(-1.0, 2.0, panels + 1)
+        y = 4.0 * x**3 - 3.0 * x**2 + 2.0 * x - 1.0
+        exact = (16.0 - 1.0) - (8.0 + 1.0) + (4.0 - 1.0) - 3.0
+        assert simpson(y, x[1] - x[0]) == pytest.approx(exact, abs=1e-12)
+
+    def test_import_leaves_scipy_out(self):
+        code = "import sys, ldpkit, ldpkit.cli; print('scipy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"

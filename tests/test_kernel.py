@@ -55,6 +55,20 @@ class TestParsing:
         with pytest.raises(DimensionError):
             parse_kernel("0.5,0.5\n1.0\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0.5,abc\n0.5,0.5\n",
+            '{"rows": [[0.5, 0.5], [0.2',
+            "[[0.5, 0.5], [0.2, 0.8]]",
+            '{"rows": "abc"}',
+            '{"rows": 5}',
+        ],
+    )
+    def test_unparseable_text_is_a_domain_error(self, text):
+        with pytest.raises(DomainError, match="malformed kernel file"):
+            parse_kernel(text)
+
     def test_json_round_trip(self):
         k = k_rr(1.0, 3)
         assert np.array_equal(parse_kernel(k.to_json()).rows, k.rows)
@@ -136,6 +150,13 @@ class TestProducts:
     def test_tensor_cap_names_size(self):
         with pytest.raises(CapacityError, match="8192"):
             tensor_power(bsc(0.25), 13)
+
+    def test_huge_power_fails_cleanly(self):
+        # 2^(10^6) has 301030 digits, past Python's int-to-str limit.
+        with pytest.raises(CapacityError, match=r"2\^1000000 states"):
+            tensor_power(bsc(0.25), 10**6)
+        with pytest.raises(CapacityError, match=r"10\^1000000 states"):
+            product_distribution(Distribution.uniform(10), 10**6)
 
     @given(st.floats(0.0, 1.0))
     def test_product_distribution_bernoulli(self, q):

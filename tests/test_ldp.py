@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ldpkit.ldp
 from ldpkit.contraction import PrivacyParams, eta_tv_dobrushin
 from ldpkit.dist import Distribution, egamma
 from ldpkit.errors import DomainError
@@ -17,7 +19,18 @@ from ldpkit.ldp import (
     tightest_epsilon,
     verify_equivalence,
 )
-from support import random_kernel
+from ldpkit.oracle import brute_profile_check
+from support import (
+    audit_kernel_family,
+    bisect_tightest_epsilon,
+    kernels,
+    loop_two_point,
+    loop_verify,
+    random_kernel,
+)
+
+# Two rows with different supports: row 0 puts mass 0.5 where row 1 is zero.
+SPLIT_SUPPORT = Kernel(np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]))
 
 
 class TestDeltaAt:
@@ -62,6 +75,22 @@ class TestDeltaAt:
         b = pushforward(Distribution.bernoulli(q), rr)
         assert egamma(a, b, math.exp(eps)) <= 1e-12
 
+    def test_infinite_epsilon_is_the_residual(self):
+        assert delta_at(SPLIT_SUPPORT, math.inf) == 0.5
+        assert delta_at(Kernel.identity(3), math.inf) == 1.0
+        assert delta_at(randomized_response(1.0), math.inf) == 0.0
+
+    @pytest.mark.parametrize("eps", [710.0, 1e6])
+    def test_overflowing_epsilon_rejected(self, eps):
+        with pytest.raises(DomainError, match="overflows"):
+            delta_at(bsc(0.25), eps)
+        with pytest.raises(DomainError, match="overflows"):
+            verify_equivalence(bsc(0.25), PrivacyParams(eps, 0.1), 10)
+
+    @given(kernels(max_in=5, max_out=6), st.floats(0.0, 4.0))
+    def test_matches_per_pair_loop(self, k, eps):
+        assert delta_at(k, eps) == pytest.approx(loop_two_point(k, math.exp(eps))[0], abs=1e-12)
+
 
 class TestIsLdp:
     def test_examples(self):
@@ -69,12 +98,16 @@ class TestIsLdp:
         assert not is_ldp(randomized_response(1.0), PrivacyParams(0.9, 0.0))
         assert is_ldp(Kernel.identity(4), PrivacyParams(0.3, 1.0))
 
+    def test_infinite_epsilon_not_certified_below_residual(self):
+        assert not is_ldp(SPLIT_SUPPORT, PrivacyParams(math.inf, 0.0))
+        assert is_ldp(SPLIT_SUPPORT, PrivacyParams(math.inf, 0.5))
+
 
 class TestTightestEpsilon:
     def test_randomized_response(self):
-        res = tightest_epsilon(randomized_response(1.0), 0.0)
-        assert not res.saturated
-        assert res.epsilon == pytest.approx(1.0, abs=1e-9)
+        for eps in (0.3, 1.0, 2.5):
+            res = tightest_epsilon(randomized_response(eps), 0.0)
+            assert res.epsilon == pytest.approx(eps, abs=1e-12)
 
     def test_constant_mechanism(self):
         res = tightest_epsilon(bsc(0.5), 0.0)
@@ -94,12 +127,48 @@ class TestTightestEpsilon:
             k = random_kernel(rng, 3, 3)
             for delta in (0.0, 0.05, 0.3):
                 res = tightest_epsilon(k, delta)
-                if math.isfinite(res.epsilon) and not res.saturated:
+                if math.isfinite(res.epsilon):
                     assert delta_at(k, res.epsilon) <= delta + 1e-9
 
     def test_bad_delta(self):
         with pytest.raises(DomainError):
             tightest_epsilon(bsc(0.25), 1.5)
+
+    def test_residual_decides_finiteness(self):
+        assert tightest_epsilon(SPLIT_SUPPORT, 0.49).epsilon == math.inf
+        assert tightest_epsilon(SPLIT_SUPPORT, 0.49).delta_achieved == 0.5
+        res = tightest_epsilon(SPLIT_SUPPORT, 0.5)
+        assert math.isfinite(res.epsilon)
+        assert res.delta_achieved <= 0.5 + 1e-12
+
+    @given(kernels(max_in=4, max_out=5), st.sampled_from([0.0, 1e-6, 0.05, 0.3, 0.9]))
+    def test_matches_bisection(self, k, delta):
+        res = tightest_epsilon(k, delta)
+        old, saturated = bisect_tightest_epsilon(k, delta)
+        assert not saturated
+        if math.isinf(old):
+            assert res.epsilon == math.inf
+        else:
+            assert abs(res.epsilon - old) <= 1e-9
+            assert delta_at(k, res.epsilon) <= delta + 1e-12
+            assert res.delta_achieved == delta_at(k, res.epsilon)
+
+    def test_agrees_with_raw_definition(self):
+        for _, k in audit_kernel_family():
+            for delta in (0.0, 1e-6, 0.1):
+                eps = tightest_epsilon(k, delta).epsilon
+                if math.isinf(eps):
+                    assert brute_profile_check(k, 50.0).delta > delta
+                    continue
+                assert brute_profile_check(k, eps).delta <= delta + 1e-12
+                if eps > 0:
+                    assert brute_profile_check(k, max(0.0, eps - 1e-9)).delta > delta
+
+    def test_blocks_give_the_same_answer(self, rng, monkeypatch):
+        ks = [random_kernel(rng, 7, 5) for _ in range(3)]
+        whole = [tightest_epsilon(k, 0.01).epsilon for k in ks]
+        monkeypatch.setattr(ldpkit.ldp, "SCAN_BYTES", 1)
+        assert [tightest_epsilon(k, 0.01).epsilon for k in ks] == whole
 
 
 class TestVerifyEquivalence:
@@ -136,6 +205,39 @@ class TestVerifyEquivalence:
             report = verify_equivalence(k, PrivacyParams(eps, min(1.0, delta)), 300)
             assert report.certified
             assert not report.violation_found
+
+    def test_matches_per_pair_verifier(self, rng):
+        def same(a, b):
+            if a is None or b is None:
+                return a is b
+            return all(np.array_equal(u, v) for u, v in zip(a, b))
+
+        for i in range(20):
+            # Every odd case is binary at epsilon = 0, where all pairs tie in
+            # exact arithmetic (each ratio is the Dobrushin coefficient), so
+            # only matching rounding picks the same pair.
+            nx = 2 if i % 2 else int(rng.integers(2, 6))
+            k = random_kernel(rng, nx, int(rng.integers(2, 7)))
+            eps = 0.0 if i % 2 else float(rng.uniform(0.0, 2.0))
+            tight = delta_at(k, eps)
+            for delta in (0.5 * tight, min(1.0, 1.5 * tight + 1e-4)):
+                report = verify_equivalence(k, PrivacyParams(eps, delta), 200, seed=i)
+                violation, max_ratio, max_pair = loop_verify(k, eps, delta, 200, seed=i)
+                assert same(report.violation_pair, violation)
+                assert same(report.max_ratio_pair, max_pair)
+                assert report.max_ratio == pytest.approx(max_ratio, rel=1e-12)
+
+    def test_point_mass_sweep_of_many_inputs_stays_small(self):
+        # 256 inputs: the point-mass pairs alone would be a 65280 x 256
+        # matrix (134 MB) if built.
+        tracemalloc.start()
+        try:
+            report = verify_equivalence(k_rr(1.0, 256), PrivacyParams(0.5, 0.0), 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.violation_found
+        assert peak < 32 * 2**20
 
     def test_report_serialization(self):
         d = verify_equivalence(bsc(0.3), PrivacyParams(0.5, 0.2), 50).to_dict()

@@ -94,6 +94,13 @@ class TestBruteProfileCheck:
         with pytest.raises(CapacityError):
             brute_profile_check(wide, 1.0)
 
+    def test_infinite_epsilon_keeps_the_residual(self):
+        k = Kernel(np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]))
+        report = brute_profile_check(k, math.inf)
+        assert report.delta == 0.5 == delta_at(k, math.inf)
+        assert report.witness_pair == (1, 0)
+        assert report.witness_set == (2,)
+
     def test_negative_epsilon(self):
         with pytest.raises(DomainError):
             brute_profile_check(bsc(0.25), -1.0)
