@@ -23,12 +23,8 @@ from .bounds import (
 from .contraction import (
     ContractionReport,
     PrivacyParams,
-    eta_f_tensor_upper,
-    eta_f_upper_ldp,
-    eta_gamma_curve,
     eta_gamma_two_point,
     eta_kl_bsc,
-    eta_tv_dobrushin,
     eta_tv_from_eta_gamma,
     gamma_from_epsilon,
     pairwise_egamma,

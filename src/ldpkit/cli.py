@@ -28,6 +28,8 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
+    DEFAULT_GAMMA_GRID,
+    DEFAULT_ZETA_GRID,
     BayesConfig,
     BoundReport,
     FanoConfig,
@@ -49,7 +51,7 @@ from .dist import FGenerator
 from .errors import CapacityError, DimensionError, DomainError
 from .info import BernoulliUniformModel, bu_igamma, bu_mutual_information
 from .kernel import load_kernel
-from .ldp import DEFAULT_SEED, delta_at, is_ldp, privacy_profile, verify_equivalence
+from .ldp import DEFAULT_SEED, delta_at, privacy_profile, verify_equivalence
 from .oracle import SearchConfig, brute_eta_f, brute_profile_check
 
 LN2 = math.log(2.0)
@@ -145,6 +147,8 @@ def _print_json(payload: dict) -> None:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    if args.delta is not None and args.epsilon is None:
+        raise DomainError("--delta requires --epsilon")
     kernel = load_kernel(args.kernel)
     report: dict = {
         "kernel": str(args.kernel),
@@ -161,9 +165,10 @@ def cmd_audit(args: argparse.Namespace) -> int:
         report["eta_tv"] = two_point.eta_tv
         report["argmax_pair"] = list(two_point.argmax_pair)
         if args.delta is not None:
-            params = PrivacyParams(args.epsilon, args.delta)
-            certified = is_ldp(kernel, params)
-            verifier = verify_equivalence(kernel, params, args.trials, seed=args.seed)
+            verifier = verify_equivalence(
+                kernel, PrivacyParams(args.epsilon, args.delta), args.trials, seed=args.seed
+            )
+            certified = verifier.certified
             report["delta_requested"] = args.delta
             report["certified"] = certified
             report["verifier"] = {
@@ -452,11 +457,9 @@ def cmd_oracle_profile_check(args: argparse.Namespace) -> int:
 # parser
 
 
-def _add_privacy_flags(p: argparse.ArgumentParser, need_delta_default: bool = True):
+def _add_privacy_flags(p: argparse.ArgumentParser):
     p.add_argument("--eps", type=float, required=True, help="privacy level epsilon")
-    p.add_argument(
-        "--delta", type=float, default=0.0 if need_delta_default else None, help="privacy slack delta"
-    )
+    p.add_argument("--delta", type=float, default=0.0, help="privacy slack delta")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -534,15 +537,15 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--bu-n", type=int, default=1, help="Bernoulli-uniform sample size")
         q.add_argument("--bu-panels", type=int, default=20000)
         q.add_argument("--n", type=int, default=1)
-        q.add_argument("--zeta-grid", type=parse_grid_spec, default=GridSpec(1e-4, 0.5, 2000, "log"))
+        q.add_argument("--zeta-grid", type=parse_grid_spec, default=DEFAULT_ZETA_GRID)
         _add_privacy_flags(q)
         with_sweep(q)
 
     q = bsub.add_parser("bayes-gammaopt", help="gamma-optimized non-private Bayes bound")
     q.add_argument("--bu-n", type=int, default=1)
     q.add_argument("--bu-panels", type=int, default=20000)
-    q.add_argument("--zeta-grid", type=parse_grid_spec, default=GridSpec(1e-4, 0.5, 2000, "log"))
-    q.add_argument("--gamma-grid", type=parse_grid_spec, default=GridSpec(0.0, 4.0, 800, "linear"))
+    q.add_argument("--zeta-grid", type=parse_grid_spec, default=DEFAULT_ZETA_GRID)
+    q.add_argument("--gamma-grid", type=parse_grid_spec, default=DEFAULT_GAMMA_GRID)
     q.set_defaults(func=cmd_bound, sweep=None, out=None)
 
     q = bsub.add_parser("ht", help="hypothesis-testing error exponent cap")

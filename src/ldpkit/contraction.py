@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import normalize_rows
+from .dist import excess, normalize_rows
 from .errors import DomainError
 from .kernel import Kernel
 
@@ -95,19 +95,6 @@ class ContractionReport:
         }
 
 
-def excess(p: np.ndarray, q: np.ndarray, gamma) -> np.ndarray:
-    """sum_i max(p_i - gamma q_i, 0) along the last axis, broadcasting.
-
-    This is E_gamma(P||Q) for gamma >= 1. gamma * 0 counts as 0, so
-    gamma = +inf gives the mass p puts where q is zero.
-    """
-    with np.errstate(invalid="ignore"):
-        t = p - gamma * q
-    if np.any(np.isinf(gamma)):
-        np.copyto(t, p, where=(q == 0.0))
-    return np.maximum(t, 0.0, out=t).sum(axis=-1)
-
-
 def scan_rows(k: Kernel) -> np.ndarray:
     """The rows of k as Kernel.row returns them.
 
@@ -145,15 +132,22 @@ def pairwise_egamma(k: Kernel, gammas) -> np.ndarray:
 def eta_gamma_two_point(k: Kernel, gamma: float) -> ContractionReport:
     """Hockey-stick contraction coefficient via the two-point formula.
 
-    Scans all ordered input pairs (E_gamma is asymmetric) in O(|X|^2 |Z|);
-    valid for gamma >= 1 only.
+    Scans all ordered input pairs (E_gamma is asymmetric) in O(|X|^2 |Z|),
+    at gamma and at 1 (for eta_tv) in one pass; valid for gamma >= 1 only.
+    The argmax pair is the lexicographically smallest ordered pair
+    attaining the sup ((0, 0) when the sup is 0).
     """
-    return eta_gamma_curve(k, [gamma])[0]
-
-
-def eta_tv_dobrushin(k: Kernel) -> float:
-    """Dobrushin coefficient: the largest TV distance between two rows."""
-    return float(pairwise_egamma(k, [1.0]).max())
+    gamma = float(gamma)
+    values, tv_values = pairwise_egamma(k, [gamma, 1.0])
+    best = float(values.max())
+    x, xp = np.unravel_index(int(np.argmax(values)), values.shape)
+    return ContractionReport(
+        eta_gamma=best,
+        gamma=gamma,
+        eta_tv=float(tv_values.max()),
+        argmax_pair=(int(x), int(xp)),
+        upper_bounds={"eta_tv_from_eta_gamma": eta_tv_from_eta_gamma(best, gamma)},
+    )
 
 
 def phi(params: PrivacyParams) -> float:
@@ -177,16 +171,6 @@ def eta_tv_from_eta_gamma(eta_gamma: float, gamma: float) -> float:
     return 1.0 - (1.0 - eta_gamma) / gamma
 
 
-def eta_f_upper_ldp(params: PrivacyParams) -> float:
-    """eta_f(K) <= phi(epsilon, delta) for every f and every such private K."""
-    return phi(params)
-
-
-def eta_f_tensor_upper(params: PrivacyParams, n: int) -> float:
-    """eta_f(K tensor n) <= phi_n(epsilon, delta) for non-interactive products."""
-    return phi_n(params, n)
-
-
 def eta_kl_bsc(omega: float) -> float:
     """KL contraction coefficient of a binary symmetric channel: (1 - 2 omega)^2.
 
@@ -197,28 +181,3 @@ def eta_kl_bsc(omega: float) -> float:
     if not 0.0 <= omega <= 1.0:
         raise DomainError(f"crossover probability {omega!r} outside [0, 1]")
     return (1.0 - 2.0 * omega) ** 2
-
-
-def eta_gamma_curve(k: Kernel, gammas) -> list[ContractionReport]:
-    """Two-point reports over a gamma grid from one pairwise scan.
-
-    Each report's argmax pair is the lexicographically smallest ordered
-    pair attaining its sup ((0, 0) when the sup is 0).
-    """
-    g = [float(v) for v in np.asarray(gammas, dtype=float).reshape(-1)]
-    scan = pairwise_egamma(k, g + [1.0])
-    eta_tv = float(scan[-1].max())
-    reports = []
-    for gamma, values in zip(g, scan):
-        best = float(values.max())
-        x, xp = np.unravel_index(int(np.argmax(values)), values.shape)
-        reports.append(
-            ContractionReport(
-                eta_gamma=best,
-                gamma=gamma,
-                eta_tv=eta_tv,
-                argmax_pair=(int(x), int(xp)),
-                upper_bounds={"eta_tv_from_eta_gamma": eta_tv_from_eta_gamma(best, gamma)},
-            )
-        )
-    return reports

@@ -6,9 +6,11 @@ squared Hellinger, and the hockey-stick family
 
     E_gamma(P||Q) = sum_i max(p_i - gamma * q_i, 0) - max(1 - gamma, 0),
 
-which equals total variation at gamma = 1. Three algebraically equivalent
-forms of E_gamma are provided so they can be cross-checked against each
-other; the sup-over-sets form above is the one used everywhere else.
+which equals total variation at gamma = 1. Each divergence is implemented
+once, batched along the last axis (:func:`divergence`, :func:`excess`);
+the scalar functions on Distribution wrap it. Two more forms of E_gamma
+are provided so they can be cross-checked against the sup-over-sets form
+above, which is the one used everywhere else.
 """
 
 from __future__ import annotations
@@ -152,10 +154,62 @@ def _check_alphabets(p: Distribution, q: Distribution):
         )
 
 
+def excess(p: np.ndarray, q: np.ndarray, gamma) -> np.ndarray:
+    """sum_i max(p_i - gamma q_i, 0) along the last axis, broadcasting.
+
+    This is E_gamma(P||Q) for gamma >= 1. gamma * 0 counts as 0, so
+    gamma = +inf gives the mass p puts where q is zero.
+    """
+    with np.errstate(invalid="ignore"):
+        t = p - gamma * q
+    if np.any(np.isinf(gamma)):
+        np.copyto(t, p, where=(q == 0.0))
+    return np.maximum(t, 0.0, out=t).sum(axis=-1)
+
+
+def _egamma(p: np.ndarray, q: np.ndarray, gamma) -> np.ndarray:
+    return np.maximum(excess(p, q, gamma) - np.maximum(1.0 - gamma, 0.0), 0.0)
+
+
+def _tv(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return 0.5 * np.abs(p - q).sum(axis=-1)
+
+
+def _kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    # 0 log 0 = 0; p_i > 0 with q_i = 0 gives +inf.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p > 0, p * np.log(p / q), 0.0).sum(axis=-1)
+
+
+def _chi2(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    # Pearson form sum (p - q)^2 / q; identical to sum p^2/q - 1 on
+    # probability vectors but free of cancellation.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(q > 0, (p - q) ** 2 / q, np.where(p > 0, np.inf, 0.0))
+    return terms.sum(axis=-1)
+
+
+def _hellinger_sq(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return ((np.sqrt(p) - np.sqrt(q)) ** 2).sum(axis=-1)
+
+
+def divergence(p: np.ndarray, q: np.ndarray, f: FGenerator) -> np.ndarray:
+    """D_f(p||q) along the last axis of two broadcasting probability arrays.
+
+    The one implementation of each divergence; the scalar functions below
+    wrap it. Symbols with q_i = 0 = p_i contribute nothing; q_i = 0 < p_i
+    yields +inf for KL and chi-squared and the finite limit for the others.
+    """
+    if f.kind == "egamma":
+        return _egamma(p, q, f.gamma)
+    formula = {"tv": _tv, "kl": _kl, "chi2": _chi2, "hellinger_sq": _hellinger_sq}[f.kind]
+    return formula(p, q)
+
+
 def tv(p: Distribution, q: Distribution) -> float:
     """Total variation distance (1/2) sum |p_i - q_i|, in [0, 1]."""
     _check_alphabets(p, q)
-    return float(0.5 * np.abs(p.probs - q.probs).sum())
+    return float(_tv(p.probs, q.probs))
 
 
 def egamma(p: Distribution, q: Distribution, gamma: float) -> float:
@@ -163,8 +217,7 @@ def egamma(p: Distribution, q: Distribution, gamma: float) -> float:
     _check_alphabets(p, q)
     if gamma < 0:
         raise DomainError(f"gamma must be >= 0, got {gamma!r}")
-    pos = np.maximum(p.probs - gamma * q.probs, 0.0).sum()
-    return float(max(0.0, pos - max(1.0 - gamma, 0.0)))
+    return float(_egamma(p.probs, q.probs, gamma))
 
 
 def egamma_integral_form(p: Distribution, q: Distribution, gamma: float) -> float:
@@ -196,41 +249,10 @@ def egamma_threshold_form(p: Distribution, q: Distribution, gamma: float) -> flo
 def hellinger_sq(p: Distribution, q: Distribution) -> float:
     """Squared Hellinger distance sum (sqrt(p_i) - sqrt(q_i))^2, in [0, 2]."""
     _check_alphabets(p, q)
-    return float(((np.sqrt(p.probs) - np.sqrt(q.probs)) ** 2).sum())
-
-
-def _kl(p: np.ndarray, q: np.ndarray) -> float:
-    # 0 log 0 = 0; p_i > 0 with q_i = 0 gives +inf.
-    sup = p > 0
-    if np.any(q[sup] == 0):
-        return float("inf")
-    ps = p[sup]
-    return float((ps * np.log(ps / q[sup])).sum())
-
-
-def _chi2(p: np.ndarray, q: np.ndarray) -> float:
-    # Pearson form sum (p - q)^2 / q; identical to sum p^2/q - 1 on
-    # probability vectors but free of cancellation.
-    sup = p > 0
-    if np.any(q[sup] == 0):
-        return float("inf")
-    qs = q > 0
-    return float(((p[qs] - q[qs]) ** 2 / q[qs]).sum())
+    return float(_hellinger_sq(p.probs, q.probs))
 
 
 def f_divergence(p: Distribution, q: Distribution, f: FGenerator) -> float:
-    """D_f(P||Q) = sum_i q_i f(p_i / q_i) with the usual edge conventions.
-
-    Symbols with q_i = 0 = p_i contribute nothing; q_i = 0 < p_i yields
-    +inf for KL and chi-squared and the finite limit for the others.
-    """
+    """D_f(P||Q) = sum_i q_i f(p_i / q_i), with :func:`divergence`'s edge conventions."""
     _check_alphabets(p, q)
-    if f.kind == "tv":
-        return tv(p, q)
-    if f.kind == "kl":
-        return _kl(p.probs, q.probs)
-    if f.kind == "chi2":
-        return _chi2(p.probs, q.probs)
-    if f.kind == "hellinger_sq":
-        return hellinger_sq(p, q)
-    return egamma(p, q, f.gamma)
+    return float(divergence(p.probs, q.probs, f))

@@ -103,7 +103,11 @@ def parse_kernel(text: str) -> Kernel:
 
 
 def load_kernel(path: str | Path) -> Kernel:
-    return parse_kernel(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"malformed kernel file: {exc}") from None
+    return parse_kernel(text)
 
 
 def pushforward(p: Distribution, k: Kernel) -> Distribution:

@@ -20,12 +20,11 @@ import numpy as np
 from .contraction import (
     SCAN_BYTES,
     PrivacyParams,
-    excess,
     gamma_from_epsilon,
     pairwise_egamma,
     scan_rows,
 )
-from .dist import Distribution, normalize_rows
+from .dist import Distribution, excess, normalize_rows
 from .errors import DomainError
 from .kernel import Kernel
 
@@ -182,14 +181,15 @@ def verify_equivalence(
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     gamma = gamma_from_epsilon(params.epsilon)
-    certified = is_ldp(k, params)
     d = k.input_size
+    off_diagonal = np.flatnonzero(~np.eye(d, dtype=bool))
+    point_num = pairwise_egamma(k, [gamma])[0].reshape(-1)[off_diagonal]
+    # The scan's diagonal is exactly 0, so this is is_ldp from the same scan.
+    certified = float(point_num.max(initial=0.0)) <= params.delta + IS_LDP_TOL
 
     rng = np.random.default_rng(seed)
     ps = normalize_rows(rng.dirichlet(np.ones(d), size=trials))
     qs = normalize_rows(rng.dirichlet(np.ones(d), size=trials))
-    off_diagonal = np.flatnonzero(~np.eye(d, dtype=bool))
-    point_num = pairwise_egamma(k, [gamma])[0].reshape(-1)[off_diagonal]
     num = np.concatenate([point_num, excess(_pushforward(ps, k), _pushforward(qs, k), gamma)])
     den = np.concatenate([np.ones(point_num.size), excess(ps, qs, gamma)])
 

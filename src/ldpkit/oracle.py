@@ -8,15 +8,14 @@ grid maximizer. Identical configs give bit-identical results.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .contraction import gamma_from_epsilon
-from .dist import Distribution, FGenerator, f_divergence
+from .dist import FGenerator, divergence, normalize_rows
 from .errors import CapacityError, DomainError
-from .kernel import Kernel, pushforward
+from .kernel import Kernel
 
 # Ratios whose denominator falls below this are not evidence of anything.
 DENOM_FLOOR = 1e-12
@@ -46,15 +45,6 @@ class SearchConfig:
             raise DomainError("dirichlet_alpha must be positive")
 
 
-def _batch_tv(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return 0.5 * np.abs(p - q).sum(axis=1)
-
-
-def _batch_egamma(p: np.ndarray, q: np.ndarray, gamma: float) -> np.ndarray:
-    pos = np.maximum(p - gamma * q, 0.0).sum(axis=1)
-    return np.maximum(pos - max(1.0 - gamma, 0.0), 0.0)
-
-
 def _f1(x: np.ndarray) -> np.ndarray:
     # f1(x) = (1+x) log1p(x) - x >= 0, the per-symbol Bregman excess of
     # KL; a short series replaces the direct form below |x| < 1e-3 where
@@ -68,15 +58,6 @@ def _f1(x: np.ndarray) -> np.ndarray:
     return np.where(x == -1.0, 1.0, out)  # p = 0 contributes exactly q
 
 
-def _batch_kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # sum_i q_i f1((p_i - q_i)/q_i) + sum_i (p_i - q_i); every f1 summand
-    # is nonnegative, so the sum does not cancel.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.where(q > 0, (p - q) / q, 0.0)
-        terms = np.where(q > 0, q * _f1(x), np.where(p > 0, np.inf, 0.0))
-    return terms.sum(axis=1) + (p.sum(axis=1) - q.sum(axis=1))
-
-
 def _shift_kl(p: np.ndarray, d: np.ndarray) -> np.ndarray:
     # KL(p || p + d) with the perturbation kept in factored form: the
     # mass-imbalance term d.sum() then scales with |d| instead of
@@ -87,71 +68,38 @@ def _shift_kl(p: np.ndarray, d: np.ndarray) -> np.ndarray:
     return (q * _f1(x)).sum(axis=1) - d.sum(axis=1)
 
 
-def _batch_chi2(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # Pearson form: sum (p - q)^2 / q, cancellation-free.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(q > 0, (p - q) ** 2 / q, np.where(p > 0, np.inf, 0.0))
-    return terms.sum(axis=1)
-
-
 def _shift_chi2(p: np.ndarray, d: np.ndarray) -> np.ndarray:
     return (d * d / (p + d)).sum(axis=1)
-
-
-def _batch_hellinger_sq(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return ((np.sqrt(p) - np.sqrt(q)) ** 2).sum(axis=1)
-
-
-def _batch_div(f: FGenerator, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    if f.kind == "tv":
-        return _batch_tv(p, q)
-    if f.kind == "kl":
-        return _batch_kl(p, q)
-    if f.kind == "chi2":
-        return _batch_chi2(p, q)
-    if f.kind == "hellinger_sq":
-        return _batch_hellinger_sq(p, q)
-    return _batch_egamma(p, q, f.gamma)
 
 
 def brute_eta_f(k: Kernel, f: FGenerator, cfg: SearchConfig) -> float:
     """Largest observed D_f(PK||QK) / D_f(P||Q) over the sampled pairs.
 
-    Point-mass pairs (when enabled) are evaluated through the same scalar
-    divergence code used by the two-point formulas, so for total
-    variation and hockey-stick divergences with gamma >= 1 the result
-    matches the two-point coefficient exactly. For KL and chi-squared,
+    Point-mass pairs (when enabled) push forward to pairs of kernel rows,
+    evaluated by the batched formulas of :mod:`ldpkit.dist`, whose
+    ``excess`` sums the two-point scan also runs on; so for hockey-stick
+    divergences with gamma >= 1 (and total variation, up to rounding) the
+    result attains the two-point coefficient. For KL and chi-squared,
     near-coincident pairs are appended because those contraction suprema
     are approached in the local limit; the result is a certified lower
     estimate.
     """
     d = k.input_size
-    best = 0.0
-
-    if cfg.include_point_masses:
-        for x in range(d):
-            px = Distribution.point_mass(x, d)
-            outx = pushforward(px, k)
-            for xp in range(d):
-                if x == xp:
-                    continue
-                qx = Distribution.point_mass(xp, d)
-                den = f_divergence(px, qx, f)
-                if not math.isfinite(den) or den < DENOM_FLOOR:
-                    continue
-                num = f_divergence(outx, pushforward(qx, k), f)
-                best = max(best, num / den)
-
     rng = np.random.default_rng(cfg.seed)
     alpha = np.full(d, cfg.dirichlet_alpha)
     ps = rng.dirichlet(alpha, size=cfg.trials)
     qs = rng.dirichlet(alpha, size=cfg.trials)
 
-    dens = _batch_div(f, ps, qs)
-    nums = _batch_div(f, ps @ k.rows, qs @ k.rows)
+    dens = divergence(ps, qs, f)
+    nums = divergence(ps @ k.rows, qs @ k.rows, f)
+    if cfg.include_point_masses:
+        # The pushforward of the point mass at x is row x of the kernel.
+        off = ~np.eye(d, dtype=bool)
+        points, rows = np.eye(d), normalize_rows(k.rows)
+        dens = np.concatenate([divergence(points[:, None], points, f)[off], dens])
+        nums = np.concatenate([divergence(rows[:, None], rows, f)[off], nums])
     ok = np.isfinite(dens) & (dens >= DENOM_FLOOR) & np.isfinite(nums)
-    if np.any(ok):
-        best = max(best, float((nums[ok] / dens[ok]).max()))
+    best = float((nums[ok] / dens[ok]).max(initial=0.0))
 
     if f.kind in ("kl", "chi2"):
         shift = _shift_kl if f.kind == "kl" else _shift_chi2
@@ -223,33 +171,13 @@ def brute_profile_check(
     )
 
 
-def _evaluate_on_mesh(objective, args: tuple, shape: tuple) -> np.ndarray:
-    try:
-        out = np.asarray(objective(*args), dtype=float)
-        if out.shape == shape:
-            return out
-        return np.broadcast_to(out, shape).astype(float)
-    except (TypeError, ValueError):
-        pass
-    # objective is not vectorized; evaluate point by point
-    out = np.empty(shape)
-    if len(shape) == 1:
-        for i, x in enumerate(args[0]):
-            out[i] = objective(float(x))
-    else:
-        xs = args[0].reshape(-1)
-        ys = args[1].reshape(-1)
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                out[i, j] = objective(float(x), float(y))
-    return out
-
-
 def grid_max(objective, *grids) -> tuple[tuple[float, ...], float]:
     """Deterministic dense-grid maximization over one or two variables.
 
-    Accepts vectorized (numpy-broadcasting) or scalar objectives. Ties
-    break toward the smallest grid index (lexicographic for two grids).
+    The objective must take numpy arrays and broadcast: it is called once,
+    on the grid (one variable) or on the column-by-row mesh of the two
+    grids, and a constant result is broadcast to the grid. Ties break
+    toward the smallest grid index (lexicographic for two grids).
     Returns (witness point, value).
     """
     if not 1 <= len(grids) <= 2:
@@ -260,13 +188,8 @@ def grid_max(objective, *grids) -> tuple[tuple[float, ...], float]:
         if a.ndim != 1 or a.size == 0:
             raise DomainError("grids must be non-empty 1-d arrays")
         arrays.append(a)
-    if len(arrays) == 1:
-        vals = _evaluate_on_mesh(objective, (arrays[0],), arrays[0].shape)
-        i = int(np.argmax(vals))
-        return (float(arrays[0][i]),), float(vals[i])
-    shape = (arrays[0].size, arrays[1].size)
-    vals = _evaluate_on_mesh(
-        objective, (arrays[0][:, None], arrays[1][None, :]), shape
-    )
-    i, j = np.unravel_index(int(np.argmax(vals)), shape)
-    return (float(arrays[0][i]), float(arrays[1][j])), float(vals[i, j])
+    args = (arrays[0],) if len(arrays) == 1 else (arrays[0][:, None], arrays[1][None, :])
+    shape = tuple(a.size for a in arrays)
+    vals = np.broadcast_to(np.asarray(objective(*args), dtype=float), shape)
+    index = np.unravel_index(int(np.argmax(vals)), shape)
+    return tuple(float(a[i]) for a, i in zip(arrays, index)), float(vals[index])

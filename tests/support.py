@@ -68,8 +68,8 @@ def kernels(draw, min_in: int = 2, max_in: int = 4, min_out: int = 2, max_out: i
 
 def loop_two_point(k: Kernel, gamma: float) -> tuple[float, float, tuple[int, int]]:
     """(eta_gamma, eta_tv, argmax pair) by scanning every ordered row pair;
-    the first pair in row-major order to reach the max wins. Finite
-    gamma >= 1 only (egamma's 0 * inf is NaN)."""
+    the first pair in row-major order to reach the max wins. gamma >= 1
+    (gamma = inf gives the residual)."""
     best = 0.0
     best_tv = 0.0
     best_pair = (0, 0)

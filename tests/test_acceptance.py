@@ -28,7 +28,6 @@ from ldpkit.contraction import (
     PrivacyParams,
     eta_gamma_two_point,
     eta_kl_bsc,
-    eta_tv_dobrushin,
     eta_tv_from_eta_gamma,
     phi,
     phi_n,
@@ -55,7 +54,7 @@ from ldpkit.info import (
 from ldpkit.kernel import bsc, k_rr, pushforward, randomized_response, tensor_power
 from ldpkit.ldp import delta_at, tightest_epsilon
 from ldpkit.oracle import SearchConfig, brute_eta_f, brute_profile_check
-from support import audit_kernel_family, random_distribution, random_kernel
+from support import audit_kernel_family, loop_two_point, random_distribution, random_kernel
 
 # Frozen dense-grid oracle values for the non-private Bayes bounds on the
 # uniform-Bernoulli model with L(z) = min(2z, 1); derived independently by
@@ -289,7 +288,7 @@ def test_criterion_8_property_suites(criterion):
         gamma = float(rng.uniform(1.0, 5.0))
         report = eta_gamma_two_point(k, gamma)
         worst = max(
-            worst, eta_tv_dobrushin(k) - eta_tv_from_eta_gamma(report.eta_gamma, gamma)
+            worst, loop_two_point(k, 1.0)[1] - eta_tv_from_eta_gamma(report.eta_gamma, gamma)
         )
     violations["eta-tv-vs-eta-gamma"] = worst if worst > 1e-10 else 0.0
 

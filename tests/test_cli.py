@@ -73,16 +73,25 @@ class TestAudit:
             ("token.csv", "0.5,abc\n0.5,0.5\n"),
             ("truncated.json", '{"rows": [[0.5, 0.5], [0.2'),
             ("array.json", "[[0.5, 0.5], [0.2, 0.8]]\n"),
+            ("bytes.csv", "\xff\xfe0.5,0.5"),
         ],
     )
     def test_unparseable_kernel_is_one_error_line(self, capsys, tmp_path, name, text):
         path = tmp_path / name
-        path.write_text(text)
+        # latin-1 writes each character as the byte of the same value, so
+        # the last case is the bytes ff fe, which are not UTF-8.
+        path.write_bytes(text.encode("latin-1"))
         code, out, err = run(capsys, ["audit", str(path), "--epsilon", "1"])
         assert code == 1
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: malformed kernel file")
+
+    def test_delta_without_epsilon_is_one_error_line(self, capsys, rr1_file):
+        code, out, err = run(capsys, ["audit", str(rr1_file), "--delta", "0.01"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: --delta requires --epsilon\n"
 
     def test_overflowing_epsilon_is_one_error_line(self, capsys, rr1_file):
         code, out, err = run(capsys, ["audit", str(rr1_file), "--epsilon", "1e6"])

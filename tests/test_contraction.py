@@ -8,12 +8,8 @@ from hypothesis import strategies as st
 import ldpkit.contraction
 from ldpkit.contraction import (
     PrivacyParams,
-    eta_f_tensor_upper,
-    eta_f_upper_ldp,
-    eta_gamma_curve,
     eta_gamma_two_point,
     eta_kl_bsc,
-    eta_tv_dobrushin,
     eta_tv_from_eta_gamma,
     pairwise_egamma,
     phi,
@@ -63,14 +59,13 @@ class TestTwoPoint:
     def test_matches_dobrushin_at_one_and_bounds(self, k, gamma):
         report = eta_gamma_two_point(k, gamma)
         assert eta_gamma_two_point(k, 1.0).eta_gamma == pytest.approx(
-            eta_tv_dobrushin(k), abs=1e-12
+            loop_two_point(k, 1.0)[1], abs=1e-12
         )
         assert 0.0 <= report.eta_gamma <= report.eta_tv + 1e-12
 
     def test_gamma_curve(self):
         k = bsc(0.2)
-        curve = eta_gamma_curve(k, [1.0, 2.0, 3.0])
-        values = [r.eta_gamma for r in curve]
+        values = [eta_gamma_two_point(k, g).eta_gamma for g in (1.0, 2.0, 3.0)]
         assert values[0] == pytest.approx(0.6, abs=1e-12)
         assert all(b <= a for a, b in zip(values, values[1:]))
 
@@ -86,7 +81,7 @@ class TestTwoPoint:
 
         k = randomized_response(1.0)
         gammas = np.linspace(1.0, 4.0, 7)
-        curve = eta_gamma_curve(k, gammas)
+        curve = [eta_gamma_two_point(k, g) for g in gammas]
         out = tmp_path / "curve.csv"
         write_csv(out, ["gamma", "eta_gamma"], [[r.gamma, r.eta_gamma] for r in curve])
         lines = out.read_text().splitlines()
@@ -170,11 +165,12 @@ class TestPairwiseScan:
 class TestDobrushin:
     @given(st.floats(0.0, 1.0))
     def test_bsc_closed_form(self, omega):
-        assert eta_tv_dobrushin(bsc(omega)) == pytest.approx(abs(1 - 2 * omega), abs=1e-12)
+        eta_tv = eta_gamma_two_point(bsc(omega), 1.0).eta_tv
+        assert eta_tv == pytest.approx(abs(1 - 2 * omega), abs=1e-12)
 
     def test_fully_mixing_and_identity(self):
-        assert eta_tv_dobrushin(bsc(0.5)) == 0.0
-        assert eta_tv_dobrushin(Kernel.identity(3)) == 1.0
+        assert eta_gamma_two_point(bsc(0.5), 1.0).eta_tv == 0.0
+        assert eta_gamma_two_point(Kernel.identity(3), 1.0).eta_tv == 1.0
 
 
 class TestPhi:
@@ -225,19 +221,13 @@ class TestEtaTvFromEtaGamma:
         with pytest.raises(DomainError):
             eta_tv_from_eta_gamma(0.5, 0.9)
 
-    def test_upper_bounds_from_ldp(self):
-        params = PrivacyParams(1.3, 0.02)
-        assert eta_f_upper_ldp(params) == phi(params)
-        assert eta_f_tensor_upper(params, 4) == phi_n(params, 4)
-        assert eta_f_tensor_upper(params, 1) == eta_f_upper_ldp(params)
-
 
 class TestDominanceChain:
     def test_brute_below_dobrushin_below_gamma_bound(self, rng):
         cfg = SearchConfig(seed=11, trials=300)
         for _ in range(10):
             k = random_kernel(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
-            eta_tv = eta_tv_dobrushin(k)
+            eta_tv = eta_gamma_two_point(k, 1.0).eta_tv
             for f in (FGenerator.kl(), FGenerator.hellinger_squared()):
                 assert brute_eta_f(k, f, cfg) <= eta_tv + 1e-10
             for gamma in (1.0, 1.7, 3.2):
@@ -247,8 +237,8 @@ class TestDominanceChain:
     def test_tensorization_bound(self, rng):
         for _ in range(20):
             k = random_kernel(rng, 2, 2)
-            eta1 = eta_tv_dobrushin(k)
-            eta2 = eta_tv_dobrushin(tensor_power(k, 2))
+            eta1 = eta_gamma_two_point(k, 1.0).eta_tv
+            eta2 = eta_gamma_two_point(tensor_power(k, 2), 1.0).eta_tv
             assert eta2 <= 1.0 - (1.0 - eta1) ** 2 + 1e-10
 
 

@@ -10,6 +10,7 @@ from ldpkit.dist import (
     FGenerator,
     egamma,
     egamma_integral_form,
+    divergence,
     egamma_threshold_form,
     f_divergence,
     hellinger_sq,
@@ -222,3 +223,41 @@ class TestFDivergence:
         p, q = pair
         kl = f_divergence(p, q, FGenerator.kl())
         assert tv(p, q) ** 2 <= 0.5 * kl + 1e-10
+
+
+ALL_KINDS = [
+    FGenerator.total_variation(),
+    FGenerator.kl(),
+    FGenerator.chi_squared(),
+    FGenerator.hellinger_squared(),
+    FGenerator.egamma(0.4),
+    FGenerator.egamma(2.5),
+]
+
+
+class TestBatchedLayer:
+    @pytest.mark.parametrize("f", ALL_KINDS)
+    def test_stack_matches_scalar_bit_for_bit(self, f, rng):
+        # rows with some zeros, so the support conventions are exercised
+        raw = rng.dirichlet(np.ones(6), size=(2, 30)) * (rng.random((2, 30, 6)) < 0.7)
+        raw[..., 0] += 0.05
+        pairs = [[Distribution(v / v.sum()) for v in side] for side in raw]
+        ps, qs = (np.array([d.probs for d in side]) for side in pairs)
+        values = divergence(ps, qs, f)
+        assert values.shape == (30,)
+        for value, p, q in zip(values, *pairs):
+            assert value == f_divergence(p, q, f)
+
+    @pytest.mark.parametrize("f", ALL_KINDS)
+    def test_broadcasts_over_all_pairs(self, f, rng):
+        rows = rng.dirichlet(np.ones(4), size=5)
+        table = divergence(rows[:, None], rows, f)
+        assert table.shape == (5, 5)
+        assert np.all(np.abs(np.diagonal(table)) <= 1e-14)
+        assert table[1, 3] == divergence(rows[1], rows[3], f)
+
+    def test_infinite_gamma_is_the_residual(self):
+        p = Distribution(np.array([0.5, 0.5, 0.0]))
+        q = Distribution(np.array([0.2, 0.3, 0.5]))
+        assert egamma(q, p, math.inf) == 0.5
+        assert egamma(p, q, math.inf) == 0.0

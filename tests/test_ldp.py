@@ -7,11 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ldpkit.ldp
-from ldpkit.contraction import PrivacyParams, eta_tv_dobrushin
+from ldpkit.contraction import PrivacyParams
 from ldpkit.dist import Distribution, egamma
 from ldpkit.errors import DomainError
 from ldpkit.kernel import Kernel, bsc, k_rr, pushforward, randomized_response
 from ldpkit.ldp import (
+    IS_LDP_TOL,
     PrivacyProfile,
     delta_at,
     is_ldp,
@@ -53,7 +54,7 @@ class TestDeltaAt:
     def test_at_zero_equals_dobrushin(self, rng):
         for _ in range(10):
             k = random_kernel(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
-            assert delta_at(k, 0.0) == pytest.approx(eta_tv_dobrushin(k), abs=1e-12)
+            assert delta_at(k, 0.0) == pytest.approx(loop_two_point(k, 1.0)[1], abs=1e-12)
 
     def test_negative_epsilon_rejected(self):
         with pytest.raises(DomainError):
@@ -192,6 +193,21 @@ class TestVerifyEquivalence:
         assert report.certified
         assert not report.violation_found
 
+    @given(kernels(min_in=1, max_in=4), st.floats(0.0, 3.0), st.sampled_from([-1, 0, 1]))
+    def test_certified_is_is_ldp(self, k, eps, shift):
+        # delta at the tight value and one tolerance either side of it
+        delta = min(1.0, max(0.0, delta_at(k, eps) + shift * IS_LDP_TOL))
+        params = PrivacyParams(eps, delta)
+        assert verify_equivalence(k, params, 5).certified == is_ldp(k, params)
+
+    def test_single_input_kernel_has_no_point_mass_pairs(self):
+        k = Kernel(np.array([[0.2, 0.8]]))
+        params = PrivacyParams(0.0, 0.0)
+        report = verify_equivalence(k, params, 20)
+        assert report.certified and is_ldp(k, params)
+        assert not report.violation_found
+        assert report.max_ratio_pair is None
+
     def test_deterministic_under_seed(self):
         a = verify_equivalence(bsc(0.3), PrivacyParams(0.5, 0.1), 200, seed=5)
         b = verify_equivalence(bsc(0.3), PrivacyParams(0.5, 0.1), 200, seed=5)
@@ -250,7 +266,7 @@ class TestPrivacyProfile:
         profile = privacy_profile(randomized_response(1.0), [0.0, 0.5, 1.0, 2.0], "rr1")
         assert profile.kernel_id == "rr1"
         deltas = [d for _, d in profile.points]
-        assert deltas[0] == pytest.approx(eta_tv_dobrushin(randomized_response(1.0)))
+        assert deltas[0] == pytest.approx(loop_two_point(randomized_response(1.0), 1.0)[1])
         assert deltas[2] <= 1e-12
 
     def test_grid_must_increase(self):

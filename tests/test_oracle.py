@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ldpkit.contraction import eta_gamma_two_point, eta_tv_dobrushin
-from ldpkit.dist import FGenerator
+from ldpkit.contraction import eta_gamma_two_point
+from ldpkit.dist import Distribution, FGenerator, f_divergence
 from ldpkit.errors import CapacityError, DomainError
-from ldpkit.kernel import Kernel, bsc, k_rr, randomized_response
+from ldpkit.kernel import Kernel, bsc, k_rr, pushforward, randomized_response
 from ldpkit.ldp import delta_at
-from ldpkit.oracle import SearchConfig, brute_eta_f, brute_profile_check, grid_max
+from ldpkit.oracle import DENOM_FLOOR, SearchConfig, brute_eta_f, brute_profile_check, grid_max
 from support import audit_kernel_family, random_kernel
 
 
@@ -43,12 +43,40 @@ class TestBruteEtaF:
                 two_point = eta_gamma_two_point(k, gamma).eta_gamma
                 assert abs(brute - two_point) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "f",
+        [
+            FGenerator.total_variation(),
+            FGenerator.kl(),
+            FGenerator.chi_squared(),
+            FGenerator.hellinger_squared(),
+            FGenerator.egamma(0.5),
+            FGenerator.egamma(1.5),
+        ],
+    )
+    def test_point_masses_are_pushed_forward_pairs_bit_for_bit(self, f, rng):
+        # The sweep over point-mass pairs, one pair at a time through
+        # pushforward and the scalar API, joined with the sampled pairs.
+        for _ in range(5):
+            d = int(rng.integers(2, 5))
+            k = random_kernel(rng, d, int(rng.integers(2, 6)))
+            sampled = brute_eta_f(k, f, SearchConfig(seed=5, trials=50, include_point_masses=False))
+            ratios = [sampled]
+            for x in range(d):
+                for xp in range(d):
+                    px, qx = Distribution.point_mass(x, d), Distribution.point_mass(xp, d)
+                    den = f_divergence(px, qx, f)
+                    if x != xp and math.isfinite(den) and den >= DENOM_FLOOR:
+                        num = f_divergence(pushforward(px, k), pushforward(qx, k), f)
+                        ratios.append(num / den)
+            assert brute_eta_f(k, f, SearchConfig(seed=5, trials=50)) == max(ratios)
+
     def test_tv_matches_dobrushin_exactly(self, rng):
         cfg = SearchConfig(seed=13, trials=500)
         for _ in range(5):
             k = random_kernel(rng, 3, 3)
             assert brute_eta_f(k, FGenerator.total_variation(), cfg) == pytest.approx(
-                eta_tv_dobrushin(k), abs=1e-12
+                eta_gamma_two_point(k, 1.0).eta_tv, abs=1e-12
             )
 
     def test_without_point_masses_only_lower(self):
@@ -125,15 +153,6 @@ class TestGridMax:
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             grid_max(lambda z: z, np.array([]))
-
-    def test_scalar_only_objective_falls_back(self):
-        def scalar_obj(z):
-            if z > 0.5:  # array input would raise here
-                return 1.0 - z
-            return z
-
-        witness, value = grid_max(scalar_obj, np.linspace(0.0, 1.0, 101))
-        assert value == pytest.approx(0.5, abs=1e-12)
 
     def test_two_grids_tie_breaks_lexicographically(self):
         witness, value = grid_max(
