@@ -4,10 +4,9 @@ uniform-Bernoulli model (one observation, absolute loss).
 
 The gamma-optimized hockey-stick bound strictly beats the
 mutual-information bound here; prints both values with their optimizer
-witnesses. Same computation as `ldpkit remark`.
+witnesses. Same computation as `ldpkit remark` (`ldpkit.cli.remark_reports`).
 """
 
-import math
 import sys
 from pathlib import Path
 
@@ -17,31 +16,11 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 if (_SRC / "ldpkit").is_dir():
     sys.path.insert(0, str(_SRC))
 
-from ldpkit.bounds import (
-    BayesConfig,
-    bayes_gamma_opt_lb,
-    bayes_xu_raginsky_private,
-    small_ball_uniform01,
-)
-from ldpkit.contraction import PrivacyParams
-from ldpkit.info import bu_igamma_closed_n1
+from ldpkit.cli import remark_reports
 
 
 def main():
-    nonprivate = PrivacyParams(0.0, 1.0)
-    mi = math.log(2.0) - 0.5
-    mi_report = bayes_xu_raginsky_private(
-        BayesConfig(small_ball=small_ball_uniform01, info_value=mi, n=1, params=nonprivate)
-    )
-    eg_report = bayes_gamma_opt_lb(
-        BayesConfig(
-            small_ball=small_ball_uniform01,
-            info_value=0.0,
-            n=1,
-            params=nonprivate,
-            info_fn=bu_igamma_closed_n1,
-        )
-    )
+    mi, mi_report, eg_report = remark_reports()
     print(f"I(Theta; X) = {mi:.6f} nats")
     print(f"gamma-optimized bound: {eg_report.value:.6f}  witness {eg_report.witness}")
     print(f"mutual-info bound:     {mi_report.value:.6f}  witness {mi_report.witness}")

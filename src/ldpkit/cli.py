@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,7 @@ from .bounds import (
 from .contraction import PrivacyParams, eta_gamma_two_point, gamma_from_epsilon
 from .dist import FGenerator
 from .errors import CapacityError, DimensionError, DomainError
-from .info import BernoulliUniformModel, bu_igamma, bu_mutual_information
+from .info import BernoulliUniformModel, bu_igamma, bu_igamma_closed_n1, bu_mutual_information
 from .kernel import load_kernel
 from .ldp import DEFAULT_SEED, delta_at, privacy_profile, verify_equivalence
 from .oracle import SearchConfig, brute_eta_f, brute_profile_check
@@ -199,22 +200,28 @@ def cmd_audit(args: argparse.Namespace) -> int:
 # figure1
 
 
-def cmd_figure1(args: argparse.Namespace) -> int:
-    model = BernoulliUniformModel(args.n, args.panels)
-    grid = parse_linear_grid(args.eps_grid)
+def figure1_curve(model: BernoulliUniformModel, delta: float, epsilons) -> tuple[float, list]:
+    """I(Theta; X^n) of the model, and per epsilon the row (epsilon,
+    mutual-information bound, hockey-stick bound): the two private
+    Bayes-risk lower bounds at (epsilon, delta) from n observations."""
     mi = bu_mutual_information(model)
     rows = []
-    for eps in grid:
-        eps = float(eps)
-        params = PrivacyParams(eps, args.delta)
+    for eps in map(float, epsilons):
+        params = PrivacyParams(eps, delta)
         mi_bound = bayes_xu_raginsky_private(
-            BayesConfig(small_ball=small_ball_uniform01, info_value=mi, n=args.n, params=params)
+            BayesConfig(small_ball_uniform01, info_value=mi, n=model.n, params=params)
         )
         ig = bu_igamma(model, gamma_from_epsilon(eps))
         eg_bound = bayes_egamma_lb(
-            BayesConfig(small_ball=small_ball_uniform01, info_value=ig, n=args.n, params=params)
+            BayesConfig(small_ball_uniform01, info_value=ig, n=model.n, params=params)
         )
         rows.append([eps, mi_bound.value, eg_bound.value])
+    return mi, rows
+
+
+def cmd_figure1(args: argparse.Namespace) -> int:
+    model = BernoulliUniformModel(args.n, args.panels)
+    mi, rows = figure1_curve(model, args.delta, parse_linear_grid(args.eps_grid))
     out = resolve_out(args.out)
     write_csv(out, ["epsilon", "bayes_lb_mi", "bayes_lb_egamma"], rows)
     manifest = _emit_manifest("figure1", args, [out])
@@ -234,132 +241,158 @@ def cmd_figure1(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------------------
 # bound
+#
+# The report functions name the calculators they call, so each is looked
+# up in this module's globals at call time: rebinding a calculator here
+# (as a tracer does) reaches every subcommand and shared function.
 
 
-def _params_from(args: argparse.Namespace, epsilon: float | None = None) -> PrivacyParams:
-    return PrivacyParams(args.eps if epsilon is None else epsilon, args.delta)
+def _with_bu_model(report: BoundReport, bu_model: dict) -> BoundReport:
+    return dataclasses.replace(report, inputs={**report.inputs, "bu_model": bu_model})
 
 
-def _bound_report(args: argparse.Namespace, epsilon: float | None = None) -> BoundReport:
-    which = args.bound_kind
-    params = _params_from(args, epsilon)
-    if which == "lecam":
-        return lecam_private(
-            LeCamConfig(tau=args.tau, kl_p0_p1=args.kl, n=args.n, params=params)
-        )
-    if which == "moment":
-        return moment_estimation_lb(args.k_moment, args.n, params)
-    if which == "fano":
-        return fano_lb(
-            FanoConfig(
-                v_count=args.v_count,
-                avg_pairwise_kl=args.avg_kl,
-                tau=args.tau,
-                n=args.n,
-                params=params,
-                mi_xn_v=args.mi,
-            )
-        )
-    if which == "highdim":
-        return highdim_mean_lb(args.d, args.r, args.n, params)
-    if which in ("bayes-mi", "bayes-egamma"):
+def _bayes_report(mi: bool):
+    """``bayes-mi`` (mi) or ``bayes-egamma``. Without --info the information
+    comes from the Bernoulli-uniform model, and the report records it."""
+
+    def report(args: argparse.Namespace, params: PrivacyParams) -> BoundReport:
         info = args.info
-        from_model = info is None
-        if from_model:
+        if info is None:
             model = BernoulliUniformModel(args.bu_n, args.bu_panels)
-            if which == "bayes-mi":
+            if mi:
                 info = bu_mutual_information(model)
             else:
                 info = bu_igamma(model, gamma_from_epsilon(params.epsilon))
-        calculator = bayes_xu_raginsky_private if which == "bayes-mi" else bayes_egamma_lb
-        report = calculator(
-            BayesConfig(
-                small_ball=small_ball_uniform01,
-                info_value=info,
-                n=args.n,
-                params=params,
-                zeta_grid=args.zeta_grid,
-            )
+        calculator = bayes_xu_raginsky_private if mi else bayes_egamma_lb
+        result = calculator(
+            BayesConfig(small_ball_uniform01, info, args.n, params, zeta_grid=args.zeta_grid)
         )
-        if from_model:
-            report = dataclasses.replace(
-                report,
-                inputs={
-                    **report.inputs,
-                    "bu_model": {"n": args.bu_n, "panels": args.bu_panels},
-                },
-            )
-        return report
-    if which == "ht":
-        value = ht_exponent(args.kl, params)
-        return BoundReport(
-            bound_name="ht_exponent",
-            value=value,
-            inputs={"kl_p0_p1": args.kl, "epsilon": params.epsilon, "delta": params.delta},
-        )
-    if which == "micap":
-        value = mi_cap(args.entropy, params)
-        return BoundReport(
-            bound_name="mi_cap",
-            value=value,
-            inputs={"entropy": args.entropy, "epsilon": params.epsilon, "delta": params.delta},
-        )
-    raise DomainError(f"unknown bound subcommand {which!r}")
+        if args.info is None:
+            result = _with_bu_model(result, {"n": args.bu_n, "panels": args.bu_panels})
+        return result
+
+    return report
+
+
+def _value_report(name: str, flag: str, key: str):
+    """Report of the calculator ``name(x, params) -> float`` at x = args.<flag>."""
+
+    def report(args: argparse.Namespace, params: PrivacyParams) -> BoundReport:
+        x = getattr(args, flag)
+        value = globals()[name](x, params)
+        inputs = {key: x, "epsilon": params.epsilon, "delta": params.delta}
+        return BoundReport(bound_name=name, value=value, inputs=inputs)
+
+    return report
+
+
+# required numeric flags
+_FLOAT = {"type": float, "required": True}
+_INT = {"type": int, "required": True}
+_N = {"--n": {"type": int, "default": 1}}
+_BAYES_FLAGS = {
+    "--info": {"type": float, "default": None, "help": "information value in nats"},
+    "--bu-n": {"type": int, "default": 1, "help": "Bernoulli-uniform sample size"},
+    "--bu-panels": {"type": int, "default": 20000},
+    **_N,
+    "--zeta-grid": {"type": parse_grid_spec, "default": DEFAULT_ZETA_GRID},
+}
+# Taken by every subcommand in BOUNDS, after its own flags.
+_PRIVACY_AND_SWEEP_FLAGS = {
+    "--eps": {"type": float, "required": True, "help": "privacy level epsilon"},
+    "--delta": {"type": float, "default": 0.0, "help": "privacy slack delta"},
+    "--sweep": {"nargs": 2, "metavar": ("PARAM", "GRID"), "default": None,
+                "help": "sweep a parameter over lo:hi:steps (only epsilon)"},
+    "--out": {"default": None, "help": "CSV path for sweep output"},
+}
+
+# subcommand -> (help, its own flags as name -> add_argument keywords,
+# report(args, params) -> BoundReport)
+BOUNDS = {
+    "lecam": (
+        "two-point minimax bound",
+        {"--tau": _FLOAT, "--kl": _FLOAT, **_N},
+        lambda a, p: lecam_private(LeCamConfig(a.tau, a.kl, a.n, p)),
+    ),
+    "moment": (
+        "k-th moment mean-estimation bound",
+        {"--k-moment": _FLOAT, **_N},
+        lambda a, p: moment_estimation_lb(a.k_moment, a.n, p),
+    ),
+    "fano": (
+        "multi-way testing bound",
+        {"--v-count": _INT, "--avg-kl": _FLOAT, "--tau": _FLOAT, **_N,
+         "--mi": {"type": float, "default": None, "help": "direct I(X^n; V) in nats"}},
+        lambda a, p: fano_lb(FanoConfig(a.v_count, a.avg_kl, a.tau, a.n, p, mi_xn_v=a.mi)),
+    ),
+    "highdim": (
+        "l2-ball mean-estimation bound",
+        {"--d": _INT, "--r": _FLOAT, **_N},
+        lambda a, p: highdim_mean_lb(a.d, a.r, a.n, p),
+    ),
+    "bayes-mi": ("Bayes-risk lower bound", _BAYES_FLAGS, _bayes_report(mi=True)),
+    "bayes-egamma": ("Bayes-risk lower bound", _BAYES_FLAGS, _bayes_report(mi=False)),
+    "ht": (
+        "hypothesis-testing error exponent cap",
+        {"--kl": _FLOAT},
+        _value_report("ht_exponent", "kl", "kl_p0_p1"),
+    ),
+    "micap": (
+        "mutual-information cap",
+        {"--entropy": _FLOAT},
+        _value_report("mi_cap", "entropy", "entropy"),
+    ),
+}
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    if args.bound_kind == "bayes-gammaopt":
-        model_n = args.bu_n
-        if model_n == 1:
-            from .info import bu_igamma_closed_n1 as info_fn
-        else:
-            model = BernoulliUniformModel(model_n, args.bu_panels)
-
-            def info_fn(g: float) -> float:
-                return bu_igamma(model, g)
-
-        report = bayes_gamma_opt_lb(
-            BayesConfig(
-                small_ball=small_ball_uniform01,
-                info_value=0.0,
-                n=model_n,
-                params=PrivacyParams(0.0, 1.0),
-                zeta_grid=args.zeta_grid,
-                gamma_grid=args.gamma_grid,
-                info_fn=info_fn,
-            )
-        )
-        bu_inputs = {"n": model_n}
-        if model_n > 1:
-            bu_inputs["panels"] = args.bu_panels
-        report = dataclasses.replace(
-            report, inputs={**report.inputs, "bu_model": bu_inputs}
-        )
-        _print_json(report.to_dict())
+    _, _, report = BOUNDS[args.bound_kind]
+    if args.sweep is None:
+        _print_json(report(args, PrivacyParams(args.eps, args.delta)).to_dict())
         return 0
+    what, grid_text = args.sweep
+    if what != "epsilon":
+        raise DomainError(f"only epsilon sweeps are supported, got {what!r}")
+    if not args.out:
+        raise DomainError("--sweep requires --out for the CSV curve")
+    grid = parse_linear_grid(grid_text)
+    reports = [report(args, PrivacyParams(float(e), args.delta)) for e in grid]
+    witness_keys = sorted(reports[0].witness)
+    header = ["epsilon", "value"] + [f"witness_{k}" for k in witness_keys]
+    rows = [
+        [float(e), r.value] + [float(r.witness[k]) for k in witness_keys]
+        for e, r in zip(grid, reports)
+    ]
+    out = resolve_out(args.out)
+    write_csv(out, header, rows)
+    manifest = _emit_manifest(f"bound {args.bound_kind}", args, [out])
+    _print_json({"rows": len(rows), "outputs": [str(out)], "manifest": str(manifest)})
+    return 0
 
-    if args.sweep is not None:
-        what, grid_text = args.sweep
-        if what != "epsilon":
-            raise DomainError(f"only epsilon sweeps are supported, got {what!r}")
-        if not args.out:
-            raise DomainError("--sweep requires --out for the CSV curve")
-        grid = parse_linear_grid(grid_text)
-        reports = [_bound_report(args, float(e)) for e in grid]
-        witness_keys = sorted(reports[0].witness)
-        header = ["epsilon", "value"] + [f"witness_{k}" for k in witness_keys]
-        rows = [
-            [float(e), r.value] + [float(r.witness[k]) for k in witness_keys]
-            for e, r in zip(grid, reports)
-        ]
-        out = resolve_out(args.out)
-        write_csv(out, header, rows)
-        manifest = _emit_manifest(f"bound {args.bound_kind}", args, [out])
-        _print_json({"rows": len(rows), "outputs": [str(out)], "manifest": str(manifest)})
-        return 0
 
-    report = _bound_report(args)
-    _print_json(report.to_dict())
+def gamma_opt_report(
+    n: int, panels: int | None, zeta_grid=DEFAULT_ZETA_GRID, gamma_grid=DEFAULT_GAMMA_GRID
+) -> tuple[BoundReport, dict]:
+    """The gamma-optimized non-private Bayes bound of the Bernoulli-uniform
+    model with n observations, and the record of the model it used.
+
+    I_gamma is the exact closed form at n = 1 (``panels`` unused) and
+    composite Simpson on ``panels`` panels otherwise.
+    """
+    if n == 1:
+        info_fn, bu_model = bu_igamma_closed_n1, {"n": n}
+    else:
+        model = BernoulliUniformModel(n, panels)
+        info_fn, bu_model = partial(bu_igamma, model), {"n": n, "panels": panels}
+    cfg = BayesConfig(
+        small_ball_uniform01, 0.0, n, PrivacyParams(0.0, 1.0), zeta_grid, gamma_grid, info_fn
+    )
+    return bayes_gamma_opt_lb(cfg), bu_model
+
+
+def cmd_gammaopt(args: argparse.Namespace) -> int:
+    report, bu_model = gamma_opt_report(args.bu_n, args.bu_panels, args.zeta_grid, args.gamma_grid)
+    _print_json(_with_bu_model(report, bu_model).to_dict())
     return 0
 
 
@@ -367,23 +400,19 @@ def cmd_bound(args: argparse.Namespace) -> int:
 # remark
 
 
-def cmd_remark(args: argparse.Namespace) -> int:
-    from .info import bu_igamma_closed_n1
-
+def remark_reports() -> tuple[float, BoundReport, BoundReport]:
+    """I(Theta; X) in nats at n = 1, and there the Bernoulli-uniform model's
+    mutual-information and gamma-optimized non-private Bayes bounds."""
     mi = LN2 - 0.5
-    nonprivate = PrivacyParams(0.0, 1.0)
     mi_report = bayes_xu_raginsky_private(
-        BayesConfig(small_ball=small_ball_uniform01, info_value=mi, n=1, params=nonprivate)
+        BayesConfig(small_ball_uniform01, info_value=mi, n=1, params=PrivacyParams(0.0, 1.0))
     )
-    eg_report = bayes_gamma_opt_lb(
-        BayesConfig(
-            small_ball=small_ball_uniform01,
-            info_value=0.0,
-            n=1,
-            params=nonprivate,
-            info_fn=bu_igamma_closed_n1,
-        )
-    )
+    eg_report, _ = gamma_opt_report(1, None)
+    return mi, mi_report, eg_report
+
+
+def cmd_remark(args: argparse.Namespace) -> int:
+    mi, mi_report, eg_report = remark_reports()
     payload = {
         "model": "uniform prior on [0,1], one Bernoulli observation, absolute loss",
         "mutual_information_nats": mi,
@@ -457,11 +486,6 @@ def cmd_oracle_profile_check(args: argparse.Namespace) -> int:
 # parser
 
 
-def _add_privacy_flags(p: argparse.ArgumentParser):
-    p.add_argument("--eps", type=float, required=True, help="privacy level epsilon")
-    p.add_argument("--delta", type=float, default=0.0, help="privacy slack delta")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ldpkit",
@@ -490,73 +514,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="individual bound calculators")
     bsub = p.add_subparsers(dest="bound_kind", required=True)
-
-    def with_sweep(q: argparse.ArgumentParser):
-        q.add_argument(
-            "--sweep",
-            nargs=2,
-            metavar=("PARAM", "GRID"),
-            default=None,
-            help="sweep a parameter over lo:hi:steps (only epsilon)",
-        )
-        q.add_argument("--out", default=None, help="CSV path for sweep output")
+    for kind, (help_text, flags, _) in BOUNDS.items():
+        q = bsub.add_parser(kind, help=help_text)
+        for flag, options in {**flags, **_PRIVACY_AND_SWEEP_FLAGS}.items():
+            q.add_argument(flag, **options)
         q.set_defaults(func=cmd_bound)
-
-    q = bsub.add_parser("lecam", help="two-point minimax bound")
-    q.add_argument("--tau", type=float, required=True)
-    q.add_argument("--kl", type=float, required=True)
-    q.add_argument("--n", type=int, default=1)
-    _add_privacy_flags(q)
-    with_sweep(q)
-
-    q = bsub.add_parser("moment", help="k-th moment mean-estimation bound")
-    q.add_argument("--k-moment", type=float, required=True)
-    q.add_argument("--n", type=int, default=1)
-    _add_privacy_flags(q)
-    with_sweep(q)
-
-    q = bsub.add_parser("fano", help="multi-way testing bound")
-    q.add_argument("--v-count", type=int, required=True)
-    q.add_argument("--avg-kl", type=float, required=True)
-    q.add_argument("--tau", type=float, required=True)
-    q.add_argument("--n", type=int, default=1)
-    q.add_argument("--mi", type=float, default=None, help="direct I(X^n; V) in nats")
-    _add_privacy_flags(q)
-    with_sweep(q)
-
-    q = bsub.add_parser("highdim", help="l2-ball mean-estimation bound")
-    q.add_argument("--d", type=int, required=True)
-    q.add_argument("--r", type=float, required=True)
-    q.add_argument("--n", type=int, default=1)
-    _add_privacy_flags(q)
-    with_sweep(q)
-
-    for name in ("bayes-mi", "bayes-egamma"):
-        q = bsub.add_parser(name, help="Bayes-risk lower bound")
-        q.add_argument("--info", type=float, default=None, help="information value in nats")
-        q.add_argument("--bu-n", type=int, default=1, help="Bernoulli-uniform sample size")
-        q.add_argument("--bu-panels", type=int, default=20000)
-        q.add_argument("--n", type=int, default=1)
-        q.add_argument("--zeta-grid", type=parse_grid_spec, default=DEFAULT_ZETA_GRID)
-        _add_privacy_flags(q)
-        with_sweep(q)
 
     q = bsub.add_parser("bayes-gammaopt", help="gamma-optimized non-private Bayes bound")
     q.add_argument("--bu-n", type=int, default=1)
     q.add_argument("--bu-panels", type=int, default=20000)
     q.add_argument("--zeta-grid", type=parse_grid_spec, default=DEFAULT_ZETA_GRID)
     q.add_argument("--gamma-grid", type=parse_grid_spec, default=DEFAULT_GAMMA_GRID)
-    q.set_defaults(func=cmd_bound, sweep=None, out=None)
-
-    q = bsub.add_parser("ht", help="hypothesis-testing error exponent cap")
-    q.add_argument("--kl", type=float, required=True)
-    _add_privacy_flags(q)
-    with_sweep(q)
-
-    q = bsub.add_parser("micap", help="mutual-information cap")
-    q.add_argument("--entropy", type=float, required=True)
-    _add_privacy_flags(q)
-    with_sweep(q)
+    q.set_defaults(func=cmd_gammaopt)
 
     p = sub.add_parser("remark", help="side-by-side non-private Bayes bounds")
     p.add_argument("--json", action="store_true")

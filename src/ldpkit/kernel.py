@@ -34,14 +34,20 @@ class Kernel:
             raise DimensionError("kernel must be a non-empty 2-d matrix")
         if not np.all(np.isfinite(arr)):
             raise DomainError("kernel entries must be finite")
-        for i in range(arr.shape[0]):
-            if np.any(arr[i] < 0):
+        # Row sums of a C-ordered copy add each row's entries in one order
+        # whatever the memory layout of the input (an axis-1 sum of a
+        # Fortran-ordered array adds them in another), so the rescaled rows
+        # do not depend on the layout.
+        totals = np.ascontiguousarray(arr).sum(axis=1)
+        negative = (arr < 0).any(axis=1)
+        bad = negative | ~(np.abs(totals - 1.0) < RENORM_TOL)
+        if bad.any():
+            i = int(bad.argmax())
+            if negative[i]:
                 raise DomainError(f"row {i}: entries must be nonnegative")
-            total = float(arr[i].sum())
-            if not abs(total - 1.0) < RENORM_TOL:
-                raise DomainError(f"row {i}: sums to {total!r}, not 1")
-            if total != 1.0:
-                arr[i] = arr[i] / total
+            raise DomainError(f"row {i}: sums to {float(totals[i])!r}, not 1")
+        off = totals != 1.0
+        arr[off] = arr[off] / totals[off, None]
         arr.setflags(write=False)
         object.__setattr__(self, "rows", arr)
 
@@ -147,16 +153,17 @@ def k_rr(epsilon: float, k: int) -> Kernel:
     return Kernel(rows)
 
 
-def _check_cap(size: int, n: int, cap: int, what: str) -> None:
-    # size^n >= 2^n > cap once n passes cap's bit length; the count is
-    # then left unbuilt, since printing it could take millions of digits.
+def _check_cap(size: int, n: int, what: str) -> None:
+    # size^n >= 2^n > the cap once n passes the cap's bit length; the count
+    # is then left unbuilt, since printing it could take millions of digits.
+    cap = DEFAULT_STATE_CAP
     total = size**n if size < 2 or n <= cap.bit_length() else None
     if total is None or total > cap:
         count = f"{size}^{n}" if total is None else f"{total} ({size}^{n})"
         raise CapacityError(f"{what} would have {count} states, exceeding the cap {cap}")
 
 
-def tensor_power(k: Kernel, n: int, state_cap: int = DEFAULT_STATE_CAP) -> Kernel:
+def tensor_power(k: Kernel, n: int) -> Kernel:
     """n-fold independent application of k, entries prod_i K(z_i|x_i).
 
     Indices run row-major over coordinates with coordinate 1 most
@@ -164,21 +171,19 @@ def tensor_power(k: Kernel, n: int, state_cap: int = DEFAULT_STATE_CAP) -> Kerne
     """
     if n < 1:
         raise DomainError(f"tensor power needs n >= 1, got {n}")
-    _check_cap(k.input_size, n, state_cap, "tensor-power input alphabet")
-    _check_cap(k.output_size, n, state_cap, "tensor-power output alphabet")
+    _check_cap(k.input_size, n, "tensor-power input alphabet")
+    _check_cap(k.output_size, n, "tensor-power output alphabet")
     rows = k.rows
     for _ in range(n - 1):
         rows = np.kron(rows, k.rows)
     return Kernel(rows)
 
 
-def product_distribution(
-    p: Distribution, n: int, state_cap: int = DEFAULT_STATE_CAP
-) -> Distribution:
+def product_distribution(p: Distribution, n: int) -> Distribution:
     """i.i.d. product of p over the n-fold product alphabet (same index order)."""
     if n < 1:
         raise DomainError(f"product distribution needs n >= 1, got {n}")
-    _check_cap(p.alphabet_size, n, state_cap, "product alphabet")
+    _check_cap(p.alphabet_size, n, "product alphabet")
     v = p.probs
     for _ in range(n - 1):
         v = np.kron(v, p.probs)

@@ -51,7 +51,6 @@ class PrivacyProfile:
     """Sampled privacy profile: (epsilon, tightest delta) pairs on a grid."""
 
     points: tuple[tuple[float, float], ...]
-    kernel_id: str = ""
 
     def __post_init__(self):
         eps = [e for e, _ in self.points]
@@ -64,11 +63,11 @@ class PrivacyProfile:
             raise DomainError("profile deltas must be nonincreasing in epsilon")
 
 
-def privacy_profile(k: Kernel, epsilons, kernel_id: str = "") -> PrivacyProfile:
+def privacy_profile(k: Kernel, epsilons) -> PrivacyProfile:
     """Evaluate the exact profile on a strictly increasing epsilon grid, in one scan."""
     eps = [float(e) for e in epsilons]
     deltas = pairwise_egamma(k, [gamma_from_epsilon(e) for e in eps]).max(axis=(1, 2))
-    return PrivacyProfile(points=tuple(zip(eps, map(float, deltas))), kernel_id=kernel_id)
+    return PrivacyProfile(points=tuple(zip(eps, map(float, deltas))))
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,9 @@ DENOM_FLOOR = 1e-12
 _NEAR_COINCIDENT_H = (1e-3, 1e-4)
 _NEAR_COINCIDENT_FLOOR = 1e-9
 
+# brute_profile_check enumerates 2^|Z| output sets; larger |Z| is refused.
+OUTPUT_CAP = 20
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -62,14 +65,16 @@ def _shift_kl(p: np.ndarray, d: np.ndarray) -> np.ndarray:
     # KL(p || p + d) with the perturbation kept in factored form: the
     # mass-imbalance term d.sum() then scales with |d| instead of
     # carrying ~1e-16 absolute noise, which matters because these
-    # denominators sit near the supremum quotient.
+    # denominators sit near the supremum quotient. A symbol with
+    # q = p + d = 0 (an all-zero output column) has x = 0 and adds 0.
     q = p + d
-    x = -d / q
+    x = np.divide(-d, q, out=np.zeros_like(q), where=q > 0)
     return (q * _f1(x)).sum(axis=1) - d.sum(axis=1)
 
 
 def _shift_chi2(p: np.ndarray, d: np.ndarray) -> np.ndarray:
-    return (d * d / (p + d)).sum(axis=1)
+    q = p + d
+    return np.divide(d * d, q, out=np.zeros_like(q), where=q > 0).sum(axis=1)
 
 
 def brute_eta_f(k: Kernel, f: FGenerator, cfg: SearchConfig) -> float:
@@ -132,9 +137,7 @@ class ProfileCheckReport:
         }
 
 
-def brute_profile_check(
-    k: Kernel, epsilon: float, output_cap: int = 20
-) -> ProfileCheckReport:
+def brute_profile_check(k: Kernel, epsilon: float) -> ProfileCheckReport:
     """Raw-definition privacy check: enumerate every output event.
 
     Maximizes K(A|x) - e^epsilon K(A|x') over all ordered input pairs and
@@ -143,9 +146,9 @@ def brute_profile_check(
     """
     gamma = gamma_from_epsilon(epsilon)
     nz = k.output_size
-    if nz > output_cap:
+    if nz > OUTPUT_CAP:
         raise CapacityError(
-            f"exhaustive set enumeration needs output size <= {output_cap}, got {nz}"
+            f"exhaustive set enumeration needs output size <= {OUTPUT_CAP}, got {nz}"
         )
     best = 0.0
     witness_pair = None

@@ -4,8 +4,24 @@ import math
 import numpy as np
 import pytest
 
-from ldpkit.cli import main, parse_grid_spec, parse_linear_grid
+from ldpkit.bounds import (
+    BayesConfig,
+    FanoConfig,
+    LeCamConfig,
+    bayes_egamma_lb,
+    bayes_xu_raginsky_private,
+    fano_lb,
+    highdim_mean_lb,
+    ht_exponent,
+    lecam_private,
+    mi_cap,
+    moment_estimation_lb,
+    small_ball_uniform01,
+)
+from ldpkit.cli import BOUNDS, main, parse_grid_spec, parse_linear_grid
+from ldpkit.contraction import PrivacyParams
 from ldpkit.errors import DomainError
+from ldpkit.info import BernoulliUniformModel, bu_igamma, bu_mutual_information
 from ldpkit.kernel import k_rr, randomized_response
 
 
@@ -256,6 +272,65 @@ class TestBound:
         )
         assert code == 0
         assert out.read_text().splitlines()[0] == "epsilon,value,witness_omega"
+
+
+_BU = BernoulliUniformModel(3, 200)
+
+# subcommand -> (its own flags, the library value at PrivacyParams p)
+BOUND_CASES = {
+    "lecam": (
+        ["--tau", "0.5", "--kl", "0.05", "--n", "10"],
+        lambda p: lecam_private(LeCamConfig(0.5, 0.05, 10, p)).value,
+    ),
+    "moment": (["--k-moment", "2", "--n", "16"], lambda p: moment_estimation_lb(2.0, 16, p).value),
+    "fano": (
+        ["--v-count", "64", "--avg-kl", "0.01", "--tau", "0.5", "--n", "20"],
+        lambda p: fano_lb(FanoConfig(64, 0.01, 0.5, 20, p)).value,
+    ),
+    "highdim": (["--d", "8", "--r", "1", "--n", "64"], lambda p: highdim_mean_lb(8, 1.0, 64, p).value),
+    "bayes-mi": (
+        ["--bu-n", "3", "--bu-panels", "200", "--n", "5"],
+        lambda p: bayes_xu_raginsky_private(
+            BayesConfig(small_ball_uniform01, bu_mutual_information(_BU), 5, p)
+        ).value,
+    ),
+    "bayes-egamma": (
+        ["--bu-n", "3", "--bu-panels", "200", "--n", "5"],
+        lambda p: bayes_egamma_lb(
+            BayesConfig(small_ball_uniform01, bu_igamma(_BU, math.exp(p.epsilon)), 5, p)
+        ).value,
+    ),
+    "ht": (["--kl", "1"], lambda p: ht_exponent(1.0, p)),
+    "micap": (["--entropy", "0.7"], lambda p: mi_cap(0.7, p)),
+}
+
+
+@pytest.mark.parametrize("kind", list(BOUNDS))
+def test_every_bound_subcommand_matches_library_and_its_sweep(kind, capsys, tmp_path):
+    flags, library = BOUND_CASES[kind]  # a table entry without a case fails here
+    delta = 1e-3
+
+    def single(eps):
+        code, out, _ = run(capsys, ["bound", kind, *flags, "--eps", repr(eps), "--delta", repr(delta)])
+        assert code == 0
+        return json.loads(out)
+
+    assert single(0.7)["value"] == library(PrivacyParams(0.7, delta))
+    csv = tmp_path / "sweep.csv"
+    code, _, _ = run(
+        capsys,
+        ["bound", kind, *flags, "--eps", "0.7", "--delta", repr(delta),
+         "--sweep", "epsilon", "0.2:2.5:4", "--out", str(csv)],
+    )
+    assert code == 0
+    header, *rows = csv.read_text().splitlines()
+    assert len(rows) == 4
+    for row in rows:
+        eps, *values = map(float, row.split(","))
+        report = single(eps)
+        witness = report["witness"]
+        assert header == ",".join(["epsilon", "value"] + [f"witness_{k}" for k in sorted(witness)])
+        assert values == [report["value"]] + [witness[k] for k in sorted(witness)]
 
 
 class TestRemark:

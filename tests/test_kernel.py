@@ -29,6 +29,32 @@ class TestKernelInvariants:
         with pytest.raises(DomainError, match="row 0"):
             Kernel(np.array([[0.5, 0.6], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0.5, 0.5], [0.5, 0.6], [1.2, -0.2], [0.1, 0.1]], "row 1: sums to"),
+            ([[0.5, 0.5], [1.2, -0.2], [0.5, 0.6]], "row 1: entries must be nonnegative"),
+            ([[0.5, 0.5], [0.5, 0.5], [0.7, -0.2], [2.0, 0.0]], "row 2: entries must be nonnegative"),
+        ],
+    )
+    def test_first_bad_row_is_reported(self, rows, message):
+        # A row both negative and off in its sum reports the sign (row 2 of
+        # the last case), and the first bad row wins over later ones.
+        with pytest.raises(DomainError, match=message):
+            Kernel(np.array(rows))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_rescaled_rows_match_a_per_row_loop_bit_for_bit(self, order, rng):
+        raw = rng.dirichlet(np.ones(150), size=6) * (1 + rng.normal(0, 1e-11, size=(6, 1)))
+        raw[2] = raw[2] / raw[2].sum()
+        raw = np.array(raw, order=order)
+        expected = raw.copy()
+        for i in range(raw.shape[0]):
+            total = float(expected[i].sum())
+            if total != 1.0:
+                expected[i] = expected[i] / total
+        assert np.array_equal(Kernel(raw).rows, expected)
+
     def test_renormalizes_tiny_row_deviation(self):
         k = Kernel(np.array([[0.5, 0.5 + 1e-10], [0.25, 0.75]]))
         assert np.allclose(k.rows.sum(axis=1), 1.0, atol=1e-12)

@@ -263,8 +263,7 @@ class TestVerifyEquivalence:
 
 class TestPrivacyProfile:
     def test_profile_construction(self):
-        profile = privacy_profile(randomized_response(1.0), [0.0, 0.5, 1.0, 2.0], "rr1")
-        assert profile.kernel_id == "rr1"
+        profile = privacy_profile(randomized_response(1.0), [0.0, 0.5, 1.0, 2.0])
         deltas = [d for _, d in profile.points]
         assert deltas[0] == pytest.approx(loop_two_point(randomized_response(1.0), 1.0)[1])
         assert deltas[2] <= 1e-12

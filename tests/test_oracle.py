@@ -88,6 +88,15 @@ class TestBruteEtaF:
         )
         assert without <= with_pm
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("f", [FGenerator.kl(), FGenerator.chi_squared()])
+    def test_zero_output_column_changes_nothing(self, f):
+        # An output no input emits gives 0/0 in the near-coincident terms;
+        # it must add nothing, not turn the search's maximum into NaN.
+        cfg = SearchConfig(seed=1, trials=200)
+        with_zero = brute_eta_f(Kernel([[0.6, 0.4, 0.0], [0.1, 0.9, 0.0]]), f, cfg)
+        assert with_zero == brute_eta_f(Kernel([[0.6, 0.4], [0.1, 0.9]]), f, cfg)
+
     def test_deterministic(self):
         cfg = SearchConfig(seed=31, trials=400)
         k = k_rr(0.8, 3)
