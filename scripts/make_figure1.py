@@ -5,7 +5,7 @@ Sweeps epsilon, computing the mutual-information lower bound and the
 hockey-stick lower bound side by side, and writes the curve as CSV (no
 run manifest; `ldpkit figure1` writes the same CSV plus a manifest, from
 the same `ldpkit.cli.figure1_curve`). Kept as a standalone script for
-experimenting with n, delta, and the quadrature knob.
+experimenting with n and delta.
 """
 
 import argparse
@@ -31,7 +31,8 @@ def main():
     parser.add_argument("--eps-lo", type=float, default=0.01)
     parser.add_argument("--eps-hi", type=float, default=3.0)
     parser.add_argument("--steps", type=int, default=60)
-    parser.add_argument("--panels", type=int, default=20000)
+    parser.add_argument("--panels", type=int, default=20000,
+                        help="former quadrature panel count, no effect (even, >= 2)")
     parser.add_argument("--out", default="figure1.csv")
     args = parser.parse_args()
 

@@ -27,17 +27,16 @@ def main():
     parser.add_argument("--gamma-hi", type=float, default=None, help="default n + 1")
     parser.add_argument("--gamma-steps", type=int, default=121)
     parser.add_argument("--n-max", type=int, default=12, help="range of the growth curve")
-    parser.add_argument("--panels", type=int, default=20000)
+    parser.add_argument("--panels", type=int, default=20000,
+                        help="former quadrature panel count, no effect (even, >= 2)")
     parser.add_argument("--igamma-out", default="bu_igamma_curve.csv")
     parser.add_argument("--mi-out", default="bu_mi_curve.csv")
     args = parser.parse_args()
 
     model = BernoulliUniformModel(args.n, args.panels)
     hi = args.gamma_hi if args.gamma_hi is not None else float(args.n + 1)
-    gamma_rows = [
-        [float(g), bu_igamma(model, float(g))]
-        for g in np.linspace(0.0, hi, args.gamma_steps)
-    ]
+    gammas = np.linspace(0.0, hi, args.gamma_steps)
+    gamma_rows = [[float(g), float(ig)] for g, ig in zip(gammas, bu_igamma(model, gammas))]
     igamma_out = resolve_out(args.igamma_out)
     write_csv(igamma_out, ["gamma", "igamma"], gamma_rows)
     print(f"wrote {igamma_out} ({len(gamma_rows)} rows, n = {args.n})")

@@ -47,7 +47,6 @@ from .info import (
     JointDistribution,
     bu_class_marginal,
     bu_igamma,
-    bu_igamma_closed_n1,
     bu_mutual_information,
     egamma_information,
     entropy,

@@ -35,6 +35,8 @@ class GridSpec:
     def __post_init__(self):
         if self.steps < 2:
             raise DomainError(f"grid needs at least 2 steps, got {self.steps}")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise DomainError(f"grid ends must be finite, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise DomainError(f"grid requires lo < hi, got [{self.lo}, {self.hi}]")
         if self.scale not in ("linear", "log"):
@@ -55,13 +57,13 @@ DEFAULT_ZETA_GRID = GridSpec(1e-4, 0.5, 2000, "log")
 DEFAULT_GAMMA_GRID = GridSpec(0.0, 4.0, 800, "linear")
 
 
-def small_ball_uniform01(zeta: float) -> float:
+def small_ball_uniform01(zeta):
     """Small-ball function of a uniform [0, 1] prior under absolute loss.
 
     The largest probability that the parameter lands within zeta of any
-    fixed point: min(2 zeta, 1).
+    fixed point: min(2 zeta, 1), elementwise on arrays.
     """
-    return min(2.0 * zeta, 1.0)
+    return np.minimum(2.0 * zeta, 1.0)
 
 
 @dataclass(frozen=True)
@@ -139,15 +141,20 @@ class BayesConfig:
     I_{e^eps}(Theta; X^n) for the hockey-stick bound. The gamma-optimized
     bound ignores ``info_value`` and needs ``info_fn``, a callable
     gamma -> I_gamma(Theta; X^n).
+
+    Both callables must take numpy arrays and broadcast, as ``grid_max``
+    objectives do: ``small_ball`` is called once on the whole zeta grid
+    and ``info_fn`` once on the 1-d gamma grid. A constant result is
+    broadcast to the grid.
     """
 
-    small_ball: Callable[[float], float]
+    small_ball: Callable[[np.ndarray], np.ndarray]
     info_value: float
     n: int
     params: PrivacyParams
     zeta_grid: GridSpec = DEFAULT_ZETA_GRID
     gamma_grid: GridSpec = DEFAULT_GAMMA_GRID
-    info_fn: Callable[[float], float] | None = None
+    info_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.info_value < 0:
@@ -322,10 +329,9 @@ def bayes_xu_raginsky_private(cfg: BayesConfig) -> BoundReport:
     """
     pn = phi_n(cfg.params, cfg.n)
     numerator = pn * cfg.info_value + LN2
-    small_ball = np.vectorize(cfg.small_ball, otypes=[float])
 
     def objective(z):
-        ball = small_ball(z)
+        ball = cfg.small_ball(z)
         with np.errstate(divide="ignore", invalid="ignore"):
             log_inv = np.log(1.0 / ball)
             bracket = 1.0 - numerator / log_inv
@@ -359,10 +365,9 @@ def bayes_egamma_lb(cfg: BayesConfig) -> BoundReport:
     """
     gamma = gamma_from_epsilon(cfg.params.epsilon)
     c = cfg.params.delta if cfg.n == 1 else phi_n(cfg.params, cfg.n)
-    small_ball = np.vectorize(cfg.small_ball, otypes=[float])
 
     def objective(z):
-        return z * np.maximum(0.0, 1.0 - c * cfg.info_value - gamma * small_ball(z))
+        return z * np.maximum(0.0, 1.0 - c * cfg.info_value - gamma * cfg.small_ball(z))
 
     (zeta_star,), value = grid_max(objective, cfg.zeta_grid.points())
     return BoundReport(
@@ -379,20 +384,25 @@ def bayes_gamma_opt_lb(cfg: BayesConfig) -> BoundReport:
 
     sup over (zeta, gamma >= 0) of
     zeta [1 - I_gamma - gamma L(zeta) - max(1 - gamma, 0)], with the
-    gamma profile supplied by ``cfg.info_fn``.
+    gamma profile supplied by ``cfg.info_fn``, evaluated once on the gamma
+    grid.
     """
     if cfg.info_fn is None:
         raise DomainError("bayes_gamma_opt_lb requires info_fn (gamma -> I_gamma)")
-    small_ball = np.vectorize(cfg.small_ball, otypes=[float])
-    info_fn = np.vectorize(cfg.info_fn, otypes=[float])
+    gammas = cfg.gamma_grid.points()
+    info = cfg.info_fn(gammas)
 
     def objective(z, g):
-        bracket = 1.0 - info_fn(g) - g * small_ball(z) - np.maximum(1.0 - g, 0.0)
-        return z * np.maximum(0.0, bracket)
+        # z [1 - I_gamma - gamma L(z) - (1 - gamma)_+]_+, evaluated left to
+        # right in one (zeta, gamma) buffer
+        out = g * cfg.small_ball(z)
+        np.subtract(1.0 - info, out, out=out)
+        out -= np.maximum(1.0 - g, 0.0)
+        np.maximum(0.0, out, out=out)
+        out *= z
+        return out
 
-    (zeta_star, gamma_star), value = grid_max(
-        objective, cfg.zeta_grid.points(), cfg.gamma_grid.points()
-    )
+    (zeta_star, gamma_star), value = grid_max(objective, cfg.zeta_grid.points(), gammas)
     return BoundReport(
         bound_name="bayes_gamma_opt_lb",
         value=value,

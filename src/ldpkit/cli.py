@@ -50,7 +50,7 @@ from .bounds import (
 from .contraction import PrivacyParams, eta_gamma_two_point, gamma_from_epsilon
 from .dist import FGenerator
 from .errors import CapacityError, DimensionError, DomainError
-from .info import BernoulliUniformModel, bu_igamma, bu_igamma_closed_n1, bu_mutual_information
+from .info import BernoulliUniformModel, bu_igamma, bu_mutual_information
 from .kernel import load_kernel
 from .ldp import DEFAULT_SEED, delta_at, privacy_profile, verify_equivalence
 from .oracle import SearchConfig, brute_eta_f, brute_profile_check
@@ -134,9 +134,12 @@ def parse_grid_spec(text: str) -> GridSpec:
     parts = text.split(":")
     if len(parts) == 3:
         parts.append("linear")
-    if len(parts) != 4:
-        raise DomainError(f"grid must look like lo:hi:steps[:scale], got {text!r}")
-    return GridSpec(float(parts[0]), float(parts[1]), int(parts[2]), parts[3])
+    try:
+        lo, hi, steps, scale = parts
+        lo, hi, steps = float(lo), float(hi), int(steps)
+    except ValueError as exc:
+        raise DomainError(f"grid must look like lo:hi:steps[:scale], got {text!r}") from exc
+    return GridSpec(lo, hi, steps, scale)
 
 
 def _print_json(payload: dict) -> None:
@@ -205,17 +208,17 @@ def figure1_curve(model: BernoulliUniformModel, delta: float, epsilons) -> tuple
     mutual-information bound, hockey-stick bound): the two private
     Bayes-risk lower bounds at (epsilon, delta) from n observations."""
     mi = bu_mutual_information(model)
+    params = [PrivacyParams(float(eps), delta) for eps in epsilons]
+    igammas = bu_igamma(model, np.array([gamma_from_epsilon(p.epsilon) for p in params]))
     rows = []
-    for eps in map(float, epsilons):
-        params = PrivacyParams(eps, delta)
+    for p, ig in zip(params, igammas):
         mi_bound = bayes_xu_raginsky_private(
-            BayesConfig(small_ball_uniform01, info_value=mi, n=model.n, params=params)
+            BayesConfig(small_ball_uniform01, info_value=mi, n=model.n, params=p)
         )
-        ig = bu_igamma(model, gamma_from_epsilon(eps))
         eg_bound = bayes_egamma_lb(
-            BayesConfig(small_ball_uniform01, info_value=ig, n=model.n, params=params)
+            BayesConfig(small_ball_uniform01, info_value=float(ig), n=model.n, params=p)
         )
-        rows.append([eps, mi_bound.value, eg_bound.value])
+        rows.append([p.epsilon, mi_bound.value, eg_bound.value])
     return mi, rows
 
 
@@ -242,9 +245,12 @@ def cmd_figure1(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 # bound
 #
-# The report functions name the calculators they call, so each is looked
-# up in this module's globals at call time: rebinding a calculator here
-# (as a tracer does) reaches every subcommand and shared function.
+# Each subcommand's report(args) binds the command's epsilon-independent
+# inputs once and returns params -> BoundReport, which a sweep calls per
+# epsilon. The report functions name the calculators they call, so each
+# is looked up in this module's globals at call time: rebinding a
+# calculator here (as a tracer does) reaches every subcommand and shared
+# function.
 
 
 def _with_bu_model(report: BoundReport, bu_model: dict) -> BoundReport:
@@ -253,23 +259,29 @@ def _with_bu_model(report: BoundReport, bu_model: dict) -> BoundReport:
 
 def _bayes_report(mi: bool):
     """``bayes-mi`` (mi) or ``bayes-egamma``. Without --info the information
-    comes from the Bernoulli-uniform model, and the report records it."""
+    comes from the Bernoulli-uniform model, and the report records it; the
+    mutual information does not depend on epsilon, so it is computed once."""
 
-    def report(args: argparse.Namespace, params: PrivacyParams) -> BoundReport:
+    def report(args: argparse.Namespace):
+        calculator = bayes_xu_raginsky_private if mi else bayes_egamma_lb
         info = args.info
         if info is None:
             model = BernoulliUniformModel(args.bu_n, args.bu_panels)
             if mi:
                 info = bu_mutual_information(model)
-            else:
-                info = bu_igamma(model, gamma_from_epsilon(params.epsilon))
-        calculator = bayes_xu_raginsky_private if mi else bayes_egamma_lb
-        result = calculator(
-            BayesConfig(small_ball_uniform01, info, args.n, params, zeta_grid=args.zeta_grid)
-        )
-        if args.info is None:
-            result = _with_bu_model(result, {"n": args.bu_n, "panels": args.bu_panels})
-        return result
+
+        def at(params: PrivacyParams) -> BoundReport:
+            value = info
+            if value is None:
+                value = bu_igamma(model, gamma_from_epsilon(params.epsilon))
+            result = calculator(
+                BayesConfig(small_ball_uniform01, value, args.n, params, zeta_grid=args.zeta_grid)
+            )
+            if args.info is None:
+                result = _with_bu_model(result, {"n": args.bu_n, "panels": args.bu_panels})
+            return result
+
+        return at
 
     return report
 
@@ -277,11 +289,15 @@ def _bayes_report(mi: bool):
 def _value_report(name: str, flag: str, key: str):
     """Report of the calculator ``name(x, params) -> float`` at x = args.<flag>."""
 
-    def report(args: argparse.Namespace, params: PrivacyParams) -> BoundReport:
+    def report(args: argparse.Namespace):
         x = getattr(args, flag)
-        value = globals()[name](x, params)
-        inputs = {key: x, "epsilon": params.epsilon, "delta": params.delta}
-        return BoundReport(bound_name=name, value=value, inputs=inputs)
+
+        def at(params: PrivacyParams) -> BoundReport:
+            value = globals()[name](x, params)
+            inputs = {key: x, "epsilon": params.epsilon, "delta": params.delta}
+            return BoundReport(bound_name=name, value=value, inputs=inputs)
+
+        return at
 
     return report
 
@@ -290,12 +306,19 @@ def _value_report(name: str, flag: str, key: str):
 _FLOAT = {"type": float, "required": True}
 _INT = {"type": int, "required": True}
 _N = {"--n": {"type": int, "default": 1}}
+# Recorded in reports and manifests but without effect: the informations
+# are closed forms.
+_PANELS_HELP = "former quadrature panel count, no effect (even, >= 2)"
+# Grid flags stay strings until main() parses them, so that a malformed
+# grid gives the DomainError's message and exit 1 (argparse would swallow
+# the message and exit 2).
+_GRID_FLAGS = ("zeta_grid", "gamma_grid")
 _BAYES_FLAGS = {
     "--info": {"type": float, "default": None, "help": "information value in nats"},
     "--bu-n": {"type": int, "default": 1, "help": "Bernoulli-uniform sample size"},
-    "--bu-panels": {"type": int, "default": 20000},
+    "--bu-panels": {"type": int, "default": 20000, "help": _PANELS_HELP},
     **_N,
-    "--zeta-grid": {"type": parse_grid_spec, "default": DEFAULT_ZETA_GRID},
+    "--zeta-grid": {"default": DEFAULT_ZETA_GRID},
 }
 # Taken by every subcommand in BOUNDS, after its own flags.
 _PRIVACY_AND_SWEEP_FLAGS = {
@@ -307,28 +330,28 @@ _PRIVACY_AND_SWEEP_FLAGS = {
 }
 
 # subcommand -> (help, its own flags as name -> add_argument keywords,
-# report(args, params) -> BoundReport)
+# report(args) -> (params -> BoundReport))
 BOUNDS = {
     "lecam": (
         "two-point minimax bound",
         {"--tau": _FLOAT, "--kl": _FLOAT, **_N},
-        lambda a, p: lecam_private(LeCamConfig(a.tau, a.kl, a.n, p)),
+        lambda a: lambda p: lecam_private(LeCamConfig(a.tau, a.kl, a.n, p)),
     ),
     "moment": (
         "k-th moment mean-estimation bound",
         {"--k-moment": _FLOAT, **_N},
-        lambda a, p: moment_estimation_lb(a.k_moment, a.n, p),
+        lambda a: lambda p: moment_estimation_lb(a.k_moment, a.n, p),
     ),
     "fano": (
         "multi-way testing bound",
         {"--v-count": _INT, "--avg-kl": _FLOAT, "--tau": _FLOAT, **_N,
          "--mi": {"type": float, "default": None, "help": "direct I(X^n; V) in nats"}},
-        lambda a, p: fano_lb(FanoConfig(a.v_count, a.avg_kl, a.tau, a.n, p, mi_xn_v=a.mi)),
+        lambda a: lambda p: fano_lb(FanoConfig(a.v_count, a.avg_kl, a.tau, a.n, p, mi_xn_v=a.mi)),
     ),
     "highdim": (
         "l2-ball mean-estimation bound",
         {"--d": _INT, "--r": _FLOAT, **_N},
-        lambda a, p: highdim_mean_lb(a.d, a.r, a.n, p),
+        lambda a: lambda p: highdim_mean_lb(a.d, a.r, a.n, p),
     ),
     "bayes-mi": ("Bayes-risk lower bound", _BAYES_FLAGS, _bayes_report(mi=True)),
     "bayes-egamma": ("Bayes-risk lower bound", _BAYES_FLAGS, _bayes_report(mi=False)),
@@ -348,7 +371,8 @@ BOUNDS = {
 def cmd_bound(args: argparse.Namespace) -> int:
     _, _, report = BOUNDS[args.bound_kind]
     if args.sweep is None:
-        _print_json(report(args, PrivacyParams(args.eps, args.delta)).to_dict())
+        params = PrivacyParams(args.eps, args.delta)
+        _print_json(report(args)(params).to_dict())
         return 0
     what, grid_text = args.sweep
     if what != "epsilon":
@@ -356,7 +380,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
     if not args.out:
         raise DomainError("--sweep requires --out for the CSV curve")
     grid = parse_linear_grid(grid_text)
-    reports = [report(args, PrivacyParams(float(e), args.delta)) for e in grid]
+    at = report(args)
+    reports = [at(PrivacyParams(float(e), args.delta)) for e in grid]
     witness_keys = sorted(reports[0].witness)
     header = ["epsilon", "value"] + [f"witness_{k}" for k in witness_keys]
     rows = [
@@ -371,23 +396,17 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def gamma_opt_report(
-    n: int, panels: int | None, zeta_grid=DEFAULT_ZETA_GRID, gamma_grid=DEFAULT_GAMMA_GRID
+    n: int, panels: int = 20000, zeta_grid=DEFAULT_ZETA_GRID, gamma_grid=DEFAULT_GAMMA_GRID
 ) -> tuple[BoundReport, dict]:
     """The gamma-optimized non-private Bayes bound of the Bernoulli-uniform
-    model with n observations, and the record of the model it used.
-
-    I_gamma is the exact closed form at n = 1 (``panels`` unused) and
-    composite Simpson on ``panels`` panels otherwise.
-    """
-    if n == 1:
-        info_fn, bu_model = bu_igamma_closed_n1, {"n": n}
-    else:
-        model = BernoulliUniformModel(n, panels)
-        info_fn, bu_model = partial(bu_igamma, model), {"n": n, "panels": panels}
+    model with n observations, and the record of the model it used
+    (``panels`` is validated and recorded, without effect)."""
+    model = BernoulliUniformModel(n, panels)
     cfg = BayesConfig(
-        small_ball_uniform01, 0.0, n, PrivacyParams(0.0, 1.0), zeta_grid, gamma_grid, info_fn
+        small_ball_uniform01, 0.0, n, PrivacyParams(0.0, 1.0), zeta_grid, gamma_grid,
+        partial(bu_igamma, model),
     )
-    return bayes_gamma_opt_lb(cfg), bu_model
+    return bayes_gamma_opt_lb(cfg), {"n": n, "panels": panels}
 
 
 def cmd_gammaopt(args: argparse.Namespace) -> int:
@@ -407,7 +426,7 @@ def remark_reports() -> tuple[float, BoundReport, BoundReport]:
     mi_report = bayes_xu_raginsky_private(
         BayesConfig(small_ball_uniform01, info_value=mi, n=1, params=PrivacyParams(0.0, 1.0))
     )
-    eg_report, _ = gamma_opt_report(1, None)
+    eg_report, _ = gamma_opt_report(1)
     return mi, mi_report, eg_report
 
 
@@ -508,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--delta", type=float, default=1e-4)
     p.add_argument("--eps-grid", default="0.01:3:60")
-    p.add_argument("--panels", type=int, default=20000)
+    p.add_argument("--panels", type=int, default=20000, help=_PANELS_HELP)
     p.add_argument("--out", default="figure1.csv")
     p.set_defaults(func=cmd_figure1)
 
@@ -522,9 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = bsub.add_parser("bayes-gammaopt", help="gamma-optimized non-private Bayes bound")
     q.add_argument("--bu-n", type=int, default=1)
-    q.add_argument("--bu-panels", type=int, default=20000)
-    q.add_argument("--zeta-grid", type=parse_grid_spec, default=DEFAULT_ZETA_GRID)
-    q.add_argument("--gamma-grid", type=parse_grid_spec, default=DEFAULT_GAMMA_GRID)
+    q.add_argument("--bu-panels", type=int, default=20000, help=_PANELS_HELP)
+    q.add_argument("--zeta-grid", default=DEFAULT_ZETA_GRID)
+    q.add_argument("--gamma-grid", default=DEFAULT_GAMMA_GRID)
     q.set_defaults(func=cmd_gammaopt)
 
     p = sub.add_parser("remark", help="side-by-side non-private Bayes bounds")
@@ -557,6 +576,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in _GRID_FLAGS:
+            if isinstance(getattr(args, name, None), str):
+                setattr(args, name, parse_grid_spec(getattr(args, name)))
         return args.func(args)
     except (DomainError, DimensionError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,9 +7,13 @@ length-n binary strings depends only on the number of ones s,
 
     P(x^n) = s! (n - s)! / (n + 1)!,
 
-so every information integral collapses to n + 1 one-dimensional terms
-evaluated by composite Simpson quadrature (cost O(n * panels), never
-2^n). All informations are in nats.
+so each count class carries mass 1/(n + 1) and has the Beta(s + 1,
+n - s + 1) posterior density f_s. Both informations are closed forms in
+those n + 1 classes (cost O(n) per gamma, never 2^n, no quadrature):
+I_gamma from binomial tails at the ends of each class's superlevel set
+{f_s > gamma}, and I(Theta; X^n) from a harmonic-number identity.
+Composite Simpson quadrature of the same integrals lives in
+:mod:`ldpkit.oracle` as the cross-check. All informations are in nats.
 """
 
 from __future__ import annotations
@@ -21,15 +25,6 @@ import numpy as np
 
 from .dist import Distribution, egamma
 from .errors import DomainError
-
-
-def simpson(y: np.ndarray, dx: float) -> float:
-    """Composite Simpson rule over an odd number of samples spaced dx apart.
-
-    Sums in the same order as scipy.integrate.simpson, so the values
-    match it bit for bit.
-    """
-    return float(np.sum(y[:-2:2] + 4.0 * y[1:-1:2] + y[2::2]) * (dx / 3.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,13 +88,16 @@ def egamma_information(j: JointDistribution, gamma: float) -> float:
     return egamma(joint, product, gamma)
 
 
+
+
 @dataclass(frozen=True)
 class BernoulliUniformModel:
     """Uniform prior on [0, 1] with n conditionally i.i.d. Bernoulli draws.
 
-    ``panels`` is the composite-Simpson panel count; the hockey-stick
-    integrands have kinks, so the panel count is the accuracy knob (the
-    default keeps the absolute error well under 1e-7 at desk scale).
+    ``panels`` is validated (even, >= 2) and recorded in reports and
+    manifests, but it has no effect: both informations are closed forms.
+    It was the Simpson panel count and is kept so that existing calls,
+    flags and manifests stay valid.
     """
 
     n: int
@@ -113,74 +111,160 @@ class BernoulliUniformModel:
 
 
 def bu_class_marginal(n: int) -> np.ndarray:
-    """Marginal mass of each count class s: C(n,s) * s!(n-s)!/(n+1)!.
-
-    Computed as an exact integer ratio per class (every class carries
-    mass 1/(n+1)), so the classes telescope to total mass one.
-    """
+    """Marginal mass of each count class s: C(n,s) s!(n-s)!/(n+1)! = 1/(n+1)."""
     if n < 1:
         raise DomainError(f"sample size n must be >= 1, got {n}")
-    den = math.factorial(n + 1)
-    return np.array(
-        [
-            math.comb(n, s) * math.factorial(s) * math.factorial(n - s) / den
-            for s in range(n + 1)
-        ]
-    )
+    return np.full(n + 1, 1.0 / (n + 1))
 
 
-def _theta_grid(panels: int) -> tuple[np.ndarray, float]:
-    grid = np.linspace(0.0, 1.0, panels + 1)
-    return grid, grid[1] - grid[0]
+# Gamma values times count classes handled together, so a long gamma grid
+# at large n never builds a (grid, n) temporary.
+_BLOCK = 1 << 16
+# Newton converges in a handful of steps; the cap is only approached when
+# gamma is within rounding of a class's mode height (a near-double root,
+# where convergence is linear).
+_NEWTON_CAP = 100
+# Binomial-tail terms are summed until one falls below this fraction of the
+# running sum. Past the pmf's mode they fall off faster than geometrically,
+# so the dropped remainder is below the sum's last bit.
+_TAIL_EPS = 2.0**-60
 
 
-def bu_igamma(model: BernoulliUniformModel, gamma: float) -> float:
+def bu_igamma(model: BernoulliUniformModel, gamma):
     """Hockey-stick information I_gamma(Theta; X^n) of the model.
 
-    Evaluates, per count class s,
+    I_gamma = (1/(n+1)) sum_s integral of [f_s - gamma]_+ - max(1 - gamma, 0),
+    with f_s the Beta(s+1, n-s+1) density of count class s. f_s is
+    log-concave, so {f_s > gamma} is an interval [a_s, b_s] and the class
+    integral is F_s(b_s) - F_s(a_s) - gamma (b_s - a_s), where
+    F_s(x) = P(Bin(n+1, x) >= s+1) is the Beta CDF. The result is exact up
+    to rounding: I_0 = 0, and I_gamma = 0 from gamma = n + 1 = max f_s on.
 
-        integral over [0,1] of [theta^s (1-theta)^(n-s) (n+1)!/(s!(n-s)!) - gamma]_+
-
-    by composite Simpson, sums the classes in fixed s order, divides by
-    n + 1, and subtracts max(1 - gamma, 0) so the result is the genuine
-    divergence for every gamma >= 0 (the subtraction vanishes for
-    gamma >= 1).
+    ``gamma`` is a number (the result is a float) or an array (the result
+    has its shape, and each element equals the scalar call bit for bit).
+    NaN and negative gamma are rejected.
     """
-    if gamma < 0:
-        raise DomainError(f"gamma must be >= 0, got {gamma!r}")
+    g = np.asarray(gamma, dtype=float)
+    if np.isnan(g).any():
+        raise DomainError("gamma must not be NaN")
+    if (g < 0).any():
+        raise DomainError(f"gamma must be >= 0, got {float(g.min())!r}")
+    flat = g.reshape(-1)
+    out = np.zeros(flat.shape)
     n = model.n
-    grid, h = _theta_grid(model.panels)
-    total = 0.0
-    for s in range(n + 1):
-        coef = float((n + 1) * math.comb(n, s))
-        integrand = np.maximum(coef * grid**s * (1.0 - grid) ** (n - s) - gamma, 0.0)
-        total += float(simpson(integrand, dx=h))
-    return max(0.0, total / (n + 1) - max(1.0 - gamma, 0.0))
+    inside = np.flatnonzero((flat > 0) & (flat < n + 1))
+    step = max(1, _BLOCK // n)
+    for i in range(0, inside.size, step):
+        idx = inside[i : i + step]
+        out[idx] = _igamma_block(n, flat[idx])
+    return float(out[0]) if g.ndim == 0 else out.reshape(g.shape)
 
 
-def bu_igamma_closed_n1(gamma: float) -> float:
-    """Closed form of I_gamma(Theta; X) at n = 1: a piecewise quadratic."""
-    if gamma < 0:
-        raise DomainError(f"gamma must be >= 0, got {gamma!r}")
-    if gamma <= 1.0:
-        return 0.25 * gamma**2
-    if gamma <= 2.0:
-        return 0.25 * (gamma - 2.0) ** 2
-    return 0.0
+def _igamma_block(n: int, gamma: np.ndarray) -> np.ndarray:
+    """bu_igamma for a 1-d block of gamma values, all in (0, n + 1).
+
+    Only left ends are solved for: reflecting theta -> 1 - theta maps
+    class s onto class n - s, so b_s = 1 - a_{n-s} and
+    1 - F_s(b_s) = F_{n-s}(a_{n-s}). Each tail is thereby an upper
+    binomial tail starting above its mean ((n+1) a_s < s + 1), summed from
+    its first term outward, and the complementary tail past the mean is
+    never formed by subtraction. Class 0 has a_0 = 0 (f_0 decreases).
+    With d_s = gamma a_s - F_s(a_s) = integral over [0, a_s] of (gamma - f_s),
+    class s contributes (1 - gamma) + d_s + d_{n-s}. The active classes
+    are closed under s -> n - s, so over m of them the sum is
+    m (1 - gamma) + 2 sum_s d_s; below gamma = 1 all n + 1 are active and
+    m (1 - gamma) cancels max(1 - gamma, 0) (n + 1) exactly.
+    """
+    k = np.arange(n + 1)
+    logfact = np.array([math.lgamma(j + 1.0) for j in range(n + 2)])
+    # log of the Beta normalizer (n+1) C(n,s) and of the mode height
+    # f_s(s/n), each summed so that classes s and n - s agree bit for bit
+    logc = math.log(n + 1) + (logfact[n] - (logfact[k] + logfact[n - k]))
+    xlogx = np.zeros(n + 1)
+    xlogx[1:] = k[1:] * np.log(k[1:] / n)
+    logh = logc + (xlogx + xlogx[::-1])
+    logg = np.log(gamma)[:, None]
+    active = logg < logh  # {f_s > gamma} is non-empty; symmetric in s <-> n - s
+
+    s, rest = k[1:].astype(float), (n - k[1:]).astype(float)  # classes 1..n
+    # Class n has no (1 - theta) factor, and its left end rounds to
+    # theta = 1 when gamma is within rounding of n + 1; the 0 * inf
+    # products that makes are masked in _rest_terms.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = _log_left_ends(s, rest, logc[1:], logh[1:], logg, active[:, 1:])
+        # F_s(a_s) = P(Bin(n+1, a_s) >= s+1): the first term in log space,
+        # then the term ratios (n+1-j)/(j+1) * a/(1-a) while they matter.
+        rest_log1m, odds = _rest_terms(u, rest)
+        log_first = (logfact[n + 1] - (logfact[2:] + logfact[n - k[1:]])) + (s + 1.0) * u + rest_log1m
+        term, total, j = np.ones_like(u), np.ones_like(u), s + 1.0
+        live = active[:, 1:].copy()
+        for _ in range(n):
+            term = term * ((n + 1.0 - j) / (j + 1.0)) * odds
+            j = j + 1.0
+            live &= term > _TAIL_EPS * total
+            if not live.any():
+                break
+            total = np.where(live, total + term, total)
+        tail = np.exp(log_first) * total
+
+    d = np.where(active[:, 1:], gamma[:, None] * np.exp(u) - tail, 0.0).sum(axis=1)
+    m = active.sum(axis=1)
+    total = 2.0 * d + (m * (1.0 - gamma) - (n + 1) * np.maximum(1.0 - gamma, 0.0))
+    return np.maximum(total / (n + 1), 0.0)
+
+
+def _rest_terms(u, rest):
+    """(n - s) log(1 - theta) and theta / (1 - theta) at theta = e^u; both
+    are 0 for class n, whose density has no (1 - theta) factor."""
+    log1m = np.log1p(-np.exp(u))
+    return np.where(rest > 0, rest * log1m, 0.0), np.where(rest > 0, np.exp(u - log1m), 0.0)
+
+
+def _log_left_ends(s, rest, logc, logh, logg, active):
+    """log a_s for classes s = 1..n: the root of r(u) = log f_s(e^u) - log gamma
+    below the mode u_m = log(s/n), where it is active.
+
+    In u = log(theta), r is increasing and concave on (-inf, u_m), so Newton
+    steps from the left approach the root monotonically, and a step from its
+    right lands left of it. Steps are clipped to [u_lo, u_m]: u_lo drops the
+    (n - s) log(1 - theta) <= 0 term, so it lies at or left of the root.
+    """
+    n = s[-1]  # the classes run 1..n
+    u_mode = np.log(s / n)
+    u_lo = (logg - logc) / s
+    # the quadratic model of r at the mode starts near-double roots close by
+    drop = np.sqrt(2.0 * np.maximum(logh - logg, 0.0) * rest / (s * n))
+    live = active.copy()
+    u = np.where(live, np.maximum(u_lo, u_mode - drop), u_mode - 1.0)
+    for it in range(_NEWTON_CAP):
+        rest_log1m, odds = _rest_terms(u, rest)
+        resid = logc + s * u + rest_log1m - logg
+        new = np.clip(u - resid / (s - rest * odds), u_lo, u_mode)
+        if it:  # past the first step the iterates stay left of the root,
+            live &= resid < 0  # so r >= 0 means it is reached within rounding
+        live &= new != u
+        if not live.any():
+            break
+        u = np.where(live, new, u)
+    return u
 
 
 def bu_mutual_information(model: BernoulliUniformModel) -> float:
-    """I(Theta; X^n) in nats by composite Simpson over the prior.
+    """I(Theta; X^n) in nats, in closed form.
 
-    The conditional-vs-marginal KL at a fixed theta collapses to
-    sum_s m_s(theta) log((n+1) m_s(theta)) with m_s the Binomial(n, theta)
-    mass function; endpoint singularities are removable (x log x -> 0).
+    I = log(n+1) - E_theta H(Bin(n, theta)). With the Beta moment
+    E[log theta | s] = H_s - H_{n+1} (H_m the harmonic numbers),
+
+        E_theta H = (1/(n+1)) sum_s [s (H_{n+1} - H_s) + (n-s)(H_{n+1} - H_{n-s}) - log C(n,s)].
+
+    The harmonic-number sum is n/2, since sum_{k<=m} k H_k =
+    m(m+1)/2 H_{m+1} - m(m+1)/4, and sum_s log C(n,s) =
+    sum_k (2k - n - 1) log k. Pairing k with n + 1 - k leaves nonnegative
+    terms, which are summed exactly together with the -n(n+1)/2:
+
+        I = log(n+1) + (1/(n+1)) [sum_{k > (n+1)/2} (2k-n-1) log(k/(n+1-k)) - n(n+1)/2].
     """
     n = model.n
-    grid, h = _theta_grid(model.panels)
-    acc = np.zeros_like(grid)
-    for s in range(n + 1):
-        m = math.comb(n, s) * grid**s * (1.0 - grid) ** (n - s)
-        nz = m > 0
-        acc[nz] += m[nz] * np.log((n + 1) * m[nz])
-    return float(simpson(acc, dx=h))
+    k = np.arange(n // 2 + 1, n + 1, dtype=float)
+    terms = (2.0 * k - (n + 1)) * np.log(k / (n + 1 - k))
+    return math.log(n + 1) + math.fsum([*terms, -0.5 * n * (n + 1)]) / (n + 1)

@@ -2,12 +2,14 @@
 
 These routines validate closed forms and two-point characterizations on
 tiny instances: a sampled contraction-ratio search, an exhaustive
-subset-sup evaluation of the raw privacy constraint, and a shared dense
+subset-sup evaluation of the raw privacy constraint, composite Simpson
+quadrature of the Bernoulli-uniform informations, and a shared dense
 grid maximizer. Identical configs give bit-identical results.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,3 +198,68 @@ def grid_max(objective, *grids) -> tuple[tuple[float, ...], float]:
     vals = np.broadcast_to(np.asarray(objective(*args), dtype=float), shape)
     index = np.unravel_index(int(np.argmax(vals)), shape)
     return tuple(float(a[i]) for a, i in zip(arrays, index)), float(vals[index])
+
+
+def simpson(y: np.ndarray, dx: float) -> float:
+    """Composite Simpson rule over an odd number of samples spaced dx apart.
+
+    Sums in the same order as scipy.integrate.simpson, so the values
+    match it bit for bit.
+    """
+    return float(np.sum(y[:-2:2] + 4.0 * y[1:-1:2] + y[2::2]) * (dx / 3.0))
+
+
+def _bu_log_densities(n: int, panels: int):
+    """The Simpson grid over [0, 1], its spacing, and per count class s the
+    log of the Beta(s+1, n-s+1) density on it (lgamma, so no overflow)."""
+    if panels < 2 or panels % 2 != 0:
+        raise DomainError(f"panels must be even and >= 2, got {panels}")
+    theta = np.linspace(0.0, 1.0, panels + 1)
+    with np.errstate(divide="ignore"):
+        log_t, log_1mt = np.log(theta), np.log1p(-theta)
+    logs = (
+        math.lgamma(n + 2) - math.lgamma(s + 1) - math.lgamma(n - s + 1)
+        + (s * log_t if s else 0.0)
+        + ((n - s) * log_1mt if n - s else 0.0)
+        for s in range(n + 1)
+    )
+    return theta, theta[1] - theta[0], logs
+
+
+def bu_igamma_quadrature(n: int, gamma: float, panels: int = 20000) -> float:
+    """I_gamma(Theta; X^n) of the Bernoulli-uniform model by composite
+    Simpson: the integral of [f_s - gamma]_+ per count class s, summed in
+    s order, divided by n + 1, minus max(1 - gamma, 0).
+
+    The integrands have kinks where f_s = gamma, so the error is
+    O(panels^-2) with an irregular constant rather than O(panels^-4).
+    """
+    _, h, logs = _bu_log_densities(n, panels)
+    total = sum(simpson(np.maximum(np.exp(lf) - gamma, 0.0), h) for lf in logs)
+    return max(0.0, total / (n + 1) - max(1.0 - gamma, 0.0))
+
+
+def bu_mutual_information_quadrature(n: int, panels: int = 20000) -> float:
+    """I(Theta; X^n) of the Bernoulli-uniform model by composite Simpson
+    over the prior: the KL of the conditional from the marginal at theta
+    is sum_s m_s log((n+1) m_s), with m_s = f_s / (n+1) the Binomial(n,
+    theta) mass (x log x = 0 at x = 0)."""
+    theta, h, logs = _bu_log_densities(n, panels)
+    acc = np.zeros_like(theta)
+    for lf in logs:
+        m = np.exp(lf) / (n + 1)
+        with np.errstate(invalid="ignore"):  # 0 * -inf where the mass vanishes
+            acc += np.where(m > 0, m * lf, 0.0)
+    return simpson(acc, h)
+
+
+def bu_igamma_n1(gamma: float) -> float:
+    """I_gamma(Theta; X) at n = 1 in closed form: the piecewise quadratic
+    gamma^2/4 on [0, 1], (gamma - 2)^2/4 on [1, 2], and 0 beyond."""
+    if gamma < 0:
+        raise DomainError(f"gamma must be >= 0, got {gamma!r}")
+    if gamma <= 1.0:
+        return 0.25 * gamma**2
+    if gamma <= 2.0:
+        return 0.25 * (gamma - 2.0) ** 2
+    return 0.0

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from ldpkit.bounds import (
 )
 from ldpkit.contraction import PrivacyParams, phi, phi_n
 from ldpkit.errors import DomainError
-from ldpkit.info import JointDistribution, bu_igamma_closed_n1, mutual_information
+from ldpkit.info import BernoulliUniformModel, JointDistribution, bu_igamma, mutual_information
 from ldpkit.kernel import randomized_response
+from ldpkit.oracle import bu_igamma_n1
 
 LN2 = math.log(2.0)
 
@@ -47,6 +49,9 @@ class TestGridSpec:
             GridSpec(0.0, 1.0, 10, "log")
         with pytest.raises(DomainError):
             GridSpec(0.0, 1.0, 10, "quadratic")
+        for lo, hi in ((0.0, math.inf), (-math.inf, 1.0), (1e-3, math.inf)):
+            with pytest.raises(DomainError):
+                GridSpec(lo, hi, 10, "log" if lo > 0 else "linear")
 
 
 class TestLeCam:
@@ -295,13 +300,33 @@ class TestBayesGammaOpt:
             info_value=0.0,
             n=1,
             params=NONPRIVATE,
-            info_fn=bu_igamma_closed_n1,
+            info_fn=partial(bu_igamma, BernoulliUniformModel(1)),
         )
         report = bayes_gamma_opt_lb(cfg)
         assert report.value == pytest.approx(2.0 / 27.0, abs=1e-4)
         assert report.witness["zeta"] == pytest.approx(1.0 / 6.0, abs=2e-3)
         assert report.witness["gamma"] == pytest.approx(4.0 / 3.0, abs=5e-3)
         assert report.witness["gamma"] > 0.0
+
+    def test_info_fn_called_once_on_the_gamma_grid(self):
+        seen = []
+
+        def info_fn(g):
+            seen.append(np.array(g, copy=True))
+            return bu_igamma(BernoulliUniformModel(2), g)
+
+        grid = GridSpec(0.0, 4.0, 33)
+        cfg = BayesConfig(
+            small_ball=small_ball_uniform01,
+            info_value=0.0,
+            n=2,
+            params=NONPRIVATE,
+            info_fn=info_fn,
+            gamma_grid=grid,
+        )
+        bayes_gamma_opt_lb(cfg)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], grid.points())
 
     def test_zero_information_at_gamma_one(self):
         # with I identically 0 the gamma = 1 row reduces to sup z (1 - L(z))
@@ -328,7 +353,7 @@ class TestBayesGammaOpt:
             fixed = bayes_egamma_lb(
                 BayesConfig(
                     small_ball=small_ball_uniform01,
-                    info_value=bu_igamma_closed_n1(gamma),
+                    info_value=bu_igamma_n1(gamma),
                     n=1,
                     params=params,
                 )
@@ -338,7 +363,7 @@ class TestBayesGammaOpt:
             zetas = GridSpec(1e-4, 0.5, 2000, "log").points()
 
             def objective(z, g):
-                ig = np.vectorize(bu_igamma_closed_n1)(g)
+                ig = np.vectorize(bu_igamma_n1)(g)
                 ball = np.minimum(2.0 * z, 1.0)
                 return z * np.maximum(0.0, 1.0 - ig - g * ball - np.maximum(1.0 - g, 0.0))
 

@@ -333,6 +333,70 @@ def test_every_bound_subcommand_matches_library_and_its_sweep(kind, capsys, tmp_
         assert values == [report["value"]] + [witness[k] for k in sorted(witness)]
 
 
+class TestBayesModelCommands:
+    def test_mutual_information_computed_once_per_sweep(self, capsys, tmp_path, monkeypatch):
+        import ldpkit.cli
+
+        calls = []
+
+        def counting(model):
+            calls.append(model)
+            return bu_mutual_information(model)
+
+        monkeypatch.setattr(ldpkit.cli, "bu_mutual_information", counting)
+        code, _, _ = run(
+            capsys,
+            ["bound", "bayes-mi", "--bu-n", "20", "--n", "20", "--eps", "1",
+             "--sweep", "epsilon", "0.1:3:5", "--out", str(tmp_path / "mi.csv")],
+        )
+        assert code == 0
+        assert len(calls) == 1
+        assert len((tmp_path / "mi.csv").read_text().splitlines()) == 6
+
+    @pytest.mark.parametrize(
+        "grid", ["0.5:0.1:20", "1:2", "a:b:3", "1:2:3:log:x", "0:1:5:log", "0:inf:10"]
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["bound", "bayes-mi", "--eps", "1", "--zeta-grid"],
+         ["bound", "bayes-gammaopt", "--zeta-grid"],
+         ["bound", "bayes-gammaopt", "--gamma-grid"]],
+    )
+    def test_rejected_grid_is_one_error_line(self, capsys, argv, grid):
+        code, out, err = run(capsys, [*argv, grid])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "grid" in err
+
+    def test_grid_flags_reach_the_manifest_as_specs(self, capsys, tmp_path):
+        out = tmp_path / "s.csv"
+        code, _, _ = run(
+            capsys,
+            ["bound", "bayes-mi", "--bu-n", "2", "--eps", "1", "--zeta-grid", "1e-3:0.5:50:log",
+             "--sweep", "epsilon", "0.5:1:2", "--out", str(out)],
+        )
+        assert code == 0
+        manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+        assert manifest["args"]["zeta_grid"] == {"lo": 1e-3, "hi": 0.5, "steps": 50, "scale": "log"}
+
+    @pytest.mark.parametrize("kind", ["bayes-mi", "bayes-egamma"])
+    def test_large_model_runs(self, capsys, kind):
+        # from n = 1030 the binomial coefficients overflow a float
+        code, out, err = run(capsys, ["bound", kind, "--bu-n", "2000", "--n", "5", "--eps", "1"])
+        assert code == 0, err
+        payload = json.loads(out)
+        assert math.isfinite(payload["value"]) and payload["value"] >= 0.0
+        assert payload["inputs"]["bu_model"] == {"n": 2000, "panels": 20000}
+
+    def test_gammaopt_records_the_model_at_every_n(self, capsys):
+        for n in ("1", "3"):
+            code, out, _ = run(capsys, ["bound", "bayes-gammaopt", "--bu-n", n,
+                                        "--gamma-grid", "0:4:50"])
+            assert code == 0
+            assert json.loads(out)["inputs"]["bu_model"] == {"n": int(n), "panels": 20000}
+
+
 class TestRemark:
     def test_json_payload(self, capsys):
         code, out, _ = run(capsys, ["remark", "--json"])

@@ -14,15 +14,19 @@ from ldpkit.dist import Distribution, tv
 from ldpkit.errors import DomainError
 from ldpkit.info import (
     BernoulliUniformModel,
-    simpson,
     JointDistribution,
     bu_class_marginal,
     bu_igamma,
-    bu_igamma_closed_n1,
     bu_mutual_information,
     egamma_information,
     entropy,
     mutual_information,
+)
+from ldpkit.oracle import (
+    bu_igamma_n1,
+    bu_igamma_quadrature,
+    bu_mutual_information_quadrature,
+    simpson,
 )
 from support import random_kernel
 
@@ -128,17 +132,17 @@ class TestBernoulliUniformModel:
 
 class TestBuIgamma:
     def test_closed_form_examples(self):
-        assert bu_igamma_closed_n1(0.0) == 0.0
-        assert bu_igamma_closed_n1(1.0) == 0.25
-        assert bu_igamma_closed_n1(1.5) == 0.0625
-        assert bu_igamma_closed_n1(2.0) == 0.0
-        assert bu_igamma_closed_n1(3.7) == 0.0
+        assert bu_igamma_n1(0.0) == 0.0
+        assert bu_igamma_n1(1.0) == 0.25
+        assert bu_igamma_n1(1.5) == 0.0625
+        assert bu_igamma_n1(2.0) == 0.0
+        assert bu_igamma_n1(3.7) == 0.0
 
     def test_quadrature_matches_closed_form_on_grid(self):
         model = BernoulliUniformModel(1)
         for gamma in np.arange(0.0, 2.5 + 1e-9, 0.01):
             assert bu_igamma(model, float(gamma)) == pytest.approx(
-                bu_igamma_closed_n1(float(gamma)), abs=1e-6
+                bu_igamma_n1(float(gamma)), abs=1e-6
             )
 
     def test_gamma_one_is_tv_of_joint(self):
@@ -152,7 +156,7 @@ class TestBuIgamma:
         joint = JointDistribution(np.stack([(1 - theta) / bins, theta / bins], axis=1))
         for gamma in (0.0, 0.5, 1.0, 1.5, 2.0):
             assert egamma_information(joint, gamma) == pytest.approx(
-                bu_igamma_closed_n1(gamma), abs=1e-9
+                bu_igamma_n1(gamma), abs=1e-9
             )
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -172,6 +176,135 @@ class TestBuIgamma:
     def test_negative_gamma_rejected(self):
         with pytest.raises(DomainError):
             bu_igamma(BernoulliUniformModel(1), -0.3)
+
+    def test_nan_gamma_rejected(self):
+        model = BernoulliUniformModel(3)
+        with pytest.raises(DomainError):
+            bu_igamma(model, float("nan"))
+        with pytest.raises(DomainError):
+            bu_igamma(model, np.array([0.5, float("nan"), 2.0]))
+        with pytest.raises(DomainError):
+            bu_igamma(model, np.array([0.5, -1e-300]))
+
+
+def mode_heights(n: int) -> np.ndarray:
+    """max over theta of each class density f_s, the Beta(s+1, n-s+1) density at s/n."""
+    def log_height(s):
+        out = math.lgamma(n + 2) - math.lgamma(s + 1) - math.lgamma(n - s + 1)
+        if s:
+            out += s * math.log(s / n)
+        if n - s:
+            out += (n - s) * math.log((n - s) / n)
+        return out
+
+    return np.exp([log_height(s) for s in range(n + 1)])
+
+
+class TestBuIgammaClosedForm:
+    # The Simpson oracle's integrands have kinks where f_s = gamma, so its
+    # error is O(h^2) with an irregular constant. Each case evaluates it at
+    # `panels` and 2 * `panels` and asserts the two agree to TOL: that
+    # difference is about three times the finer value's error, so TOL is at
+    # least the oracle's own error. Measured, the closed form sits within
+    # 1e-9 of the finer oracle for n <= 20 and within 2e-8 up to n = 2000.
+    # TOL is 1e-8 for n <= 20 and 1e-7 (the benchmark's BU tolerance) beyond,
+    # where the kinks sharpen: (log f_s)' at the ends of {f_s > gamma} grows
+    # like sqrt(n).
+    CASES = [
+        (1, 40000), (2, 40000), (3, 40000), (5, 40000), (20, 40000), (100, 20000), (2000, 10000),
+    ]
+
+    @pytest.mark.parametrize("n,panels", CASES)
+    def test_matches_simpson_oracle(self, n, panels):
+        tol = 1e-8 if n <= 20 else 1e-7
+        heights = mode_heights(n)
+        if n <= 5:
+            gammas = [0.3, 1.0, 1.7, n + 0.5, *heights]
+        elif n <= 100:
+            gammas = [0.3, 1.0, 2.5, heights[1], heights[n // 2]]
+        else:
+            gammas = [1.0]
+        model = BernoulliUniformModel(n)
+        for gamma in gammas:
+            coarse = bu_igamma_quadrature(n, float(gamma), panels)
+            fine = bu_igamma_quadrature(n, float(gamma), 2 * panels)
+            assert abs(coarse - fine) < tol, (n, gamma)  # the oracle resolves tol
+            assert bu_igamma(model, float(gamma)) == pytest.approx(fine, abs=tol), (n, gamma)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 2000])
+    def test_zero_and_past_the_largest_density(self, n):
+        model = BernoulliUniformModel(n)
+        assert bu_igamma(model, 0.0) == 0.0
+        # f_0(0) = f_n(1) = n + 1 is the largest density value
+        for gamma in (n + 1.0, n + 1.5, 1e300, math.inf):
+            assert bu_igamma(model, gamma) == 0.0
+        assert 0.0 <= bu_igamma(model, math.nextafter(n + 1.0, 0.0)) <= 1e-12
+        # I_gamma = (1/(n+1)) sum_s integral [gamma - f_s]_+ <= gamma below 1
+        for gamma in (5e-324, 1e-300, 1e-12, 1e-3):
+            assert 0.0 <= bu_igamma(model, gamma) <= gamma
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 20, 200])
+    def test_gamma_at_each_mode_height(self, n):
+        # at gamma = max f_s class s's superlevel set shrinks to a point; I_gamma
+        # is 1-Lipschitz, so the values an ulp either side agree to ~1e-13
+        heights = mode_heights(n)
+        below = np.nextafter(heights, 0.0)
+        above = np.nextafter(heights, np.inf)
+        model = BernoulliUniformModel(n)
+        values = bu_igamma(model, np.stack([below, heights, above]))
+        assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+        assert np.abs(values - values[1]).max() <= 1e-12
+
+    def test_mode_heights_at_large_n(self):
+        n = 2000
+        heights = mode_heights(n)[[1, n // 3, n // 2, n - 1]]
+        model = BernoulliUniformModel(n)
+        values = bu_igamma(model, np.stack([np.nextafter(heights, 0.0), heights]))
+        assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+        assert np.abs(values[0] - values[1]).max() <= 1e-12
+
+    def test_n1_is_the_piecewise_quadratic(self):
+        gammas = np.concatenate([np.linspace(0.0, 3.0, 3001), [1.0, 2.0, 1e-300]])
+        values = bu_igamma(BernoulliUniformModel(1), gammas)
+        expected = np.array([bu_igamma_n1(float(g)) for g in gammas])
+        assert np.abs(values - expected).max() <= 1e-15
+
+    @given(
+        st.integers(1, 40),
+        st.lists(
+            st.one_of(
+                st.floats(0.0, 45.0, allow_nan=False),
+                st.sampled_from([0.0, 1.0, math.inf, 5e-324]),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    def test_array_call_equals_scalar_calls_bit_for_bit(self, n, gammas):
+        model = BernoulliUniformModel(n)
+        values = bu_igamma(model, np.array(gammas))
+        assert values.shape == (len(gammas),)
+        for gamma, value in zip(gammas, values):
+            scalar = bu_igamma(model, gamma)
+            assert type(scalar) is float
+            assert scalar == value
+
+    def test_blocks_of_a_long_grid_match_scalar_calls(self, monkeypatch):
+        import ldpkit.info
+
+        monkeypatch.setattr(ldpkit.info, "_BLOCK", 64)  # three gamma values per block
+        model = BernoulliUniformModel(20)
+        gammas = np.linspace(0.0, 22.0, 41)
+        values = bu_igamma(model, gammas)
+        assert values.tolist() == [bu_igamma(model, float(g)) for g in gammas]
+
+    def test_array_shape_is_kept(self):
+        model = BernoulliUniformModel(4)
+        grid = np.linspace(0.0, 6.0, 12).reshape(3, 4)
+        values = bu_igamma(model, grid)
+        assert values.shape == (3, 4)
+        assert values[2, 1] == bu_igamma(model, float(grid[2, 1]))
+        assert type(bu_igamma(model, np.float64(1.5))) is float
 
 
 class TestBuMutualInformation:
@@ -198,6 +331,35 @@ class TestBuMutualInformation:
             bu_mutual_information(BernoulliUniformModel(n, panels=2000)) for n in (1, 2, 4, 8)
         ]
         assert all(a < b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 20, 100])
+    def test_matches_simpson_oracle(self, n):
+        # The oracle's error is O(h^2) from the x log x endpoint behaviour and
+        # grows with n; its panel-halving difference (about three times the
+        # finer value's error) is asserted below the 1e-7 tolerance first.
+        coarse = bu_mutual_information_quadrature(n, 20000)
+        fine = bu_mutual_information_quadrature(n, 40000)
+        assert abs(coarse - fine) < 1e-7
+        assert bu_mutual_information(BernoulliUniformModel(n)) == pytest.approx(fine, abs=1e-7)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 1000, 3000])
+    def test_matches_harmonic_number_sum_in_extended_precision(self, n):
+        # log(n+1) + (1/(n+1)) sum_s [log C(n,s) + s (H_s - H_{n+1}) + (n-s)(H_{n-s} - H_{n+1})],
+        # the sum before its closed-form reduction, at 30 digits; the float
+        # result's own rounding is about 1e-15
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            harmonic = [mpmath.mpf(0)]
+            for k in range(1, n + 2):
+                harmonic.append(harmonic[-1] + mpmath.mpf(1) / k)
+            total = mpmath.fsum(
+                mpmath.log(mpmath.binomial(n, s))
+                + s * (harmonic[s] - harmonic[n + 1])
+                + (n - s) * (harmonic[n - s] - harmonic[n + 1])
+                for s in range(n + 1)
+            )
+            exact = float(mpmath.log(n + 1) + total / (n + 1))
+        assert bu_mutual_information(BernoulliUniformModel(n)) == pytest.approx(exact, abs=1e-14)
 
 
 class TestSimpson:
