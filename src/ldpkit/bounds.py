@@ -98,7 +98,7 @@ class LeCamConfig:
     def __post_init__(self):
         if not self.tau > 0:
             raise DomainError(f"tau must be > 0, got {self.tau!r}")
-        if self.kl_p0_p1 < 0:
+        if not self.kl_p0_p1 >= 0:
             raise DomainError("kl_p0_p1 must be >= 0")
         if self.n < 1:
             raise DomainError(f"n must be >= 1, got {self.n}")
@@ -123,8 +123,10 @@ class FanoConfig:
     def __post_init__(self):
         if self.v_count < 2:
             raise DomainError(f"v_count must be >= 2, got {self.v_count}")
-        if self.avg_pairwise_kl < 0:
+        if not self.avg_pairwise_kl >= 0:
             raise DomainError("avg_pairwise_kl must be >= 0")
+        if self.mi_xn_v is not None and not self.mi_xn_v >= 0:
+            raise DomainError("mi_xn_v must be >= 0")
         if not self.tau > 0:
             raise DomainError(f"tau must be > 0, got {self.tau!r}")
         if self.n < 1:
@@ -157,7 +159,7 @@ class BayesConfig:
     info_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.info_value < 0:
+        if not self.info_value >= 0:
             raise DomainError("info_value must be >= 0")
         if self.n < 1:
             raise DomainError(f"n must be >= 1, got {self.n}")
@@ -418,13 +420,13 @@ def ht_exponent(kl_p0_p1: float, params: PrivacyParams) -> float:
     The privatized exponent is at least -phi(epsilon, delta) KL(P0||P1);
     the type-I level does not enter (the exponent is level-free).
     """
-    if kl_p0_p1 < 0:
+    if not kl_p0_p1 >= 0:
         raise DomainError("kl_p0_p1 must be >= 0")
     return -phi(params) * kl_p0_p1
 
 
 def mi_cap(h_x: float, params: PrivacyParams) -> float:
     """Largest mutual information any private view can retain: phi * H(X)."""
-    if h_x < 0:
+    if not h_x >= 0:
         raise DomainError("entropy must be >= 0")
     return phi(params) * h_x

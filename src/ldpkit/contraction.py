@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import excess, normalize_rows
+from .dist import excess
 from .errors import DomainError
 from .kernel import Kernel
 
@@ -95,16 +95,6 @@ class ContractionReport:
         }
 
 
-def scan_rows(k: Kernel) -> np.ndarray:
-    """The rows of k as Kernel.row returns them.
-
-    Distribution rescales a row whose stored sum is 1 +- a few ulps once
-    more; scanning these rows keeps every value bit-identical to
-    evaluating the row pairs one at a time.
-    """
-    return normalize_rows(k.rows)
-
-
 def pairwise_egamma(k: Kernel, gammas) -> np.ndarray:
     """E_gamma(K_x || K_x') for every gamma >= 1 (+inf allowed) and ordered pair.
 
@@ -117,7 +107,7 @@ def pairwise_egamma(k: Kernel, gammas) -> np.ndarray:
     bad = g[~(g >= 1)]
     if bad.size:
         raise DomainError(f"two-point formula requires gamma >= 1, got {float(bad[0])!r}")
-    rows = scan_rows(k)
+    rows = k.rows
     n, m = rows.shape
     out = np.empty((g.size, n, n))
     step = min(n, max(1, SCAN_BYTES // (8 * n * m)))

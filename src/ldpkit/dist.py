@@ -1,7 +1,8 @@
 """Finite probability distributions and divergences between them.
 
-Everything operates on plain double-precision probability vectors. The
-divergences implemented are total variation, KL (nats), chi-squared,
+Everything operates on plain double-precision probability vectors, made
+by the one rule in :func:`probability_array` that Distribution, Kernel and
+JointDistribution share. The divergences implemented are total variation, KL (nats), chi-squared,
 squared Hellinger, and the hockey-stick family
 
     E_gamma(P||Q) = sum_i max(p_i - gamma * q_i, 0) - max(1 - gamma, 0),
@@ -22,38 +23,65 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 
-# Sum-to-one is enforced to SUM_TOL; constructors silently renormalize when
-# the deviation is below RENORM_TOL and reject anything worse.
-SUM_TOL = 1e-12
+# A probability vector whose sum misses 1 by less than RENORM_TOL is
+# accepted and rescaled by normalize_rows; one further off is rejected.
 RENORM_TOL = 1e-9
+
+
+def normalize_rows(v: np.ndarray) -> np.ndarray:
+    """The probability-vector rule along the last axis, applied to a copy.
+
+    A vector whose sum is within len * 2**-51 of 1 (a few ulps per entry)
+    is kept as given; any other is divided by its sum once. A vector
+    divided once sums to within that band, so the rule is idempotent:
+    vectors it returned come back bit for bit. Sums are taken in C order,
+    so they do not depend on the memory layout of the input.
+    """
+    v = np.ascontiguousarray(v, dtype=float)
+    totals = v.sum(axis=-1, keepdims=True)
+    # Division by exactly 1.0 returns every entry unchanged.
+    return v / np.where(np.abs(totals - 1.0) <= v.shape[-1] * 2.0**-51, 1.0, totals)
+
+
+def probability_array(values, ndim: int, name: str, per_row: bool = False) -> np.ndarray:
+    """values as a new read-only float array that obeys the probability-vector rule.
+
+    The array must be non-empty with ``ndim`` axes, finite and
+    nonnegative. Its vectors (the rows when ``per_row``, else the whole
+    array) must each sum to 1 within ``RENORM_TOL``; :func:`normalize_rows`
+    then rescales them. Errors name the first bad row when ``per_row``,
+    a sign error winning over a sum error.
+    """
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != ndim or arr.size == 0:
+        shape = "matrix" if ndim == 2 else "vector"
+        raise DimensionError(f"{name} must be a non-empty {ndim}-d {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name} entries must be finite")
+    vectors = np.ascontiguousarray(arr if per_row else arr.reshape(1, -1))
+    totals = vectors.sum(axis=1)
+    negative = (vectors < 0).any(axis=1)
+    bad = negative | ~(np.abs(totals - 1.0) < RENORM_TOL)
+    if bad.any():
+        i = int(bad.argmax())
+        where = f"row {i}:" if per_row else name
+        if negative[i]:
+            raise DomainError(f"{where} entries must be nonnegative")
+        raise DomainError(f"{where} sums to {float(totals[i])!r}, not 1")
+    out = normalize_rows(vectors).reshape(arr.shape)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
-    """Probability vector over a finite alphabet.
-
-    Entries must be nonnegative and sum to one within ``RENORM_TOL``
-    (small deviations are renormalized away). The stored array is
-    read-only.
-    """
+    """Probability vector over a finite alphabet, stored read-only as
+    :func:`probability_array` returns it."""
 
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.probs, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise DimensionError("probability vector must be 1-d and non-empty")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("probabilities must be finite")
-        if np.any(arr < 0):
-            raise DomainError("probabilities must be nonnegative")
-        total = float(arr.sum())
-        if not abs(total - 1.0) < RENORM_TOL:
-            raise DomainError(f"probabilities sum to {total!r}, not 1")
-        if total != 1.0:
-            arr = arr / total
-        arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
+        object.__setattr__(self, "probs", probability_array(self.probs, 1, "distribution"))
 
     @property
     def alphabet_size(self) -> int:
@@ -93,13 +121,6 @@ class Distribution:
     def to_json(self) -> str:
         """Lossless JSON array (17 significant digits)."""
         return "[" + ",".join(f"{x:.17g}" for x in self.probs) + "]"
-
-
-def normalize_rows(v: np.ndarray) -> np.ndarray:
-    """Each vector along the last axis divided by its sum, as Distribution
-    rescales a single vector (dividing by a sum of exactly 1.0 changes
-    nothing, so the values match Distribution's bit for bit)."""
-    return v / v.sum(axis=-1, keepdims=True)
 
 
 _F_KINDS = ("tv", "kl", "chi2", "hellinger_sq", "egamma")

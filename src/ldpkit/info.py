@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import Distribution, egamma
+from .dist import Distribution, egamma, probability_array
 from .errors import DomainError
 
 
@@ -34,28 +34,8 @@ class JointDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.probs, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise DomainError("joint distribution must be a non-empty 2-d matrix")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("joint entries must be finite")
-        if np.any(arr < 0):
-            raise DomainError("joint entries must be nonnegative")
-        total = float(arr.sum())
-        if not abs(total - 1.0) < 1e-9:
-            raise DomainError(f"joint mass sums to {total!r}, not 1")
-        if total != 1.0:
-            arr = arr / total
-        arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
-
-    @property
-    def size_a(self) -> int:
-        return int(self.probs.shape[0])
-
-    @property
-    def size_b(self) -> int:
-        return int(self.probs.shape[1])
+        probs = probability_array(self.probs, 2, "joint distribution")
+        object.__setattr__(self, "probs", probs)
 
     def marginal_a(self) -> Distribution:
         return Distribution(self.probs.sum(axis=1))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dist import RENORM_TOL, Distribution
+from .dist import Distribution, probability_array
 from .errors import CapacityError, DimensionError, DomainError
 
 # Product constructions refuse to materialize more states than this.
@@ -24,32 +24,17 @@ DEFAULT_STATE_CAP = 4096
 
 @dataclass(frozen=True, eq=False)
 class Kernel:
-    """Row-stochastic matrix, row x = the output distribution K(.|x)."""
+    """Row-stochastic matrix, row x = the output distribution K(.|x).
+
+    Each row is kept by :func:`ldpkit.dist.probability_array`, so
+    ``row(x)`` returns the stored row bit for bit.
+    """
 
     rows: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.rows, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise DimensionError("kernel must be a non-empty 2-d matrix")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("kernel entries must be finite")
-        # Row sums of a C-ordered copy add each row's entries in one order
-        # whatever the memory layout of the input (an axis-1 sum of a
-        # Fortran-ordered array adds them in another), so the rescaled rows
-        # do not depend on the layout.
-        totals = np.ascontiguousarray(arr).sum(axis=1)
-        negative = (arr < 0).any(axis=1)
-        bad = negative | ~(np.abs(totals - 1.0) < RENORM_TOL)
-        if bad.any():
-            i = int(bad.argmax())
-            if negative[i]:
-                raise DomainError(f"row {i}: entries must be nonnegative")
-            raise DomainError(f"row {i}: sums to {float(totals[i])!r}, not 1")
-        off = totals != 1.0
-        arr[off] = arr[off] / totals[off, None]
-        arr.setflags(write=False)
-        object.__setattr__(self, "rows", arr)
+        rows = probability_array(self.rows, 2, "kernel", per_row=True)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def input_size(self) -> int:
@@ -103,7 +88,7 @@ def parse_kernel(text: str) -> Kernel:
         matrix = np.asarray(rows, dtype=float)
     except (DomainError, DimensionError):
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise DomainError(f"malformed kernel file: {exc}") from None
     return Kernel(matrix)
 

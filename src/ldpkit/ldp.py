@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contraction import (
-    SCAN_BYTES,
-    PrivacyParams,
-    gamma_from_epsilon,
-    pairwise_egamma,
-    scan_rows,
-)
+from .contraction import SCAN_BYTES, PrivacyParams, gamma_from_epsilon, pairwise_egamma
 from .dist import Distribution, excess, normalize_rows
 from .errors import DomainError
 from .kernel import Kernel
@@ -95,7 +89,7 @@ def tightest_epsilon(k: Kernel, delta: float) -> EpsilonSearchResult:
     """
     if not 0.0 <= delta <= 1.0:
         raise DomainError(f"delta must be in [0, 1], got {delta!r}")
-    rows = scan_rows(k)
+    rows = k.rows
     n, m = rows.shape
     gamma = 1.0
     step = max(1, SCAN_BYTES // (8 * n * m))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contraction import gamma_from_epsilon
-from .dist import FGenerator, divergence, normalize_rows
+from .dist import FGenerator, divergence
 from .errors import CapacityError, DomainError
 from .kernel import Kernel
 
@@ -46,8 +46,10 @@ class SearchConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
-        if not self.dirichlet_alpha > 0:
-            raise DomainError("dirichlet_alpha must be positive")
+        if not 0 < self.dirichlet_alpha < math.inf:
+            raise DomainError(
+                f"dirichlet_alpha must be finite and positive, got {self.dirichlet_alpha!r}"
+            )
 
 
 def _f1(x: np.ndarray) -> np.ndarray:
@@ -102,9 +104,9 @@ def brute_eta_f(k: Kernel, f: FGenerator, cfg: SearchConfig) -> float:
     if cfg.include_point_masses:
         # The pushforward of the point mass at x is row x of the kernel.
         off = ~np.eye(d, dtype=bool)
-        points, rows = np.eye(d), normalize_rows(k.rows)
+        points = np.eye(d)
         dens = np.concatenate([divergence(points[:, None], points, f)[off], dens])
-        nums = np.concatenate([divergence(rows[:, None], rows, f)[off], nums])
+        nums = np.concatenate([divergence(k.rows[:, None], k.rows, f)[off], nums])
     ok = np.isfinite(dens) & (dens >= DENOM_FLOOR) & np.isfinite(nums)
     best = float((nums[ok] / dens[ok]).max(initial=0.0))
 

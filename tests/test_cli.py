@@ -90,6 +90,9 @@ class TestAudit:
             ("truncated.json", '{"rows": [[0.5, 0.5], [0.2'),
             ("array.json", "[[0.5, 0.5], [0.2, 0.8]]\n"),
             ("bytes.csv", "\xff\xfe0.5,0.5"),
+            pytest.param(
+                "nested.json", '{"rows": ' + "[" * 100000 + "]" * 100000 + "}", id="nested.json"
+            ),
         ],
     )
     def test_unparseable_kernel_is_one_error_line(self, capsys, tmp_path, name, text):
@@ -102,6 +105,24 @@ class TestAudit:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: malformed kernel file")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"rows": [[]]}', "kernel must be a non-empty 2-d matrix"),
+            ('{"rows": [[NaN, 1]]}', "kernel entries must be finite"),
+            ("{}", 'kernel JSON must contain a "rows" field'),
+            ('{"rows": []}', "kernel file contains no rows"),
+        ],
+    )
+    def test_rejected_kernel_is_one_error_line(self, capsys, tmp_path, text, message):
+        path = tmp_path / "kernel.json"
+        path.write_text(text)
+        code, out, err = run(capsys, ["audit", str(path), "--epsilon", "1"])
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {message}")
 
     def test_delta_without_epsilon_is_one_error_line(self, capsys, rr1_file):
         code, out, err = run(capsys, ["audit", str(rr1_file), "--delta", "0.01"])
@@ -196,6 +217,26 @@ class TestBound:
         code, _, err = run(capsys, ["bound", "moment", "--k-moment", "1", "--eps", "1"])
         assert code == 1
         assert "moment" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lecam", "--tau", "1", "--n", "10", "--kl"],
+            ["fano", "--v-count", "4", "--tau", "1", "--avg-kl"],
+            ["fano", "--v-count", "4", "--tau", "1", "--avg-kl", "0.1", "--mi"],
+            ["bayes-mi", "--n", "10", "--info"],
+            ["bayes-egamma", "--n", "10", "--info"],
+            ["ht", "--kl"],
+            ["micap", "--entropy"],
+        ],
+    )
+    @pytest.mark.parametrize("value", ["-5", "nan"])
+    def test_negative_or_nan_information_is_one_error_line(self, capsys, argv, value):
+        code, out, err = run(capsys, ["bound", *argv, value, "--eps", "1"])
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "must be >= 0" in err
 
     def test_bayes_mi_with_model(self, capsys):
         code, out, _ = run(
@@ -437,6 +478,15 @@ class TestOracleCommands:
         _, out1, _ = run(capsys, argv)
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
+
+    @pytest.mark.parametrize("alpha", ["inf", "nan", "0"])
+    def test_eta_f_rejects_unusable_dirichlet_alpha(self, capsys, rr1_file, alpha):
+        code, out, err = run(
+            capsys, ["oracle", "eta-f", str(rr1_file), "--f", "kl", "--alpha", alpha]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: dirichlet_alpha must be finite and positive")
 
     def test_profile_check(self, capsys, rr1_file):
         code, out, _ = run(

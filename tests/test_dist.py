@@ -37,6 +37,19 @@ class TestDistribution:
         with pytest.raises(DomainError):
             Distribution(np.array([0.5, 0.5 + 1e-8]))
 
+    @pytest.mark.parametrize(
+        "values, error, message",
+        [
+            ([], DimensionError, "distribution must be a non-empty 1-d vector"),
+            ([[0.5, 0.5]], DimensionError, "distribution must be a non-empty 1-d vector"),
+            ([np.nan, 1.0], DomainError, "distribution entries must be finite"),
+            ([np.inf, 0.0], DomainError, "distribution entries must be finite"),
+        ],
+    )
+    def test_rejects_bad_shape_and_non_finite_entries(self, values, error, message):
+        with pytest.raises(error, match=message):
+            Distribution(np.array(values))
+
     def test_probs_are_read_only(self):
         d = Distribution.uniform(3)
         with pytest.raises(ValueError):

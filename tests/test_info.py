@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ldpkit.dist import Distribution, tv
-from ldpkit.errors import DomainError
+from ldpkit.errors import DimensionError, DomainError
 from ldpkit.info import (
     BernoulliUniformModel,
     JointDistribution,
@@ -53,6 +53,19 @@ class TestJointDistribution:
             JointDistribution(np.array([[0.5, 0.6]]))
         with pytest.raises(DomainError):
             JointDistribution(np.array([[0.5, -0.1], [0.3, 0.3]]))
+
+    @pytest.mark.parametrize(
+        "values, error, message",
+        [
+            ([0.5, 0.5], DimensionError, "joint distribution must be a non-empty 2-d matrix"),
+            ([[]], DimensionError, "joint distribution must be a non-empty 2-d matrix"),
+            ([[np.nan, 0.5], [0.25, 0.25]], DomainError, "joint distribution entries must be finite"),
+            ([[np.inf, 0.0]], DomainError, "joint distribution entries must be finite"),
+        ],
+    )
+    def test_rejects_bad_shape_and_non_finite_entries(self, values, error, message):
+        with pytest.raises(error, match=message):
+            JointDistribution(np.array(values))
 
     def test_marginals(self):
         j = JointDistribution(np.array([[0.4, 0.1], [0.1, 0.4]]))

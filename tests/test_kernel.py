@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ldpkit.dist import Distribution, FGenerator, f_divergence
+from ldpkit.dist import RENORM_TOL, Distribution, FGenerator, f_divergence
 from ldpkit.errors import CapacityError, DimensionError, DomainError
 from ldpkit.kernel import (
     Kernel,
@@ -50,10 +50,30 @@ class TestKernelInvariants:
         raw = np.array(raw, order=order)
         expected = raw.copy()
         for i in range(raw.shape[0]):
+            # Kept when the sum is within len * 2**-51 of 1, else divided once.
             total = float(expected[i].sum())
-            if total != 1.0:
+            if abs(total - 1.0) > expected[i].size * 2.0**-51:
                 expected[i] = expected[i] / total
         assert np.array_equal(Kernel(raw).rows, expected)
+
+    @given(
+        st.integers(1, 4096),
+        st.integers(1, 4),
+        st.sampled_from(["C", "F"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_validating_stored_rows_changes_nothing(self, outputs, inputs, order, seed):
+        # Rows off by up to RENORM_TOL / 2, by rounding only, or not at all;
+        # the stored rows must come back bit for bit from both constructors.
+        rng = np.random.default_rng(seed)
+        raw = rng.dirichlet(np.full(outputs, rng.choice([0.1, 1.0, 10.0])), size=inputs)
+        scale = rng.choice([0.0, 1e-7, 1.0], size=(inputs, 1))
+        raw *= 1 + scale * rng.uniform(-RENORM_TOL / 2, RENORM_TOL / 2, size=(inputs, 1))
+        k = Kernel(np.array(raw, order=order))
+        assert np.array_equal(Kernel(k.rows).rows, k.rows)
+        for x in range(inputs):
+            assert np.array_equal(Distribution(k.rows[x]).probs, k.rows[x])
+            assert np.array_equal(k.row(x).probs, k.rows[x])
 
     def test_renormalizes_tiny_row_deviation(self):
         k = Kernel(np.array([[0.5, 0.5 + 1e-10], [0.25, 0.75]]))
