@@ -175,15 +175,17 @@ def _check_alphabets(p: Distribution, q: Distribution):
         )
 
 
-def excess(p: np.ndarray, q: np.ndarray, gamma) -> np.ndarray:
+def excess(p: np.ndarray, q: np.ndarray, gamma, out: np.ndarray | None = None) -> np.ndarray:
     """sum_i max(p_i - gamma q_i, 0) along the last axis, broadcasting.
 
     This is E_gamma(P||Q) for gamma >= 1. gamma * 0 counts as 0, so
-    gamma = +inf gives the mass p puts where q is zero.
+    gamma = +inf gives the mass p puts where q is zero. ``out``, a float
+    array of the broadcast shape, takes the terms in place of a new
+    temporary; the sums are the same bit for bit.
     """
-    with np.errstate(invalid="ignore"):
-        t = p - gamma * q
-    if np.any(np.isinf(gamma)):
+    with np.errstate(invalid="ignore"):  # inf * 0, overwritten below
+        t = np.subtract(p, np.multiply(gamma, q, out=out), out=out)
+    if np.isinf(gamma).any():
         np.copyto(t, p, where=(q == 0.0))
     return np.maximum(t, 0.0, out=t).sum(axis=-1)
 

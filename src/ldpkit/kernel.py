@@ -66,6 +66,7 @@ def parse_kernel(text: str) -> Kernel:
     """Parse a kernel from JSON {"rows": [[...], ...]} or CSV (one row per line).
 
     Text that is neither raises DomainError, never a bare parse error.
+    JSON entries must be numbers: booleans and strings are rejected.
     """
     stripped = text.strip()
     try:
@@ -74,6 +75,12 @@ def parse_kernel(text: str) -> Kernel:
             if "rows" not in payload:
                 raise DomainError('kernel JSON must contain a "rows" field')
             rows = payload["rows"]
+            # bool is a subclass of int, so compare exact types.
+            bad = [v for row in rows for v in row if type(v) not in (int, float)]
+            if bad:
+                raise DomainError(
+                    f"malformed kernel file: entry {json.dumps(bad[0])} is not a number"
+                )
         else:
             rows = [
                 [float(tok) for tok in line.split(",") if tok.strip()]
@@ -88,7 +95,7 @@ def parse_kernel(text: str) -> Kernel:
         matrix = np.asarray(rows, dtype=float)
     except (DomainError, DimensionError):
         raise
-    except (ValueError, TypeError, RecursionError) as exc:
+    except (ValueError, TypeError, OverflowError, RecursionError) as exc:
         raise DomainError(f"malformed kernel file: {exc}") from None
     return Kernel(matrix)
 

@@ -13,11 +13,13 @@ direction exact rather than probabilistic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .contraction import SCAN_BYTES, PrivacyParams, gamma_from_epsilon, pairwise_egamma
+from . import contraction
+from .contraction import PrivacyParams, gamma_from_epsilon, pairwise_egamma
 from .dist import Distribution, excess, normalize_rows
 from .errors import DomainError
 from .kernel import Kernel
@@ -58,10 +60,18 @@ class PrivacyProfile:
 
 
 def privacy_profile(k: Kernel, epsilons) -> PrivacyProfile:
-    """Evaluate the exact profile on a strictly increasing epsilon grid, in one scan."""
+    """Evaluate the exact profile on a strictly increasing epsilon grid.
+
+    The grid is scanned in chunks whose (chunk, |X|, |X|) values fit
+    the scan's byte budget, keeping only each chunk's maxima.
+    """
     eps = [float(e) for e in epsilons]
-    deltas = pairwise_egamma(k, [gamma_from_epsilon(e) for e in eps]).max(axis=(1, 2))
-    return PrivacyProfile(points=tuple(zip(eps, map(float, deltas))))
+    gammas = [gamma_from_epsilon(e) for e in eps]
+    chunk = max(1, contraction.SCAN_BYTES // (8 * k.input_size**2))
+    deltas = []
+    for a in range(0, len(gammas), chunk):
+        deltas.extend(pairwise_egamma(k, gammas[a : a + chunk]).max(axis=(1, 2)).tolist())
+    return PrivacyProfile(points=tuple(zip(eps, deltas)))
 
 
 @dataclass(frozen=True)
@@ -79,37 +89,44 @@ class EpsilonSearchResult:
 def tightest_epsilon(k: Kernel, delta: float) -> EpsilonSearchResult:
     """Smallest epsilon with delta_at(k, epsilon) <= delta, exactly.
 
-    For an ordered pair (x, x'), E_gamma(K_x || K_x') is the max over
-    output sets A of K_x(A) - gamma K_x'(A), and the maximizing sets are
-    the prefixes of the outputs sorted by likelihood ratio
-    K_x(z) / K_x'(z). With P_j, Q_j the prefix masses, the pair meets
-    delta exactly when gamma >= (P_j - delta) / Q_j for every prefix, and
-    never when some prefix has Q_j = 0 < P_j - delta. So
-    gamma* = max(1, max over pairs and prefixes) and epsilon* = log gamma*.
+    f(gamma) = max over ordered pairs of E_gamma(K_x || K_x') is convex,
+    nonincreasing and piecewise linear on [1, inf], and f(inf) is the
+    residual. One scan at gamma = inf and 1 settles epsilon* = inf
+    (residual above delta) and epsilon* = 0 (f(1) <= delta). Otherwise
+    Newton steps run from gamma = 1: with (x, x') the argmax pair and
+    Q = K_x'(A) on A = {z : K_x(z) > gamma K_x'(z)}, that pair's tangent
+    f(gamma) - (gamma' - gamma) Q lies below f, so its root
+    gamma + (f(gamma) - delta) / Q does not pass gamma*. Each step lands
+    on a new linear piece, so the iterates rise strictly and reach
+    gamma* after finitely many scans; they stop when f <= delta or gamma
+    no longer rises. Every iterate is scanned at e^epsilon, so the last
+    scan is delta_at(k, epsilon).
     """
     if not 0.0 <= delta <= 1.0:
         raise DomainError(f"delta must be in [0, 1], got {delta!r}")
-    rows = k.rows
-    n, m = rows.shape
-    gamma = 1.0
-    step = max(1, SCAN_BYTES // (8 * n * m))
-    for lo in range(0, n, step):
-        p = rows[lo : lo + step, None, :]
-        neg_ratio = np.full((p.shape[0], n, m), -np.inf)
-        np.divide(-p, rows, out=neg_ratio, where=rows > 0.0)
-        order = np.argsort(neg_ratio, axis=-1, kind="stable")
-        big_p = np.take_along_axis(p, order, axis=-1)
-        big_q = np.take_along_axis(rows[None], order, axis=-1)
-        np.cumsum(big_p, axis=-1, out=big_p)
-        np.cumsum(big_q, axis=-1, out=big_q)
-        if np.any((big_q == 0.0) & (big_p > delta)):
-            gamma = np.inf
+    (residual, _), (best, pair) = map(_top, pairwise_egamma(k, [math.inf, 1.0]))
+    if residual > delta:
+        return EpsilonSearchResult(epsilon=math.inf, delta_achieved=residual)
+    epsilon, gamma = 0.0, 1.0
+    while best > delta:
+        p, q = k.rows[pair[0]], k.rows[pair[1]]
+        slope = float(q[p - gamma * q > 0.0].sum())
+        next_epsilon = math.log(gamma + (best - delta) / slope)
+        next_gamma = gamma_from_epsilon(next_epsilon)
+        if not next_gamma > gamma:
             break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            need = (big_p - delta) / big_q
-        gamma = max(gamma, float(need[big_q > 0.0].max(initial=1.0)))
-    epsilon = float(np.log(gamma))
-    return EpsilonSearchResult(epsilon=epsilon, delta_achieved=delta_at(k, epsilon))
+        epsilon, gamma = next_epsilon, next_gamma
+        best, pair = _top(pairwise_egamma(k, [gamma])[0])
+    return EpsilonSearchResult(epsilon=epsilon, delta_achieved=best)
+
+
+def _top(values: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """Largest entry of one gamma's (|X|, |X|) scan and its (x, x') pair.
+
+    Only these scalars are kept, so no scan array outlives its step.
+    """
+    i = int(np.argmax(values))
+    return float(values.flat[i]), divmod(i, values.shape[1])
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 These routines validate closed forms and two-point characterizations on
 tiny instances: a sampled contraction-ratio search, an exhaustive
-subset-sup evaluation of the raw privacy constraint, composite Simpson
-quadrature of the Bernoulli-uniform informations, and a shared dense
-grid maximizer. Identical configs give bit-identical results.
+subset-sup evaluation of the raw privacy constraint, the sorted-prefix
+inversion of the privacy profile, composite Simpson quadrature of the
+Bernoulli-uniform informations, and a shared dense grid maximizer.
+Identical configs give bit-identical results.
 """
 
 from __future__ import annotations
@@ -176,6 +177,32 @@ def brute_profile_check(k: Kernel, epsilon: float) -> ProfileCheckReport:
     return ProfileCheckReport(
         epsilon=epsilon, delta=best, witness_pair=witness_pair, witness_set=witness_set
     )
+
+
+def tightest_epsilon_sorted_prefix(k: Kernel, delta: float) -> float:
+    """Smallest epsilon with delta(epsilon) <= delta, from sorted
+    likelihood-ratio prefixes: the reference for ldp.tightest_epsilon.
+
+    For an ordered pair (x, x'), E_gamma(K_x || K_x') is the max over
+    output sets A of K_x(A) - gamma K_x'(A), and the maximizing sets are
+    the prefixes of the outputs sorted by likelihood ratio
+    K_x(z) / K_x'(z). With P_j, Q_j the prefix masses, the pair meets
+    delta exactly when gamma >= (P_j - delta) / Q_j for every prefix, and
+    never when some prefix has Q_j = 0 < P_j - delta. So
+    gamma* = max(1, max over pairs and prefixes) and epsilon* = log gamma*.
+    Sorts all |X|^2 |Z| ratios at once.
+    """
+    rows = k.rows
+    p = rows[:, None, :]
+    neg_ratio = np.full((rows.shape[0],) + rows.shape, -np.inf)
+    np.divide(-p, rows, out=neg_ratio, where=rows > 0.0)
+    order = np.argsort(neg_ratio, axis=-1, kind="stable")
+    big_p = np.cumsum(np.take_along_axis(p, order, axis=-1), axis=-1)
+    big_q = np.cumsum(np.take_along_axis(rows[None], order, axis=-1), axis=-1)
+    if np.any((big_q == 0.0) & (big_p > delta)):
+        return math.inf
+    need = (big_p - delta)[big_q > 0.0] / big_q[big_q > 0.0]
+    return math.log(float(need.max(initial=1.0)))
 
 
 def grid_max(objective, *grids) -> tuple[tuple[float, ...], float]:

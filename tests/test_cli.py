@@ -93,6 +93,12 @@ class TestAudit:
             pytest.param(
                 "nested.json", '{"rows": ' + "[" * 100000 + "]" * 100000 + "}", id="nested.json"
             ),
+            ("bool.json", '{"rows": [[true, false], [0.5, 0.5]]}'),
+            ("string.json", '{"rows": [[0.5, 0.5], ["0.5", "0.5"]]}'),
+            ("null.json", '{"rows": [[null, 1], [0.5, 0.5]]}'),
+            pytest.param(
+                "bigint.json", '{"rows": [[1' + "0" * 400 + ', 0], [0.5, 0.5]]}', id="bigint.json"
+            ),
         ],
     )
     def test_unparseable_kernel_is_one_error_line(self, capsys, tmp_path, name, text):

@@ -15,7 +15,7 @@ from ldpkit.contraction import (
     phi,
     phi_n,
 )
-from ldpkit.dist import FGenerator, egamma
+from ldpkit.dist import FGenerator, egamma, excess
 from ldpkit.errors import DomainError
 from ldpkit.kernel import Kernel, bsc, k_rr, randomized_response, tensor_power
 from ldpkit.oracle import SearchConfig, brute_eta_f
@@ -134,8 +134,11 @@ class TestPairwiseScan:
 
     def test_blocks_give_the_same_values(self, rng, monkeypatch):
         k = random_kernel(rng, 9, 5)
-        gammas = np.linspace(1.0, 4.0, 7)
+        gammas = np.append(np.linspace(1.0, 4.0, 7), math.inf)
         whole = pairwise_egamma(k, gammas)
+        # The formula in one unblocked pass, with no reused buffer.
+        direct = excess(k.rows[:, None, :], k.rows, gammas[:, None, None, None])
+        assert np.array_equal(whole, np.minimum(direct, 1.0))
         monkeypatch.setattr(ldpkit.contraction, "SCAN_BYTES", 8 * 9 * 5 * 2)
         assert np.array_equal(pairwise_egamma(k, gammas), whole)
         monkeypatch.setattr(ldpkit.contraction, "SCAN_BYTES", 1)

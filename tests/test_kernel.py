@@ -109,6 +109,8 @@ class TestParsing:
             "[[0.5, 0.5], [0.2, 0.8]]",
             '{"rows": "abc"}',
             '{"rows": 5}',
+            '{"rows": [[true, false], ["0.5", "0.5"]]}',
+            '{"rows": [[0.5, 0.5], ["0.5", 0.5]]}',
         ],
     )
     def test_unparseable_text_is_a_domain_error(self, text):

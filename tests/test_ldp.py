@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ldpkit.contraction
 import ldpkit.ldp
-from ldpkit.contraction import PrivacyParams
+from ldpkit.contraction import PrivacyParams, pairwise_egamma
 from ldpkit.dist import Distribution, egamma
 from ldpkit.errors import DomainError
 from ldpkit.kernel import Kernel, bsc, k_rr, pushforward, randomized_response
@@ -20,7 +21,7 @@ from ldpkit.ldp import (
     tightest_epsilon,
     verify_equivalence,
 )
-from ldpkit.oracle import brute_profile_check
+from ldpkit.oracle import brute_profile_check, tightest_epsilon_sorted_prefix
 from support import (
     audit_kernel_family,
     bisect_tightest_epsilon,
@@ -168,8 +169,53 @@ class TestTightestEpsilon:
     def test_blocks_give_the_same_answer(self, rng, monkeypatch):
         ks = [random_kernel(rng, 7, 5) for _ in range(3)]
         whole = [tightest_epsilon(k, 0.01).epsilon for k in ks]
-        monkeypatch.setattr(ldpkit.ldp, "SCAN_BYTES", 1)
+        monkeypatch.setattr(ldpkit.contraction, "SCAN_BYTES", 1)
         assert [tightest_epsilon(k, 0.01).epsilon for k in ks] == whole
+
+    @given(kernels(max_in=5, max_out=7), st.sampled_from([0.0, 1e-6, 0.05, 0.3, 0.9]))
+    def test_matches_sorted_prefix_reference(self, k, delta):
+        res = tightest_epsilon(k, delta)
+        ref = tightest_epsilon_sorted_prefix(k, delta)
+        assert math.isinf(res.epsilon) == math.isinf(ref)
+        if math.isfinite(ref):
+            assert abs(res.epsilon - ref) <= 1e-12
+        assert res.delta_achieved == delta_at(k, res.epsilon)
+
+    @pytest.mark.parametrize(
+        "k, most",
+        [
+            (randomized_response(1.0), 3),
+            (k_rr(1.0, 32), 3),
+            (Kernel(np.random.default_rng(3).dirichlet(np.ones(48), size=32)), 12),
+        ],
+        ids=["rr", "k_rr(1, 32)", "dirichlet 32x48"],
+    )
+    def test_few_scans(self, monkeypatch, k, most):
+        calls = []
+
+        def counted(kernel, gammas):
+            calls.append(gammas)
+            return pairwise_egamma(kernel, gammas)
+
+        monkeypatch.setattr(ldpkit.ldp, "pairwise_egamma", counted)
+        for delta in (0.0, 1e-6, 0.05):
+            calls.clear()
+            tightest_epsilon(k, delta)
+            assert 2 <= len(calls) <= most
+
+    def test_memory_stays_within_the_scan_budget(self):
+        k = k_rr(1.0, 128)
+        for run in (
+            lambda: privacy_profile(k, np.linspace(0.0, 3.0, 31)),
+            lambda: tightest_epsilon(k, 1e-6),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * ldpkit.contraction.SCAN_BYTES
 
 
 class TestVerifyEquivalence:
@@ -267,6 +313,14 @@ class TestPrivacyProfile:
         deltas = [d for _, d in profile.points]
         assert deltas[0] == pytest.approx(loop_two_point(randomized_response(1.0), 1.0)[1])
         assert deltas[2] <= 1e-12
+
+    def test_chunks_give_the_same_profile(self, rng, monkeypatch):
+        k = random_kernel(rng, 6, 5)
+        grid = np.linspace(0.0, 3.0, 11)
+        whole = privacy_profile(k, grid)
+        # Three gammas per chunk: four chunks, the last one partial.
+        monkeypatch.setattr(ldpkit.contraction, "SCAN_BYTES", 8 * 6 * 6 * 3)
+        assert privacy_profile(k, grid) == whole
 
     def test_grid_must_increase(self):
         with pytest.raises(DomainError):
