@@ -27,16 +27,14 @@ from .contraction import (
     eta_kl_bsc,
     eta_tv_from_eta_gamma,
     gamma_from_epsilon,
-    pairwise_egamma,
     phi,
     phi_n,
+    two_point_scan,
 )
 from .dist import (
     Distribution,
     FGenerator,
     egamma,
-    egamma_integral_form,
-    egamma_threshold_form,
     f_divergence,
     hellinger_sq,
     tv,
@@ -48,8 +46,6 @@ from .info import (
     bu_class_marginal,
     bu_igamma,
     bu_mutual_information,
-    egamma_information,
-    entropy,
     mutual_information,
 )
 from .kernel import (

@@ -96,14 +96,17 @@ class ContractionReport:
         }
 
 
-def pairwise_egamma(k: Kernel, gammas) -> np.ndarray:
-    """E_gamma(K_x || K_x') for every gamma >= 1 (+inf allowed) and ordered pair.
+def two_point_scan(k: Kernel, gammas) -> tuple[list[float], list[tuple[int, int]]]:
+    """eta_gamma(K) and its witness pair for every gamma >= 1 (+inf allowed).
 
-    Returns an array of shape (len(gammas), |X|, |X|), clamped to at
-    most 1 (disjoint rows can otherwise sum to 1 + 1 ulp). One numpy pass
-    over the (gamma, x, x', z) difference tensor, in blocks of rows and
-    gammas sized by SCAN_BYTES, each written into one buffer allocated
-    once per call.
+    Returns ``(values, pairs)``: ``values[i]`` is the largest
+    E_gamma_i(K_x || K_x') over ordered row pairs, clamped to at most 1
+    (disjoint rows can otherwise sum to 1 + 1 ulp), and ``pairs[i]`` is
+    the lexicographically smallest (x, x') attaining it ((0, 0) when it
+    is 0). One numpy pass over the (gamma, x, x', z) difference tensor,
+    in blocks of rows and gammas sized by SCAN_BYTES, each written into
+    one buffer allocated once per call; each gamma block's pair values
+    fill one slab that is reduced before the next block starts.
     """
     g = np.asarray(gammas, dtype=float).reshape(-1)
     bad = g[~(g >= 1)]
@@ -111,17 +114,22 @@ def pairwise_egamma(k: Kernel, gammas) -> np.ndarray:
         raise DomainError(f"two-point formula requires gamma >= 1, got {float(bad[0])!r}")
     rows = k.rows
     n, m = rows.shape
-    out = np.empty((g.size, n, n))
     step = min(n, max(1, SCAN_BYTES // (8 * n * m)))
     gstep = max(1, min(g.size, SCAN_BYTES // (8 * n * m * step)))
     buf = np.empty(gstep * step * n * m)
+    slab = np.empty((gstep, n, n))
+    values, pairs = [], []
     for a in range(0, g.size, gstep):
         gb = g[a : a + gstep, None, None, None]
+        block = slab[: gb.shape[0]]
         for lo in range(0, n, step):
             p = rows[lo : lo + step, None, :]
             t = buf[: gb.shape[0] * p.shape[0] * n * m].reshape(gb.shape[0], p.shape[0], n, m)
-            out[a : a + gstep, lo : lo + step] = excess(p, rows, gb, out=t)
-    return np.minimum(out, 1.0, out=out)
+            np.minimum(excess(p, rows, gb, out=t), 1.0, out=block[:, lo : lo + step])
+        flat = block.reshape(gb.shape[0], n * n)
+        values.extend(flat.max(axis=1).tolist())
+        pairs.extend(divmod(i, n) for i in flat.argmax(axis=1).tolist())
+    return values, pairs
 
 
 def eta_gamma_two_point(k: Kernel, gamma: float) -> ContractionReport:
@@ -133,14 +141,12 @@ def eta_gamma_two_point(k: Kernel, gamma: float) -> ContractionReport:
     attaining the sup ((0, 0) when the sup is 0).
     """
     gamma = float(gamma)
-    values, tv_values = pairwise_egamma(k, [gamma, 1.0])
-    best = float(values.max())
-    x, xp = np.unravel_index(int(np.argmax(values)), values.shape)
+    (best, eta_tv), (pair, _) = two_point_scan(k, [gamma, 1.0])
     return ContractionReport(
         eta_gamma=best,
         gamma=gamma,
-        eta_tv=float(tv_values.max()),
-        argmax_pair=(int(x), int(xp)),
+        eta_tv=eta_tv,
+        argmax_pair=pair,
         upper_bounds={"eta_tv_from_eta_gamma": eta_tv_from_eta_gamma(best, gamma)},
     )
 
@@ -161,7 +167,7 @@ def eta_tv_from_eta_gamma(eta_gamma: float, gamma: float) -> float:
     """Upper bound on the TV coefficient: eta_tv <= 1 - (1 - eta_gamma) / gamma."""
     if not 0.0 <= eta_gamma <= 1.0:
         raise DomainError(f"eta_gamma must be in [0, 1], got {eta_gamma!r}")
-    if gamma < 1:
+    if not gamma >= 1:
         raise DomainError(f"gamma must be >= 1, got {gamma!r}")
     return 1.0 - (1.0 - eta_gamma) / gamma
 

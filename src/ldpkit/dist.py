@@ -142,8 +142,8 @@ class FGenerator:
         if self.kind not in _F_KINDS:
             raise DomainError(f"unknown f-divergence kind {self.kind!r}")
         if self.kind == "egamma":
-            if self.gamma is None or self.gamma < 0:
-                raise DomainError("egamma requires gamma >= 0")
+            if self.gamma is None or not self.gamma >= 0:
+                raise DomainError(f"egamma requires gamma >= 0, got {self.gamma!r}")
         elif self.gamma is not None:
             raise DomainError(f"kind {self.kind!r} takes no gamma parameter")
 
@@ -238,7 +238,7 @@ def tv(p: Distribution, q: Distribution) -> float:
 def egamma(p: Distribution, q: Distribution, gamma: float) -> float:
     """Hockey-stick divergence E_gamma(P||Q), sup-over-sets form."""
     _check_alphabets(p, q)
-    if gamma < 0:
+    if not gamma >= 0:
         raise DomainError(f"gamma must be >= 0, got {gamma!r}")
     return float(_egamma(p.probs, q.probs, gamma))
 
@@ -250,7 +250,7 @@ def egamma_integral_form(p: Distribution, q: Distribution, gamma: float) -> floa
     :func:`egamma`; agrees with it for every gamma >= 0.
     """
     _check_alphabets(p, q)
-    if gamma < 0:
+    if not gamma >= 0:
         raise DomainError(f"gamma must be >= 0, got {gamma!r}")
     return float(0.5 * np.abs(p.probs - gamma * q.probs).sum() - 0.5 * abs(1.0 - gamma))
 
@@ -262,7 +262,7 @@ def egamma_threshold_form(p: Distribution, q: Distribution, gamma: float) -> flo
     p_i = q_i = 0 never enter A.
     """
     _check_alphabets(p, q)
-    if gamma < 0:
+    if not gamma >= 0:
         raise DomainError(f"gamma must be >= 0, got {gamma!r}")
     mask = p.probs > gamma * q.probs
     value = p.probs[mask].sum() - gamma * q.probs[mask].sum()

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import contraction
-from .contraction import PrivacyParams, gamma_from_epsilon, pairwise_egamma
+from .contraction import PrivacyParams, gamma_from_epsilon, two_point_scan
 from .dist import Distribution, excess, normalize_rows
 from .errors import DomainError
 from .kernel import Kernel
@@ -34,7 +33,7 @@ VERIFY_TOL = 1e-10
 
 def delta_at(k: Kernel, epsilon: float) -> float:
     """Smallest delta for which k is (epsilon, delta)-LDP; epsilon may be +inf."""
-    return float(pairwise_egamma(k, [gamma_from_epsilon(epsilon)]).max())
+    return two_point_scan(k, [gamma_from_epsilon(epsilon)])[0][0]
 
 
 def is_ldp(k: Kernel, params: PrivacyParams) -> bool:
@@ -60,17 +59,9 @@ class PrivacyProfile:
 
 
 def privacy_profile(k: Kernel, epsilons) -> PrivacyProfile:
-    """Evaluate the exact profile on a strictly increasing epsilon grid.
-
-    The grid is scanned in chunks whose (chunk, |X|, |X|) values fit
-    the scan's byte budget, keeping only each chunk's maxima.
-    """
+    """Evaluate the exact profile on a strictly increasing epsilon grid, in one scan."""
     eps = [float(e) for e in epsilons]
-    gammas = [gamma_from_epsilon(e) for e in eps]
-    chunk = max(1, contraction.SCAN_BYTES // (8 * k.input_size**2))
-    deltas = []
-    for a in range(0, len(gammas), chunk):
-        deltas.extend(pairwise_egamma(k, gammas[a : a + chunk]).max(axis=(1, 2)).tolist())
+    deltas = two_point_scan(k, [gamma_from_epsilon(e) for e in eps])[0]
     return PrivacyProfile(points=tuple(zip(eps, deltas)))
 
 
@@ -104,7 +95,7 @@ def tightest_epsilon(k: Kernel, delta: float) -> EpsilonSearchResult:
     """
     if not 0.0 <= delta <= 1.0:
         raise DomainError(f"delta must be in [0, 1], got {delta!r}")
-    (residual, _), (best, pair) = map(_top, pairwise_egamma(k, [math.inf, 1.0]))
+    (residual, best), (_, pair) = two_point_scan(k, [math.inf, 1.0])
     if residual > delta:
         return EpsilonSearchResult(epsilon=math.inf, delta_achieved=residual)
     epsilon, gamma = 0.0, 1.0
@@ -116,17 +107,8 @@ def tightest_epsilon(k: Kernel, delta: float) -> EpsilonSearchResult:
         if not next_gamma > gamma:
             break
         epsilon, gamma = next_epsilon, next_gamma
-        best, pair = _top(pairwise_egamma(k, [gamma])[0])
+        (best,), (pair,) = two_point_scan(k, [gamma])
     return EpsilonSearchResult(epsilon=epsilon, delta_achieved=best)
-
-
-def _top(values: np.ndarray) -> tuple[float, tuple[int, int]]:
-    """Largest entry of one gamma's (|X|, |X|) scan and its (x, x') pair.
-
-    Only these scalars are kept, so no scan array outlives its step.
-    """
-    i = int(np.argmax(values))
-    return float(values.flat[i]), divmod(i, values.shape[1])
 
 
 @dataclass(frozen=True)
@@ -182,32 +164,31 @@ def verify_equivalence(
     point-mass sweep is guaranteed to exhibit a violating pair, because
     the two-point supremum is attained there.
 
-    Pairs are probed in a fixed order: the point masses (x, x'), x != x',
-    row-major, then the Dirichlet pairs in draw order. The first violating
-    pair and the first pair of largest ratio are reported. E_gamma between
-    two distinct point masses is 1, and their pushforwards are rows of k,
-    so that sweep reads straight off the pairwise scan.
+    Pairs are probed in a fixed order: the worst point-mass pair (x, x'),
+    then the Dirichlet pairs in draw order. The first violating pair and
+    the first pair of largest ratio are reported. E_gamma between two
+    distinct point masses is 1 and their pushforwards are rows of k, so
+    the point-mass sweep is the two-point scan: its top pair has the
+    largest ratio of them all, and violates whenever any of them does.
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     gamma = gamma_from_epsilon(params.epsilon)
     d = k.input_size
-    off_diagonal = np.flatnonzero(~np.eye(d, dtype=bool))
-    point_num = pairwise_egamma(k, [gamma])[0].reshape(-1)[off_diagonal]
-    # The scan's diagonal is exactly 0, so this is is_ldp from the same scan.
-    certified = float(point_num.max(initial=0.0)) <= params.delta + IS_LDP_TOL
+    (top,), (worst,) = two_point_scan(k, [gamma])
+    certified = top <= params.delta + IS_LDP_TOL
 
     rng = np.random.default_rng(seed)
     ps = normalize_rows(rng.dirichlet(np.ones(d), size=trials))
     qs = normalize_rows(rng.dirichlet(np.ones(d), size=trials))
-    num = np.concatenate([point_num, excess(_pushforward(ps, k), _pushforward(qs, k), gamma)])
-    den = np.concatenate([np.ones(point_num.size), excess(ps, qs, gamma)])
+    num = np.concatenate([[top], excess(_pushforward(ps, k), _pushforward(qs, k), gamma)])
+    den = np.concatenate([[1.0], excess(ps, qs, gamma)])
 
     def pair(i: int) -> tuple:
-        if i < point_num.size:
-            x, xp = divmod(int(off_diagonal[i]), d)
+        if i == 0:
+            x, xp = worst
             return Distribution.point_mass(x, d).probs, Distribution.point_mass(xp, d).probs
-        return ps[i - point_num.size], qs[i - point_num.size]
+        return ps[i - 1], qs[i - 1]
 
     violations = np.flatnonzero(num > params.delta * den + VERIFY_TOL)
     with np.errstate(divide="ignore", invalid="ignore"):

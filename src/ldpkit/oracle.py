@@ -285,7 +285,7 @@ def bu_mutual_information_quadrature(n: int, panels: int = 20000) -> float:
 def bu_igamma_n1(gamma: float) -> float:
     """I_gamma(Theta; X) at n = 1 in closed form: the piecewise quadratic
     gamma^2/4 on [0, 1], (gamma - 2)^2/4 on [1, 2], and 0 beyond."""
-    if gamma < 0:
+    if not gamma >= 0:
         raise DomainError(f"gamma must be >= 0, got {gamma!r}")
     if gamma <= 1.0:
         return 0.25 * gamma**2

@@ -126,7 +126,10 @@ def bisect_tightest_epsilon(k: Kernel, delta: float, eps_max: float = 50.0, tol:
 def loop_verify(k: Kernel, epsilon: float, delta: float, trials: int, seed: int):
     """The sampled verifier pair by pair: point masses (x, x'), x != x',
     row-major, then Dirichlet pairs in draw order. Returns
-    (violation_pair, max_ratio, max_ratio_pair) with first-found pairs."""
+    (violation_pair, max_ratio, max_ratio_pair). max_ratio_pair is the
+    first pair of largest ratio. violation_pair is the worst point-mass
+    pair (the first of largest E_gamma between pushforwards) when it
+    violates, and otherwise the first violating Dirichlet pair."""
     gamma = math.exp(epsilon)
     d = k.input_size
     pairs = [
@@ -139,13 +142,17 @@ def loop_verify(k: Kernel, epsilon: float, delta: float, trials: int, seed: int)
     ps = rng.dirichlet(np.ones(d), size=trials)
     qs = rng.dirichlet(np.ones(d), size=trials)
     pairs.extend((Distribution(p), Distribution(q)) for p, q in zip(ps, qs))
-    max_ratio, max_ratio_pair, violation_pair = 0.0, None, None
+    probes = []  # (p, q, num, den) in probe order
     for p, q in pairs:
-        den = egamma(p, q, gamma)
         num = egamma(pushforward(p, k), pushforward(q, k), gamma)
-        if num > delta * den + 1e-10 and violation_pair is None:
-            violation_pair = (p.probs, q.probs)
+        probes.append((p.probs, q.probs, num, egamma(p, q, gamma)))
+    max_ratio, max_ratio_pair = 0.0, None
+    for p, q, num, den in probes:
         if den > 1e-12 and num / den > max_ratio:
-            max_ratio = num / den
-            max_ratio_pair = (p.probs, q.probs)
-    return violation_pair, max_ratio, max_ratio_pair
+            max_ratio, max_ratio_pair = num / den, (p, q)
+    violating = [(p, q) for p, q, num, den in probes if num > delta * den + 1e-10]
+    # Every point-mass pair has den = 1, so the worst one violates if any does.
+    worst = max(probes[: d * (d - 1)], key=lambda probe: probe[2], default=None)
+    if worst is not None and worst[2] > delta * worst[3] + 1e-10:
+        return worst[:2], max_ratio, max_ratio_pair
+    return (violating[0] if violating else None), max_ratio, max_ratio_pair

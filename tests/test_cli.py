@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -494,6 +498,14 @@ class TestOracleCommands:
         assert out == ""
         assert err.startswith("error: dirichlet_alpha must be finite and positive")
 
+    def test_eta_f_rejects_nan_gamma(self, capsys, rr1_file):
+        code, out, err = run(
+            capsys, ["oracle", "eta-f", str(rr1_file), "--f", "egamma", "--gamma", "nan"]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_profile_check(self, capsys, rr1_file):
         code, out, _ = run(
             capsys, ["oracle", "profile-check", str(rr1_file), "--epsilon", "0.5"]
@@ -517,3 +529,17 @@ class TestOutputDirEnv:
         )
         assert code == 0
         assert (tmp_path / "p.csv").exists()
+
+
+def test_cli_imports_nothing_beyond_numpy_and_the_standard_library():
+    code = (
+        "import sys, numpy; before = set(sys.modules); import ldpkit.cli; "
+        "new = {name.partition('.')[0] for name in set(sys.modules) - before}; "
+        "print(sorted(new - set(sys.stdlib_module_names) - {'ldpkit'}))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

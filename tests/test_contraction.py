@@ -11,9 +11,9 @@ from ldpkit.contraction import (
     eta_gamma_two_point,
     eta_kl_bsc,
     eta_tv_from_eta_gamma,
-    pairwise_egamma,
     phi,
     phi_n,
+    two_point_scan,
 )
 from ldpkit.dist import FGenerator, egamma, excess
 from ldpkit.errors import DomainError
@@ -115,34 +115,53 @@ class TestPairwiseScan:
     def test_gamma_grid_in_one_scan(self, rng):
         k = random_kernel(rng, 5, 7)
         gammas = [1.0, 1.5, 2.0, math.inf]
-        scan = pairwise_egamma(k, gammas)
-        assert scan.shape == (4, 5, 5)
-        for g, values in zip(gammas[:-1], scan):
-            assert values.max() == eta_gamma_two_point(k, g).eta_gamma
-        assert np.all(np.diagonal(scan, axis1=1, axis2=2) == 0.0)
+        values, pairs = two_point_scan(k, gammas)
+        assert len(values) == len(pairs) == 4
+        for g, value, pair in zip(gammas[:-1], values, pairs):
+            report = eta_gamma_two_point(k, g)
+            assert value == report.eta_gamma
+            assert pair == report.argmax_pair
+        # A positive value is never a row against itself.
+        assert all(x != xp for (x, xp), v in zip(pairs, values) if v > 0.0)
 
     def test_infinite_gamma_is_the_residual(self, rng):
         k = Kernel(np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]))
-        assert pairwise_egamma(k, [math.inf])[0].tolist() == [[0.0, 0.0], [0.5, 0.0]]
+        values, pairs = two_point_scan(k, [math.inf])
+        assert values == [0.5]
+        assert pairs == [(1, 0)]
         for _ in range(10):
             rows = random_kernel(rng, 4, 6).rows * (rng.random((4, 6)) < 0.6)
             rows[:, 0] += 0.1
             k = Kernel(rows / rows.sum(axis=1, keepdims=True))
-            assert pairwise_egamma(k, [math.inf]).max() == pytest.approx(
+            assert two_point_scan(k, [math.inf])[0][0] == pytest.approx(
                 loop_infinite_epsilon_residual(k), abs=1e-15
             )
 
     def test_blocks_give_the_same_values(self, rng, monkeypatch):
         k = random_kernel(rng, 9, 5)
         gammas = np.append(np.linspace(1.0, 4.0, 7), math.inf)
-        whole = pairwise_egamma(k, gammas)
+        values, pairs = two_point_scan(k, gammas)
         # The formula in one unblocked pass, with no reused buffer.
-        direct = excess(k.rows[:, None, :], k.rows, gammas[:, None, None, None])
-        assert np.array_equal(whole, np.minimum(direct, 1.0))
-        monkeypatch.setattr(ldpkit.contraction, "SCAN_BYTES", 8 * 9 * 5 * 2)
-        assert np.array_equal(pairwise_egamma(k, gammas), whole)
-        monkeypatch.setattr(ldpkit.contraction, "SCAN_BYTES", 1)
-        assert np.array_equal(pairwise_egamma(k, gammas), whole)
+        direct = np.minimum(excess(k.rows[:, None, :], k.rows, gammas[:, None, None, None]), 1.0)
+        assert values == direct.max(axis=(1, 2)).tolist()
+        for budget in (8 * 9 * 5 * 2, 1):
+            monkeypatch.setattr(ldpkit.contraction, "SCAN_BYTES", budget)
+            assert two_point_scan(k, gammas) == (values, pairs)
+
+    @given(kernels(max_in=5, max_out=6), st.lists(st.floats(1.0, 20.0), max_size=4))
+    def test_scan_is_the_max_and_first_argmax(self, k, middle):
+        # Zero entries are allowed, so gamma = inf meets the residual and
+        # disjoint rows meet the clamp at 1.
+        gammas = np.array([1.0, *middle, math.inf])
+        n = k.input_size
+        direct = np.minimum(excess(k.rows[:, None, :], k.rows, gammas[:, None, None, None]), 1.0)
+        flat = direct.reshape(gammas.size, n * n)
+        xs, xps = np.unravel_index(flat.argmax(axis=1), (n, n))
+        want = (flat.max(axis=1).tolist(), list(zip(xs.tolist(), xps.tolist())))
+        for budget in (ldpkit.contraction.SCAN_BYTES, 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ldpkit.contraction, "SCAN_BYTES", budget)
+                assert two_point_scan(k, gammas) == want
 
     def test_disjoint_rows_clamped_to_one(self):
         # Seeded instance whose unclamped E_2 sums to 1 + 1 ulp; before the
@@ -160,9 +179,9 @@ class TestPairwiseScan:
 
     def test_rejects_gamma_below_one_in_grid(self):
         with pytest.raises(DomainError, match="0.5"):
-            pairwise_egamma(bsc(0.25), [1.0, 0.5])
+            two_point_scan(bsc(0.25), [1.0, 0.5])
         with pytest.raises(DomainError):
-            pairwise_egamma(bsc(0.25), [math.nan])
+            two_point_scan(bsc(0.25), [math.nan])
 
 
 class TestDobrushin:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ldpkit.contraction import eta_tv_from_eta_gamma
 from ldpkit.dist import (
     Distribution,
     FGenerator,
@@ -17,6 +18,7 @@ from ldpkit.dist import (
     tv,
 )
 from ldpkit.errors import DimensionError, DomainError
+from ldpkit.oracle import bu_igamma_n1
 from support import distribution_pairs, distributions
 
 
@@ -84,6 +86,28 @@ class TestFGenerator:
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             FGenerator("renyi")
+
+
+_P, _Q = Distribution(np.array([0.7, 0.3])), Distribution(np.array([0.2, 0.8]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: FGenerator("egamma", g),
+        lambda g: egamma(_P, _Q, g),
+        lambda g: egamma_integral_form(_P, _Q, g),
+        lambda g: egamma_threshold_form(_P, _Q, g),
+        lambda g: eta_tv_from_eta_gamma(0.5, g),
+        lambda g: bu_igamma_n1(g),
+    ],
+    ids=["FGenerator", "egamma", "integral_form", "threshold_form", "eta_tv_bound", "bu_n1"],
+)
+def test_nan_gamma_is_rejected(call):
+    # Every comparison with NaN is false, so a "gamma < 0" check let it
+    # through and the formulas returned NaN or 0.
+    with pytest.raises(DomainError, match="gamma"):
+        call(math.nan)
 
 
 class TestTV:

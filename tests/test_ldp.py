@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import ldpkit.contraction
 import ldpkit.ldp
-from ldpkit.contraction import PrivacyParams, pairwise_egamma
+from ldpkit.contraction import PrivacyParams, two_point_scan
 from ldpkit.dist import Distribution, egamma
 from ldpkit.errors import DomainError
 from ldpkit.kernel import Kernel, bsc, k_rr, pushforward, randomized_response
@@ -195,9 +195,9 @@ class TestTightestEpsilon:
 
         def counted(kernel, gammas):
             calls.append(gammas)
-            return pairwise_egamma(kernel, gammas)
+            return two_point_scan(kernel, gammas)
 
-        monkeypatch.setattr(ldpkit.ldp, "pairwise_egamma", counted)
+        monkeypatch.setattr(ldpkit.ldp, "two_point_scan", counted)
         for delta in (0.0, 1e-6, 0.05):
             calls.clear()
             tightest_epsilon(k, delta)
