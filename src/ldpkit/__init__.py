@@ -21,9 +21,7 @@ from .bounds import (
     small_ball_uniform01,
 )
 from .contraction import (
-    ContractionReport,
     PrivacyParams,
-    eta_gamma_two_point,
     eta_kl_bsc,
     eta_tv_from_eta_gamma,
     gamma_from_epsilon,

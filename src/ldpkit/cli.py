@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -31,6 +30,7 @@ from . import __version__
 from .bounds import (
     DEFAULT_GAMMA_GRID,
     DEFAULT_ZETA_GRID,
+    LN2,
     BayesConfig,
     BoundReport,
     FanoConfig,
@@ -47,15 +47,13 @@ from .bounds import (
     moment_estimation_lb,
     small_ball_uniform01,
 )
-from .contraction import PrivacyParams, eta_gamma_two_point, gamma_from_epsilon
+from .contraction import PrivacyParams, gamma_from_epsilon, two_point_scan
 from .dist import FGenerator
 from .errors import CapacityError, DimensionError, DomainError
 from .info import BernoulliUniformModel, bu_igamma, bu_mutual_information
 from .kernel import load_kernel
 from .ldp import DEFAULT_SEED, delta_at, privacy_profile, verify_equivalence
 from .oracle import SearchConfig, brute_eta_f, brute_profile_check
-
-LN2 = math.log(2.0)
 
 # Values the remark table is compared against; treated as approximate.
 REMARK_REFERENCE_EGAMMA = 0.08
@@ -83,36 +81,21 @@ def write_csv(path: Path, header: list[str], rows: list[list[float]]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """What was run and what it emitted; written after all outputs."""
-
-    command: str
-    args: dict
-    seed: int | None
-    tool_version: str
-    outputs: list[str]
-
-    def write(self, primary_output: Path) -> Path:
-        path = primary_output.with_name(primary_output.name + ".manifest.json")
-        path.write_text(json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n")
-        return path
-
-
 def _emit_manifest(command: str, args: argparse.Namespace, outputs: list[Path]) -> Path:
-    payload = {
-        k: (str(v) if isinstance(v, Path) else v)
-        for k, v in vars(args).items()
-        if k != "func"
+    """Write ``<first output>.manifest.json``: what was run and what it
+    emitted, after all outputs. Dataclass arguments (grids) are written
+    as their fields."""
+    manifest = {
+        "command": command,
+        "args": {k: v for k, v in vars(args).items() if k != "func"},
+        "seed": getattr(args, "seed", None),
+        "tool_version": __version__,
+        "outputs": [str(p) for p in outputs],
     }
-    manifest = RunManifest(
-        command=command,
-        args=payload,
-        seed=getattr(args, "seed", None),
-        tool_version=__version__,
-        outputs=[str(p) for p in outputs],
-    )
-    return manifest.write(outputs[0])
+    path = outputs[0].with_name(outputs[0].name + ".manifest.json")
+    text = json.dumps(manifest, sort_keys=True, indent=2, default=dataclasses.asdict)
+    path.write_text(text + "\n")
+    return path
 
 
 def parse_linear_grid(text: str) -> np.ndarray:
@@ -123,6 +106,8 @@ def parse_linear_grid(text: str) -> np.ndarray:
         raise DomainError(f"grid must look like lo:hi:steps, got {text!r}") from exc
     if steps < 1:
         raise DomainError(f"grid needs at least 1 step, got {steps}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"grid ends must be finite, got [{lo}, {hi}]")
     if steps == 1:
         return np.array([lo])
     if not lo < hi:
@@ -163,11 +148,13 @@ def cmd_audit(args: argparse.Namespace) -> int:
     exit_code = 0
 
     if args.epsilon is not None:
-        two_point = eta_gamma_two_point(kernel, gamma_from_epsilon(args.epsilon))
+        (delta_tight, eta_tv), (pair, _) = two_point_scan(
+            kernel, [gamma_from_epsilon(args.epsilon), 1.0]
+        )
         report["epsilon"] = args.epsilon
-        report["delta_tight"] = two_point.eta_gamma
-        report["eta_tv"] = two_point.eta_tv
-        report["argmax_pair"] = list(two_point.argmax_pair)
+        report["delta_tight"] = delta_tight
+        report["eta_tv"] = eta_tv
+        report["argmax_pair"] = list(pair)
         if args.delta is not None:
             verifier = verify_equivalence(
                 kernel, PrivacyParams(args.epsilon, args.delta), args.trials, seed=args.seed
@@ -422,7 +409,7 @@ def cmd_gammaopt(args: argparse.Namespace) -> int:
 def remark_reports() -> tuple[float, BoundReport, BoundReport]:
     """I(Theta; X) in nats at n = 1, and there the Bernoulli-uniform model's
     mutual-information and gamma-optimized non-private Bayes bounds."""
-    mi = LN2 - 0.5
+    mi = bu_mutual_information(BernoulliUniformModel(1))
     mi_report = bayes_xu_raginsky_private(
         BayesConfig(small_ball_uniform01, info_value=mi, n=1, params=PrivacyParams(0.0, 1.0))
     )
@@ -469,8 +456,7 @@ def cmd_remark(args: argparse.Namespace) -> int:
 
 def cmd_oracle_eta_f(args: argparse.Namespace) -> int:
     kernel = load_kernel(args.kernel)
-    gamma = args.gamma if args.f == "egamma" else None
-    f = FGenerator(args.f, gamma)
+    f = FGenerator(args.f, args.gamma)
     cfg = SearchConfig(
         seed=args.seed,
         trials=args.trials,
@@ -482,7 +468,7 @@ def cmd_oracle_eta_f(args: argparse.Namespace) -> int:
         {
             "kernel": str(args.kernel),
             "f": args.f,
-            "gamma": gamma,
+            "gamma": args.gamma,
             "trials": args.trials,
             "seed": args.seed,
             "eta_estimate": estimate,

@@ -14,7 +14,7 @@ with the n-fold tensorized version phi_n = 1 - (1 - phi)^n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,44 +58,6 @@ def gamma_from_epsilon(epsilon: float) -> float:
         raise DomainError(f"epsilon = {epsilon!r} is too large: e^epsilon overflows") from None
 
 
-@dataclass(frozen=True)
-class ContractionReport:
-    """Result of a two-point contraction scan.
-
-    ``argmax_pair`` is the (x, x') ordered input pair achieving the sup,
-    ties broken toward the smallest lexicographic pair so reports are
-    deterministic. ``upper_bounds`` collects named closed-form bounds
-    evaluated alongside.
-    """
-
-    eta_gamma: float
-    gamma: float
-    eta_tv: float
-    argmax_pair: tuple[int, int]
-    upper_bounds: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        ok = (
-            self.eta_gamma >= -1e-12
-            and self.eta_gamma <= self.eta_tv + 1e-12
-            and self.eta_tv <= 1.0 + 1e-12
-        )
-        if not ok:
-            raise DomainError(
-                f"contraction ordering violated: eta_gamma={self.eta_gamma!r}, "
-                f"eta_tv={self.eta_tv!r}"
-            )
-
-    def to_dict(self) -> dict:
-        return {
-            "eta_gamma": self.eta_gamma,
-            "gamma": self.gamma,
-            "eta_tv": self.eta_tv,
-            "argmax_pair": list(self.argmax_pair),
-            "upper_bounds": dict(self.upper_bounds),
-        }
-
-
 def two_point_scan(k: Kernel, gammas) -> tuple[list[float], list[tuple[int, int]]]:
     """eta_gamma(K) and its witness pair for every gamma >= 1 (+inf allowed).
 
@@ -130,25 +92,6 @@ def two_point_scan(k: Kernel, gammas) -> tuple[list[float], list[tuple[int, int]
         values.extend(flat.max(axis=1).tolist())
         pairs.extend(divmod(i, n) for i in flat.argmax(axis=1).tolist())
     return values, pairs
-
-
-def eta_gamma_two_point(k: Kernel, gamma: float) -> ContractionReport:
-    """Hockey-stick contraction coefficient via the two-point formula.
-
-    Scans all ordered input pairs (E_gamma is asymmetric) in O(|X|^2 |Z|),
-    at gamma and at 1 (for eta_tv) in one pass; valid for gamma >= 1 only.
-    The argmax pair is the lexicographically smallest ordered pair
-    attaining the sup ((0, 0) when the sup is 0).
-    """
-    gamma = float(gamma)
-    (best, eta_tv), (pair, _) = two_point_scan(k, [gamma, 1.0])
-    return ContractionReport(
-        eta_gamma=best,
-        gamma=gamma,
-        eta_tv=eta_tv,
-        argmax_pair=pair,
-        upper_bounds={"eta_tv_from_eta_gamma": eta_tv_from_eta_gamma(best, gamma)},
-    )
 
 
 def phi(params: PrivacyParams) -> float:

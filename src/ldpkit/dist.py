@@ -9,9 +9,7 @@ squared Hellinger, and the hockey-stick family
 
 which equals total variation at gamma = 1. Each divergence is implemented
 once, batched along the last axis (:func:`divergence`, :func:`excess`);
-the scalar functions on Distribution wrap it. Two more forms of E_gamma
-are provided so they can be cross-checked against the sup-over-sets form
-above, which is the one used everywhere else.
+the scalar functions on Distribution wrap it.
 """
 
 from __future__ import annotations
@@ -241,32 +239,6 @@ def egamma(p: Distribution, q: Distribution, gamma: float) -> float:
     if not gamma >= 0:
         raise DomainError(f"gamma must be >= 0, got {gamma!r}")
     return float(_egamma(p.probs, q.probs, gamma))
-
-
-def egamma_integral_form(p: Distribution, q: Distribution, gamma: float) -> float:
-    """E_gamma via (1/2) sum |p_i - gamma q_i| - (1/2) |1 - gamma|.
-
-    Kept as an independent formula for cross-validation against
-    :func:`egamma`; agrees with it for every gamma >= 0.
-    """
-    _check_alphabets(p, q)
-    if not gamma >= 0:
-        raise DomainError(f"gamma must be >= 0, got {gamma!r}")
-    return float(0.5 * np.abs(p.probs - gamma * q.probs).sum() - 0.5 * abs(1.0 - gamma))
-
-
-def egamma_threshold_form(p: Distribution, q: Distribution, gamma: float) -> float:
-    """E_gamma via the likelihood-ratio threshold set A = {i : p_i > gamma q_i}.
-
-    Returns P(A) - gamma Q(A) - max(1 - gamma, 0). Symbols with
-    p_i = q_i = 0 never enter A.
-    """
-    _check_alphabets(p, q)
-    if not gamma >= 0:
-        raise DomainError(f"gamma must be >= 0, got {gamma!r}")
-    mask = p.probs > gamma * q.probs
-    value = p.probs[mask].sum() - gamma * q.probs[mask].sum()
-    return float(value - max(1.0 - gamma, 0.0))
 
 
 def hellinger_sq(p: Distribution, q: Distribution) -> float:

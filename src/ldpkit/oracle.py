@@ -3,7 +3,8 @@
 These routines validate closed forms and two-point characterizations on
 tiny instances: a sampled contraction-ratio search, an exhaustive
 subset-sup evaluation of the raw privacy constraint, the sorted-prefix
-inversion of the privacy profile, composite Simpson quadrature of the
+inversion of the privacy profile, two forms of E_gamma other than the
+sup-over-sets one in dist.py, composite Simpson quadrature of the
 Bernoulli-uniform informations, and a shared dense grid maximizer.
 Identical configs give bit-identical results.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contraction import gamma_from_epsilon
-from .dist import FGenerator, divergence
+from .dist import Distribution, FGenerator, _check_alphabets, divergence
 from .errors import CapacityError, DomainError
 from .kernel import Kernel
 
@@ -203,6 +204,32 @@ def tightest_epsilon_sorted_prefix(k: Kernel, delta: float) -> float:
         return math.inf
     need = (big_p - delta)[big_q > 0.0] / big_q[big_q > 0.0]
     return math.log(float(need.max(initial=1.0)))
+
+
+def egamma_integral_form(p: Distribution, q: Distribution, gamma: float) -> float:
+    """E_gamma via (1/2) sum |p_i - gamma q_i| - (1/2) |1 - gamma|.
+
+    Kept as an independent formula for cross-validation against
+    :func:`ldpkit.dist.egamma`; agrees with it for every gamma >= 0.
+    """
+    _check_alphabets(p, q)
+    if not gamma >= 0:
+        raise DomainError(f"gamma must be >= 0, got {gamma!r}")
+    return float(0.5 * np.abs(p.probs - gamma * q.probs).sum() - 0.5 * abs(1.0 - gamma))
+
+
+def egamma_threshold_form(p: Distribution, q: Distribution, gamma: float) -> float:
+    """E_gamma via the likelihood-ratio threshold set A = {i : p_i > gamma q_i}.
+
+    Returns P(A) - gamma Q(A) - max(1 - gamma, 0). Symbols with
+    p_i = q_i = 0 never enter A.
+    """
+    _check_alphabets(p, q)
+    if not gamma >= 0:
+        raise DomainError(f"gamma must be >= 0, got {gamma!r}")
+    mask = p.probs > gamma * q.probs
+    value = p.probs[mask].sum() - gamma * q.probs[mask].sum()
+    return float(value - max(1.0 - gamma, 0.0))
 
 
 def grid_max(objective, *grids) -> tuple[tuple[float, ...], float]:

@@ -26,18 +26,16 @@ from ldpkit.bounds import (
 from ldpkit.cli import main as cli_main
 from ldpkit.contraction import (
     PrivacyParams,
-    eta_gamma_two_point,
     eta_kl_bsc,
     eta_tv_from_eta_gamma,
     phi,
     phi_n,
+    two_point_scan,
 )
 from ldpkit.dist import (
     Distribution,
     FGenerator,
     egamma,
-    egamma_integral_form,
-    egamma_threshold_form,
     f_divergence,
     hellinger_sq,
     tv,
@@ -52,7 +50,14 @@ from ldpkit.info import (
 )
 from ldpkit.kernel import bsc, k_rr, pushforward, randomized_response, tensor_power
 from ldpkit.ldp import delta_at, tightest_epsilon
-from ldpkit.oracle import SearchConfig, brute_eta_f, brute_profile_check, bu_igamma_n1
+from ldpkit.oracle import (
+    SearchConfig,
+    brute_eta_f,
+    brute_profile_check,
+    bu_igamma_n1,
+    egamma_integral_form,
+    egamma_threshold_form,
+)
 from support import audit_kernel_family, loop_two_point, random_distribution, random_kernel
 
 # Frozen dense-grid oracle values for the non-private Bayes bounds on the
@@ -78,9 +83,9 @@ def test_criterion_1_two_point_exactness(criterion):
     worst = 0.0
     for _ in range(20):
         k = random_kernel(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
-        for gamma in (1.0, 1.5, math.e, 4.0):
+        gammas = (1.0, 1.5, math.e, 4.0)
+        for gamma, two_point in zip(gammas, two_point_scan(k, gammas)[0]):
             brute = brute_eta_f(k, FGenerator.egamma(gamma), cfg)
-            two_point = eta_gamma_two_point(k, gamma).eta_gamma
             worst = max(worst, abs(brute - two_point))
     criterion(
         1,
@@ -285,10 +290,8 @@ def test_criterion_8_property_suites(criterion):
     for _ in range(1000):
         k = random_kernel(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
         gamma = float(rng.uniform(1.0, 5.0))
-        report = eta_gamma_two_point(k, gamma)
-        worst = max(
-            worst, loop_two_point(k, 1.0)[1] - eta_tv_from_eta_gamma(report.eta_gamma, gamma)
-        )
+        (eta,), _ = two_point_scan(k, [gamma])
+        worst = max(worst, loop_two_point(k, 1.0)[1] - eta_tv_from_eta_gamma(eta, gamma))
     violations["eta-tv-vs-eta-gamma"] = worst if worst > 1e-10 else 0.0
 
     worst = 0.0

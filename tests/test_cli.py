@@ -411,9 +411,14 @@ class TestBayesModelCommands:
         "argv",
         [["bound", "bayes-mi", "--eps", "1", "--zeta-grid"],
          ["bound", "bayes-gammaopt", "--zeta-grid"],
-         ["bound", "bayes-gammaopt", "--gamma-grid"]],
+         ["bound", "bayes-gammaopt", "--gamma-grid"],
+         ["audit", "{kernel}", "--profile-grid"],
+         ["figure1", "--out", "{out}", "--eps-grid"],
+         ["bound", "moment", "--k-moment", "2", "--eps", "1", "--out", "{out}",
+          "--sweep", "epsilon"]],
     )
-    def test_rejected_grid_is_one_error_line(self, capsys, argv, grid):
+    def test_rejected_grid_is_one_error_line(self, capsys, tmp_path, rr1_file, argv, grid):
+        argv = [a.format(kernel=rr1_file, out=tmp_path / "unwritten.csv") for a in argv]
         code, out, err = run(capsys, [*argv, grid])
         assert code == 1
         assert out == ""
@@ -498,10 +503,13 @@ class TestOracleCommands:
         assert out == ""
         assert err.startswith("error: dirichlet_alpha must be finite and positive")
 
-    def test_eta_f_rejects_nan_gamma(self, capsys, rr1_file):
-        code, out, err = run(
-            capsys, ["oracle", "eta-f", str(rr1_file), "--f", "egamma", "--gamma", "nan"]
-        )
+    @pytest.mark.parametrize(
+        "flags",
+        [["--f", "egamma", "--gamma", "nan"], ["--f", "kl", "--gamma", "2"]],
+        ids=["egamma-nan", "kl-gamma"],
+    )
+    def test_eta_f_rejects_nan_gamma(self, capsys, rr1_file, flags):
+        code, out, err = run(capsys, ["oracle", "eta-f", str(rr1_file), *flags])
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import ldpkit.contraction
 from ldpkit.contraction import (
     PrivacyParams,
-    eta_gamma_two_point,
     eta_kl_bsc,
     eta_tv_from_eta_gamma,
     phi,
@@ -36,36 +35,38 @@ class TestPrivacyParams:
 class TestTwoPoint:
     @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0])
     def test_randomized_response_contracts_to_zero(self, eps):
-        report = eta_gamma_two_point(randomized_response(eps), math.exp(eps))
-        assert report.eta_gamma <= 1e-12
+        (eta,), _ = two_point_scan(randomized_response(eps), [math.exp(eps)])
+        assert eta <= 1e-12
 
     def test_identity_kernel(self):
-        report = eta_gamma_two_point(Kernel.identity(2), 3.0)
-        assert report.eta_gamma == 1.0
-        assert report.argmax_pair == (0, 1)
+        (eta,), (pair,) = two_point_scan(Kernel.identity(2), [3.0])
+        assert eta == 1.0
+        assert pair == (0, 1)
 
     def test_k_rr_contracts_to_zero(self):
-        report = eta_gamma_two_point(k_rr(math.log(3.0), 3), 3.0)
-        assert report.eta_gamma <= 1e-12
+        (eta,), _ = two_point_scan(k_rr(math.log(3.0), 3), [3.0])
+        assert eta <= 1e-12
 
     def test_gamma_below_one_rejected(self):
         with pytest.raises(DomainError):
-            eta_gamma_two_point(bsc(0.25), 0.5)
+            two_point_scan(bsc(0.25), [0.5])
 
     def test_tie_break_is_lexicographic(self):
-        assert eta_gamma_two_point(bsc(0.5), 2.0).argmax_pair == (0, 0)
+        assert two_point_scan(bsc(0.5), [2.0])[1] == [(0, 0)]
 
     @given(kernels(), st.floats(1.0, 5.0))
     def test_matches_dobrushin_at_one_and_bounds(self, k, gamma):
-        report = eta_gamma_two_point(k, gamma)
-        assert eta_gamma_two_point(k, 1.0).eta_gamma == pytest.approx(
-            loop_two_point(k, 1.0)[1], abs=1e-12
-        )
-        assert 0.0 <= report.eta_gamma <= report.eta_tv + 1e-12
+        # kernels() draws zero entries too, so eta_inf can be positive.
+        (eta_gamma, eta_tv, eta_inf), _ = two_point_scan(k, [gamma, 1.0, math.inf])
+        assert eta_tv == pytest.approx(loop_two_point(k, 1.0)[1], abs=1e-12)
+        assert 0.0 <= eta_gamma <= eta_tv + 1e-12
+        # Exact, with no tolerance: fl(gamma q) >= q and rounding is
+        # monotone, so each pair's E_gamma is at most its E_1.
+        assert 0.0 <= eta_inf <= eta_gamma <= eta_tv <= 1.0
 
     def test_gamma_curve(self):
         k = bsc(0.2)
-        values = [eta_gamma_two_point(k, g).eta_gamma for g in (1.0, 2.0, 3.0)]
+        values, _ = two_point_scan(k, [1.0, 2.0, 3.0])
         assert values[0] == pytest.approx(0.6, abs=1e-12)
         assert all(b <= a for a, b in zip(values, values[1:]))
 
@@ -73,7 +74,7 @@ class TestTwoPoint:
         grid = np.linspace(1.0, 8.0, 15)
         for _ in range(10):
             k = random_kernel(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
-            values = [eta_gamma_two_point(k, float(g)).eta_gamma for g in grid]
+            values, _ = two_point_scan(k, grid)
             assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_gamma_curve_csv_emission(self, tmp_path):
@@ -81,46 +82,38 @@ class TestTwoPoint:
 
         k = randomized_response(1.0)
         gammas = np.linspace(1.0, 4.0, 7)
-        curve = [eta_gamma_two_point(k, g) for g in gammas]
+        curve, _ = two_point_scan(k, gammas)
         out = tmp_path / "curve.csv"
-        write_csv(out, ["gamma", "eta_gamma"], [[r.gamma, r.eta_gamma] for r in curve])
+        write_csv(out, ["gamma", "eta_gamma"], [[g, eta] for g, eta in zip(gammas, curve)])
         lines = out.read_text().splitlines()
         assert lines[0] == "gamma,eta_gamma"
         assert len(lines) == 8
         assert float(lines[-1].split(",")[1]) <= 1e-12
-
-    def test_report_serialization(self):
-        d = eta_gamma_two_point(bsc(0.2), 2.0).to_dict()
-        assert set(d) == {"eta_gamma", "gamma", "eta_tv", "argmax_pair", "upper_bounds"}
 
 
 class TestPairwiseScan:
     @given(kernels(max_in=5, max_out=6), st.floats(1.0, 5.0))
     def test_matches_per_pair_loop(self, k, gamma):
         eta, eta_tv, pair = loop_two_point(k, gamma)
-        report = eta_gamma_two_point(k, gamma)
-        assert report.eta_gamma == pytest.approx(eta, abs=1e-12)
-        assert report.eta_tv == pytest.approx(eta_tv, abs=1e-12)
-        assert report.argmax_pair == pair
+        (scan_eta, scan_tv), (scan_pair, _) = two_point_scan(k, [gamma, 1.0])
+        assert scan_eta == pytest.approx(eta, abs=1e-12)
+        assert scan_tv == pytest.approx(eta_tv, abs=1e-12)
+        assert scan_pair == pair
 
     def test_matches_per_pair_loop_on_dense_rows(self, rng):
         for _ in range(20):
             k = random_kernel(rng, int(rng.integers(2, 9)), int(rng.integers(2, 12)))
             for gamma in (1.0, 1.4, 3.0):
                 eta, _, pair = loop_two_point(k, gamma)
-                report = eta_gamma_two_point(k, gamma)
-                assert report.eta_gamma == eta
-                assert report.argmax_pair == pair
+                assert two_point_scan(k, [gamma]) == ([eta], [pair])
 
     def test_gamma_grid_in_one_scan(self, rng):
         k = random_kernel(rng, 5, 7)
         gammas = [1.0, 1.5, 2.0, math.inf]
         values, pairs = two_point_scan(k, gammas)
         assert len(values) == len(pairs) == 4
-        for g, value, pair in zip(gammas[:-1], values, pairs):
-            report = eta_gamma_two_point(k, g)
-            assert value == report.eta_gamma
-            assert pair == report.argmax_pair
+        for g, value, pair in zip(gammas, values, pairs):
+            assert two_point_scan(k, [g]) == ([value], [pair])
         # A positive value is never a row against itself.
         assert all(x != xp for (x, xp), v in zip(pairs, values) if v > 0.0)
 
@@ -172,10 +165,9 @@ class TestPairwiseScan:
         rows[1, 3:] = rng.dirichlet(np.ones(3))
         k = Kernel(rows)
         assert egamma(k.row(0), k.row(1), 2.0) > 1.0
-        report = eta_gamma_two_point(k, 2.0)
-        assert report.eta_gamma == 1.0
-        assert report.eta_tv == 1.0
-        assert report.upper_bounds["eta_tv_from_eta_gamma"] == 1.0
+        values, _ = two_point_scan(k, [2.0, 1.0])
+        assert values == [1.0, 1.0]
+        assert eta_tv_from_eta_gamma(values[0], 2.0) == 1.0
 
     def test_rejects_gamma_below_one_in_grid(self):
         with pytest.raises(DomainError, match="0.5"):
@@ -187,12 +179,12 @@ class TestPairwiseScan:
 class TestDobrushin:
     @given(st.floats(0.0, 1.0))
     def test_bsc_closed_form(self, omega):
-        eta_tv = eta_gamma_two_point(bsc(omega), 1.0).eta_tv
+        (eta_tv,), _ = two_point_scan(bsc(omega), [1.0])
         assert eta_tv == pytest.approx(abs(1 - 2 * omega), abs=1e-12)
 
     def test_fully_mixing_and_identity(self):
-        assert eta_gamma_two_point(bsc(0.5), 1.0).eta_tv == 0.0
-        assert eta_gamma_two_point(Kernel.identity(3), 1.0).eta_tv == 1.0
+        assert two_point_scan(bsc(0.5), [1.0])[0] == [0.0]
+        assert two_point_scan(Kernel.identity(3), [1.0])[0] == [1.0]
 
 
 class TestPhi:
@@ -249,18 +241,19 @@ class TestDominanceChain:
         cfg = SearchConfig(seed=11, trials=300)
         for _ in range(10):
             k = random_kernel(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
-            eta_tv = eta_gamma_two_point(k, 1.0).eta_tv
+            gammas = (1.0, 1.7, 3.2)
+            values, _ = two_point_scan(k, gammas)
+            eta_tv = values[0]
             for f in (FGenerator.kl(), FGenerator.hellinger_squared()):
                 assert brute_eta_f(k, f, cfg) <= eta_tv + 1e-10
-            for gamma in (1.0, 1.7, 3.2):
-                report = eta_gamma_two_point(k, gamma)
-                assert eta_tv <= eta_tv_from_eta_gamma(report.eta_gamma, gamma) + 1e-12
+            for gamma, eta in zip(gammas, values):
+                assert eta_tv <= eta_tv_from_eta_gamma(eta, gamma) + 1e-12
 
     def test_tensorization_bound(self, rng):
         for _ in range(20):
             k = random_kernel(rng, 2, 2)
-            eta1 = eta_gamma_two_point(k, 1.0).eta_tv
-            eta2 = eta_gamma_two_point(tensor_power(k, 2), 1.0).eta_tv
+            (eta1,), _ = two_point_scan(k, [1.0])
+            (eta2,), _ = two_point_scan(tensor_power(k, 2), [1.0])
             assert eta2 <= 1.0 - (1.0 - eta1) ** 2 + 1e-10
 
 

@@ -9,16 +9,14 @@ from ldpkit.contraction import eta_tv_from_eta_gamma
 from ldpkit.dist import (
     Distribution,
     FGenerator,
-    egamma,
-    egamma_integral_form,
     divergence,
-    egamma_threshold_form,
+    egamma,
     f_divergence,
     hellinger_sq,
     tv,
 )
 from ldpkit.errors import DimensionError, DomainError
-from ldpkit.oracle import bu_igamma_n1
+from ldpkit.oracle import bu_igamma_n1, egamma_integral_form, egamma_threshold_form
 from support import distribution_pairs, distributions
 
 

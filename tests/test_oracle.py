@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ldpkit.contraction import eta_gamma_two_point
+from ldpkit.contraction import two_point_scan
 from ldpkit.dist import Distribution, FGenerator, f_divergence
 from ldpkit.errors import CapacityError, DomainError
 from ldpkit.kernel import Kernel, bsc, k_rr, pushforward, randomized_response
@@ -38,9 +38,9 @@ class TestBruteEtaF:
         cfg = SearchConfig(seed=9, trials=500)
         for _ in range(10):
             k = random_kernel(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
-            for gamma in (1.0, 1.5, math.e, 4.0):
+            gammas = (1.0, 1.5, math.e, 4.0)
+            for gamma, two_point in zip(gammas, two_point_scan(k, gammas)[0]):
                 brute = brute_eta_f(k, FGenerator.egamma(gamma), cfg)
-                two_point = eta_gamma_two_point(k, gamma).eta_gamma
                 assert abs(brute - two_point) <= 1e-10
 
     @pytest.mark.parametrize(
@@ -76,7 +76,7 @@ class TestBruteEtaF:
         for _ in range(5):
             k = random_kernel(rng, 3, 3)
             assert brute_eta_f(k, FGenerator.total_variation(), cfg) == pytest.approx(
-                eta_gamma_two_point(k, 1.0).eta_tv, abs=1e-12
+                two_point_scan(k, [1.0])[0][0], abs=1e-12
             )
 
     def test_without_point_masses_only_lower(self):
