@@ -11,7 +11,7 @@ vacuous rather than reported negative. Logs are nats throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -49,9 +49,6 @@ class GridSpec:
             return np.geomspace(self.lo, self.hi, self.steps)
         return np.linspace(self.lo, self.hi, self.steps)
 
-    def to_dict(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi, "steps": self.steps, "scale": self.scale}
-
 
 DEFAULT_ZETA_GRID = GridSpec(1e-4, 0.5, 2000, "log")
 DEFAULT_GAMMA_GRID = GridSpec(0.0, 4.0, 800, "linear")
@@ -75,15 +72,6 @@ class BoundReport:
     witness: dict = field(default_factory=dict)
     inputs: dict = field(default_factory=dict)
     flags: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "bound_name": self.bound_name,
-            "value": self.value,
-            "witness": dict(self.witness),
-            "inputs": dict(self.inputs),
-            "flags": list(self.flags),
-        }
 
 
 @dataclass(frozen=True)
@@ -161,6 +149,8 @@ class BayesConfig:
     def __post_init__(self):
         if not self.info_value >= 0:
             raise DomainError("info_value must be >= 0")
+        if self.info_value == math.inf:
+            raise DomainError("info_value must be finite, got inf")
         if self.n < 1:
             raise DomainError(f"n must be >= 1, got {self.n}")
 
@@ -202,6 +192,8 @@ def moment_estimation_lb(k_moment: float, n: int, params: PrivacyParams) -> Boun
     """
     if not k_moment > 1:
         raise DomainError(f"moment order must be > 1, got {k_moment!r}")
+    if k_moment == math.inf:
+        raise DomainError("moment order must be finite, got inf")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     phi_v = phi(params)
@@ -316,7 +308,7 @@ def _bayes_inputs(cfg: BayesConfig, **extra) -> dict:
         "n": cfg.n,
         "epsilon": cfg.params.epsilon,
         "delta": cfg.params.delta,
-        "zeta_grid": cfg.zeta_grid.to_dict(),
+        "zeta_grid": asdict(cfg.zeta_grid),
     }
     out.update(extra)
     return out
@@ -409,7 +401,7 @@ def bayes_gamma_opt_lb(cfg: BayesConfig) -> BoundReport:
         bound_name="bayes_gamma_opt_lb",
         value=value,
         witness={"zeta": zeta_star, "gamma": gamma_star},
-        inputs=_bayes_inputs(cfg, gamma_grid=cfg.gamma_grid.to_dict()),
+        inputs=_bayes_inputs(cfg, gamma_grid=asdict(cfg.gamma_grid)),
         flags=_flags_for(value),
     )
 

@@ -127,8 +127,9 @@ def parse_grid_spec(text: str) -> GridSpec:
     return GridSpec(lo, hi, steps, scale)
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
+def _print_json(payload) -> None:
+    """Print one JSON line; dataclass reports are written as their fields."""
+    print(json.dumps(payload, sort_keys=True, default=dataclasses.asdict))
 
 
 # --------------------------------------------------------------------------
@@ -234,10 +235,8 @@ def cmd_figure1(args: argparse.Namespace) -> int:
 #
 # Each subcommand's report(args) binds the command's epsilon-independent
 # inputs once and returns params -> BoundReport, which a sweep calls per
-# epsilon. The report functions name the calculators they call, so each
-# is looked up in this module's globals at call time: rebinding a
-# calculator here (as a tracer does) reaches every subcommand and shared
-# function.
+# epsilon. Calculators are looked up in this module's globals at call
+# time, so rebinding one here (as a tracer does) reaches every subcommand.
 
 
 def _with_bu_model(report: BoundReport, bu_model: dict) -> BoundReport:
@@ -267,22 +266,6 @@ def _bayes_report(mi: bool):
             if args.info is None:
                 result = _with_bu_model(result, {"n": args.bu_n, "panels": args.bu_panels})
             return result
-
-        return at
-
-    return report
-
-
-def _value_report(name: str, flag: str, key: str):
-    """Report of the calculator ``name(x, params) -> float`` at x = args.<flag>."""
-
-    def report(args: argparse.Namespace):
-        x = getattr(args, flag)
-
-        def at(params: PrivacyParams) -> BoundReport:
-            value = globals()[name](x, params)
-            inputs = {key: x, "epsilon": params.epsilon, "delta": params.delta}
-            return BoundReport(bound_name=name, value=value, inputs=inputs)
 
         return at
 
@@ -345,12 +328,18 @@ BOUNDS = {
     "ht": (
         "hypothesis-testing error exponent cap",
         {"--kl": _FLOAT},
-        _value_report("ht_exponent", "kl", "kl_p0_p1"),
+        lambda a: lambda p: BoundReport(
+            "ht_exponent", ht_exponent(a.kl, p),
+            inputs={"kl_p0_p1": a.kl, "epsilon": p.epsilon, "delta": p.delta},
+        ),
     ),
     "micap": (
         "mutual-information cap",
         {"--entropy": _FLOAT},
-        _value_report("mi_cap", "entropy", "entropy"),
+        lambda a: lambda p: BoundReport(
+            "mi_cap", mi_cap(a.entropy, p),
+            inputs={"entropy": a.entropy, "epsilon": p.epsilon, "delta": p.delta},
+        ),
     ),
 }
 
@@ -359,7 +348,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     _, _, report = BOUNDS[args.bound_kind]
     if args.sweep is None:
         params = PrivacyParams(args.eps, args.delta)
-        _print_json(report(args)(params).to_dict())
+        _print_json(report(args)(params))
         return 0
     what, grid_text = args.sweep
     if what != "epsilon":
@@ -398,7 +387,7 @@ def gamma_opt_report(
 
 def cmd_gammaopt(args: argparse.Namespace) -> int:
     report, bu_model = gamma_opt_report(args.bu_n, args.bu_panels, args.zeta_grid, args.gamma_grid)
-    _print_json(_with_bu_model(report, bu_model).to_dict())
+    _print_json(_with_bu_model(report, bu_model))
     return 0
 
 
@@ -422,8 +411,8 @@ def cmd_remark(args: argparse.Namespace) -> int:
     payload = {
         "model": "uniform prior on [0,1], one Bernoulli observation, absolute loss",
         "mutual_information_nats": mi,
-        "bayes_lb_egamma": eg_report.to_dict(),
-        "bayes_lb_mi": mi_report.to_dict(),
+        "bayes_lb_egamma": eg_report,
+        "bayes_lb_mi": mi_report,
         "reference_egamma": REMARK_REFERENCE_EGAMMA,
         "reference_mi": REMARK_REFERENCE_MI,
         "ordering_holds": eg_report.value > mi_report.value,
@@ -479,8 +468,7 @@ def cmd_oracle_eta_f(args: argparse.Namespace) -> int:
 
 def cmd_oracle_profile_check(args: argparse.Namespace) -> int:
     kernel = load_kernel(args.kernel)
-    report = brute_profile_check(kernel, args.epsilon)
-    payload = report.to_dict()
+    payload = dataclasses.asdict(brute_profile_check(kernel, args.epsilon))
     payload["kernel"] = str(args.kernel)
     payload["delta_formula"] = delta_at(kernel, args.epsilon)
     _print_json(payload)

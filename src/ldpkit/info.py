@@ -12,8 +12,8 @@ n - s + 1) posterior density f_s. Both informations are closed forms in
 those n + 1 classes (cost O(n) per gamma, never 2^n, no quadrature):
 I_gamma from binomial tails at the ends of each class's superlevel set
 {f_s > gamma}, and I(Theta; X^n) from a harmonic-number identity.
-Composite Simpson quadrature of the same integrals lives in
-:mod:`ldpkit.oracle` as the cross-check. All informations are in nats.
+Composite Simpson quadrature of the same integrals lives in the test
+suite (tests/support.py) as the cross-check. All informations are in nats.
 """
 
 from __future__ import annotations

@@ -173,6 +173,8 @@ def verify_equivalence(
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     gamma = gamma_from_epsilon(params.epsilon)
     d = k.input_size
     (top,), (worst,) = two_point_scan(k, [gamma])

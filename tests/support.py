@@ -1,11 +1,13 @@
-"""Shared generators and hypothesis strategies for the test suite."""
+"""Shared generators, hypothesis strategies and reference implementations
+for the test suite."""
 
 import math
 
 import numpy as np
 from hypothesis import strategies as st
 
-from ldpkit.dist import Distribution, egamma, tv
+from ldpkit.dist import Distribution, _check_alphabets, egamma, tv
+from ldpkit.errors import DomainError
 from ldpkit.kernel import Kernel, bsc, k_rr, pushforward, randomized_response
 
 
@@ -60,10 +62,13 @@ def kernels(draw, min_in: int = 2, max_in: int = 4, min_out: int = 2, max_out: i
 
 
 # --------------------------------------------------------------------------
-# Per-pair reference implementations of the two-point scan, the profile
-# inversion and the sampled verifier: one row pair (or input pair) at a
-# time through the scalar Distribution API, which the batched engine must
-# reproduce. Test-only and slow.
+# Reference implementations, test-only and slow. First the two-point scan,
+# the profile inversion and the sampled verifier one row pair (or input
+# pair) at a time through the scalar Distribution API, which the batched
+# engine must reproduce; then the sorted-prefix inversion of the profile,
+# two forms of E_gamma other than the sup-over-sets one in ldpkit.dist,
+# Simpson quadrature of the Bernoulli-uniform informations, and I_gamma
+# at n = 1 in closed form.
 
 
 def loop_two_point(k: Kernel, gamma: float) -> tuple[float, float, tuple[int, int]]:
@@ -156,3 +161,119 @@ def loop_verify(k: Kernel, epsilon: float, delta: float, trials: int, seed: int)
     if worst is not None and worst[2] > delta * worst[3] + 1e-10:
         return worst[:2], max_ratio, max_ratio_pair
     return (violating[0] if violating else None), max_ratio, max_ratio_pair
+
+def tightest_epsilon_sorted_prefix(k: Kernel, delta: float) -> float:
+    """Smallest epsilon with delta(epsilon) <= delta, from sorted
+    likelihood-ratio prefixes: the reference for ldp.tightest_epsilon.
+
+    For an ordered pair (x, x'), E_gamma(K_x || K_x') is the max over
+    output sets A of K_x(A) - gamma K_x'(A), and the maximizing sets are
+    the prefixes of the outputs sorted by likelihood ratio
+    K_x(z) / K_x'(z). With P_j, Q_j the prefix masses, the pair meets
+    delta exactly when gamma >= (P_j - delta) / Q_j for every prefix, and
+    never when some prefix has Q_j = 0 < P_j - delta. So
+    gamma* = max(1, max over pairs and prefixes) and epsilon* = log gamma*.
+    Sorts all |X|^2 |Z| ratios at once.
+    """
+    rows = k.rows
+    p = rows[:, None, :]
+    neg_ratio = np.full((rows.shape[0],) + rows.shape, -np.inf)
+    np.divide(-p, rows, out=neg_ratio, where=rows > 0.0)
+    order = np.argsort(neg_ratio, axis=-1, kind="stable")
+    big_p = np.cumsum(np.take_along_axis(p, order, axis=-1), axis=-1)
+    big_q = np.cumsum(np.take_along_axis(rows[None], order, axis=-1), axis=-1)
+    if np.any((big_q == 0.0) & (big_p > delta)):
+        return math.inf
+    need = (big_p - delta)[big_q > 0.0] / big_q[big_q > 0.0]
+    return math.log(float(need.max(initial=1.0)))
+
+
+def egamma_integral_form(p: Distribution, q: Distribution, gamma: float) -> float:
+    """E_gamma via (1/2) sum |p_i - gamma q_i| - (1/2) |1 - gamma|.
+
+    Kept as an independent formula for cross-validation against
+    :func:`ldpkit.dist.egamma`; agrees with it for every gamma >= 0.
+    """
+    _check_alphabets(p, q)
+    if not gamma >= 0:
+        raise DomainError(f"gamma must be >= 0, got {gamma!r}")
+    return float(0.5 * np.abs(p.probs - gamma * q.probs).sum() - 0.5 * abs(1.0 - gamma))
+
+
+def egamma_threshold_form(p: Distribution, q: Distribution, gamma: float) -> float:
+    """E_gamma via the likelihood-ratio threshold set A = {i : p_i > gamma q_i}.
+
+    Returns P(A) - gamma Q(A) - max(1 - gamma, 0). Symbols with
+    p_i = q_i = 0 never enter A.
+    """
+    _check_alphabets(p, q)
+    if not gamma >= 0:
+        raise DomainError(f"gamma must be >= 0, got {gamma!r}")
+    mask = p.probs > gamma * q.probs
+    value = p.probs[mask].sum() - gamma * q.probs[mask].sum()
+    return float(value - max(1.0 - gamma, 0.0))
+
+
+def simpson(y: np.ndarray, dx: float) -> float:
+    """Composite Simpson rule over an odd number of samples spaced dx apart.
+
+    Sums in the same order as scipy.integrate.simpson, so the values
+    match it bit for bit.
+    """
+    return float(np.sum(y[:-2:2] + 4.0 * y[1:-1:2] + y[2::2]) * (dx / 3.0))
+
+
+def _bu_log_densities(n: int, panels: int):
+    """The Simpson grid over [0, 1], its spacing, and per count class s the
+    log of the Beta(s+1, n-s+1) density on it (lgamma, so no overflow)."""
+    if panels < 2 or panels % 2 != 0:
+        raise DomainError(f"panels must be even and >= 2, got {panels}")
+    theta = np.linspace(0.0, 1.0, panels + 1)
+    with np.errstate(divide="ignore"):
+        log_t, log_1mt = np.log(theta), np.log1p(-theta)
+    logs = (
+        math.lgamma(n + 2) - math.lgamma(s + 1) - math.lgamma(n - s + 1)
+        + (s * log_t if s else 0.0)
+        + ((n - s) * log_1mt if n - s else 0.0)
+        for s in range(n + 1)
+    )
+    return theta, theta[1] - theta[0], logs
+
+
+def bu_igamma_quadrature(n: int, gamma: float, panels: int = 20000) -> float:
+    """I_gamma(Theta; X^n) of the Bernoulli-uniform model by composite
+    Simpson: the integral of [f_s - gamma]_+ per count class s, summed in
+    s order, divided by n + 1, minus max(1 - gamma, 0).
+
+    The integrands have kinks where f_s = gamma, so the error is
+    O(panels^-2) with an irregular constant rather than O(panels^-4).
+    """
+    _, h, logs = _bu_log_densities(n, panels)
+    total = sum(simpson(np.maximum(np.exp(lf) - gamma, 0.0), h) for lf in logs)
+    return max(0.0, total / (n + 1) - max(1.0 - gamma, 0.0))
+
+
+def bu_mutual_information_quadrature(n: int, panels: int = 20000) -> float:
+    """I(Theta; X^n) of the Bernoulli-uniform model by composite Simpson
+    over the prior: the KL of the conditional from the marginal at theta
+    is sum_s m_s log((n+1) m_s), with m_s = f_s / (n+1) the Binomial(n,
+    theta) mass (x log x = 0 at x = 0)."""
+    theta, h, logs = _bu_log_densities(n, panels)
+    acc = np.zeros_like(theta)
+    for lf in logs:
+        m = np.exp(lf) / (n + 1)
+        with np.errstate(invalid="ignore"):  # 0 * -inf where the mass vanishes
+            acc += np.where(m > 0, m * lf, 0.0)
+    return simpson(acc, h)
+
+
+def bu_igamma_n1(gamma: float) -> float:
+    """I_gamma(Theta; X) at n = 1 in closed form: the piecewise quadratic
+    gamma^2/4 on [0, 1], (gamma - 2)^2/4 on [1, 2], and 0 beyond."""
+    if not gamma >= 0:
+        raise DomainError(f"gamma must be >= 0, got {gamma!r}")
+    if gamma <= 1.0:
+        return 0.25 * gamma**2
+    if gamma <= 2.0:
+        return 0.25 * (gamma - 2.0) ** 2
+    return 0.0

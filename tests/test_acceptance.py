@@ -50,15 +50,16 @@ from ldpkit.info import (
 )
 from ldpkit.kernel import bsc, k_rr, pushforward, randomized_response, tensor_power
 from ldpkit.ldp import delta_at, tightest_epsilon
-from ldpkit.oracle import (
-    SearchConfig,
-    brute_eta_f,
-    brute_profile_check,
+from ldpkit.oracle import SearchConfig, brute_eta_f, brute_profile_check
+from support import (
+    audit_kernel_family,
     bu_igamma_n1,
     egamma_integral_form,
     egamma_threshold_form,
+    loop_two_point,
+    random_distribution,
+    random_kernel,
 )
-from support import audit_kernel_family, loop_two_point, random_distribution, random_kernel
 
 # Frozen dense-grid oracle values for the non-private Bayes bounds on the
 # uniform-Bernoulli model with L(z) = min(2z, 1); derived independently by

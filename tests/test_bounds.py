@@ -25,7 +25,8 @@ from ldpkit.contraction import PrivacyParams, phi, phi_n
 from ldpkit.errors import DomainError
 from ldpkit.info import BernoulliUniformModel, JointDistribution, bu_igamma, mutual_information
 from ldpkit.kernel import randomized_response
-from ldpkit.oracle import bu_igamma_n1
+from ldpkit.oracle import grid_max
+from support import bu_igamma_n1
 
 LN2 = math.log(2.0)
 
@@ -126,6 +127,9 @@ class TestMomentEstimation:
     def test_domain(self):
         with pytest.raises(DomainError):
             moment_estimation_lb(1.0, 5, NONPRIVATE)
+        # The exponent 2(k - 1)/k would be inf/inf.
+        with pytest.raises(DomainError, match="finite"):
+            moment_estimation_lb(math.inf, 5, NONPRIVATE)
 
 
 class TestFano:
@@ -286,6 +290,13 @@ class TestBayesEgamma:
         assert r2.inputs["info_coefficient"] == phi_n(params, 2)
 
 
+class TestBayesConfig:
+    @pytest.mark.parametrize("info", [-1.0, math.nan, math.inf])
+    def test_information_must_be_finite_and_nonnegative(self, info):
+        with pytest.raises(DomainError, match="info_value must be"):
+            BayesConfig(small_ball=small_ball_uniform01, info_value=info, n=1, params=NONPRIVATE)
+
+
 class TestBayesGammaOpt:
     def test_requires_info_fn(self):
         cfg = BayesConfig(
@@ -358,8 +369,6 @@ class TestBayesGammaOpt:
                     params=params,
                 )
             )
-            from ldpkit.oracle import grid_max
-
             zetas = GridSpec(1e-4, 0.5, 2000, "log").points()
 
             def objective(z, g):

@@ -49,6 +49,13 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def run_error(capsys, argv) -> str:
+    """Stderr of a run that must exit 1 with no stdout and one error line."""
+    code, out, err = run(capsys, argv)
+    assert (code, out, err.count("\n")) == (1, "", 1) and err.startswith("error: "), err
+    return err
+
+
 class TestParseHelpers:
     def test_linear_grid(self):
         assert np.allclose(parse_linear_grid("0:2:5"), [0, 0.5, 1, 1.5, 2])
@@ -83,9 +90,7 @@ class TestAudit:
     def test_malformed_kernel_exit_one(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("0.5,0.5\n0.9,0.3\n")
-        code, _, err = run(capsys, ["audit", str(bad), "--epsilon", "1"])
-        assert code == 1
-        assert "row 1" in err
+        assert "row 1" in run_error(capsys, ["audit", str(bad), "--epsilon", "1"])
 
     @pytest.mark.parametrize(
         "name, text",
@@ -110,10 +115,7 @@ class TestAudit:
         # latin-1 writes each character as the byte of the same value, so
         # the last case is the bytes ff fe, which are not UTF-8.
         path.write_bytes(text.encode("latin-1"))
-        code, out, err = run(capsys, ["audit", str(path), "--epsilon", "1"])
-        assert code == 1
-        assert out == ""
-        assert len(err.splitlines()) == 1
+        err = run_error(capsys, ["audit", str(path), "--epsilon", "1"])
         assert err.startswith("error: malformed kernel file")
 
     @pytest.mark.parametrize(
@@ -128,28 +130,18 @@ class TestAudit:
     def test_rejected_kernel_is_one_error_line(self, capsys, tmp_path, text, message):
         path = tmp_path / "kernel.json"
         path.write_text(text)
-        code, out, err = run(capsys, ["audit", str(path), "--epsilon", "1"])
-        assert code == 1
-        assert out == ""
-        assert len(err.splitlines()) == 1
+        err = run_error(capsys, ["audit", str(path), "--epsilon", "1"])
         assert err.startswith(f"error: {message}")
 
     def test_delta_without_epsilon_is_one_error_line(self, capsys, rr1_file):
-        code, out, err = run(capsys, ["audit", str(rr1_file), "--delta", "0.01"])
-        assert code == 1
-        assert out == ""
+        err = run_error(capsys, ["audit", str(rr1_file), "--delta", "0.01"])
         assert err == "error: --delta requires --epsilon\n"
 
     def test_overflowing_epsilon_is_one_error_line(self, capsys, rr1_file):
-        code, out, err = run(capsys, ["audit", str(rr1_file), "--epsilon", "1e6"])
-        assert code == 1
-        assert out == ""
-        assert len(err.splitlines()) == 1
-        assert err.startswith("error: ") and "overflows" in err
+        assert "overflows" in run_error(capsys, ["audit", str(rr1_file), "--epsilon", "1e6"])
 
     def test_missing_file_exit_one(self, capsys, tmp_path):
-        code, _, err = run(capsys, ["audit", str(tmp_path / "nope.json"), "--epsilon", "1"])
-        assert code == 1
+        run_error(capsys, ["audit", str(tmp_path / "nope.json"), "--epsilon", "1"])
 
     def test_profile_csv(self, capsys, rr1_file, tmp_path):
         out_csv = tmp_path / "profile.csv"
@@ -224,9 +216,7 @@ class TestBound:
         assert json.loads(out)["value"] == pytest.approx(0.6931, abs=1e-12)
 
     def test_moment_domain_error_exit_one(self, capsys):
-        code, _, err = run(capsys, ["bound", "moment", "--k-moment", "1", "--eps", "1"])
-        assert code == 1
-        assert "moment" in err
+        assert "moment" in run_error(capsys, ["bound", "moment", "--k-moment", "1", "--eps", "1"])
 
     @pytest.mark.parametrize(
         "argv",
@@ -242,11 +232,22 @@ class TestBound:
     )
     @pytest.mark.parametrize("value", ["-5", "nan"])
     def test_negative_or_nan_information_is_one_error_line(self, capsys, argv, value):
-        code, out, err = run(capsys, ["bound", *argv, value, "--eps", "1"])
-        assert code == 1
-        assert out == ""
-        assert len(err.splitlines()) == 1
-        assert err.startswith("error: ") and "must be >= 0" in err
+        assert "must be >= 0" in run_error(capsys, ["bound", *argv, value, "--eps", "1"])
+
+    # The moment exponent 2(k - 1)/k is inf/inf, and bayes-egamma at n = 1,
+    # delta = 0 multiplies I by c = 0.
+    @pytest.mark.parametrize("argv", [["moment", "--k-moment"], ["bayes-egamma", "--info"]])
+    def test_infinite_input_without_a_limit_is_one_error_line(self, capsys, argv):
+        assert "finite" in run_error(capsys, ["bound", *argv, "inf", "--eps", "1"])
+
+    @pytest.mark.parametrize(
+        "argv, value",
+        [(["ht", "--kl"], -math.inf), (["lecam", "--tau", "1", "--kl"], 0.0),
+         (["fano", "--v-count", "4", "--avg-kl", "0.1", "--tau", "1", "--mi"], 0.0)],
+    )
+    def test_infinite_information_with_a_limit_keeps_its_value(self, capsys, argv, value):
+        code, out, _ = run(capsys, ["bound", *argv, "inf", "--eps", "1"])
+        assert (code, json.loads(out)["value"]) == (0, value)
 
     def test_bayes_mi_with_model(self, capsys):
         code, out, _ = run(
@@ -299,19 +300,17 @@ class TestBound:
         assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_sweep_requires_out(self, capsys):
-        code, _, err = run(
+        err = run_error(
             capsys, ["bound", "ht", "--kl", "1", "--eps", "0", "--sweep", "epsilon", "0:1:3"]
         )
-        assert code == 1
         assert "--out" in err
 
     def test_sweep_rejects_other_params(self, capsys):
-        code, _, err = run(
+        err = run_error(
             capsys,
             ["bound", "ht", "--kl", "1", "--eps", "0", "--sweep", "delta", "0:1:3",
              "--out", "x.csv"],
         )
-        assert code == 1
         assert "epsilon" in err
 
     def test_moment_sweep_includes_witness_column(self, capsys, tmp_path):
@@ -419,11 +418,7 @@ class TestBayesModelCommands:
     )
     def test_rejected_grid_is_one_error_line(self, capsys, tmp_path, rr1_file, argv, grid):
         argv = [a.format(kernel=rr1_file, out=tmp_path / "unwritten.csv") for a in argv]
-        code, out, err = run(capsys, [*argv, grid])
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "grid" in err
+        assert "grid" in run_error(capsys, [*argv, grid])
 
     def test_grid_flags_reach_the_manifest_as_specs(self, capsys, tmp_path):
         out = tmp_path / "s.csv"
@@ -496,11 +491,7 @@ class TestOracleCommands:
 
     @pytest.mark.parametrize("alpha", ["inf", "nan", "0"])
     def test_eta_f_rejects_unusable_dirichlet_alpha(self, capsys, rr1_file, alpha):
-        code, out, err = run(
-            capsys, ["oracle", "eta-f", str(rr1_file), "--f", "kl", "--alpha", alpha]
-        )
-        assert code == 1
-        assert out == ""
+        err = run_error(capsys, ["oracle", "eta-f", str(rr1_file), "--f", "kl", "--alpha", alpha])
         assert err.startswith("error: dirichlet_alpha must be finite and positive")
 
     @pytest.mark.parametrize(
@@ -509,10 +500,7 @@ class TestOracleCommands:
         ids=["egamma-nan", "kl-gamma"],
     )
     def test_eta_f_rejects_nan_gamma(self, capsys, rr1_file, flags):
-        code, out, err = run(capsys, ["oracle", "eta-f", str(rr1_file), *flags])
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        run_error(capsys, ["oracle", "eta-f", str(rr1_file), *flags])
 
     def test_profile_check(self, capsys, rr1_file):
         code, out, _ = run(
@@ -520,6 +508,14 @@ class TestOracleCommands:
         )
         payload = json.loads(out)
         assert payload["delta"] == pytest.approx(payload["delta_formula"], abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv", [["audit", "--epsilon", "1", "--delta", "0.1"], ["oracle", "eta-f", "--f", "tv"]]
+)
+def test_negative_seed_is_one_error_line(capsys, rr1_file, argv):
+    err = run_error(capsys, [*argv, str(rr1_file), "--seed", "-1"])
+    assert err == "error: seed must be >= 0, got -1\n"
 
 
 class TestOutputDirEnv:

@@ -16,8 +16,13 @@ from ldpkit.dist import (
     tv,
 )
 from ldpkit.errors import DimensionError, DomainError
-from ldpkit.oracle import bu_igamma_n1, egamma_integral_form, egamma_threshold_form
-from support import distribution_pairs, distributions
+from support import (
+    bu_igamma_n1,
+    distribution_pairs,
+    distributions,
+    egamma_integral_form,
+    egamma_threshold_form,
+)
 
 
 class TestDistribution:

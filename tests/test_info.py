@@ -22,13 +22,13 @@ from ldpkit.info import (
     entropy,
     mutual_information,
 )
-from ldpkit.oracle import (
+from support import (
     bu_igamma_n1,
     bu_igamma_quadrature,
     bu_mutual_information_quadrature,
+    random_kernel,
     simpson,
 )
-from support import random_kernel
 
 # Independent fine-grid trapezoid value for I(Theta; X^2), frozen before the
 # Simpson implementation existed; agrees with the analytic value

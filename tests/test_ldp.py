@@ -21,7 +21,7 @@ from ldpkit.ldp import (
     tightest_epsilon,
     verify_equivalence,
 )
-from ldpkit.oracle import brute_profile_check, tightest_epsilon_sorted_prefix
+from ldpkit.oracle import brute_profile_check
 from support import (
     audit_kernel_family,
     bisect_tightest_epsilon,
@@ -29,6 +29,7 @@ from support import (
     loop_two_point,
     loop_verify,
     random_kernel,
+    tightest_epsilon_sorted_prefix,
 )
 
 # Two rows with different supports: row 0 puts mass 0.5 where row 1 is zero.
@@ -233,6 +234,10 @@ class TestVerifyEquivalence:
         p, q = report.violation_pair
         assert sorted(np.asarray(p).tolist()) == [0.0, 1.0]
         assert sorted(np.asarray(q).tolist()) == [0.0, 1.0]
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            verify_equivalence(bsc(0.3), PrivacyParams(0.5, 0.2), 10, seed=-1)
 
     def test_vacuous_delta_is_trivially_fine(self):
         report = verify_equivalence(Kernel.identity(3), PrivacyParams(1.0, 1.0), 10)

@@ -18,6 +18,8 @@ class TestSearchConfig:
             SearchConfig(seed=1, trials=0)
         with pytest.raises(DomainError):
             SearchConfig(seed=1, trials=10, dirichlet_alpha=0.0)
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            SearchConfig(seed=-1, trials=10)
 
 
 class TestBruteEtaF:
