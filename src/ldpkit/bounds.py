@@ -155,6 +155,15 @@ class BayesConfig:
             raise DomainError(f"n must be >= 1, got {self.n}")
 
 
+def _contracted(c: float, info: float) -> float:
+    """c * info, the information left after a contraction coefficient c.
+
+    A zero coefficient lets no information through, so the product is 0
+    when c = 0 even for info = inf; otherwise it is c * info as is.
+    """
+    return 0.0 if c == 0.0 else c * info
+
+
 def _flags_for(value: float, extra: tuple[str, ...] = ()) -> tuple[str, ...]:
     return extra + (("vacuous",) if value <= 0 else ())
 
@@ -162,7 +171,7 @@ def _flags_for(value: float, extra: tuple[str, ...] = ()) -> tuple[str, ...]:
 def lecam_private(cfg: LeCamConfig) -> BoundReport:
     """Two-point minimax lower bound (tau/2)[1 - sqrt(n phi KL / 2)], clamped at 0."""
     phi_v = phi(cfg.params)
-    bracket = 1.0 - math.sqrt(0.5 * cfg.n * phi_v * cfg.kl_p0_p1)
+    bracket = 1.0 - math.sqrt(_contracted(0.5 * cfg.n * phi_v, cfg.kl_p0_p1))
     value = max(0.0, 0.5 * cfg.tau * bracket)
     return BoundReport(
         bound_name="lecam_private",
@@ -232,8 +241,8 @@ def fano_mi_upper(cfg: FanoConfig) -> float:
     """
     pn = phi_n(cfg.params, cfg.n)
     if cfg.mi_xn_v is not None:
-        return pn * cfg.mi_xn_v
-    return cfg.n * pn * cfg.avg_pairwise_kl
+        return _contracted(pn, cfg.mi_xn_v)
+    return _contracted(cfg.n * pn, cfg.avg_pairwise_kl)
 
 
 def fano_lb(cfg: FanoConfig) -> BoundReport:
@@ -414,11 +423,11 @@ def ht_exponent(kl_p0_p1: float, params: PrivacyParams) -> float:
     """
     if not kl_p0_p1 >= 0:
         raise DomainError("kl_p0_p1 must be >= 0")
-    return -phi(params) * kl_p0_p1
+    return -_contracted(phi(params), kl_p0_p1)
 
 
 def mi_cap(h_x: float, params: PrivacyParams) -> float:
     """Largest mutual information any private view can retain: phi * H(X)."""
     if not h_x >= 0:
         raise DomainError("entropy must be >= 0")
-    return phi(params) * h_x
+    return _contracted(phi(params), h_x)

@@ -191,12 +191,13 @@ def cmd_audit(args: argparse.Namespace) -> int:
 # figure1
 
 
-def figure1_curve(model: BernoulliUniformModel, delta: float, epsilons) -> tuple[float, list]:
-    """I(Theta; X^n) of the model, and per epsilon the row (epsilon,
-    mutual-information bound, hockey-stick bound): the two private
-    Bayes-risk lower bounds at (epsilon, delta) from n observations."""
+def cmd_figure1(args: argparse.Namespace) -> int:
+    # Per epsilon, the two private Bayes-risk lower bounds at
+    # (epsilon, delta) from n observations of the Bernoulli-uniform model.
+    model = BernoulliUniformModel(args.n, args.panels)
+    epsilons = parse_linear_grid(args.eps_grid)
     mi = bu_mutual_information(model)
-    params = [PrivacyParams(float(eps), delta) for eps in epsilons]
+    params = [PrivacyParams(float(eps), args.delta) for eps in epsilons]
     igammas = bu_igamma(model, np.array([gamma_from_epsilon(p.epsilon) for p in params]))
     rows = []
     for p, ig in zip(params, igammas):
@@ -207,12 +208,6 @@ def figure1_curve(model: BernoulliUniformModel, delta: float, epsilons) -> tuple
             BayesConfig(small_ball_uniform01, info_value=float(ig), n=model.n, params=p)
         )
         rows.append([p.epsilon, mi_bound.value, eg_bound.value])
-    return mi, rows
-
-
-def cmd_figure1(args: argparse.Namespace) -> int:
-    model = BernoulliUniformModel(args.n, args.panels)
-    mi, rows = figure1_curve(model, args.delta, parse_linear_grid(args.eps_grid))
     out = resolve_out(args.out)
     write_csv(out, ["epsilon", "bayes_lb_mi", "bayes_lb_egamma"], rows)
     manifest = _emit_manifest("figure1", args, [out])
@@ -395,19 +390,13 @@ def cmd_gammaopt(args: argparse.Namespace) -> int:
 # remark
 
 
-def remark_reports() -> tuple[float, BoundReport, BoundReport]:
-    """I(Theta; X) in nats at n = 1, and there the Bernoulli-uniform model's
-    mutual-information and gamma-optimized non-private Bayes bounds."""
+def cmd_remark(args: argparse.Namespace) -> int:
+    # The two non-private bounds of the Bernoulli-uniform model at n = 1.
     mi = bu_mutual_information(BernoulliUniformModel(1))
     mi_report = bayes_xu_raginsky_private(
         BayesConfig(small_ball_uniform01, info_value=mi, n=1, params=PrivacyParams(0.0, 1.0))
     )
     eg_report, _ = gamma_opt_report(1)
-    return mi, mi_report, eg_report
-
-
-def cmd_remark(args: argparse.Namespace) -> int:
-    mi, mi_report, eg_report = remark_reports()
     payload = {
         "model": "uniform prior on [0,1], one Bernoulli observation, absolute loss",
         "mutual_information_nats": mi,
@@ -556,6 +545,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (DomainError, DimensionError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

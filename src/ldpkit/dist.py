@@ -14,7 +14,6 @@ the scalar functions on Distribution wrap it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,20 +105,6 @@ class Distribution:
             raise DomainError("alphabet size must be >= 1")
         return cls(np.full(size, 1.0 / size))
 
-    @classmethod
-    def parse(cls, text: str) -> "Distribution":
-        """Parse from a JSON array or a single comma-separated line."""
-        stripped = text.strip()
-        if stripped.startswith("["):
-            values = json.loads(stripped)
-        else:
-            values = [float(tok) for tok in stripped.split(",") if tok.strip()]
-        return cls(np.asarray(values, dtype=float))
-
-    def to_json(self) -> str:
-        """Lossless JSON array (17 significant digits)."""
-        return "[" + ",".join(f"{x:.17g}" for x in self.probs) + "]"
-
 
 _F_KINDS = ("tv", "kl", "chi2", "hellinger_sq", "egamma")
 
@@ -144,26 +129,6 @@ class FGenerator:
                 raise DomainError(f"egamma requires gamma >= 0, got {self.gamma!r}")
         elif self.gamma is not None:
             raise DomainError(f"kind {self.kind!r} takes no gamma parameter")
-
-    @classmethod
-    def total_variation(cls) -> "FGenerator":
-        return cls("tv")
-
-    @classmethod
-    def kl(cls) -> "FGenerator":
-        return cls("kl")
-
-    @classmethod
-    def chi_squared(cls) -> "FGenerator":
-        return cls("chi2")
-
-    @classmethod
-    def hellinger_squared(cls) -> "FGenerator":
-        return cls("hellinger_sq")
-
-    @classmethod
-    def egamma(cls, gamma: float) -> "FGenerator":
-        return cls("egamma", gamma)
 
 
 def _check_alphabets(p: Distribution, q: Distribution):

@@ -130,23 +130,6 @@ class EquivalenceReport:
     violation_found: bool
     violation_pair: tuple | None
 
-    def to_dict(self) -> dict:
-        def _pair(pair):
-            if pair is None:
-                return None
-            return [list(np.asarray(v, dtype=float)) for v in pair]
-
-        return {
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "certified": self.certified,
-            "trials": self.trials,
-            "max_ratio": self.max_ratio,
-            "max_ratio_pair": _pair(self.max_ratio_pair),
-            "violation_found": self.violation_found,
-            "violation_pair": _pair(self.violation_pair),
-        }
-
 
 def _pushforward(ps: np.ndarray, k: Kernel) -> np.ndarray:
     # A stack of vector-matrix products rounds like pushforward does row
@@ -173,6 +156,8 @@ def verify_equivalence(
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    if trials > np.iinfo(np.intp).max:
+        raise DomainError(f"trials must be <= {np.iinfo(np.intp).max}, got {trials}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     gamma = gamma_from_epsilon(params.epsilon)

@@ -50,6 +50,8 @@ class SearchConfig:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
+        if self.trials > np.iinfo(np.intp).max:
+            raise DomainError(f"trials must be <= {np.iinfo(np.intp).max}, got {self.trials}")
         if not 0 < self.dirichlet_alpha < math.inf:
             raise DomainError(
                 f"dirichlet_alpha must be finite and positive, got {self.dirichlet_alpha!r}"

@@ -86,7 +86,7 @@ def test_criterion_1_two_point_exactness(criterion):
         k = random_kernel(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
         gammas = (1.0, 1.5, math.e, 4.0)
         for gamma, two_point in zip(gammas, two_point_scan(k, gammas)[0]):
-            brute = brute_eta_f(k, FGenerator.egamma(gamma), cfg)
+            brute = brute_eta_f(k, FGenerator("egamma", gamma), cfg)
             worst = max(worst, abs(brute - two_point))
     criterion(
         1,
@@ -131,10 +131,10 @@ def test_criterion_4_universal_contraction_dominance(criterion):
     rng = np.random.default_rng(404)
     cfg = SearchConfig(seed=77, trials=1000)
     fs = [
-        FGenerator.total_variation(),
-        FGenerator.kl(),
-        FGenerator.chi_squared(),
-        FGenerator.hellinger_squared(),
+        FGenerator("tv"),
+        FGenerator("kl"),
+        FGenerator("chi2"),
+        FGenerator("hellinger_sq"),
     ]
     certified = [
         (randomized_response(0.5), 0.5),
@@ -155,7 +155,7 @@ def test_criterion_4_universal_contraction_dominance(criterion):
                    (random_kernel(rng, 2, 2), 0.7)]:
         delta = min(1.0, delta_at(k, eps))
         cap2 = phi_n(PrivacyParams(eps, delta), 2)
-        est = brute_eta_f(tensor_power(k, 2), FGenerator.total_variation(), cfg)
+        est = brute_eta_f(tensor_power(k, 2), FGenerator("tv"), cfg)
         worst_tensor = max(worst_tensor, est - cap2)
     ok = worst <= 1e-10 and worst_tensor <= 1e-10
     criterion(
@@ -172,7 +172,7 @@ def test_criterion_5_kl_contraction_closed_form(criterion):
     gaps = []
     for eps in (0.5, 1.0, 2.0):
         closed = eta_kl_bsc(1.0 / (1.0 + math.exp(eps)))
-        est = brute_eta_f(randomized_response(eps), FGenerator.kl(), cfg)
+        est = brute_eta_f(randomized_response(eps), FGenerator("kl"), cfg)
         gaps.append(closed - est)
         ok &= est <= closed + 1e-10
         ok &= abs(est - closed) <= 1e-3
@@ -269,10 +269,10 @@ def test_criterion_8_property_suites(criterion):
     violations["sandwich"] = worst if worst > 1e-10 else 0.0
 
     fs = [
-        FGenerator.total_variation(),
-        FGenerator.kl(),
-        FGenerator.chi_squared(),
-        FGenerator.hellinger_squared(),
+        FGenerator("tv"),
+        FGenerator("kl"),
+        FGenerator("chi2"),
+        FGenerator("hellinger_sq"),
     ]
     worst = 0.0
     for _ in range(1000):
@@ -280,7 +280,7 @@ def test_criterion_8_property_suites(criterion):
         p, q = random_distribution(rng, d), random_distribution(rng, d)
         k = random_kernel(rng, d, int(rng.integers(2, 5)))
         pk, qk = pushforward(p, k), pushforward(q, k)
-        for f in fs + [FGenerator.egamma(float(rng.uniform(1.0, 5.0)))]:
+        for f in fs + [FGenerator("egamma", float(rng.uniform(1.0, 5.0)))]:
             before = f_divergence(p, q, f)
             if math.isinf(before):
                 continue
@@ -314,7 +314,7 @@ def test_criterion_8_property_suites(criterion):
     for _ in range(1000):
         d = int(rng.integers(2, 6))
         p, q = random_distribution(rng, d), random_distribution(rng, d)
-        kl = f_divergence(p, q, FGenerator.kl())
+        kl = f_divergence(p, q, FGenerator("kl"))
         if math.isinf(kl):
             continue
         worst = max(worst, tv(p, q) ** 2 - 0.5 * kl)

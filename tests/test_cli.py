@@ -249,6 +249,37 @@ class TestBound:
         code, out, _ = run(capsys, ["bound", *argv, "inf", "--eps", "1"])
         assert (code, json.loads(out)["value"]) == (0, value)
 
+    # At eps = delta = 0, phi = 0 lets no information through, so an
+    # infinite information gives the bound of a finite one.
+    @pytest.mark.parametrize(
+        "argv, finite",
+        [
+            (["ht", "--kl"], "1"),
+            (["micap", "--entropy"], "1"),
+            (["lecam", "--tau", "1", "--kl"], "1"),
+            (["fano", "--v-count", "4", "--avg-kl", "0.1", "--tau", "1", "--mi"], "1"),
+            (["fano", "--v-count", "4", "--tau", "1", "--avg-kl"], "0.1"),
+        ],
+    )
+    def test_infinite_information_at_zero_phi_passes_none(self, capsys, argv, finite):
+        code, out, _ = run(capsys, ["bound", *argv, "inf", "--eps", "0"])
+        _, finite_out, _ = run(capsys, ["bound", *argv, finite, "--eps", "0"])
+        assert (code, json.loads(out)["value"]) == (0, json.loads(finite_out)["value"])
+
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["ht", "--kl"], -math.inf),
+            (["micap", "--entropy"], math.inf),
+            (["lecam", "--tau", "1", "--kl"], 0.0),
+            (["fano", "--v-count", "4", "--avg-kl", "0.1", "--tau", "1", "--mi"], 0.0),
+            (["fano", "--v-count", "4", "--tau", "1", "--avg-kl"], 0.0),
+        ],
+    )
+    def test_infinite_information_at_positive_phi_keeps_its_value(self, capsys, argv, value):
+        code, out, _ = run(capsys, ["bound", *argv, "inf", "--eps", "0.5"])
+        assert (code, json.loads(out)["value"]) == (0, value)
+
     def test_bayes_mi_with_model(self, capsys):
         code, out, _ = run(
             capsys,
@@ -516,6 +547,16 @@ class TestOracleCommands:
 def test_negative_seed_is_one_error_line(capsys, rr1_file, argv):
     err = run_error(capsys, [*argv, str(rr1_file), "--seed", "-1"])
     assert err == "error: seed must be >= 0, got -1\n"
+
+
+# 10**15 trials fail at their first allocation (PiB-sized); 10**30 does not
+# fit numpy's index type.
+@pytest.mark.parametrize("trials", [10**15, 10**30])
+@pytest.mark.parametrize(
+    "argv", [["audit", "--epsilon", "1", "--delta", "0"], ["oracle", "eta-f", "--f", "tv"]]
+)
+def test_oversized_trials_is_one_error_line(capsys, rr1_file, argv, trials):
+    run_error(capsys, [*argv, str(rr1_file), "--trials", str(trials)])
 
 
 class TestOutputDirEnv:

@@ -244,7 +244,7 @@ class TestDominanceChain:
             gammas = (1.0, 1.7, 3.2)
             values, _ = two_point_scan(k, gammas)
             eta_tv = values[0]
-            for f in (FGenerator.kl(), FGenerator.hellinger_squared()):
+            for f in (FGenerator("kl"), FGenerator("hellinger_sq")):
                 assert brute_eta_f(k, f, cfg) <= eta_tv + 1e-10
             for gamma, eta in zip(gammas, values):
                 assert eta_tv <= eta_tv_from_eta_gamma(eta, gamma) + 1e-12
@@ -268,6 +268,6 @@ class TestEtaKlBsc:
     def test_brute_estimate_approaches_from_below(self):
         rr = randomized_response(1.0)
         closed = eta_kl_bsc(1.0 / (1.0 + math.e))
-        est = brute_eta_f(rr, FGenerator.kl(), SearchConfig(seed=3, trials=2000))
+        est = brute_eta_f(rr, FGenerator("kl"), SearchConfig(seed=3, trials=2000))
         assert est <= closed + 1e-10
         assert est == pytest.approx(closed, abs=1e-3)

@@ -65,22 +65,13 @@ class TestDistribution:
         assert np.allclose(Distribution.uniform(4).probs, 0.25)
         assert Distribution.bernoulli(0.25).probs.tolist() == [0.75, 0.25]
 
-    def test_parse_json_and_csv(self):
-        assert Distribution.parse("[0.25, 0.75]").probs.tolist() == [0.25, 0.75]
-        assert Distribution.parse("0.25,0.75").probs.tolist() == [0.25, 0.75]
-
-    def test_json_round_trip_is_lossless(self):
-        d = Distribution(np.array([1 / 3, 1 / 7, 1 - 1 / 3 - 1 / 7]))
-        again = Distribution.parse(d.to_json())
-        assert np.array_equal(d.probs, again.probs)
-
 
 class TestFGenerator:
     def test_egamma_requires_gamma(self):
         with pytest.raises(DomainError):
             FGenerator("egamma")
         with pytest.raises(DomainError):
-            FGenerator.egamma(-0.5)
+            FGenerator("egamma", -0.5)
 
     def test_other_kinds_reject_gamma(self):
         with pytest.raises(DomainError):
@@ -213,12 +204,12 @@ class TestFDivergence:
     @pytest.mark.parametrize(
         "f",
         [
-            FGenerator.total_variation(),
-            FGenerator.kl(),
-            FGenerator.chi_squared(),
-            FGenerator.hellinger_squared(),
-            FGenerator.egamma(1.7),
-            FGenerator.egamma(0.4),
+            FGenerator("tv"),
+            FGenerator("kl"),
+            FGenerator("chi2"),
+            FGenerator("hellinger_sq"),
+            FGenerator("egamma", 1.7),
+            FGenerator("egamma", 0.4),
         ],
     )
     def test_zero_at_equal_arguments(self, f):
@@ -227,7 +218,7 @@ class TestFDivergence:
 
     def test_kl_example(self):
         value = f_divergence(
-            Distribution.bernoulli(0.5), Distribution.bernoulli(0.25), FGenerator.kl()
+            Distribution.bernoulli(0.5), Distribution.bernoulli(0.25), FGenerator("kl")
         )
         expected = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
         assert value == pytest.approx(expected, abs=1e-15)
@@ -236,42 +227,42 @@ class TestFDivergence:
     def test_kl_infinite_off_support(self):
         p = Distribution.bernoulli(0.5)
         q = Distribution.point_mass(1, 2)
-        assert f_divergence(p, q, FGenerator.kl()) == math.inf
-        assert f_divergence(p, q, FGenerator.chi_squared()) == math.inf
+        assert f_divergence(p, q, FGenerator("kl")) == math.inf
+        assert f_divergence(p, q, FGenerator("chi2")) == math.inf
         # reverse direction stays finite
-        assert math.isfinite(f_divergence(q, p, FGenerator.kl()))
+        assert math.isfinite(f_divergence(q, p, FGenerator("kl")))
 
     def test_finite_limits_for_tv_hellinger_egamma(self):
         p = Distribution.bernoulli(0.5)
         q = Distribution.point_mass(1, 2)
-        assert f_divergence(p, q, FGenerator.total_variation()) == 0.5
-        assert math.isfinite(f_divergence(p, q, FGenerator.hellinger_squared()))
-        assert math.isfinite(f_divergence(p, q, FGenerator.egamma(2.0)))
+        assert f_divergence(p, q, FGenerator("tv")) == 0.5
+        assert math.isfinite(f_divergence(p, q, FGenerator("hellinger_sq")))
+        assert math.isfinite(f_divergence(p, q, FGenerator("egamma", 2.0)))
 
     def test_tv_kind_matches_tv(self):
         p = Distribution(np.array([0.2, 0.3, 0.5]))
         q = Distribution(np.array([0.6, 0.1, 0.3]))
-        assert f_divergence(p, q, FGenerator.total_variation()) == tv(p, q)
+        assert f_divergence(p, q, FGenerator("tv")) == tv(p, q)
 
     @given(distribution_pairs(), st.floats(0.0, 5.0))
     def test_egamma_kind_matches_egamma_exactly(self, pair, gamma):
         p, q = pair
-        assert f_divergence(p, q, FGenerator.egamma(gamma)) == egamma(p, q, gamma)
+        assert f_divergence(p, q, FGenerator("egamma", gamma)) == egamma(p, q, gamma)
 
     @given(distribution_pairs())
     def test_pinsker(self, pair):
         p, q = pair
-        kl = f_divergence(p, q, FGenerator.kl())
+        kl = f_divergence(p, q, FGenerator("kl"))
         assert tv(p, q) ** 2 <= 0.5 * kl + 1e-10
 
 
 ALL_KINDS = [
-    FGenerator.total_variation(),
-    FGenerator.kl(),
-    FGenerator.chi_squared(),
-    FGenerator.hellinger_squared(),
-    FGenerator.egamma(0.4),
-    FGenerator.egamma(2.5),
+    FGenerator("tv"),
+    FGenerator("kl"),
+    FGenerator("chi2"),
+    FGenerator("hellinger_sq"),
+    FGenerator("egamma", 0.4),
+    FGenerator("egamma", 2.5),
 ]
 
 

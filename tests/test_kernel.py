@@ -246,11 +246,11 @@ class TestDataProcessing:
     def test_dpi_all_divergences(self, instance):
         p, q, k, gamma = instance
         fs = [
-            FGenerator.total_variation(),
-            FGenerator.kl(),
-            FGenerator.chi_squared(),
-            FGenerator.hellinger_squared(),
-            FGenerator.egamma(gamma),
+            FGenerator("tv"),
+            FGenerator("kl"),
+            FGenerator("chi2"),
+            FGenerator("hellinger_sq"),
+            FGenerator("egamma", gamma),
         ]
         pk, qk = pushforward(p, k), pushforward(q, k)
         for f in fs:

@@ -306,11 +306,6 @@ class TestVerifyEquivalence:
         assert report.violation_found
         assert peak < 32 * 2**20
 
-    def test_report_serialization(self):
-        d = verify_equivalence(bsc(0.3), PrivacyParams(0.5, 0.2), 50).to_dict()
-        assert d["trials"] == 50
-        assert isinstance(d["max_ratio"], float)
-
 
 class TestPrivacyProfile:
     def test_profile_construction(self):

@@ -6,33 +6,15 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def run_script(name, args, cwd):
+def run_script(name, args, cwd, env=None):
     return subprocess.run(
         [sys.executable, str(SCRIPTS / name), *args],
         cwd=cwd,
+        env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
-
-
-def test_make_figure1_script(tmp_path):
-    result = run_script(
-        "make_figure1.py",
-        ["--n", "2", "--steps", "4", "--panels", "1000", "--out", "fig.csv"],
-        tmp_path,
-    )
-    assert result.returncode == 0, result.stderr
-    lines = (tmp_path / "fig.csv").read_text().splitlines()
-    assert lines[0] == "epsilon,bayes_lb_mi,bayes_lb_egamma"
-    assert len(lines) == 5
-
-
-def test_remark_table_script(tmp_path):
-    result = run_script("remark_table.py", [], tmp_path)
-    assert result.returncode == 0, result.stderr
-    assert "gamma-optimized" in result.stdout
-    assert "improvement factor" in result.stdout
 
 
 def test_model_curves_script(tmp_path):
@@ -50,18 +32,11 @@ def test_model_curves_script(tmp_path):
     assert len(mi) == 4
 
 
-def test_make_figure1_script_without_pythonpath(tmp_path):
+def test_model_curves_script_without_pythonpath(tmp_path):
     """The README's invocation works from a bare checkout: no install, no PYTHONPATH."""
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "LDPKIT_OUT_DIR")}
-    result = subprocess.run(
-        [sys.executable, str(SCRIPTS / "make_figure1.py"),
-         "--n", "2", "--steps", "3", "--panels", "500", "--out", "fig.csv"],
-        cwd=tmp_path,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    result = run_script("model_curves.py", ["--n", "2", "--gamma-steps", "3", "--n-max", "2"],
+                        tmp_path, env)
     assert result.returncode == 0, result.stderr
-    lines = (tmp_path / "fig.csv").read_text().splitlines()
-    assert lines[0] == "epsilon,bayes_lb_mi,bayes_lb_egamma"
+    lines = (tmp_path / "bu_igamma_curve.csv").read_text().splitlines()
+    assert lines[0] == "gamma,igamma"
