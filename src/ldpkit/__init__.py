@@ -5,14 +5,11 @@ privacy-constrained risk lower bounds."""
 from .bounds import (
     BayesConfig,
     BoundReport,
-    FanoConfig,
     GridSpec,
-    LeCamConfig,
     bayes_egamma_lb,
     bayes_gamma_opt_lb,
     bayes_xu_raginsky_private,
     fano_lb,
-    fano_mi_upper,
     highdim_mean_lb,
     ht_exponent,
     lecam_private,

@@ -25,7 +25,8 @@ LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Dense evaluation grid: ``steps`` points from lo to hi, linear or log spaced."""
+    """Dense evaluation grid: ``steps`` points from lo to hi, linear or log
+    spaced. One step is the grid [lo], whatever hi is."""
 
     lo: float
     hi: float
@@ -33,11 +34,11 @@ class GridSpec:
     scale: str = "linear"
 
     def __post_init__(self):
-        if self.steps < 2:
-            raise DomainError(f"grid needs at least 2 steps, got {self.steps}")
+        if self.steps < 1:
+            raise DomainError(f"grid needs at least 1 step, got {self.steps}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise DomainError(f"grid ends must be finite, got [{self.lo}, {self.hi}]")
-        if not self.lo < self.hi:
+        if self.steps > 1 and not self.lo < self.hi:
             raise DomainError(f"grid requires lo < hi, got [{self.lo}, {self.hi}]")
         if self.scale not in ("linear", "log"):
             raise DomainError(f"unknown grid scale {self.scale!r}")
@@ -45,6 +46,8 @@ class GridSpec:
             raise DomainError("log-spaced grid requires lo > 0")
 
     def points(self) -> np.ndarray:
+        if self.steps == 1:
+            return np.array([self.lo])
         if self.scale == "log":
             return np.geomspace(self.lo, self.hi, self.steps)
         return np.linspace(self.lo, self.hi, self.steps)
@@ -72,53 +75,6 @@ class BoundReport:
     witness: dict = field(default_factory=dict)
     inputs: dict = field(default_factory=dict)
     flags: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class LeCamConfig:
-    """Two-point minimax reduction: separation 2*tau, KL(P0||P1) in nats."""
-
-    tau: float
-    kl_p0_p1: float
-    n: int
-    params: PrivacyParams
-
-    def __post_init__(self):
-        if not self.tau > 0:
-            raise DomainError(f"tau must be > 0, got {self.tau!r}")
-        if not self.kl_p0_p1 >= 0:
-            raise DomainError("kl_p0_p1 must be >= 0")
-        if self.n < 1:
-            raise DomainError(f"n must be >= 1, got {self.n}")
-
-
-@dataclass(frozen=True)
-class FanoConfig:
-    """Multi-way testing reduction over a packing of v_count hypotheses.
-
-    ``avg_pairwise_kl`` is the KL sum over ordered hypothesis pairs
-    divided by v_count squared (nats). Supplying ``mi_xn_v`` switches the
-    mutual-information cap to the direct form based on I(X^n; V).
-    """
-
-    v_count: int
-    avg_pairwise_kl: float
-    tau: float
-    n: int
-    params: PrivacyParams
-    mi_xn_v: float | None = None
-
-    def __post_init__(self):
-        if self.v_count < 2:
-            raise DomainError(f"v_count must be >= 2, got {self.v_count}")
-        if not self.avg_pairwise_kl >= 0:
-            raise DomainError("avg_pairwise_kl must be >= 0")
-        if self.mi_xn_v is not None and not self.mi_xn_v >= 0:
-            raise DomainError("mi_xn_v must be >= 0")
-        if not self.tau > 0:
-            raise DomainError(f"tau must be > 0, got {self.tau!r}")
-        if self.n < 1:
-            raise DomainError(f"n must be >= 1, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -168,23 +124,24 @@ def _flags_for(value: float, extra: tuple[str, ...] = ()) -> tuple[str, ...]:
     return extra + (("vacuous",) if value <= 0 else ())
 
 
-def lecam_private(cfg: LeCamConfig) -> BoundReport:
-    """Two-point minimax lower bound (tau/2)[1 - sqrt(n phi KL / 2)], clamped at 0."""
-    phi_v = phi(cfg.params)
-    bracket = 1.0 - math.sqrt(_contracted(0.5 * cfg.n * phi_v, cfg.kl_p0_p1))
-    value = max(0.0, 0.5 * cfg.tau * bracket)
+def lecam_private(tau: float, kl_p0_p1: float, n: int, params: PrivacyParams) -> BoundReport:
+    """Two-point minimax lower bound (tau/2)[1 - sqrt(n phi KL / 2)], clamped at 0.
+
+    The two hypotheses are 2 tau apart, and KL(P0||P1) is in nats.
+    """
+    if not tau > 0:
+        raise DomainError(f"tau must be > 0, got {tau!r}")
+    if not kl_p0_p1 >= 0:
+        raise DomainError("kl_p0_p1 must be >= 0")
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    phi_v = phi(params)
+    bracket = 1.0 - math.sqrt(_contracted(0.5 * n * phi_v, kl_p0_p1))
+    value = max(0.0, 0.5 * tau * bracket)
     return BoundReport(
         bound_name="lecam_private",
         value=value,
-        witness={},
-        inputs={
-            "tau": cfg.tau,
-            "kl_p0_p1": cfg.kl_p0_p1,
-            "n": cfg.n,
-            "epsilon": cfg.params.epsilon,
-            "delta": cfg.params.delta,
-            "phi": phi_v,
-        },
+        inputs={"tau": tau, "kl_p0_p1": kl_p0_p1, "n": n, **asdict(params), "phi": phi_v},
         flags=_flags_for(value),
     )
 
@@ -223,8 +180,7 @@ def moment_estimation_lb(k_moment: float, n: int, params: PrivacyParams) -> Boun
         inputs={
             "k_moment": k_moment,
             "n": n,
-            "epsilon": params.epsilon,
-            "delta": params.delta,
+            **asdict(params),
             "phi": phi_v,
             "variant": "explicit-constant",
         },
@@ -232,35 +188,44 @@ def moment_estimation_lb(k_moment: float, n: int, params: PrivacyParams) -> Boun
     )
 
 
-def fano_mi_upper(cfg: FanoConfig) -> float:
-    """Cap on the privatized-sample information I(Z^n; V).
+def fano_lb(
+    v_count: int, avg_pairwise_kl: float, tau: float, n: int, params: PrivacyParams,
+    mi_xn_v: float | None = None,
+) -> BoundReport:
+    """Multi-way testing lower bound tau [1 - (MI cap + log 2) / log v_count].
 
-    Uses phi_n * I(X^n; V) when the caller supplied the sample
-    information directly, otherwise the KL-averaged form
-    n * phi_n * avg_pairwise_kl.
+    The packing has v_count hypotheses, and ``avg_pairwise_kl`` is the KL
+    sum over ordered hypothesis pairs divided by v_count squared (nats).
+    The cap on the privatized-sample information I(Z^n; V), echoed as
+    ``inputs["mi_upper"]``, is phi_n * mi_xn_v when the sample information
+    I(X^n; V) is supplied, and n * phi_n * avg_pairwise_kl otherwise.
     """
-    pn = phi_n(cfg.params, cfg.n)
-    if cfg.mi_xn_v is not None:
-        return _contracted(pn, cfg.mi_xn_v)
-    return _contracted(cfg.n * pn, cfg.avg_pairwise_kl)
-
-
-def fano_lb(cfg: FanoConfig) -> BoundReport:
-    """Multi-way testing lower bound tau [1 - (MI cap + log 2) / log v_count]."""
-    mi_up = fano_mi_upper(cfg)
-    bracket = 1.0 - (mi_up + LN2) / math.log(cfg.v_count)
-    value = max(0.0, cfg.tau * bracket)
+    if v_count < 2:
+        raise DomainError(f"v_count must be >= 2, got {v_count}")
+    if not avg_pairwise_kl >= 0:
+        raise DomainError("avg_pairwise_kl must be >= 0")
+    if mi_xn_v is not None and not mi_xn_v >= 0:
+        raise DomainError("mi_xn_v must be >= 0")
+    if not tau > 0:
+        raise DomainError(f"tau must be > 0, got {tau!r}")
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    pn = phi_n(params, n)
+    if mi_xn_v is not None:
+        mi_up = _contracted(pn, mi_xn_v)
+    else:
+        mi_up = _contracted(n * pn, avg_pairwise_kl)
+    bracket = 1.0 - (mi_up + LN2) / math.log(v_count)
+    value = max(0.0, tau * bracket)
     return BoundReport(
         bound_name="fano_lb",
         value=value,
-        witness={},
         inputs={
-            "v_count": cfg.v_count,
-            "avg_pairwise_kl": cfg.avg_pairwise_kl,
-            "tau": cfg.tau,
-            "n": cfg.n,
-            "epsilon": cfg.params.epsilon,
-            "delta": cfg.params.delta,
+            "v_count": v_count,
+            "avg_pairwise_kl": avg_pairwise_kl,
+            "tau": tau,
+            "n": n,
+            **asdict(params),
             "mi_upper": mi_up,
         },
         flags=_flags_for(value),
@@ -302,8 +267,7 @@ def highdim_mean_lb(d: int, r: float, n: int, params: PrivacyParams) -> BoundRep
             "d": d,
             "r": r,
             "n": n,
-            "epsilon": params.epsilon,
-            "delta": params.delta,
+            **asdict(params),
             "phi_n": pn,
             "variant": "explicit-constant",
         },
@@ -312,15 +276,13 @@ def highdim_mean_lb(d: int, r: float, n: int, params: PrivacyParams) -> BoundRep
 
 
 def _bayes_inputs(cfg: BayesConfig, **extra) -> dict:
-    out = {
+    return {
         "info_value": cfg.info_value,
         "n": cfg.n,
-        "epsilon": cfg.params.epsilon,
-        "delta": cfg.params.delta,
+        **asdict(cfg.params),
         "zeta_grid": asdict(cfg.zeta_grid),
+        **extra,
     }
-    out.update(extra)
-    return out
 
 
 def bayes_xu_raginsky_private(cfg: BayesConfig) -> BoundReport:
@@ -406,16 +368,19 @@ def bayes_gamma_opt_lb(cfg: BayesConfig) -> BoundReport:
         return out
 
     (zeta_star, gamma_star), value = grid_max(objective, cfg.zeta_grid.points(), gammas)
+    # Until the gamma supremum is searched off the grid, a witness on an
+    # end of the grid says the supremum may lie beyond it.
+    edge = ("gamma-at-grid-edge",) if gamma_star in (gammas[0], gammas[-1]) else ()
     return BoundReport(
         bound_name="bayes_gamma_opt_lb",
         value=value,
         witness={"zeta": zeta_star, "gamma": gamma_star},
         inputs=_bayes_inputs(cfg, gamma_grid=asdict(cfg.gamma_grid)),
-        flags=_flags_for(value),
+        flags=_flags_for(value, edge),
     )
 
 
-def ht_exponent(kl_p0_p1: float, params: PrivacyParams) -> float:
+def ht_exponent(kl_p0_p1: float, params: PrivacyParams) -> BoundReport:
     """Bound on the asymptotic type-II error exponent of private testing.
 
     The privatized exponent is at least -phi(epsilon, delta) KL(P0||P1);
@@ -423,11 +388,13 @@ def ht_exponent(kl_p0_p1: float, params: PrivacyParams) -> float:
     """
     if not kl_p0_p1 >= 0:
         raise DomainError("kl_p0_p1 must be >= 0")
-    return -_contracted(phi(params), kl_p0_p1)
+    value = -_contracted(phi(params), kl_p0_p1)
+    return BoundReport("ht_exponent", value, inputs={"kl_p0_p1": kl_p0_p1, **asdict(params)})
 
 
-def mi_cap(h_x: float, params: PrivacyParams) -> float:
+def mi_cap(h_x: float, params: PrivacyParams) -> BoundReport:
     """Largest mutual information any private view can retain: phi * H(X)."""
     if not h_x >= 0:
         raise DomainError("entropy must be >= 0")
-    return _contracted(phi(params), h_x)
+    value = _contracted(phi(params), h_x)
+    return BoundReport("mi_cap", value, inputs={"entropy": h_x, **asdict(params)})

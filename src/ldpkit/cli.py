@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from functools import partial
@@ -33,9 +32,7 @@ from .bounds import (
     LN2,
     BayesConfig,
     BoundReport,
-    FanoConfig,
     GridSpec,
-    LeCamConfig,
     bayes_egamma_lb,
     bayes_gamma_opt_lb,
     bayes_xu_raginsky_private,
@@ -98,23 +95,6 @@ def _emit_manifest(command: str, args: argparse.Namespace, outputs: list[Path]) 
     return path
 
 
-def parse_linear_grid(text: str) -> np.ndarray:
-    try:
-        lo_s, hi_s, steps_s = text.split(":")
-        lo, hi, steps = float(lo_s), float(hi_s), int(steps_s)
-    except ValueError as exc:
-        raise DomainError(f"grid must look like lo:hi:steps, got {text!r}") from exc
-    if steps < 1:
-        raise DomainError(f"grid needs at least 1 step, got {steps}")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError(f"grid ends must be finite, got [{lo}, {hi}]")
-    if steps == 1:
-        return np.array([lo])
-    if not lo < hi:
-        raise DomainError(f"grid requires lo < hi, got {text!r}")
-    return np.linspace(lo, hi, steps)
-
-
 def parse_grid_spec(text: str) -> GridSpec:
     parts = text.split(":")
     if len(parts) == 3:
@@ -139,6 +119,8 @@ def _print_json(payload) -> None:
 def cmd_audit(args: argparse.Namespace) -> int:
     if args.delta is not None and args.epsilon is None:
         raise DomainError("--delta requires --epsilon")
+    if args.out is not None and args.profile_grid is None:
+        raise DomainError("--out requires --profile-grid")
     kernel = load_kernel(args.kernel)
     report: dict = {
         "kernel": str(args.kernel),
@@ -171,10 +153,10 @@ def cmd_audit(args: argparse.Namespace) -> int:
             exit_code = 0 if certified else 2
 
     if args.profile_grid is not None:
-        grid = parse_linear_grid(args.profile_grid)
+        grid = parse_grid_spec(args.profile_grid).points()
         points = [[e, d] for e, d in privacy_profile(kernel, grid).points]
         report["profile"] = points
-        if args.out:
+        if args.out is not None:
             out = resolve_out(args.out)
             write_csv(out, ["epsilon", "delta"], points)
             outputs.append(out)
@@ -195,7 +177,7 @@ def cmd_figure1(args: argparse.Namespace) -> int:
     # Per epsilon, the two private Bayes-risk lower bounds at
     # (epsilon, delta) from n observations of the Bernoulli-uniform model.
     model = BernoulliUniformModel(args.n, args.panels)
-    epsilons = parse_linear_grid(args.eps_grid)
+    epsilons = parse_grid_spec(args.eps_grid).points()
     mi = bu_mutual_information(model)
     params = [PrivacyParams(float(eps), args.delta) for eps in epsilons]
     igammas = bu_igamma(model, np.array([gamma_from_epsilon(p.epsilon) for p in params]))
@@ -300,7 +282,7 @@ BOUNDS = {
     "lecam": (
         "two-point minimax bound",
         {"--tau": _FLOAT, "--kl": _FLOAT, **_N},
-        lambda a: lambda p: lecam_private(LeCamConfig(a.tau, a.kl, a.n, p)),
+        lambda a: lambda p: lecam_private(a.tau, a.kl, a.n, p),
     ),
     "moment": (
         "k-th moment mean-estimation bound",
@@ -311,7 +293,7 @@ BOUNDS = {
         "multi-way testing bound",
         {"--v-count": _INT, "--avg-kl": _FLOAT, "--tau": _FLOAT, **_N,
          "--mi": {"type": float, "default": None, "help": "direct I(X^n; V) in nats"}},
-        lambda a: lambda p: fano_lb(FanoConfig(a.v_count, a.avg_kl, a.tau, a.n, p, mi_xn_v=a.mi)),
+        lambda a: lambda p: fano_lb(a.v_count, a.avg_kl, a.tau, a.n, p, mi_xn_v=a.mi),
     ),
     "highdim": (
         "l2-ball mean-estimation bound",
@@ -323,18 +305,12 @@ BOUNDS = {
     "ht": (
         "hypothesis-testing error exponent cap",
         {"--kl": _FLOAT},
-        lambda a: lambda p: BoundReport(
-            "ht_exponent", ht_exponent(a.kl, p),
-            inputs={"kl_p0_p1": a.kl, "epsilon": p.epsilon, "delta": p.delta},
-        ),
+        lambda a: lambda p: ht_exponent(a.kl, p),
     ),
     "micap": (
         "mutual-information cap",
         {"--entropy": _FLOAT},
-        lambda a: lambda p: BoundReport(
-            "mi_cap", mi_cap(a.entropy, p),
-            inputs={"entropy": a.entropy, "epsilon": p.epsilon, "delta": p.delta},
-        ),
+        lambda a: lambda p: mi_cap(a.entropy, p),
     ),
 }
 
@@ -342,6 +318,8 @@ BOUNDS = {
 def cmd_bound(args: argparse.Namespace) -> int:
     _, _, report = BOUNDS[args.bound_kind]
     if args.sweep is None:
+        if args.out is not None:
+            raise DomainError("--out requires --sweep")
         params = PrivacyParams(args.eps, args.delta)
         _print_json(report(args)(params))
         return 0
@@ -350,7 +328,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         raise DomainError(f"only epsilon sweeps are supported, got {what!r}")
     if not args.out:
         raise DomainError("--sweep requires --out for the CSV curve")
-    grid = parse_linear_grid(grid_text)
+    grid = parse_grid_spec(grid_text).points()
     at = report(args)
     reports = [at(PrivacyParams(float(e), args.delta)) for e in grid]
     witness_keys = sorted(reports[0].witness)

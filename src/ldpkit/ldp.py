@@ -145,7 +145,9 @@ def verify_equivalence(
     When the kernel is certified at (epsilon, delta), no probed pair may
     violate the inequality beyond an additive 1e-10. When it is not, the
     point-mass sweep is guaranteed to exhibit a violating pair, because
-    the two-point supremum is attained there.
+    the two-point supremum is attained there: the worst point-mass pair
+    is judged by the certification test itself (additive 1e-12), so it
+    violates exactly when the kernel is uncertified.
 
     Pairs are probed in a fixed order: the worst point-mass pair (x, x'),
     then the Dirichlet pairs in draw order. The first violating pair and
@@ -177,7 +179,9 @@ def verify_equivalence(
             return Distribution.point_mass(x, d).probs, Distribution.point_mass(xp, d).probs
         return ps[i - 1], qs[i - 1]
 
-    violations = np.flatnonzero(num > params.delta * den + VERIFY_TOL)
+    violating = num > params.delta * den + VERIFY_TOL
+    violating[0] = not certified
+    violations = np.flatnonzero(violating)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(den > 1e-12, num / den, 0.0)
     best = int(np.argmax(ratios))

@@ -14,8 +14,6 @@ import pytest
 
 from ldpkit.bounds import (
     BayesConfig,
-    FanoConfig,
-    LeCamConfig,
     bayes_xu_raginsky_private,
     fano_lb,
     ht_exponent,
@@ -349,14 +347,12 @@ def test_criterion_9_bound_calculator_endpoints(criterion):
 
     tau, kl, n = 1.1, 0.06, 30
     lecam_id = (
-        lecam_private(LeCamConfig(tau=tau, kl_p0_p1=kl, n=n, params=nonprivate)).value
+        lecam_private(tau, kl, n, nonprivate).value
         == max(0.0, 0.5 * tau * (1.0 - math.sqrt(0.5 * n * kl)))
     )
     v, avg = 16, 0.012
     fano_id = (
-        fano_lb(
-            FanoConfig(v_count=v, avg_pairwise_kl=avg, tau=tau, n=n, params=nonprivate)
-        ).value
+        fano_lb(v, avg, tau, n, nonprivate).value
         == max(0.0, tau * (1.0 - (n * 1.0 * avg + math.log(2.0)) / math.log(v)))
     )
     info = 0.19
@@ -377,10 +373,10 @@ def test_criterion_9_bound_calculator_endpoints(criterion):
     )
 
     trivial_ok = (
-        lecam_private(LeCamConfig(tau=tau, kl_p0_p1=5.0, n=9, params=blocked)).value
+        lecam_private(tau, 5.0, 9, blocked).value
         == tau / 2
-        and ht_exponent(3.0, blocked) == 0.0
-        and mi_cap(2.0, blocked) == 0.0
+        and ht_exponent(3.0, blocked).value == 0.0
+        and mi_cap(2.0, blocked).value == 0.0
     )
 
     coeff_ok = all(
@@ -408,7 +404,7 @@ def test_criterion_10_mi_cap_cross_check(criterion):
         omega = 1.0 / (1.0 + math.exp(float(eps)))
         h_b = -(omega * math.log(omega) + (1 - omega) * math.log(1 - omega))
         assert exact == pytest.approx(ln2 - h_b, abs=1e-12)
-        cap = mi_cap(ln2, PrivacyParams(float(eps), 0.0))
+        cap = mi_cap(ln2, PrivacyParams(float(eps), 0.0)).value
         worst = max(worst, exact - cap)
     criterion(
         10,

@@ -6,14 +6,11 @@ import pytest
 
 from ldpkit.bounds import (
     BayesConfig,
-    FanoConfig,
     GridSpec,
-    LeCamConfig,
     bayes_egamma_lb,
     bayes_gamma_opt_lb,
     bayes_xu_raginsky_private,
     fano_lb,
-    fano_mi_upper,
     highdim_mean_lb,
     ht_exponent,
     lecam_private,
@@ -41,9 +38,13 @@ class TestGridSpec:
         log = GridSpec(1e-2, 1.0, 3, "log").points()
         assert np.allclose(log, [1e-2, 1e-1, 1.0])
 
+    def test_one_step_is_its_low_end(self):
+        assert GridSpec(3.0, 4.0, 1).points().tolist() == [3.0]
+        assert GridSpec(2.0, 1.0, 1, "log").points().tolist() == [2.0]
+
     def test_validation(self):
         with pytest.raises(DomainError):
-            GridSpec(0.0, 1.0, 1)
+            GridSpec(0.0, 1.0, 0)
         with pytest.raises(DomainError):
             GridSpec(1.0, 0.5, 10)
         with pytest.raises(DomainError):
@@ -57,35 +58,31 @@ class TestGridSpec:
 
 class TestLeCam:
     def test_blocked_mechanism_gives_half_tau(self):
-        cfg = LeCamConfig(tau=0.8, kl_p0_p1=5.0, n=100, params=BLOCKED)
-        assert lecam_private(cfg).value == 0.4
+        assert lecam_private(0.8, 5.0, 100, BLOCKED).value == 0.4
 
     def test_nonprivate_recovery_identical(self):
         tau, kl, n = 1.3, 0.07, 25
-        cfg = LeCamConfig(tau=tau, kl_p0_p1=kl, n=n, params=NONPRIVATE)
         expected = max(0.0, 0.5 * tau * (1.0 - math.sqrt(0.5 * n * kl)))
-        assert lecam_private(cfg).value == expected
+        assert lecam_private(tau, kl, n, NONPRIVATE).value == expected
 
     def test_quarter_tau_point(self):
         n, eps = 10, 1.0
         params = PrivacyParams(eps, 0.0)
         kl = 1.0 / (2.0 * n * phi(params))
-        cfg = LeCamConfig(tau=1.0, kl_p0_p1=kl, n=n, params=params)
-        assert lecam_private(cfg).value == pytest.approx(0.25, abs=1e-12)
+        assert lecam_private(1.0, kl, n, params).value == pytest.approx(0.25, abs=1e-12)
 
     def test_hand_value(self):
-        cfg = LeCamConfig(tau=1.0, kl_p0_p1=0.1, n=10, params=PrivacyParams(1.0, 0.0))
-        assert lecam_private(cfg).value == pytest.approx(0.2189, abs=1e-4)
+        value = lecam_private(1.0, 0.1, 10, PrivacyParams(1.0, 0.0)).value
+        assert value == pytest.approx(0.2189, abs=1e-4)
 
     def test_vacuous_clamp(self):
-        cfg = LeCamConfig(tau=1.0, kl_p0_p1=100.0, n=100, params=NONPRIVATE)
-        report = lecam_private(cfg)
+        report = lecam_private(1.0, 100.0, 100, NONPRIVATE)
         assert report.value == 0.0
         assert "vacuous" in report.flags
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
-            LeCamConfig(tau=0.0, kl_p0_p1=1.0, n=1, params=NONPRIVATE)
+            lecam_private(0.0, 1.0, 1, NONPRIVATE)
 
 
 class TestMomentEstimation:
@@ -134,17 +131,13 @@ class TestMomentEstimation:
 
 class TestFano:
     def test_mi_upper_zero_and_nonprivate(self):
-        cfg = FanoConfig(v_count=4, avg_pairwise_kl=0.3, tau=1.0, n=5, params=BLOCKED)
-        assert fano_mi_upper(cfg) == 0.0
-        cfg = FanoConfig(v_count=4, avg_pairwise_kl=0.3, tau=1.0, n=5, params=NONPRIVATE)
-        assert fano_mi_upper(cfg) == 5 * 0.3
+        assert fano_lb(4, 0.3, 1.0, 5, BLOCKED).inputs["mi_upper"] == 0.0
+        assert fano_lb(4, 0.3, 1.0, 5, NONPRIVATE).inputs["mi_upper"] == 5 * 0.3
 
     def test_mi_upper_direct_form(self):
         params = PrivacyParams(0.7, 0.01)
-        cfg = FanoConfig(
-            v_count=4, avg_pairwise_kl=0.3, tau=1.0, n=5, params=params, mi_xn_v=2.0
-        )
-        assert fano_mi_upper(cfg) == phi_n(params, 5) * 2.0
+        report = fano_lb(4, 0.3, 1.0, 5, params, mi_xn_v=2.0)
+        assert report.inputs["mi_upper"] == phi_n(params, 5) * 2.0
 
     def test_coefficient_against_looser_reference(self):
         # phi_1(0.4, 0) ~ 0.3297 is smaller than 2(e^0.4 - 1) ~ 0.9836
@@ -164,22 +157,18 @@ class TestFano:
                 assert phi_n(PrivacyParams(eps, 0.0), n) <= duchi + 1e-12
 
     def test_lb_values(self):
-        zero_mi = FanoConfig(v_count=2, avg_pairwise_kl=0.0, tau=1.0, n=1, params=BLOCKED)
-        assert fano_lb(zero_mi).value == 0.0
-        eight = FanoConfig(v_count=8, avg_pairwise_kl=0.0, tau=0.9, n=1, params=BLOCKED)
-        assert fano_lb(eight).value == pytest.approx(0.6, abs=1e-12)
-        big = FanoConfig(v_count=2**40, avg_pairwise_kl=0.0, tau=1.0, n=1, params=BLOCKED)
-        assert fano_lb(big).value == pytest.approx(1.0, abs=0.03)
+        assert fano_lb(2, 0.0, 1.0, 1, BLOCKED).value == 0.0
+        assert fano_lb(8, 0.0, 0.9, 1, BLOCKED).value == pytest.approx(0.6, abs=1e-12)
+        assert fano_lb(2**40, 0.0, 1.0, 1, BLOCKED).value == pytest.approx(1.0, abs=0.03)
 
     def test_nonprivate_recovery_identical(self):
         v, avg, tau, n = 16, 0.01, 1.0, 3
-        cfg = FanoConfig(v_count=v, avg_pairwise_kl=avg, tau=tau, n=n, params=NONPRIVATE)
         expected = max(0.0, tau * (1.0 - (n * 1.0 * avg + LN2) / math.log(v)))
-        assert fano_lb(cfg).value == expected
+        assert fano_lb(v, avg, tau, n, NONPRIVATE).value == expected
 
     def test_v_count_validation(self):
         with pytest.raises(DomainError):
-            FanoConfig(v_count=1, avg_pairwise_kl=0.0, tau=1.0, n=1, params=BLOCKED)
+            fano_lb(1, 0.0, 1.0, 1, BLOCKED)
 
 
 class TestHighdim:
@@ -382,33 +371,39 @@ class TestBayesGammaOpt:
 
 class TestScalarBounds:
     def test_ht_examples(self):
-        assert ht_exponent(3.0, BLOCKED) == 0.0
-        assert ht_exponent(2.5, NONPRIVATE) == -2.5
-        assert ht_exponent(1.0, PrivacyParams(math.log(2.0), 0.0)) == pytest.approx(
+        assert ht_exponent(3.0, BLOCKED).value == 0.0
+        assert ht_exponent(2.5, NONPRIVATE).value == -2.5
+        assert ht_exponent(1.0, PrivacyParams(math.log(2.0), 0.0)).value == pytest.approx(
             -0.5, abs=1e-15
         )
 
     def test_mi_cap_examples(self):
-        assert mi_cap(0.7, BLOCKED) == 0.0
-        assert mi_cap(0.7, NONPRIVATE) == 0.7
+        assert mi_cap(0.7, BLOCKED).value == 0.0
+        assert mi_cap(0.7, NONPRIVATE).value == 0.7
         with pytest.raises(DomainError):
             mi_cap(-0.1, NONPRIVATE)
+
+    def test_reports_echo_inputs_without_flags(self):
+        params = PrivacyParams(0.5, 1e-3)
+        ht, cap = ht_exponent(2.0, params), mi_cap(0.7, params)
+        assert (ht.bound_name, ht.witness, ht.flags) == ("ht_exponent", {}, ())
+        assert ht.inputs == {"kl_p0_p1": 2.0, "epsilon": 0.5, "delta": 1e-3}
+        assert (cap.bound_name, cap.witness, cap.flags) == ("mi_cap", {}, ())
+        assert cap.inputs == {"entropy": 0.7, "epsilon": 0.5, "delta": 1e-3}
 
     def test_mi_cap_dominates_exact_binary_channel(self):
         for eps in np.linspace(0.0, 5.0, 21):
             k = randomized_response(float(eps))
             joint = JointDistribution(0.5 * k.rows)
             exact = mutual_information(joint)
-            assert exact <= mi_cap(LN2, PrivacyParams(float(eps), 0.0)) + 1e-12
+            assert exact <= mi_cap(LN2, PrivacyParams(float(eps), 0.0)).value + 1e-12
 
 
 class TestMonotonicityInPrivacy:
     def test_lower_bounds_nonincreasing_in_phi(self):
         eps_grid = np.linspace(0.0, 3.0, 13)
         lecam_vals = [
-            lecam_private(
-                LeCamConfig(tau=1.0, kl_p0_p1=0.2, n=5, params=PrivacyParams(float(e), 0.01))
-            ).value
+            lecam_private(1.0, 0.2, 5, PrivacyParams(float(e), 0.01)).value
             for e in eps_grid
         ]
         assert all(b <= a + 1e-12 for a, b in zip(lecam_vals, lecam_vals[1:]))
@@ -427,7 +422,7 @@ class TestMonotonicityInPrivacy:
 
     def test_magnitudes_nondecreasing_in_phi(self):
         eps_grid = np.linspace(0.0, 3.0, 13)
-        ht_vals = [abs(ht_exponent(1.0, PrivacyParams(float(e), 0.0))) for e in eps_grid]
-        cap_vals = [mi_cap(1.0, PrivacyParams(float(e), 0.0)) for e in eps_grid]
+        ht_vals = [abs(ht_exponent(1.0, PrivacyParams(float(e), 0.0)).value) for e in eps_grid]
+        cap_vals = [mi_cap(1.0, PrivacyParams(float(e), 0.0)).value for e in eps_grid]
         assert all(a <= b + 1e-12 for a, b in zip(ht_vals, ht_vals[1:]))
         assert all(a <= b + 1e-12 for a, b in zip(cap_vals, cap_vals[1:]))

@@ -10,8 +10,6 @@ import pytest
 
 from ldpkit.bounds import (
     BayesConfig,
-    FanoConfig,
-    LeCamConfig,
     bayes_egamma_lb,
     bayes_xu_raginsky_private,
     fano_lb,
@@ -22,7 +20,7 @@ from ldpkit.bounds import (
     moment_estimation_lb,
     small_ball_uniform01,
 )
-from ldpkit.cli import BOUNDS, main, parse_grid_spec, parse_linear_grid
+from ldpkit.cli import BOUNDS, main, parse_grid_spec
 from ldpkit.contraction import PrivacyParams
 from ldpkit.errors import DomainError
 from ldpkit.info import BernoulliUniformModel, bu_igamma, bu_mutual_information
@@ -58,12 +56,13 @@ def run_error(capsys, argv) -> str:
 
 class TestParseHelpers:
     def test_linear_grid(self):
-        assert np.allclose(parse_linear_grid("0:2:5"), [0, 0.5, 1, 1.5, 2])
-        assert parse_linear_grid("3:4:1").tolist() == [3.0]
+        assert np.allclose(parse_grid_spec("0:2:5").points(), [0, 0.5, 1, 1.5, 2])
+        assert parse_grid_spec("3:4:1").points().tolist() == [3.0]
+        assert parse_grid_spec("3:-4:1").points().tolist() == [3.0]
         with pytest.raises(DomainError):
-            parse_linear_grid("1:2")
+            parse_grid_spec("1:2")
         with pytest.raises(DomainError):
-            parse_linear_grid("2:1:5")
+            parse_grid_spec("2:1:5")
 
     def test_grid_spec(self):
         spec = parse_grid_spec("1e-4:0.5:100:log")
@@ -136,6 +135,38 @@ class TestAudit:
     def test_delta_without_epsilon_is_one_error_line(self, capsys, rr1_file):
         err = run_error(capsys, ["audit", str(rr1_file), "--delta", "0.01"])
         assert err == "error: --delta requires --epsilon\n"
+
+    # --out writes only the profile (audit) or the sweep (bound), so
+    # without one it would write nothing.
+    @pytest.mark.parametrize("out", ["x.csv", ""])
+    @pytest.mark.parametrize(
+        "argv, needed",
+        [(["audit", "{kernel}", "--epsilon", "1"], "--profile-grid"),
+         (["bound", "ht", "--kl", "1", "--eps", "1"], "--sweep")],
+    )
+    def test_out_without_its_curve_is_one_error_line(
+        self, capsys, rr1_file, tmp_path, monkeypatch, argv, needed, out
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = [a.format(kernel=rr1_file) for a in argv]
+        err = run_error(capsys, [*argv, "--out", out])
+        assert err == f"error: --out requires {needed}\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_empty_out_path_is_one_error_line(self, capsys, rr1_file, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_error(capsys, ["audit", str(rr1_file), "--profile-grid", "0:1:3", "--out", ""])
+
+    # Between the two tolerances: delta_tight exceeds delta by 5e-11, so
+    # the kernel is not certified, and the worst point-mass pair must say so.
+    def test_uncertified_near_the_tight_delta_finds_a_violation(self, capsys, rr1_file):
+        _, out, _ = run(capsys, ["audit", str(rr1_file), "--epsilon", "0.5"])
+        delta = json.loads(out)["delta_tight"] - 5e-11
+        code, out, _ = run(capsys, ["audit", str(rr1_file), "--epsilon", "0.5",
+                                    "--delta", repr(delta)])
+        payload = json.loads(out)
+        assert (code, payload["certified"]) == (2, False)
+        assert payload["verifier"]["violation_found"] is True
 
     def test_overflowing_epsilon_is_one_error_line(self, capsys, rr1_file):
         assert "overflows" in run_error(capsys, ["audit", str(rr1_file), "--epsilon", "1e6"])
@@ -315,6 +346,19 @@ class TestBound:
         assert payload["value"] == pytest.approx(2.0 / 27.0, abs=1e-4)
         assert payload["witness"]["gamma"] == pytest.approx(4.0 / 3.0, abs=5e-3)
 
+    # A witness on an end of the gamma grid is flagged: the supremum over
+    # gamma may lie beyond the grid.
+    @pytest.mark.parametrize(
+        "flags, edge",
+        [(["--bu-n", "2"], False), (["--bu-n", "10"], False), (["--bu-n", "20"], False),
+         (["--bu-n", "100"], True), (["--bu-n", "2", "--gamma-grid", "1.5:4:10"], True)],
+    )
+    def test_bayes_gammaopt_flags_a_witness_on_the_grid_edge(self, capsys, flags, edge):
+        payload = json.loads(run(capsys, ["bound", "bayes-gammaopt", *flags])[1])
+        grid = payload["inputs"]["gamma_grid"]
+        assert (payload["witness"]["gamma"] in (grid["lo"], grid["hi"])) is edge
+        assert payload["flags"] == (["gamma-at-grid-edge"] if edge else [])
+
     def test_sweep_writes_csv(self, capsys, tmp_path):
         out = tmp_path / "sweep.csv"
         code, stdout, _ = run(
@@ -361,12 +405,12 @@ _BU = BernoulliUniformModel(3, 200)
 BOUND_CASES = {
     "lecam": (
         ["--tau", "0.5", "--kl", "0.05", "--n", "10"],
-        lambda p: lecam_private(LeCamConfig(0.5, 0.05, 10, p)).value,
+        lambda p: lecam_private(0.5, 0.05, 10, p).value,
     ),
     "moment": (["--k-moment", "2", "--n", "16"], lambda p: moment_estimation_lb(2.0, 16, p).value),
     "fano": (
         ["--v-count", "64", "--avg-kl", "0.01", "--tau", "0.5", "--n", "20"],
-        lambda p: fano_lb(FanoConfig(64, 0.01, 0.5, 20, p)).value,
+        lambda p: fano_lb(64, 0.01, 0.5, 20, p).value,
     ),
     "highdim": (["--d", "8", "--r", "1", "--n", "64"], lambda p: highdim_mean_lb(8, 1.0, 64, p).value),
     "bayes-mi": (
@@ -381,8 +425,8 @@ BOUND_CASES = {
             BayesConfig(small_ball_uniform01, bu_igamma(_BU, math.exp(p.epsilon)), 5, p)
         ).value,
     ),
-    "ht": (["--kl", "1"], lambda p: ht_exponent(1.0, p)),
-    "micap": (["--entropy", "0.7"], lambda p: mi_cap(0.7, p)),
+    "ht": (["--kl", "1"], lambda p: ht_exponent(1.0, p).value),
+    "micap": (["--entropy", "0.7"], lambda p: mi_cap(0.7, p).value),
 }
 
 
