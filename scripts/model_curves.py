@@ -9,15 +9,15 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 # Prefer the checkout's own package (the src/ next to scripts/) over any
 # installed ldpkit, so the script runs from any working directory.
 _SRC = Path(__file__).resolve().parents[1] / "src"
 if (_SRC / "ldpkit").is_dir():
     sys.path.insert(0, str(_SRC))
 
+from ldpkit.bounds import GridSpec
 from ldpkit.cli import resolve_out, write_csv
+from ldpkit.errors import DomainError
 from ldpkit.info import BernoulliUniformModel, bu_igamma, bu_mutual_information
 
 
@@ -32,10 +32,18 @@ def main():
     parser.add_argument("--igamma-out", default="bu_igamma_curve.csv")
     parser.add_argument("--mi-out", default="bu_mi_curve.csv")
     args = parser.parse_args()
+    try:
+        write_curves(args)
+    except (DomainError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
+
+def write_curves(args):
     model = BernoulliUniformModel(args.n, args.panels)
     hi = args.gamma_hi if args.gamma_hi is not None else float(args.n + 1)
-    gammas = np.linspace(0.0, hi, args.gamma_steps)
+    gammas = GridSpec(0.0, hi, args.gamma_steps).points()
     gamma_rows = [[float(g), float(ig)] for g, ig in zip(gammas, bu_igamma(model, gammas))]
     igamma_out = resolve_out(args.igamma_out)
     write_csv(igamma_out, ["gamma", "igamma"], gamma_rows)
@@ -51,4 +59,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

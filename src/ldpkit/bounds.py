@@ -109,6 +109,8 @@ class BayesConfig:
             raise DomainError("info_value must be finite, got inf")
         if self.n < 1:
             raise DomainError(f"n must be >= 1, got {self.n}")
+        if self.zeta_grid.lo < 0:
+            raise DomainError(f"zeta grid needs lo >= 0 (a radius), got {self.zeta_grid.lo!r}")
 
 
 def _contracted(c: float, info: float) -> float:

@@ -6,11 +6,12 @@ model), ``bound`` (the individual bound calculators, with epsilon
 sweeps), ``remark`` (the two non-private Bayes bounds side by side), and
 ``oracle`` (brute-force validation runs).
 
+``main`` parses every grid flag into a ``GridSpec`` before dispatch.
 CSV output is comma-separated, LF-terminated, with a header row and 17
 significant digits, so identical flags give byte-identical files. Every
-command that writes files also writes a ``<out>.manifest.json`` listing
-the command, arguments, seed, and outputs. Relative output paths resolve
-against $LDPKIT_OUT_DIR when it is set.
+command that writes a CSV also writes a ``<out>.manifest.json`` listing
+the command, arguments (grids as their fields), seed, and outputs.
+Relative output paths resolve against $LDPKIT_OUT_DIR when it is set.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ import os
 import sys
 from functools import partial
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .bounds import (
@@ -78,21 +77,25 @@ def write_csv(path: Path, header: list[str], rows: list[list[float]]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _emit_manifest(command: str, args: argparse.Namespace, outputs: list[Path]) -> Path:
-    """Write ``<first output>.manifest.json``: what was run and what it
-    emitted, after all outputs. Dataclass arguments (grids) are written
-    as their fields."""
-    manifest = {
+def write_outputs(
+    command: str, args: argparse.Namespace, header: list[str], rows: list[list[float]]
+) -> dict:
+    """Write the CSV to ``args.out``, then ``<out>.manifest.json``: what was
+    run and what it emitted, with dataclass arguments (grids) written as
+    their fields. Returns the paths for the command's JSON line."""
+    out = resolve_out(args.out)
+    write_csv(out, header, rows)
+    record = {
         "command": command,
         "args": {k: v for k, v in vars(args).items() if k != "func"},
         "seed": getattr(args, "seed", None),
         "tool_version": __version__,
-        "outputs": [str(p) for p in outputs],
+        "outputs": [str(out)],
     }
-    path = outputs[0].with_name(outputs[0].name + ".manifest.json")
-    text = json.dumps(manifest, sort_keys=True, indent=2, default=dataclasses.asdict)
-    path.write_text(text + "\n")
-    return path
+    manifest = out.with_name(out.name + ".manifest.json")
+    text = json.dumps(record, sort_keys=True, indent=2, default=dataclasses.asdict)
+    manifest.write_text(text + "\n")
+    return {"outputs": [str(out)], "manifest": str(manifest)}
 
 
 def parse_grid_spec(text: str) -> GridSpec:
@@ -127,7 +130,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
         "input_size": kernel.input_size,
         "output_size": kernel.output_size,
     }
-    outputs: list[Path] = []
     exit_code = 0
 
     if args.epsilon is not None:
@@ -153,18 +155,10 @@ def cmd_audit(args: argparse.Namespace) -> int:
             exit_code = 0 if certified else 2
 
     if args.profile_grid is not None:
-        grid = parse_grid_spec(args.profile_grid).points()
-        points = [[e, d] for e, d in privacy_profile(kernel, grid).points]
+        points = [[e, d] for e, d in privacy_profile(kernel, args.profile_grid.points()).points]
         report["profile"] = points
         if args.out is not None:
-            out = resolve_out(args.out)
-            write_csv(out, ["epsilon", "delta"], points)
-            outputs.append(out)
-
-    if outputs:
-        manifest = _emit_manifest("audit", args, outputs)
-        report["outputs"] = [str(p) for p in outputs]
-        report["manifest"] = str(manifest)
+            report.update(write_outputs("audit", args, ["epsilon", "delta"], points))
     _print_json(report)
     return exit_code
 
@@ -176,77 +170,55 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def cmd_figure1(args: argparse.Namespace) -> int:
     # Per epsilon, the two private Bayes-risk lower bounds at
     # (epsilon, delta) from n observations of the Bernoulli-uniform model.
-    model = BernoulliUniformModel(args.n, args.panels)
-    epsilons = parse_grid_spec(args.eps_grid).points()
-    mi = bu_mutual_information(model)
-    params = [PrivacyParams(float(eps), args.delta) for eps in epsilons]
-    igammas = bu_igamma(model, np.array([gamma_from_epsilon(p.epsilon) for p in params]))
-    rows = []
-    for p, ig in zip(params, igammas):
-        mi_bound = bayes_xu_raginsky_private(
-            BayesConfig(small_ball_uniform01, info_value=mi, n=model.n, params=p)
-        )
-        eg_bound = bayes_egamma_lb(
-            BayesConfig(small_ball_uniform01, info_value=float(ig), n=model.n, params=p)
-        )
-        rows.append([p.epsilon, mi_bound.value, eg_bound.value])
-    out = resolve_out(args.out)
-    write_csv(out, ["epsilon", "bayes_lb_mi", "bayes_lb_egamma"], rows)
-    manifest = _emit_manifest("figure1", args, [out])
-    _print_json(
-        {
-            "n": args.n,
-            "delta": args.delta,
-            "panels": args.panels,
-            "mutual_information": mi,
-            "rows": len(rows),
-            "outputs": [str(out)],
-            "manifest": str(manifest),
-        }
-    )
+    params = [PrivacyParams(float(eps), args.delta) for eps in args.eps_grid.points()]
+    mi_reports = bayes_reports(True, None, args.n, args.panels, args.n, DEFAULT_ZETA_GRID, params)
+    eg_reports = bayes_reports(False, None, args.n, args.panels, args.n, DEFAULT_ZETA_GRID, params)
+    rows = [[p.epsilon, m.value, e.value] for p, m, e in zip(params, mi_reports, eg_reports)]
+    header = ["epsilon", "bayes_lb_mi", "bayes_lb_egamma"]
+    mi = mi_reports[0].inputs["info_value"]
+    summary = {"n": args.n, "delta": args.delta, "panels": args.panels, "mutual_information": mi}
+    _print_json({**summary, "rows": len(rows), **write_outputs("figure1", args, header, rows)})
     return 0
 
 
 # --------------------------------------------------------------------------
 # bound
 #
-# Each subcommand's report(args) binds the command's epsilon-independent
-# inputs once and returns params -> BoundReport, which a sweep calls per
-# epsilon. Calculators are looked up in this module's globals at call
-# time, so rebinding one here (as a tracer does) reaches every subcommand.
+# Each subcommand's reports(args, params) gives one BoundReport per entry
+# of the list params: one entry for a single run, one per epsilon for a
+# sweep, so epsilon-independent work is done once. Calculators are
+# looked up in this module's globals at call time, so rebinding one here
+# (as a tracer does) reaches every subcommand.
 
 
 def _with_bu_model(report: BoundReport, bu_model: dict) -> BoundReport:
     return dataclasses.replace(report, inputs={**report.inputs, "bu_model": bu_model})
 
 
-def _bayes_report(mi: bool):
-    """``bayes-mi`` (mi) or ``bayes-egamma``. Without --info the information
-    comes from the Bernoulli-uniform model, and the report records it; the
-    mutual information does not depend on epsilon, so it is computed once."""
-
-    def report(args: argparse.Namespace):
-        calculator = bayes_xu_raginsky_private if mi else bayes_egamma_lb
-        info = args.info
-        if info is None:
-            model = BernoulliUniformModel(args.bu_n, args.bu_panels)
-            if mi:
-                info = bu_mutual_information(model)
-
-        def at(params: PrivacyParams) -> BoundReport:
-            value = info
-            if value is None:
-                value = bu_igamma(model, gamma_from_epsilon(params.epsilon))
-            result = calculator(
-                BayesConfig(small_ball_uniform01, value, args.n, params, zeta_grid=args.zeta_grid)
-            )
-            if args.info is None:
-                result = _with_bu_model(result, {"n": args.bu_n, "panels": args.bu_panels})
-            return result
-
-        return at
-
-    return report
+def bayes_reports(
+    mi: bool, info: float | None, bu_n: int, bu_panels: int, n: int, zeta_grid: GridSpec,
+    params: list[PrivacyParams],
+) -> list[BoundReport]:
+    """The mutual-information (mi) or hockey-stick Bayes-risk lower bound
+    at each of ``params``. With info None the information comes from the
+    Bernoulli-uniform model (bu_n, bu_panels), and the reports record it:
+    the mutual information is computed once, and I_gamma in one call over
+    every gamma = e^epsilon."""
+    infos = [info] * len(params)
+    if info is None:
+        model = BernoulliUniformModel(bu_n, bu_panels)
+        if mi:
+            infos = [bu_mutual_information(model)] * len(params)
+        else:
+            infos = bu_igamma(model, [gamma_from_epsilon(p.epsilon) for p in params]).tolist()
+    calculator = bayes_xu_raginsky_private if mi else bayes_egamma_lb
+    reports = [
+        calculator(BayesConfig(small_ball_uniform01, value, n, p, zeta_grid=zeta_grid))
+        for value, p in zip(infos, params)
+    ]
+    if info is None:
+        reports = [_with_bu_model(r, {"n": bu_n, "panels": bu_panels}) for r in reports]
+    return reports
 
 
 # required numeric flags
@@ -256,10 +228,10 @@ _N = {"--n": {"type": int, "default": 1}}
 # Recorded in reports and manifests but without effect: the informations
 # are closed forms.
 _PANELS_HELP = "former quadrature panel count, no effect (even, >= 2)"
-# Grid flags stay strings until main() parses them, so that a malformed
-# grid gives the DomainError's message and exit 1 (argparse would swallow
-# the message and exit 2).
-_GRID_FLAGS = ("zeta_grid", "gamma_grid")
+# Grid flags, and the GRID of --sweep PARAM GRID, stay strings until
+# main() parses them, so that a malformed grid gives the DomainError's
+# message and exit 1 (argparse would swallow the message and exit 2).
+_GRID_FLAGS = ("zeta_grid", "gamma_grid", "profile_grid", "eps_grid")
 _BAYES_FLAGS = {
     "--info": {"type": float, "default": None, "help": "information value in nats"},
     "--bu-n": {"type": int, "default": 1, "help": "Bernoulli-uniform sample size"},
@@ -277,70 +249,74 @@ _PRIVACY_AND_SWEEP_FLAGS = {
 }
 
 # subcommand -> (help, its own flags as name -> add_argument keywords,
-# report(args) -> (params -> BoundReport))
+# reports(args, params) -> one BoundReport per params entry)
 BOUNDS = {
     "lecam": (
         "two-point minimax bound",
         {"--tau": _FLOAT, "--kl": _FLOAT, **_N},
-        lambda a: lambda p: lecam_private(a.tau, a.kl, a.n, p),
+        lambda a, ps: [lecam_private(a.tau, a.kl, a.n, p) for p in ps],
     ),
     "moment": (
         "k-th moment mean-estimation bound",
         {"--k-moment": _FLOAT, **_N},
-        lambda a: lambda p: moment_estimation_lb(a.k_moment, a.n, p),
+        lambda a, ps: [moment_estimation_lb(a.k_moment, a.n, p) for p in ps],
     ),
     "fano": (
         "multi-way testing bound",
         {"--v-count": _INT, "--avg-kl": _FLOAT, "--tau": _FLOAT, **_N,
          "--mi": {"type": float, "default": None, "help": "direct I(X^n; V) in nats"}},
-        lambda a: lambda p: fano_lb(a.v_count, a.avg_kl, a.tau, a.n, p, mi_xn_v=a.mi),
+        lambda a, ps: [fano_lb(a.v_count, a.avg_kl, a.tau, a.n, p, mi_xn_v=a.mi) for p in ps],
     ),
     "highdim": (
         "l2-ball mean-estimation bound",
         {"--d": _INT, "--r": _FLOAT, **_N},
-        lambda a: lambda p: highdim_mean_lb(a.d, a.r, a.n, p),
+        lambda a, ps: [highdim_mean_lb(a.d, a.r, a.n, p) for p in ps],
     ),
-    "bayes-mi": ("Bayes-risk lower bound", _BAYES_FLAGS, _bayes_report(mi=True)),
-    "bayes-egamma": ("Bayes-risk lower bound", _BAYES_FLAGS, _bayes_report(mi=False)),
+    "bayes-mi": (
+        "Bayes-risk lower bound",
+        _BAYES_FLAGS,
+        lambda a, ps: bayes_reports(True, a.info, a.bu_n, a.bu_panels, a.n, a.zeta_grid, ps),
+    ),
+    "bayes-egamma": (
+        "Bayes-risk lower bound",
+        _BAYES_FLAGS,
+        lambda a, ps: bayes_reports(False, a.info, a.bu_n, a.bu_panels, a.n, a.zeta_grid, ps),
+    ),
     "ht": (
         "hypothesis-testing error exponent cap",
         {"--kl": _FLOAT},
-        lambda a: lambda p: ht_exponent(a.kl, p),
+        lambda a, ps: [ht_exponent(a.kl, p) for p in ps],
     ),
     "micap": (
         "mutual-information cap",
         {"--entropy": _FLOAT},
-        lambda a: lambda p: mi_cap(a.entropy, p),
+        lambda a, ps: [mi_cap(a.entropy, p) for p in ps],
     ),
 }
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    _, _, report = BOUNDS[args.bound_kind]
+    _, _, reports = BOUNDS[args.bound_kind]
     if args.sweep is None:
         if args.out is not None:
             raise DomainError("--out requires --sweep")
-        params = PrivacyParams(args.eps, args.delta)
-        _print_json(report(args)(params))
+        _print_json(reports(args, [PrivacyParams(args.eps, args.delta)])[0])
         return 0
-    what, grid_text = args.sweep
+    what, grid = args.sweep
     if what != "epsilon":
         raise DomainError(f"only epsilon sweeps are supported, got {what!r}")
     if not args.out:
         raise DomainError("--sweep requires --out for the CSV curve")
-    grid = parse_grid_spec(grid_text).points()
-    at = report(args)
-    reports = [at(PrivacyParams(float(e), args.delta)) for e in grid]
-    witness_keys = sorted(reports[0].witness)
+    params = [PrivacyParams(float(e), args.delta) for e in grid.points()]
+    results = reports(args, params)
+    witness_keys = sorted(results[0].witness)
     header = ["epsilon", "value"] + [f"witness_{k}" for k in witness_keys]
     rows = [
-        [float(e), r.value] + [float(r.witness[k]) for k in witness_keys]
-        for e, r in zip(grid, reports)
+        [p.epsilon, r.value] + [float(r.witness[k]) for k in witness_keys]
+        for p, r in zip(params, results)
     ]
-    out = resolve_out(args.out)
-    write_csv(out, header, rows)
-    manifest = _emit_manifest(f"bound {args.bound_kind}", args, [out])
-    _print_json({"rows": len(rows), "outputs": [str(out)], "manifest": str(manifest)})
+    command = f"bound {args.bound_kind}"
+    _print_json({"rows": len(rows), **write_outputs(command, args, header, rows)})
     return 0
 
 
@@ -520,6 +496,8 @@ def main(argv: list[str] | None = None) -> int:
         for name in _GRID_FLAGS:
             if isinstance(getattr(args, name, None), str):
                 setattr(args, name, parse_grid_spec(getattr(args, name)))
+        if getattr(args, "sweep", None) is not None:
+            args.sweep[1] = parse_grid_spec(args.sweep[1])
         return args.func(args)
     except (DomainError, DimensionError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

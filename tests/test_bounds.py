@@ -285,6 +285,17 @@ class TestBayesConfig:
         with pytest.raises(DomainError, match="info_value must be"):
             BayesConfig(small_ball=small_ball_uniform01, info_value=info, n=1, params=NONPRIVATE)
 
+    def test_zeta_grid_must_not_start_below_zero(self):
+        # zeta is a ball radius: a negative grid once gave a negative bound
+        # and a negative witness radius
+        base = dict(small_ball=small_ball_uniform01, info_value=0.1, n=1, params=NONPRIVATE)
+        with pytest.raises(DomainError, match="zeta grid needs lo >= 0"):
+            BayesConfig(zeta_grid=GridSpec(-1.0, -0.5, 10), **base)
+        with pytest.raises(DomainError, match="zeta grid needs lo >= 0"):
+            BayesConfig(zeta_grid=GridSpec(-1e-9, 0.5, 10), **base)
+        report = bayes_egamma_lb(BayesConfig(zeta_grid=GridSpec(0.0, 0.5, 11), **base))
+        assert report.value >= 0.0 and report.witness["zeta"] >= 0.0
+
 
 class TestBayesGammaOpt:
     def test_requires_info_fn(self):

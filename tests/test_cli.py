@@ -479,6 +479,36 @@ class TestBayesModelCommands:
         assert len((tmp_path / "mi.csv").read_text().splitlines()) == 6
 
     @pytest.mark.parametrize(
+        "argv",
+        [["bound", "bayes-egamma", "--bu-n", "20", "--n", "20", "--eps", "1",
+          "--sweep", "epsilon", "0.1:3:5", "--out", "{out}"],
+         ["figure1", "--n", "20", "--eps-grid", "0.1:3:5", "--out", "{out}"]],
+    )
+    def test_igamma_computed_in_one_call_per_curve(self, capsys, tmp_path, monkeypatch, argv):
+        import ldpkit.cli
+
+        calls = []
+
+        def counting(model, gamma):
+            calls.append(np.shape(gamma))
+            return bu_igamma(model, gamma)
+
+        monkeypatch.setattr(ldpkit.cli, "bu_igamma", counting)
+        out = tmp_path / "curve.csv"
+        code, _, _ = run(capsys, [a.format(out=out) for a in argv])
+        assert code == 0
+        assert calls == [(5,)]
+        assert len(out.read_text().splitlines()) == 6
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bound", "bayes-egamma", "--eps", "1"], ["bound", "bayes-mi", "--eps", "1"],
+         ["bound", "bayes-egamma", "--eps", "1", "--info", "0.1"], ["bound", "bayes-gammaopt"]],
+    )
+    def test_negative_zeta_grid_is_one_error_line(self, capsys, argv):
+        assert "zeta grid needs lo >= 0" in run_error(capsys, [*argv, "--zeta-grid=-1:-0.5:10"])
+
+    @pytest.mark.parametrize(
         "grid", ["0.5:0.1:20", "1:2", "a:b:3", "1:2:3:log:x", "0:1:5:log", "0:inf:10"]
     )
     @pytest.mark.parametrize(
@@ -495,16 +525,24 @@ class TestBayesModelCommands:
         argv = [a.format(kernel=rr1_file, out=tmp_path / "unwritten.csv") for a in argv]
         assert "grid" in run_error(capsys, [*argv, grid])
 
-    def test_grid_flags_reach_the_manifest_as_specs(self, capsys, tmp_path):
-        out = tmp_path / "s.csv"
-        code, _, _ = run(
-            capsys,
-            ["bound", "bayes-mi", "--bu-n", "2", "--eps", "1", "--zeta-grid", "1e-3:0.5:50:log",
-             "--sweep", "epsilon", "0.5:1:2", "--out", str(out)],
-        )
-        assert code == 0
-        manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
-        assert manifest["args"]["zeta_grid"] == {"lo": 1e-3, "hi": 0.5, "steps": 50, "scale": "log"}
+    def test_grid_flags_reach_the_manifest_as_specs(self, capsys, tmp_path, rr1_file):
+        runs = [
+            (["bound", "bayes-mi", "--bu-n", "2", "--eps", "1", "--zeta-grid", "1e-3:0.5:50:log",
+              "--sweep", "epsilon", "0.5:1:2"],
+             {"zeta_grid": {"lo": 1e-3, "hi": 0.5, "steps": 50, "scale": "log"},
+              "sweep": ["epsilon", {"lo": 0.5, "hi": 1.0, "steps": 2, "scale": "linear"}]}),
+            (["audit", str(rr1_file), "--profile-grid", "0.1:1:4:log"],
+             {"profile_grid": {"lo": 0.1, "hi": 1.0, "steps": 4, "scale": "log"}}),
+            (["figure1", "--n", "2", "--eps-grid", "0.1:1:3"],
+             {"eps_grid": {"lo": 0.1, "hi": 1.0, "steps": 3, "scale": "linear"}}),
+        ]
+        for i, (argv, specs) in enumerate(runs):
+            out = tmp_path / f"{i}.csv"
+            code, _, _ = run(capsys, [*argv, "--out", str(out)])
+            assert code == 0
+            manifest = json.loads((tmp_path / f"{i}.csv.manifest.json").read_text())
+            for name, spec in specs.items():
+                assert manifest["args"][name] == spec
 
     @pytest.mark.parametrize("kind", ["bayes-mi", "bayes-egamma"])
     def test_large_model_runs(self, capsys, kind):

@@ -40,3 +40,11 @@ def test_model_curves_script_without_pythonpath(tmp_path):
     assert result.returncode == 0, result.stderr
     lines = (tmp_path / "bu_igamma_curve.csv").read_text().splitlines()
     assert lines[0] == "gamma,igamma"
+
+
+def test_model_curves_script_rejects_bad_flags_in_one_line(tmp_path):
+    for flags in (["--n", "0"], ["--gamma-hi=-1"], ["--panels", "3"], ["--gamma-steps", "-1"]):
+        result = run_script("model_curves.py", flags, tmp_path)
+        assert result.returncode == 1, result.stderr
+        assert result.stdout == ""
+        assert result.stderr.count("\n") == 1 and result.stderr.startswith("error: "), result.stderr
