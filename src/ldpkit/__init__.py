@@ -26,14 +26,7 @@ from .contraction import (
     phi_n,
     two_point_scan,
 )
-from .dist import (
-    Distribution,
-    FGenerator,
-    egamma,
-    f_divergence,
-    hellinger_sq,
-    tv,
-)
+from .dist import Distribution, FGenerator, f_divergence
 from .errors import CapacityError, DimensionError, DomainError
 from .info import (
     BernoulliUniformModel,
@@ -41,7 +34,7 @@ from .info import (
     bu_class_marginal,
     bu_igamma,
     bu_mutual_information,
-    mutual_information,
+    f_information,
 )
 from .kernel import (
     Kernel,

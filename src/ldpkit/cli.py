@@ -200,13 +200,13 @@ def bayes_reports(
     params: list[PrivacyParams],
 ) -> list[BoundReport]:
     """The mutual-information (mi) or hockey-stick Bayes-risk lower bound
-    at each of ``params``. With info None the information comes from the
-    Bernoulli-uniform model (bu_n, bu_panels), and the reports record it:
-    the mutual information is computed once, and I_gamma in one call over
-    every gamma = e^epsilon."""
+    at each of ``params``. The Bernoulli-uniform model (bu_n, bu_panels)
+    is validated on every call; with info None the information comes from
+    it, and the reports record it: the mutual information is computed
+    once, and I_gamma in one call over every gamma = e^epsilon."""
+    model = BernoulliUniformModel(bu_n, bu_panels)
     infos = [info] * len(params)
     if info is None:
-        model = BernoulliUniformModel(bu_n, bu_panels)
         if mi:
             infos = [bu_mutual_information(model)] * len(params)
         else:
@@ -457,9 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
         q.set_defaults(func=cmd_bound)
 
     q = bsub.add_parser("bayes-gammaopt", help="gamma-optimized non-private Bayes bound")
-    q.add_argument("--bu-n", type=int, default=1)
-    q.add_argument("--bu-panels", type=int, default=20000, help=_PANELS_HELP)
-    q.add_argument("--zeta-grid", default=DEFAULT_ZETA_GRID)
+    for flag in ("--bu-n", "--bu-panels", "--zeta-grid"):
+        q.add_argument(flag, **_BAYES_FLAGS[flag])
     q.add_argument("--gamma-grid", default=DEFAULT_GAMMA_GRID)
     q.set_defaults(func=cmd_gammaopt)
 

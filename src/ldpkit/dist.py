@@ -1,15 +1,16 @@
-"""Finite probability distributions and divergences between them.
+"""Finite probability distributions and f-divergences between them.
 
 Everything operates on plain double-precision probability vectors, made
 by the one rule in :func:`probability_array` that Distribution, Kernel and
-JointDistribution share. The divergences implemented are total variation, KL (nats), chi-squared,
-squared Hellinger, and the hockey-stick family
+JointDistribution share. An :class:`FGenerator` names the divergence:
+total variation, KL (nats), chi-squared, squared Hellinger, or the
+hockey-stick family
 
     E_gamma(P||Q) = sum_i max(p_i - gamma * q_i, 0) - max(1 - gamma, 0),
 
 which equals total variation at gamma = 1. Each divergence is implemented
 once, batched along the last axis (:func:`divergence`, :func:`excess`);
-the scalar functions on Distribution wrap it.
+:func:`f_divergence` is its one scalar entry point, on two Distributions.
 """
 
 from __future__ import annotations
@@ -182,34 +183,14 @@ def _hellinger_sq(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def divergence(p: np.ndarray, q: np.ndarray, f: FGenerator) -> np.ndarray:
     """D_f(p||q) along the last axis of two broadcasting probability arrays.
 
-    The one implementation of each divergence; the scalar functions below
-    wrap it. Symbols with q_i = 0 = p_i contribute nothing; q_i = 0 < p_i
+    The one implementation of each divergence; :func:`f_divergence` wraps
+    it. Symbols with q_i = 0 = p_i contribute nothing; q_i = 0 < p_i
     yields +inf for KL and chi-squared and the finite limit for the others.
     """
     if f.kind == "egamma":
         return _egamma(p, q, f.gamma)
     formula = {"tv": _tv, "kl": _kl, "chi2": _chi2, "hellinger_sq": _hellinger_sq}[f.kind]
     return formula(p, q)
-
-
-def tv(p: Distribution, q: Distribution) -> float:
-    """Total variation distance (1/2) sum |p_i - q_i|, in [0, 1]."""
-    _check_alphabets(p, q)
-    return float(_tv(p.probs, q.probs))
-
-
-def egamma(p: Distribution, q: Distribution, gamma: float) -> float:
-    """Hockey-stick divergence E_gamma(P||Q), sup-over-sets form."""
-    _check_alphabets(p, q)
-    if not gamma >= 0:
-        raise DomainError(f"gamma must be >= 0, got {gamma!r}")
-    return float(_egamma(p.probs, q.probs, gamma))
-
-
-def hellinger_sq(p: Distribution, q: Distribution) -> float:
-    """Squared Hellinger distance sum (sqrt(p_i) - sqrt(q_i))^2, in [0, 2]."""
-    _check_alphabets(p, q)
-    return float(_hellinger_sq(p.probs, q.probs))
 
 
 def f_divergence(p: Distribution, q: Distribution, f: FGenerator) -> float:

@@ -1,5 +1,7 @@
-"""Mutual information and hockey-stick information on finite joints,
-plus the Bernoulli-uniform conjugate model.
+"""f-informations of finite joints, and the Bernoulli-uniform conjugate model.
+
+The f-information of a joint P_AB is I_f(A; B) = D_f(P_AB || P_A x P_B):
+mutual information for KL and I_gamma for the hockey-stick divergence.
 
 The Bernoulli-uniform model has a uniform parameter Theta on [0, 1] and
 n conditionally i.i.d. Bernoulli(theta) observations. Its marginal over
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import Distribution, egamma, probability_array
+from .dist import Distribution, FGenerator, f_divergence, probability_array
 from .errors import DomainError
 
 
@@ -50,24 +52,10 @@ def entropy(p: Distribution) -> float:
     return float(-(v * np.log(v)).sum())
 
 
-def mutual_information(j: JointDistribution) -> float:
-    """I(A; B) = sum p(a,b) log(p(a,b) / (p(a) p(b))) in nats."""
-    pa = j.probs.sum(axis=1)
-    pb = j.probs.sum(axis=0)
-    prod = np.outer(pa, pb)
-    mask = j.probs > 0
-    return float((j.probs[mask] * np.log(j.probs[mask] / prod[mask])).sum())
-
-
-def egamma_information(j: JointDistribution, gamma: float) -> float:
-    """I_gamma(A; B): hockey-stick divergence of the joint from the product."""
-    pa = j.probs.sum(axis=1)
-    pb = j.probs.sum(axis=0)
-    joint = Distribution(j.probs.reshape(-1))
-    product = Distribution(np.outer(pa, pb).reshape(-1))
-    return egamma(joint, product, gamma)
-
-
+def f_information(j: JointDistribution, f: FGenerator) -> float:
+    """I_f(A; B): the f-divergence of the joint from the product of its marginals."""
+    product = np.outer(j.probs.sum(axis=1), j.probs.sum(axis=0))
+    return f_divergence(Distribution(j.probs.reshape(-1)), Distribution(product.reshape(-1)), f)
 
 
 @dataclass(frozen=True)

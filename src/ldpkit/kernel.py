@@ -125,20 +125,28 @@ def bsc(omega: float) -> Kernel:
     return Kernel(np.array([[1.0 - omega, omega], [omega, 1.0 - omega]]))
 
 
-def randomized_response(epsilon: float) -> Kernel:
-    """Binary randomized response at privacy level epsilon: BSC(1/(1+e^eps))."""
-    if epsilon < 0:
+def _odds(epsilon: float) -> float:
+    """e^epsilon for epsilon in [0, inf]; +inf once it overflows (epsilon > 709.78)."""
+    if not epsilon >= 0:
         raise DomainError(f"epsilon must be >= 0, got {epsilon!r}")
-    return bsc(1.0 / (1.0 + np.exp(epsilon)))
+    with np.errstate(over="ignore"):
+        return float(np.exp(epsilon))
+
+
+def randomized_response(epsilon: float) -> Kernel:
+    """Binary randomized response at privacy level epsilon: BSC(1/(1+e^eps)),
+    the identity where e^eps is infinite."""
+    return bsc(1.0 / (1.0 + _odds(epsilon)))
 
 
 def k_rr(epsilon: float, k: int) -> Kernel:
-    """k-ary randomized response: keeps the input with odds e^eps : 1 per alternative."""
+    """k-ary randomized response: keeps the input with odds e^eps : 1 per
+    alternative, so the identity where e^eps is infinite."""
     if k < 2:
         raise DomainError(f"k-ary randomized response needs k >= 2, got {k}")
-    if epsilon < 0:
-        raise DomainError(f"epsilon must be >= 0, got {epsilon!r}")
-    e = float(np.exp(epsilon))
+    e = _odds(epsilon)
+    if np.isinf(e):  # the diagonal below would be inf * 0
+        return Kernel.identity(k)
     off = 1.0 / (k - 1 + e)
     rows = np.full((k, k), off)
     np.fill_diagonal(rows, e * off)

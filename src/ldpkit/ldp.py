@@ -22,6 +22,7 @@ from .contraction import PrivacyParams, gamma_from_epsilon, two_point_scan
 from .dist import Distribution, excess, normalize_rows
 from .errors import DomainError
 from .kernel import Kernel
+from .oracle import SearchConfig
 
 # Fixed default seed for the sampled verifier; override per call for
 # independent replications.
@@ -155,21 +156,16 @@ def verify_equivalence(
     distinct point masses is 1 and their pushforwards are rows of k, so
     the point-mass sweep is the two-point scan: its top pair has the
     largest ratio of them all, and violates whenever any of them does.
+    ``seed`` and ``trials`` make a :class:`~ldpkit.oracle.SearchConfig`,
+    which checks them and draws the Dirichlet(1) pairs.
     """
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
-    if trials > np.iinfo(np.intp).max:
-        raise DomainError(f"trials must be <= {np.iinfo(np.intp).max}, got {trials}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    cfg = SearchConfig(seed=seed, trials=trials)
     gamma = gamma_from_epsilon(params.epsilon)
     d = k.input_size
     (top,), (worst,) = two_point_scan(k, [gamma])
     certified = top <= params.delta + IS_LDP_TOL
 
-    rng = np.random.default_rng(seed)
-    ps = normalize_rows(rng.dirichlet(np.ones(d), size=trials))
-    qs = normalize_rows(rng.dirichlet(np.ones(d), size=trials))
+    ps, qs = (normalize_rows(v) for v in cfg.dirichlet_pairs(d))
     num = np.concatenate([[top], excess(_pushforward(ps, k), _pushforward(qs, k), gamma)])
     den = np.concatenate([[1.0], excess(ps, qs, gamma)])
 

@@ -38,7 +38,8 @@ OUTPUT_CAP = 20
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Sampling plan for the brute-force contraction search."""
+    """Sampling plan for the brute-force contraction search and the
+    sampled verifier of :func:`ldpkit.ldp.verify_equivalence`."""
 
     seed: int
     trials: int
@@ -56,6 +57,12 @@ class SearchConfig:
             raise DomainError(
                 f"dirichlet_alpha must be finite and positive, got {self.dirichlet_alpha!r}"
             )
+
+    def dirichlet_pairs(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """``trials`` sampled input pairs on d symbols, as two (trials, d) arrays."""
+        rng = np.random.default_rng(self.seed)
+        alpha = np.full(d, self.dirichlet_alpha)
+        return rng.dirichlet(alpha, size=self.trials), rng.dirichlet(alpha, size=self.trials)
 
 
 def _f1(x: np.ndarray) -> np.ndarray:
@@ -100,10 +107,7 @@ def brute_eta_f(k: Kernel, f: FGenerator, cfg: SearchConfig) -> float:
     estimate.
     """
     d = k.input_size
-    rng = np.random.default_rng(cfg.seed)
-    alpha = np.full(d, cfg.dirichlet_alpha)
-    ps = rng.dirichlet(alpha, size=cfg.trials)
-    qs = rng.dirichlet(alpha, size=cfg.trials)
+    ps, qs = cfg.dirichlet_pairs(d)
 
     dens = divergence(ps, qs, f)
     nums = divergence(ps @ k.rows, qs @ k.rows, f)

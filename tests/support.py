@@ -6,7 +6,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from ldpkit.dist import Distribution, _check_alphabets, egamma, tv
+from ldpkit.dist import Distribution, FGenerator, _check_alphabets, f_divergence
 from ldpkit.errors import DomainError
 from ldpkit.kernel import Kernel, bsc, k_rr, pushforward, randomized_response
 
@@ -82,11 +82,11 @@ def loop_two_point(k: Kernel, gamma: float) -> tuple[float, float, tuple[int, in
         px = k.row(x)
         for xp in range(k.input_size):
             qx = k.row(xp)
-            value = egamma(px, qx, gamma)
+            value = f_divergence(px, qx, FGenerator("egamma", gamma))
             if value > best:
                 best = value
                 best_pair = (x, xp)
-            best_tv = max(best_tv, tv(px, qx))
+            best_tv = max(best_tv, f_divergence(px, qx, FGenerator("tv")))
     return best, best_tv, best_pair
 
 
@@ -148,9 +148,10 @@ def loop_verify(k: Kernel, epsilon: float, delta: float, trials: int, seed: int)
     qs = rng.dirichlet(np.ones(d), size=trials)
     pairs.extend((Distribution(p), Distribution(q)) for p, q in zip(ps, qs))
     probes = []  # (p, q, num, den) in probe order
+    f = FGenerator("egamma", gamma)
     for p, q in pairs:
-        num = egamma(pushforward(p, k), pushforward(q, k), gamma)
-        probes.append((p.probs, q.probs, num, egamma(p, q, gamma)))
+        num = f_divergence(pushforward(p, k), pushforward(q, k), f)
+        probes.append((p.probs, q.probs, num, f_divergence(p, q, f)))
     max_ratio, max_ratio_pair = 0.0, None
     for p, q, num, den in probes:
         if den > 1e-12 and num / den > max_ratio:
@@ -192,7 +193,7 @@ def egamma_integral_form(p: Distribution, q: Distribution, gamma: float) -> floa
     """E_gamma via (1/2) sum |p_i - gamma q_i| - (1/2) |1 - gamma|.
 
     Kept as an independent formula for cross-validation against
-    :func:`ldpkit.dist.egamma`; agrees with it for every gamma >= 0.
+    :func:`ldpkit.dist.f_divergence`; agrees with it for every gamma >= 0.
     """
     _check_alphabets(p, q)
     if not gamma >= 0:

@@ -20,7 +20,8 @@ from ldpkit.bounds import (
 )
 from ldpkit.contraction import PrivacyParams, phi, phi_n
 from ldpkit.errors import DomainError
-from ldpkit.info import BernoulliUniformModel, JointDistribution, bu_igamma, mutual_information
+from ldpkit.dist import FGenerator
+from ldpkit.info import BernoulliUniformModel, JointDistribution, bu_igamma, f_information
 from ldpkit.kernel import randomized_response
 from ldpkit.oracle import grid_max
 from support import bu_igamma_n1
@@ -406,7 +407,7 @@ class TestScalarBounds:
         for eps in np.linspace(0.0, 5.0, 21):
             k = randomized_response(float(eps))
             joint = JointDistribution(0.5 * k.rows)
-            exact = mutual_information(joint)
+            exact = f_information(joint, FGenerator("kl"))
             assert exact <= mi_cap(LN2, PrivacyParams(float(eps), 0.0)).value + 1e-12
 
 

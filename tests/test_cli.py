@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -553,6 +554,24 @@ class TestBayesModelCommands:
         assert math.isfinite(payload["value"]) and payload["value"] >= 0.0
         assert payload["inputs"]["bu_model"] == {"n": 2000, "panels": 20000}
 
+    @pytest.mark.parametrize("kind", ["bayes-mi", "bayes-egamma"])
+    def test_model_flags_are_checked_with_explicit_info(self, capsys, kind):
+        # --info replaces the model's information, not the checks on its flags
+        argv = ["bound", kind, "--info", "0.1", "--eps", "1"]
+        err = run_error(capsys, [*argv, "--bu-n", "-5", "--bu-panels", "3"])
+        assert "sample size n must be >= 1, got -5" in err
+        assert "panels must be even" in run_error(capsys, [*argv, "--bu-panels", "3"])
+
+    def test_gammaopt_shares_the_model_flags(self, capsys):
+        helps = {}
+        for kind in ("bayes-mi", "bayes-gammaopt"):
+            with pytest.raises(SystemExit):
+                main(["bound", kind, "--help"])
+            helps[kind] = capsys.readouterr().out
+        for text in helps.values():
+            assert re.search(r"--bu-n BU_N\s+Bernoulli-uniform sample size", text)
+            assert re.search(r"--bu-panels BU_PANELS\s+former quadrature panel count", text)
+
     def test_gammaopt_records_the_model_at_every_n(self, capsys):
         for n in ("1", "3"):
             code, out, _ = run(capsys, ["bound", "bayes-gammaopt", "--bu-n", n,
@@ -629,6 +648,13 @@ class TestOracleCommands:
 def test_negative_seed_is_one_error_line(capsys, rr1_file, argv):
     err = run_error(capsys, [*argv, str(rr1_file), "--seed", "-1"])
     assert err == "error: seed must be >= 0, got -1\n"
+
+
+def test_seed_and_trials_are_checked_in_one_order(capsys, rr1_file):
+    # audit's verifier and oracle eta-f validate both through one SearchConfig
+    for argv in (["audit", "--epsilon", "1", "--delta", "0.1"], ["oracle", "eta-f", "--f", "tv"]):
+        err = run_error(capsys, [*argv, str(rr1_file), "--trials", "0", "--seed", "-1"])
+        assert err == "error: seed must be >= 0, got -1\n"
 
 
 # 10**15 trials fail at their first allocation (PiB-sized); 10**30 does not

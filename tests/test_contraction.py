@@ -14,7 +14,7 @@ from ldpkit.contraction import (
     phi_n,
     two_point_scan,
 )
-from ldpkit.dist import FGenerator, egamma, excess
+from ldpkit.dist import FGenerator, excess, f_divergence
 from ldpkit.errors import DomainError
 from ldpkit.kernel import Kernel, bsc, k_rr, randomized_response, tensor_power
 from ldpkit.oracle import SearchConfig, brute_eta_f
@@ -164,7 +164,7 @@ class TestPairwiseScan:
         rows[0, :3] = rng.dirichlet(np.ones(3))
         rows[1, 3:] = rng.dirichlet(np.ones(3))
         k = Kernel(rows)
-        assert egamma(k.row(0), k.row(1), 2.0) > 1.0
+        assert f_divergence(k.row(0), k.row(1), FGenerator("egamma", 2.0)) > 1.0
         values, _ = two_point_scan(k, [2.0, 1.0])
         assert values == [1.0, 1.0]
         assert eta_tv_from_eta_gamma(values[0], 2.0) == 1.0

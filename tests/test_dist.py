@@ -6,15 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ldpkit.contraction import eta_tv_from_eta_gamma
-from ldpkit.dist import (
-    Distribution,
-    FGenerator,
-    divergence,
-    egamma,
-    f_divergence,
-    hellinger_sq,
-    tv,
-)
+from ldpkit.dist import Distribution, FGenerator, divergence, excess, f_divergence
 from ldpkit.errors import DimensionError, DomainError
 from support import (
     bu_igamma_n1,
@@ -83,13 +75,19 @@ class TestFGenerator:
 
 
 _P, _Q = Distribution(np.array([0.7, 0.3])), Distribution(np.array([0.2, 0.8]))
+TV = FGenerator("tv")
+HELLINGER = FGenerator("hellinger_sq")
+
+
+def _eg(gamma: float) -> FGenerator:
+    return FGenerator("egamma", gamma)
 
 
 @pytest.mark.parametrize(
     "call",
     [
         lambda g: FGenerator("egamma", g),
-        lambda g: egamma(_P, _Q, g),
+        lambda g: f_divergence(_P, _Q, _eg(g)),
         lambda g: egamma_integral_form(_P, _Q, g),
         lambda g: egamma_threshold_form(_P, _Q, g),
         lambda g: eta_tv_from_eta_gamma(0.5, g),
@@ -107,58 +105,58 @@ def test_nan_gamma_is_rejected(call):
 class TestTV:
     def test_identity_is_zero(self):
         p = Distribution(np.array([0.2, 0.3, 0.5]))
-        assert tv(p, p) == 0.0
+        assert f_divergence(p, p, TV) == 0.0
 
     def test_disjoint_point_masses(self):
-        assert tv(Distribution.point_mass(0, 2), Distribution.point_mass(1, 2)) == 1.0
+        assert f_divergence(Distribution.point_mass(0, 2), Distribution.point_mass(1, 2), TV) == 1.0
 
     def test_bernoulli_example(self):
-        assert tv(Distribution.bernoulli(0.5), Distribution.bernoulli(0.25)) == 0.25
+        assert f_divergence(Distribution.bernoulli(0.5), Distribution.bernoulli(0.25), TV) == 0.25
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            tv(Distribution.uniform(2), Distribution.uniform(3))
+            f_divergence(Distribution.uniform(2), Distribution.uniform(3), TV)
 
     @given(distribution_pairs())
     def test_symmetric_and_bounded(self, pair):
         p, q = pair
-        d = tv(p, q)
-        assert d == tv(q, p)
+        d = f_divergence(p, q, TV)
+        assert d == f_divergence(q, p, TV)
         assert 0.0 <= d <= 1.0
 
 
 class TestEgamma:
     @given(distributions(), st.floats(0.0, 6.0))
     def test_identical_arguments_vanish(self, p, gamma):
-        assert egamma(p, p, gamma) <= 1e-12
+        assert f_divergence(p, p, _eg(gamma)) <= 1e-12
 
     @given(distribution_pairs())
     def test_gamma_one_is_tv(self, pair):
         p, q = pair
-        assert egamma(p, q, 1.0) == pytest.approx(tv(p, q), abs=1e-14)
+        assert f_divergence(p, q, _eg(1.0)) == pytest.approx(f_divergence(p, q, TV), abs=1e-14)
 
     @given(st.floats(1.0, 8.0))
     def test_disjoint_point_masses_give_one(self, gamma):
         p = Distribution.point_mass(0, 2)
         q = Distribution.point_mass(1, 2)
-        assert egamma(p, q, gamma) == pytest.approx(1.0, abs=1e-15)
+        assert f_divergence(p, q, _eg(gamma)) == pytest.approx(1.0, abs=1e-15)
 
     @given(st.floats(0.0, 1.0))
     def test_disjoint_point_masses_below_one(self, gamma):
         # below gamma = 1 the (1 - gamma)_+ term caps the divergence at gamma
         p = Distribution.point_mass(0, 2)
         q = Distribution.point_mass(1, 2)
-        assert egamma(p, q, gamma) == pytest.approx(min(gamma, 1.0), abs=1e-15)
+        assert f_divergence(p, q, _eg(gamma)) == pytest.approx(min(gamma, 1.0), abs=1e-15)
 
     def test_negative_gamma_rejected(self):
         p = Distribution.uniform(2)
         with pytest.raises(DomainError):
-            egamma(p, p, -0.1)
+            f_divergence(p, p, _eg(-0.1))
 
     @given(distribution_pairs(), st.floats(0.0, 5.0))
     def test_three_forms_agree(self, pair, gamma):
         p, q = pair
-        sup_form = egamma(p, q, gamma)
+        sup_form = f_divergence(p, q, _eg(gamma))
         assert egamma_integral_form(p, q, gamma) == pytest.approx(sup_form, abs=1e-12)
         assert egamma_threshold_form(p, q, gamma) == pytest.approx(sup_form, abs=1e-12)
 
@@ -166,16 +164,16 @@ class TestEgamma:
     def test_unimodal_in_gamma_with_peak_at_one(self, pair):
         # nondecreasing on [0, 1], nonincreasing on [1, inf); the peak is TV
         p, q = pair
-        rising = [egamma(p, q, g) for g in (0.0, 0.3, 0.7, 1.0)]
+        rising = [f_divergence(p, q, _eg(g)) for g in (0.0, 0.3, 0.7, 1.0)]
         assert all(a <= b + 1e-12 for a, b in zip(rising, rising[1:]))
-        falling = [egamma(p, q, g) for g in (1.0, 1.5, 2.5, 4.0)]
+        falling = [f_divergence(p, q, _eg(g)) for g in (1.0, 1.5, 2.5, 4.0)]
         assert all(b <= a + 1e-12 for a, b in zip(falling, falling[1:]))
 
     @given(distribution_pairs(), st.floats(1.0, 5.0))
     def test_sandwich_between_tv_bounds(self, pair, gamma):
         p, q = pair
-        e = egamma(p, q, gamma)
-        t = tv(p, q)
+        e = f_divergence(p, q, _eg(gamma))
+        t = f_divergence(p, q, TV)
         assert 1.0 - gamma * (1.0 - t) <= e + 1e-10
         assert e <= t + 1e-10
 
@@ -183,21 +181,21 @@ class TestEgamma:
 class TestHellinger:
     def test_identity_and_maximal(self):
         p = Distribution(np.array([0.2, 0.8]))
-        assert hellinger_sq(p, p) == 0.0
-        assert hellinger_sq(
-            Distribution.point_mass(0, 2), Distribution.point_mass(1, 2)
+        assert f_divergence(p, p, HELLINGER) == 0.0
+        assert f_divergence(
+            Distribution.point_mass(0, 2), Distribution.point_mass(1, 2), HELLINGER
         ) == pytest.approx(2.0)
 
     def test_bernoulli_example(self):
-        value = hellinger_sq(Distribution.bernoulli(0.5), Distribution.bernoulli(0.0))
+        value = f_divergence(Distribution.bernoulli(0.5), Distribution.bernoulli(0.0), HELLINGER)
         assert value == pytest.approx(2.0 - math.sqrt(2.0), abs=1e-12)
         assert value == pytest.approx(0.58579, abs=1e-5)
 
     @given(distribution_pairs())
     def test_tv_below_hellinger_distance(self, pair):
         p, q = pair
-        assert tv(p, q) <= math.sqrt(hellinger_sq(p, q)) + 1e-12
-        assert hellinger_sq(p, q) <= 2.0 + 1e-12
+        assert f_divergence(p, q, TV) <= math.sqrt(f_divergence(p, q, HELLINGER)) + 1e-12
+        assert f_divergence(p, q, HELLINGER) <= 2.0 + 1e-12
 
 
 class TestFDivergence:
@@ -242,18 +240,20 @@ class TestFDivergence:
     def test_tv_kind_matches_tv(self):
         p = Distribution(np.array([0.2, 0.3, 0.5]))
         q = Distribution(np.array([0.6, 0.1, 0.3]))
-        assert f_divergence(p, q, FGenerator("tv")) == tv(p, q)
+        assert f_divergence(p, q, TV) == 0.5 * np.abs(p.probs - q.probs).sum()
 
     @given(distribution_pairs(), st.floats(0.0, 5.0))
     def test_egamma_kind_matches_egamma_exactly(self, pair, gamma):
+        # the sup-over-sets form: the excess mass, less (1 - gamma)_+
         p, q = pair
-        assert f_divergence(p, q, FGenerator("egamma", gamma)) == egamma(p, q, gamma)
+        sup_form = max(excess(p.probs, q.probs, gamma) - max(1.0 - gamma, 0.0), 0.0)
+        assert f_divergence(p, q, _eg(gamma)) == sup_form
 
     @given(distribution_pairs())
     def test_pinsker(self, pair):
         p, q = pair
         kl = f_divergence(p, q, FGenerator("kl"))
-        assert tv(p, q) ** 2 <= 0.5 * kl + 1e-10
+        assert f_divergence(p, q, TV) ** 2 <= 0.5 * kl + 1e-10
 
 
 ALL_KINDS = [
@@ -290,5 +290,5 @@ class TestBatchedLayer:
     def test_infinite_gamma_is_the_residual(self):
         p = Distribution(np.array([0.5, 0.5, 0.0]))
         q = Distribution(np.array([0.2, 0.3, 0.5]))
-        assert egamma(q, p, math.inf) == 0.5
-        assert egamma(p, q, math.inf) == 0.0
+        assert f_divergence(q, p, _eg(math.inf)) == 0.5
+        assert f_divergence(p, q, _eg(math.inf)) == 0.0

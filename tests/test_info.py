@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ldpkit.dist import Distribution, tv
+from ldpkit.dist import Distribution, FGenerator, f_divergence
 from ldpkit.errors import DimensionError, DomainError
 from ldpkit.info import (
     BernoulliUniformModel,
@@ -18,9 +18,8 @@ from ldpkit.info import (
     bu_class_marginal,
     bu_igamma,
     bu_mutual_information,
-    egamma_information,
     entropy,
-    mutual_information,
+    f_information,
 )
 from support import (
     bu_igamma_n1,
@@ -34,6 +33,7 @@ from support import (
 # Simpson implementation existed; agrees with the analytic value
 # log(3) - 1 + log(2)/3.
 BU_MI_N2_TRAPEZOID = 0.3296613488547582
+KL = FGenerator("kl")
 
 
 def trapezoid_bu_mi(n: int, points: int = 200001) -> float:
@@ -76,30 +76,32 @@ class TestJointDistribution:
 class TestMutualInformation:
     def test_independent_joint(self):
         j = JointDistribution(np.outer([0.3, 0.7], [0.6, 0.4]))
-        assert mutual_information(j) == pytest.approx(0.0, abs=1e-14)
+        assert f_information(j, KL) == pytest.approx(0.0, abs=1e-14)
 
     def test_perfectly_correlated(self):
         j = JointDistribution(np.array([[0.5, 0.0], [0.0, 0.5]]))
-        assert mutual_information(j) == pytest.approx(math.log(2.0), abs=1e-14)
+        assert f_information(j, KL) == pytest.approx(math.log(2.0), abs=1e-14)
 
     def test_example_value(self):
         j = JointDistribution(np.array([[0.4, 0.1], [0.1, 0.4]]))
         expected = 0.8 * math.log(1.6) + 0.2 * math.log(0.4)
-        assert mutual_information(j) == pytest.approx(expected, abs=1e-14)
-        assert mutual_information(j) == pytest.approx(0.19274, abs=1e-5)
+        assert f_information(j, KL) == pytest.approx(expected, abs=1e-14)
+        assert f_information(j, KL) == pytest.approx(0.19274, abs=1e-5)
 
 
 class TestEgammaInformation:
     def test_independent_joint_vanishes(self):
         j = JointDistribution(np.outer([0.3, 0.7], [0.6, 0.4]))
         for gamma in (1.0, 1.5, 3.0):
-            assert egamma_information(j, gamma) <= 1e-12
+            assert f_information(j, FGenerator("egamma", gamma)) <= 1e-12
 
     def test_gamma_one_is_tv_to_product(self):
         j = JointDistribution(np.array([[0.35, 0.15], [0.05, 0.45]]))
         flat = Distribution(j.probs.reshape(-1))
         prod = Distribution(np.outer(j.marginal_a().probs, j.marginal_b().probs).reshape(-1))
-        assert egamma_information(j, 1.0) == pytest.approx(tv(flat, prod), abs=1e-14)
+        assert f_information(j, FGenerator("egamma", 1.0)) == pytest.approx(
+            f_divergence(flat, prod, FGenerator("tv")), abs=1e-14
+        )
 
     def test_dpi_on_second_coordinate(self, rng):
         for _ in range(25):
@@ -107,8 +109,8 @@ class TestEgammaInformation:
             j = JointDistribution(raw)
             k = random_kernel(rng, 3, 3)
             pushed = JointDistribution(j.probs @ k.rows)
-            for gamma in (1.0, 1.8, 3.0):
-                assert egamma_information(pushed, gamma) <= egamma_information(j, gamma) + 1e-10
+            for f in (FGenerator("egamma", g) for g in (1.0, 1.8, 3.0)):
+                assert f_information(pushed, f) <= f_information(j, f) + 1e-10
 
 
 class TestEntropy:
@@ -168,7 +170,7 @@ class TestBuIgamma:
         theta = (np.arange(bins) + 0.5) / bins
         joint = JointDistribution(np.stack([(1 - theta) / bins, theta / bins], axis=1))
         for gamma in (0.0, 0.5, 1.0, 1.5, 2.0):
-            assert egamma_information(joint, gamma) == pytest.approx(
+            assert f_information(joint, FGenerator("egamma", gamma)) == pytest.approx(
                 bu_igamma_n1(gamma), abs=1e-9
             )
 

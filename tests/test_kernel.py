@@ -161,6 +161,20 @@ class TestConstructors:
         with pytest.raises(DomainError):
             k_rr(1.0, 1)
 
+    # e^eps overflows past eps = 709.78; without a guard that was a
+    # RuntimeWarning, and k_rr's diagonal became inf * 0.
+    @pytest.mark.parametrize("epsilon", [math.inf, 709.79, 800.0])
+    def test_infinite_odds_give_the_identity(self, epsilon):
+        assert np.array_equal(randomized_response(epsilon).rows, np.eye(2))
+        assert np.array_equal(k_rr(epsilon, 3).rows, np.eye(3))
+
+    @pytest.mark.parametrize("epsilon", [math.nan, -0.2])
+    def test_nan_and_negative_epsilon_name_epsilon(self, epsilon):
+        with pytest.raises(DomainError, match="epsilon must be >= 0"):
+            randomized_response(epsilon)
+        with pytest.raises(DomainError, match="epsilon must be >= 0"):
+            k_rr(epsilon, 3)
+
 
 class TestPushforward:
     @given(st.floats(0.0, 1.0), st.floats(0.0, 3.0))

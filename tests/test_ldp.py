@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import ldpkit.contraction
 import ldpkit.ldp
 from ldpkit.contraction import PrivacyParams, two_point_scan
-from ldpkit.dist import Distribution, egamma
+from ldpkit.dist import Distribution, FGenerator, f_divergence
 from ldpkit.errors import DomainError
 from ldpkit.kernel import Kernel, bsc, k_rr, pushforward, randomized_response
 from ldpkit.ldp import (
@@ -76,7 +76,7 @@ class TestDeltaAt:
         rr = randomized_response(eps)
         a = pushforward(Distribution.bernoulli(p), rr)
         b = pushforward(Distribution.bernoulli(q), rr)
-        assert egamma(a, b, math.exp(eps)) <= 1e-12
+        assert f_divergence(a, b, FGenerator("egamma", math.exp(eps))) <= 1e-12
 
     def test_infinite_epsilon_is_the_residual(self):
         assert delta_at(SPLIT_SUPPORT, math.inf) == 0.5
