@@ -31,7 +31,6 @@ from .errors import CapacityError, DimensionError, DomainError
 from .info import (
     BernoulliUniformModel,
     JointDistribution,
-    bu_class_marginal,
     bu_igamma,
     bu_mutual_information,
     f_information,
@@ -42,8 +41,6 @@ from .kernel import (
     k_rr,
     load_kernel,
     parse_kernel,
-    product_distribution,
-    pushforward,
     randomized_response,
     tensor_power,
 )

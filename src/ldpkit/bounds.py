@@ -17,10 +17,13 @@ from typing import Callable
 import numpy as np
 
 from .contraction import PrivacyParams, gamma_from_epsilon, phi, phi_n
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .oracle import grid_max
 
 LN2 = math.log(2.0)
+# Point caps of a grid and of the zeta x gamma mesh (peak ~250 B and ~17 B a point).
+MAX_GRID_STEPS = 10**6
+MAX_MESH_POINTS = 2**25
 
 
 @dataclass(frozen=True)
@@ -36,6 +39,8 @@ class GridSpec:
     def __post_init__(self):
         if self.steps < 1:
             raise DomainError(f"grid needs at least 1 step, got {self.steps}")
+        if self.steps > MAX_GRID_STEPS:
+            raise CapacityError(f"grid has {self.steps} points, over the cap {MAX_GRID_STEPS}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise DomainError(f"grid ends must be finite, got [{self.lo}, {self.hi}]")
         if self.steps > 1 and not self.lo < self.hi:
@@ -133,6 +138,8 @@ def lecam_private(tau: float, kl_p0_p1: float, n: int, params: PrivacyParams) ->
     """
     if not tau > 0:
         raise DomainError(f"tau must be > 0, got {tau!r}")
+    if tau == math.inf:
+        raise DomainError("tau must be finite, got inf")
     if not kl_p0_p1 >= 0:
         raise DomainError("kl_p0_p1 must be >= 0")
     if n < 1:
@@ -210,6 +217,8 @@ def fano_lb(
         raise DomainError("mi_xn_v must be >= 0")
     if not tau > 0:
         raise DomainError(f"tau must be > 0, got {tau!r}")
+    if tau == math.inf:
+        raise DomainError("tau must be finite, got inf")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     pn = phi_n(params, n)
@@ -248,6 +257,8 @@ def highdim_mean_lb(d: int, r: float, n: int, params: PrivacyParams) -> BoundRep
         raise DomainError(f"dimension must be >= 1, got {d}")
     if not r > 0:
         raise DomainError(f"radius must be > 0, got {r!r}")
+    if r == math.inf:
+        raise DomainError("radius must be finite, got inf")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     pn = phi_n(params, n)
@@ -356,6 +367,9 @@ def bayes_gamma_opt_lb(cfg: BayesConfig) -> BoundReport:
     """
     if cfg.info_fn is None:
         raise DomainError("bayes_gamma_opt_lb requires info_fn (gamma -> I_gamma)")
+    mesh = cfg.zeta_grid.steps * cfg.gamma_grid.steps
+    if mesh > MAX_MESH_POINTS:
+        raise CapacityError(f"zeta x gamma mesh has {mesh} points, over the cap {MAX_MESH_POINTS}")
     gammas = cfg.gamma_grid.points()
     info = cfg.info_fn(gammas)
 

@@ -93,19 +93,6 @@ class Distribution:
         v[index] = 1.0
         return cls(v)
 
-    @classmethod
-    def bernoulli(cls, p: float) -> "Distribution":
-        """Distribution [1-p, p] over {0, 1}."""
-        if not 0.0 <= p <= 1.0:
-            raise DomainError(f"bernoulli parameter {p!r} outside [0, 1]")
-        return cls(np.array([1.0 - p, p]))
-
-    @classmethod
-    def uniform(cls, size: int) -> "Distribution":
-        if size < 1:
-            raise DomainError("alphabet size must be >= 1")
-        return cls(np.full(size, 1.0 / size))
-
 
 _F_KINDS = ("tv", "kl", "chi2", "hellinger_sq", "egamma")
 

@@ -39,18 +39,6 @@ class JointDistribution:
         probs = probability_array(self.probs, 2, "joint distribution")
         object.__setattr__(self, "probs", probs)
 
-    def marginal_a(self) -> Distribution:
-        return Distribution(self.probs.sum(axis=1))
-
-    def marginal_b(self) -> Distribution:
-        return Distribution(self.probs.sum(axis=0))
-
-
-def entropy(p: Distribution) -> float:
-    """Shannon entropy in nats, with 0 log 0 = 0."""
-    v = p.probs[p.probs > 0]
-    return float(-(v * np.log(v)).sum())
-
 
 def f_information(j: JointDistribution, f: FGenerator) -> float:
     """I_f(A; B): the f-divergence of the joint from the product of its marginals."""
@@ -76,13 +64,6 @@ class BernoulliUniformModel:
             raise DomainError(f"sample size n must be >= 1, got {self.n}")
         if self.panels < 2 or self.panels % 2 != 0:
             raise DomainError(f"panels must be even and >= 2, got {self.panels}")
-
-
-def bu_class_marginal(n: int) -> np.ndarray:
-    """Marginal mass of each count class s: C(n,s) s!(n-s)!/(n+1)! = 1/(n+1)."""
-    if n < 1:
-        raise DomainError(f"sample size n must be >= 1, got {n}")
-    return np.full(n + 1, 1.0 / (n + 1))
 
 
 # Gamma values times count classes handled together, so a long gamma grid

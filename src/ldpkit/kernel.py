@@ -18,7 +18,7 @@ import numpy as np
 from .dist import Distribution, probability_array
 from .errors import CapacityError, DimensionError, DomainError
 
-# Product constructions refuse to materialize more states than this.
+# Tensor powers refuse to materialize more states than this.
 DEFAULT_STATE_CAP = 4096
 
 
@@ -54,12 +54,6 @@ class Kernel:
         if size < 1:
             raise DomainError("alphabet size must be >= 1")
         return cls(np.eye(size))
-
-    def to_json(self) -> str:
-        rows = ",".join(
-            "[" + ",".join(f"{x:.17g}" for x in r) + "]" for r in self.rows
-        )
-        return '{"rows":[' + rows + "]}"
 
 
 def parse_kernel(text: str) -> Kernel:
@@ -106,16 +100,6 @@ def load_kernel(path: str | Path) -> Kernel:
     except UnicodeDecodeError as exc:
         raise DomainError(f"malformed kernel file: {exc}") from None
     return parse_kernel(text)
-
-
-def pushforward(p: Distribution, k: Kernel) -> Distribution:
-    """Output distribution PK of the kernel under input distribution P."""
-    if p.alphabet_size != k.input_size:
-        raise DimensionError(
-            f"distribution on {p.alphabet_size} symbols cannot feed a kernel "
-            f"with input size {k.input_size}"
-        )
-    return Distribution(p.probs @ k.rows)
 
 
 def bsc(omega: float) -> Kernel:
@@ -177,14 +161,3 @@ def tensor_power(k: Kernel, n: int) -> Kernel:
     for _ in range(n - 1):
         rows = np.kron(rows, k.rows)
     return Kernel(rows)
-
-
-def product_distribution(p: Distribution, n: int) -> Distribution:
-    """i.i.d. product of p over the n-fold product alphabet (same index order)."""
-    if n < 1:
-        raise DomainError(f"product distribution needs n >= 1, got {n}")
-    _check_cap(p.alphabet_size, n, "product alphabet")
-    v = p.probs
-    for _ in range(n - 1):
-        v = np.kron(v, p.probs)
-    return Distribution(v)

@@ -133,8 +133,8 @@ class EquivalenceReport:
 
 
 def _pushforward(ps: np.ndarray, k: Kernel) -> np.ndarray:
-    # A stack of vector-matrix products rounds like pushforward does row
-    # by row; one (trials, |X|) @ (|X|, |Z|) product would not.
+    # A stack of vector-matrix products rounds like the reference
+    # tests/support.pushforward, row by row; one matmul would not.
     return normalize_rows((ps[:, None, :] @ k.rows)[:, 0, :])
 
 

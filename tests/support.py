@@ -7,8 +7,25 @@ import numpy as np
 from hypothesis import strategies as st
 
 from ldpkit.dist import Distribution, FGenerator, _check_alphabets, f_divergence
-from ldpkit.errors import DomainError
-from ldpkit.kernel import Kernel, bsc, k_rr, pushforward, randomized_response
+from ldpkit.errors import DimensionError, DomainError
+from ldpkit.kernel import Kernel, bsc, k_rr, randomized_response
+
+
+def pushforward(p: Distribution, k: Kernel) -> Distribution:
+    """Output distribution PK of the kernel under input distribution P."""
+    if p.alphabet_size != k.input_size:
+        raise DimensionError(
+            f"distribution on {p.alphabet_size} symbols cannot feed a kernel "
+            f"with input size {k.input_size}"
+        )
+    return Distribution(p.probs @ k.rows)
+
+
+def bu_class_marginal(n: int) -> np.ndarray:
+    """Marginal mass of each count class s: C(n,s) s!(n-s)!/(n+1)! = 1/(n+1)."""
+    if n < 1:
+        raise DomainError(f"sample size n must be >= 1, got {n}")
+    return np.full(n + 1, 1.0 / (n + 1))
 
 
 def random_distribution(rng, size: int) -> Distribution:

@@ -34,20 +34,21 @@ from ldpkit.dist import Distribution, FGenerator, f_divergence
 from ldpkit.info import (
     BernoulliUniformModel,
     JointDistribution,
-    bu_class_marginal,
     bu_igamma,
     bu_mutual_information,
     f_information,
 )
-from ldpkit.kernel import bsc, k_rr, pushforward, randomized_response, tensor_power
+from ldpkit.kernel import bsc, k_rr, randomized_response, tensor_power
 from ldpkit.ldp import delta_at, tightest_epsilon
 from ldpkit.oracle import SearchConfig, brute_eta_f, brute_profile_check
 from support import (
     audit_kernel_family,
+    bu_class_marginal,
     bu_igamma_n1,
     egamma_integral_form,
     egamma_threshold_form,
     loop_two_point,
+    pushforward,
     random_distribution,
     random_kernel,
 )

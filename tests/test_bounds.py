@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from ldpkit.bounds import (
+    MAX_GRID_STEPS,
+    MAX_MESH_POINTS,
     BayesConfig,
     GridSpec,
     bayes_egamma_lb,
@@ -19,7 +21,7 @@ from ldpkit.bounds import (
     small_ball_uniform01,
 )
 from ldpkit.contraction import PrivacyParams, phi, phi_n
-from ldpkit.errors import DomainError
+from ldpkit.errors import CapacityError, DomainError
 from ldpkit.dist import FGenerator
 from ldpkit.info import BernoulliUniformModel, JointDistribution, bu_igamma, f_information
 from ldpkit.kernel import randomized_response
@@ -55,6 +57,9 @@ class TestGridSpec:
         for lo, hi in ((0.0, math.inf), (-math.inf, 1.0), (1e-3, math.inf)):
             with pytest.raises(DomainError):
                 GridSpec(lo, hi, 10, "log" if lo > 0 else "linear")
+        assert GridSpec(0.0, 3.0, MAX_GRID_STEPS).steps == 10**6
+        with pytest.raises(CapacityError, match="grid has 1000001 points, over the cap 1000000"):
+            GridSpec(0.0, 3.0, MAX_GRID_STEPS + 1)
 
 
 class TestLeCam:
@@ -339,6 +344,22 @@ class TestBayesGammaOpt:
         bayes_gamma_opt_lb(cfg)
         assert len(seen) == 1
         assert np.array_equal(seen[0], grid.points())
+
+    def test_oversized_mesh_is_refused_before_info_fn(self):
+        def info_fn(g):
+            raise AssertionError("info_fn called")
+
+        cfg = BayesConfig(
+            small_ball=small_ball_uniform01,
+            info_value=0.0,
+            n=2,
+            params=NONPRIVATE,
+            info_fn=info_fn,
+            zeta_grid=GridSpec(1e-4, 0.5, 2**15, "log"),
+            gamma_grid=GridSpec(0.0, 4.0, MAX_MESH_POINTS // 2**15 + 1),
+        )
+        with pytest.raises(CapacityError, match="mesh has 33587200 points, over the cap 33554432"):
+            bayes_gamma_opt_lb(cfg)
 
     def test_zero_information_at_gamma_one(self):
         # with I identically 0 the gamma = 1 row reduces to sup z (1 - L(z))

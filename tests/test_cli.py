@@ -28,10 +28,14 @@ from ldpkit.info import BernoulliUniformModel, bu_igamma, bu_mutual_information
 from ldpkit.kernel import k_rr, randomized_response
 
 
+def kernel_json(k) -> str:
+    return json.dumps({"rows": k.rows.tolist()})
+
+
 @pytest.fixture
 def rr1_file(tmp_path):
     path = tmp_path / "rr1.json"
-    path.write_text(randomized_response(1.0).to_json())
+    path.write_text(kernel_json(randomized_response(1.0)))
     return path
 
 
@@ -266,9 +270,15 @@ class TestBound:
     def test_negative_or_nan_information_is_one_error_line(self, capsys, argv, value):
         assert "must be >= 0" in run_error(capsys, ["bound", *argv, value, "--eps", "1"])
 
-    # The moment exponent 2(k - 1)/k is inf/inf, and bayes-egamma at n = 1,
-    # delta = 0 multiplies I by c = 0.
-    @pytest.mark.parametrize("argv", [["moment", "--k-moment"], ["bayes-egamma", "--info"]])
+    # The moment exponent 2(k - 1)/k is inf/inf, bayes-egamma at n = 1,
+    # delta = 0 multiplies I by c = 0, and a separation or radius is a length.
+    @pytest.mark.parametrize(
+        "argv",
+        [["moment", "--k-moment"], ["bayes-egamma", "--info"],
+         ["lecam", "--kl", "0.1", "--n", "10", "--tau"],
+         ["fano", "--v-count", "4", "--avg-kl", "0.1", "--n", "10", "--tau"],
+         ["highdim", "--d", "8", "--n", "64", "--r"]],
+    )
     def test_infinite_input_without_a_limit_is_one_error_line(self, capsys, argv):
         assert "finite" in run_error(capsys, ["bound", *argv, "inf", "--eps", "1"])
 
@@ -526,6 +536,18 @@ class TestBayesModelCommands:
         argv = [a.format(kernel=rr1_file, out=tmp_path / "unwritten.csv") for a in argv]
         assert "grid" in run_error(capsys, [*argv, grid])
 
+    # Both are refused before anything is allocated; uncapped, each is
+    # killed by the OS on an 8 GB machine.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["audit", "{kernel}", "--profile-grid", "0:3:100000000"],
+          "grid has 100000000 points, over the cap 1000000"),
+         (["bound", "bayes-gammaopt", "--bu-n", "2", "--zeta-grid", "1e-4:0.5:100000:log",
+           "--gamma-grid", "0:4:1000"], "mesh has 100000000 points, over the cap 33554432")],
+    )
+    def test_oversized_grid_is_one_error_line(self, capsys, rr1_file, argv, message):
+        assert message in run_error(capsys, [a.format(kernel=rr1_file) for a in argv])
+
     def test_grid_flags_reach_the_manifest_as_specs(self, capsys, tmp_path, rr1_file):
         runs = [
             (["bound", "bayes-mi", "--bu-n", "2", "--eps", "1", "--zeta-grid", "1e-3:0.5:50:log",
@@ -675,7 +697,7 @@ class TestOutputDirEnv:
             ["audit", str(tmp_path / "k.json"), "--profile-grid", "0:1:3", "--out", "p.csv"],
         )
         # kernel file missing, exit 1; write it and retry
-        (tmp_path / "k.json").write_text(k_rr(1.0, 3).to_json())
+        (tmp_path / "k.json").write_text(kernel_json(k_rr(1.0, 3)))
         code, _, _ = run(
             capsys,
             ["audit", str(tmp_path / "k.json"), "--profile-grid", "0:1:3", "--out", "p.csv"],

@@ -48,14 +48,12 @@ class TestDistribution:
             Distribution(np.array(values))
 
     def test_probs_are_read_only(self):
-        d = Distribution.uniform(3)
+        d = Distribution(np.full(3, 1 / 3))
         with pytest.raises(ValueError):
             d.probs[0] = 0.9
 
-    def test_point_mass_and_uniform(self):
+    def test_point_mass(self):
         assert Distribution.point_mass(1, 3).probs.tolist() == [0.0, 1.0, 0.0]
-        assert np.allclose(Distribution.uniform(4).probs, 0.25)
-        assert Distribution.bernoulli(0.25).probs.tolist() == [0.75, 0.25]
 
 
 class TestFGenerator:
@@ -111,11 +109,11 @@ class TestTV:
         assert f_divergence(Distribution.point_mass(0, 2), Distribution.point_mass(1, 2), TV) == 1.0
 
     def test_bernoulli_example(self):
-        assert f_divergence(Distribution.bernoulli(0.5), Distribution.bernoulli(0.25), TV) == 0.25
+        assert f_divergence(Distribution([0.5, 0.5]), Distribution([0.75, 0.25]), TV) == 0.25
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            f_divergence(Distribution.uniform(2), Distribution.uniform(3), TV)
+            f_divergence(Distribution(np.full(2, 1 / 2)), Distribution(np.full(3, 1 / 3)), TV)
 
     @given(distribution_pairs())
     def test_symmetric_and_bounded(self, pair):
@@ -149,7 +147,7 @@ class TestEgamma:
         assert f_divergence(p, q, _eg(gamma)) == pytest.approx(min(gamma, 1.0), abs=1e-15)
 
     def test_negative_gamma_rejected(self):
-        p = Distribution.uniform(2)
+        p = Distribution(np.full(2, 1 / 2))
         with pytest.raises(DomainError):
             f_divergence(p, p, _eg(-0.1))
 
@@ -187,7 +185,7 @@ class TestHellinger:
         ) == pytest.approx(2.0)
 
     def test_bernoulli_example(self):
-        value = f_divergence(Distribution.bernoulli(0.5), Distribution.bernoulli(0.0), HELLINGER)
+        value = f_divergence(Distribution([0.5, 0.5]), Distribution([1.0, 0.0]), HELLINGER)
         assert value == pytest.approx(2.0 - math.sqrt(2.0), abs=1e-12)
         assert value == pytest.approx(0.58579, abs=1e-5)
 
@@ -215,15 +213,13 @@ class TestFDivergence:
         assert f_divergence(p, p, f) == pytest.approx(0.0, abs=1e-14)
 
     def test_kl_example(self):
-        value = f_divergence(
-            Distribution.bernoulli(0.5), Distribution.bernoulli(0.25), FGenerator("kl")
-        )
+        value = f_divergence(Distribution([0.5, 0.5]), Distribution([0.75, 0.25]), FGenerator("kl"))
         expected = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
         assert value == pytest.approx(expected, abs=1e-15)
         assert value == pytest.approx(0.14384, abs=1e-5)
 
     def test_kl_infinite_off_support(self):
-        p = Distribution.bernoulli(0.5)
+        p = Distribution([0.5, 0.5])
         q = Distribution.point_mass(1, 2)
         assert f_divergence(p, q, FGenerator("kl")) == math.inf
         assert f_divergence(p, q, FGenerator("chi2")) == math.inf
@@ -231,7 +227,7 @@ class TestFDivergence:
         assert math.isfinite(f_divergence(q, p, FGenerator("kl")))
 
     def test_finite_limits_for_tv_hellinger_egamma(self):
-        p = Distribution.bernoulli(0.5)
+        p = Distribution([0.5, 0.5])
         q = Distribution.point_mass(1, 2)
         assert f_divergence(p, q, FGenerator("tv")) == 0.5
         assert math.isfinite(f_divergence(p, q, FGenerator("hellinger_sq")))

@@ -11,7 +11,7 @@ import ldpkit.ldp
 from ldpkit.contraction import PrivacyParams, two_point_scan
 from ldpkit.dist import Distribution, FGenerator, f_divergence
 from ldpkit.errors import DomainError
-from ldpkit.kernel import Kernel, bsc, k_rr, pushforward, randomized_response
+from ldpkit.kernel import Kernel, bsc, k_rr, randomized_response
 from ldpkit.ldp import (
     IS_LDP_TOL,
     PrivacyProfile,
@@ -28,6 +28,7 @@ from support import (
     kernels,
     loop_two_point,
     loop_verify,
+    pushforward,
     random_kernel,
     tightest_epsilon_sorted_prefix,
 )
@@ -74,8 +75,8 @@ class TestDeltaAt:
         # pushing any two Bernoulli inputs through the mechanism kills the
         # divergence at gamma = e^eps
         rr = randomized_response(eps)
-        a = pushforward(Distribution.bernoulli(p), rr)
-        b = pushforward(Distribution.bernoulli(q), rr)
+        a = pushforward(Distribution([1 - p, p]), rr)
+        b = pushforward(Distribution([1 - q, q]), rr)
         assert f_divergence(a, b, FGenerator("egamma", math.exp(eps))) <= 1e-12
 
     def test_infinite_epsilon_is_the_residual(self):

@@ -6,10 +6,10 @@ import pytest
 from ldpkit.contraction import two_point_scan
 from ldpkit.dist import Distribution, FGenerator, f_divergence
 from ldpkit.errors import CapacityError, DomainError
-from ldpkit.kernel import Kernel, bsc, k_rr, pushforward, randomized_response
+from ldpkit.kernel import Kernel, bsc, k_rr, randomized_response
 from ldpkit.ldp import delta_at
 from ldpkit.oracle import DENOM_FLOOR, SearchConfig, brute_eta_f, brute_profile_check, grid_max
-from support import audit_kernel_family, random_kernel
+from support import audit_kernel_family, pushforward, random_kernel
 
 
 class TestSearchConfig:
