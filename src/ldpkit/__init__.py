@@ -59,7 +59,6 @@ from .oracle import (
     SearchConfig,
     brute_eta_f,
     brute_profile_check,
-    grid_max,
 )
 
 __version__ = "0.1.0"

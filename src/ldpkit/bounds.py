@@ -3,9 +3,10 @@
 Every calculator returns a ``BoundReport`` carrying the value, the
 optimizer's witness arguments, and an echo of its inputs, so results can
 be re-derived from the report alone. Suprema over the slack parameter
-zeta (and, where applicable, gamma) are dense-grid maximizations with
-configurable grids; negative brackets clamp to zero and are flagged as
-vacuous rather than reported negative. Logs are nats throughout.
+zeta (and, where applicable, gamma) are the maxima of the bound's values
+on configurable grids, ties going to the first grid point; negative
+brackets clamp to zero and are flagged as vacuous rather than reported
+negative. Logs are nats throughout.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 
 from .contraction import PrivacyParams, gamma_from_epsilon, phi, phi_n
 from .errors import CapacityError, DomainError
-from .oracle import grid_max
 
 LN2 = math.log(2.0)
 # Point caps of a grid and of the zeta x gamma mesh (peak ~250 B and ~17 B a point).
@@ -93,10 +93,10 @@ class BayesConfig:
     bound ignores ``info_value`` and needs ``info_fn``, a callable
     gamma -> I_gamma(Theta; X^n).
 
-    Both callables must take numpy arrays and broadcast, as ``grid_max``
-    objectives do: ``small_ball`` is called once on the whole zeta grid
-    and ``info_fn`` once on the 1-d gamma grid. A constant result is
-    broadcast to the grid.
+    Both callables must take numpy arrays and broadcast: ``small_ball`` is
+    called once on the whole zeta grid (a column of it for the
+    gamma-optimized bound) and ``info_fn`` once on the 1-d gamma grid. A
+    constant result is broadcast to the grid.
     """
 
     small_ball: Callable[[np.ndarray], np.ndarray]
@@ -219,8 +219,6 @@ def fano_lb(
         raise DomainError(f"tau must be > 0, got {tau!r}")
     if tau == math.inf:
         raise DomainError("tau must be finite, got inf")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
     pn = phi_n(params, n)
     if mi_xn_v is not None:
         mi_up = _contracted(pn, mi_xn_v)
@@ -259,8 +257,6 @@ def highdim_mean_lb(d: int, r: float, n: int, params: PrivacyParams) -> BoundRep
         raise DomainError(f"radius must be > 0, got {r!r}")
     if r == math.inf:
         raise DomainError("radius must be finite, got inf")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
     pn = phi_n(params, n)
     extra: tuple[str, ...] = ()
     if pn == 0.0:
@@ -307,30 +303,23 @@ def bayes_xu_raginsky_private(cfg: BayesConfig) -> BoundReport:
     """
     pn = phi_n(cfg.params, cfg.n)
     numerator = pn * cfg.info_value + LN2
-
-    def objective(z):
-        ball = cfg.small_ball(z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_inv = np.log(1.0 / ball)
-            bracket = 1.0 - numerator / log_inv
-        vals = z * np.maximum(0.0, bracket)
-        return np.where(ball < 1.0, vals, -np.inf)
-
-    (zeta_star,), value = grid_max(objective, cfg.zeta_grid.points())
-    if not math.isfinite(value):
-        return BoundReport(
-            bound_name="bayes_xu_raginsky_private",
-            value=0.0,
-            witness={},
-            inputs=_bayes_inputs(cfg, phi_n=pn),
-            flags=("no-feasible-zeta", "vacuous"),
-        )
+    zetas = cfg.zeta_grid.points()
+    ball = cfg.small_ball(zetas)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bracket = 1.0 - numerator / np.log(1.0 / ball)
+    vals = np.where(ball < 1.0, zetas * np.maximum(0.0, bracket), -np.inf)
+    i = int(np.argmax(vals))
+    value = float(vals[i])
+    if math.isfinite(value):
+        witness, flags = {"zeta": float(zetas[i])}, _flags_for(value)
+    else:
+        value, witness, flags = 0.0, {}, ("no-feasible-zeta", "vacuous")
     return BoundReport(
         bound_name="bayes_xu_raginsky_private",
         value=value,
-        witness={"zeta": zeta_star},
+        witness=witness,
         inputs=_bayes_inputs(cfg, phi_n=pn),
-        flags=_flags_for(value),
+        flags=flags,
     )
 
 
@@ -343,15 +332,14 @@ def bayes_egamma_lb(cfg: BayesConfig) -> BoundReport:
     """
     gamma = gamma_from_epsilon(cfg.params.epsilon)
     c = cfg.params.delta if cfg.n == 1 else phi_n(cfg.params, cfg.n)
-
-    def objective(z):
-        return z * np.maximum(0.0, 1.0 - c * cfg.info_value - gamma * cfg.small_ball(z))
-
-    (zeta_star,), value = grid_max(objective, cfg.zeta_grid.points())
+    zetas = cfg.zeta_grid.points()
+    vals = zetas * np.maximum(0.0, 1.0 - c * cfg.info_value - gamma * cfg.small_ball(zetas))
+    i = int(np.argmax(vals))
+    value = float(vals[i])
     return BoundReport(
         bound_name="bayes_egamma_lb",
         value=value,
-        witness={"zeta": zeta_star},
+        witness={"zeta": float(zetas[i])},
         inputs=_bayes_inputs(cfg, gamma=gamma, info_coefficient=c),
         flags=_flags_for(value),
     )
@@ -370,20 +358,19 @@ def bayes_gamma_opt_lb(cfg: BayesConfig) -> BoundReport:
     mesh = cfg.zeta_grid.steps * cfg.gamma_grid.steps
     if mesh > MAX_MESH_POINTS:
         raise CapacityError(f"zeta x gamma mesh has {mesh} points, over the cap {MAX_MESH_POINTS}")
+    zetas = cfg.zeta_grid.points()
     gammas = cfg.gamma_grid.points()
     info = cfg.info_fn(gammas)
-
-    def objective(z, g):
-        # z [1 - I_gamma - gamma L(z) - (1 - gamma)_+]_+, evaluated left to
-        # right in one (zeta, gamma) buffer
-        out = g * cfg.small_ball(z)
-        np.subtract(1.0 - info, out, out=out)
-        out -= np.maximum(1.0 - g, 0.0)
-        np.maximum(0.0, out, out=out)
-        out *= z
-        return out
-
-    (zeta_star, gamma_star), value = grid_max(objective, cfg.zeta_grid.points(), gammas)
+    z, g = zetas[:, None], gammas[None, :]
+    # z [1 - I_gamma - gamma L(z) - (1 - gamma)_+]_+, evaluated left to
+    # right in one (zeta, gamma) buffer, which a constant L broadcasts into
+    vals = np.multiply(g, cfg.small_ball(z), out=np.empty((zetas.size, gammas.size)))
+    np.subtract(1.0 - info, vals, out=vals)
+    vals -= np.maximum(1.0 - g, 0.0)
+    np.maximum(0.0, vals, out=vals)
+    vals *= z
+    i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    value, zeta_star, gamma_star = float(vals[i, j]), float(zetas[i]), float(gammas[j])
     # Until the gamma supremum is searched off the grid, a witness on an
     # end of the grid says the supremum may lie beyond it.
     edge = ("gamma-at-grid-edge",) if gamma_star in (gammas[0], gammas[-1]) else ()

@@ -44,7 +44,7 @@ from .bounds import (
     small_ball_uniform01,
 )
 from .contraction import PrivacyParams, gamma_from_epsilon, two_point_scan
-from .dist import FGenerator
+from .dist import F_KINDS, FGenerator
 from .errors import CapacityError, DimensionError, DomainError
 from .info import BernoulliUniformModel, bu_igamma, bu_mutual_information
 from .kernel import load_kernel
@@ -155,7 +155,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
             exit_code = 0 if certified else 2
 
     if args.profile_grid is not None:
-        points = [[e, d] for e, d in privacy_profile(kernel, args.profile_grid.points()).points]
+        points = privacy_profile(kernel, args.profile_grid.points()).points
         report["profile"] = points
         if args.out is not None:
             report.update(write_outputs("audit", args, ["epsilon", "delta"], points))
@@ -472,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = osub.add_parser("eta-f", help="sampled contraction-ratio search")
     q.add_argument("kernel")
-    q.add_argument("--f", choices=["tv", "kl", "chi2", "hellinger_sq", "egamma"], required=True)
+    q.add_argument("--f", choices=list(F_KINDS), required=True)
     q.add_argument("--gamma", type=float, default=None)
     q.add_argument("--trials", type=int, default=1000)
     q.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -503,6 +503,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        print(f"error: numeric overflow: {exc.args[-1]}", file=sys.stderr)
         return 1
 
 

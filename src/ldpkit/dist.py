@@ -94,9 +94,6 @@ class Distribution:
         return cls(v)
 
 
-_F_KINDS = ("tv", "kl", "chi2", "hellinger_sq", "egamma")
-
-
 @dataclass(frozen=True)
 class FGenerator:
     """Generator of an f-divergence; each kind is convex with f(1) = 0.
@@ -110,7 +107,7 @@ class FGenerator:
     gamma: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _F_KINDS:
+        if self.kind not in F_KINDS:
             raise DomainError(f"unknown f-divergence kind {self.kind!r}")
         if self.kind == "egamma":
             if self.gamma is None or not self.gamma >= 0:
@@ -167,6 +164,10 @@ def _hellinger_sq(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return ((np.sqrt(p) - np.sqrt(q)) ** 2).sum(axis=-1)
 
 
+# The f-divergence kinds, each with its batched formula; egamma's takes gamma as well.
+F_KINDS = {"tv": _tv, "kl": _kl, "chi2": _chi2, "hellinger_sq": _hellinger_sq, "egamma": _egamma}
+
+
 def divergence(p: np.ndarray, q: np.ndarray, f: FGenerator) -> np.ndarray:
     """D_f(p||q) along the last axis of two broadcasting probability arrays.
 
@@ -176,8 +177,7 @@ def divergence(p: np.ndarray, q: np.ndarray, f: FGenerator) -> np.ndarray:
     """
     if f.kind == "egamma":
         return _egamma(p, q, f.gamma)
-    formula = {"tv": _tv, "kl": _kl, "chi2": _chi2, "hellinger_sq": _hellinger_sq}[f.kind]
-    return formula(p, q)
+    return F_KINDS[f.kind](p, q)
 
 
 def f_divergence(p: Distribution, q: Distribution, f: FGenerator) -> float:

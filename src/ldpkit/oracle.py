@@ -1,5 +1,4 @@
-"""Brute-force searches behind the ``oracle`` subcommand, and the dense
-grid maximizer the bounds use.
+"""Brute-force searches behind the ``oracle`` subcommand.
 
 A sampled contraction-ratio search and an exhaustive subset-sup
 evaluation of the raw privacy constraint validate the two-point
@@ -34,6 +33,8 @@ _NEAR_COINCIDENT_FLOOR = 1e-9
 
 # brute_profile_check enumerates 2^|Z| output sets; larger |Z| is refused.
 OUTPUT_CAP = 20
+# Entries of each (trials, d) sample array (peak ~100 B an entry, ~1 GB at the cap).
+MAX_SAMPLES = 10**7
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,6 @@ class SearchConfig:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
-        if self.trials > np.iinfo(np.intp).max:
-            raise DomainError(f"trials must be <= {np.iinfo(np.intp).max}, got {self.trials}")
         if not 0 < self.dirichlet_alpha < math.inf:
             raise DomainError(
                 f"dirichlet_alpha must be finite and positive, got {self.dirichlet_alpha!r}"
@@ -60,6 +59,8 @@ class SearchConfig:
 
     def dirichlet_pairs(self, d: int) -> tuple[np.ndarray, np.ndarray]:
         """``trials`` sampled input pairs on d symbols, as two (trials, d) arrays."""
+        if self.trials * d > MAX_SAMPLES:
+            raise CapacityError(f"{self.trials} trials x {d} inputs, over the cap {MAX_SAMPLES}")
         rng = np.random.default_rng(self.seed)
         alpha = np.full(d, self.dirichlet_alpha)
         return rng.dirichlet(alpha, size=self.trials), rng.dirichlet(alpha, size=self.trials)
@@ -178,27 +179,3 @@ def brute_profile_check(k: Kernel, epsilon: float) -> ProfileCheckReport:
     return ProfileCheckReport(
         epsilon=epsilon, delta=best, witness_pair=witness_pair, witness_set=witness_set
     )
-
-
-def grid_max(objective, *grids) -> tuple[tuple[float, ...], float]:
-    """Deterministic dense-grid maximization over one or two variables.
-
-    The objective must take numpy arrays and broadcast: it is called once,
-    on the grid (one variable) or on the column-by-row mesh of the two
-    grids, and a constant result is broadcast to the grid. Ties break
-    toward the smallest grid index (lexicographic for two grids).
-    Returns (witness point, value).
-    """
-    if not 1 <= len(grids) <= 2:
-        raise DomainError("grid_max supports exactly one or two grids")
-    arrays = []
-    for g in grids:
-        a = np.asarray(g, dtype=float)
-        if a.ndim != 1 or a.size == 0:
-            raise DomainError("grids must be non-empty 1-d arrays")
-        arrays.append(a)
-    args = (arrays[0],) if len(arrays) == 1 else (arrays[0][:, None], arrays[1][None, :])
-    shape = tuple(a.size for a in arrays)
-    vals = np.broadcast_to(np.asarray(objective(*args), dtype=float), shape)
-    index = np.unravel_index(int(np.argmax(vals)), shape)
-    return tuple(float(a[i]) for a, i in zip(arrays, index)), float(vals[index])

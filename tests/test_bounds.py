@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import partial
 
@@ -25,7 +26,6 @@ from ldpkit.errors import CapacityError, DomainError
 from ldpkit.dist import FGenerator
 from ldpkit.info import BernoulliUniformModel, JointDistribution, bu_igamma, f_information
 from ldpkit.kernel import randomized_response
-from ldpkit.oracle import grid_max
 from support import bu_igamma_n1
 
 LN2 = math.log(2.0)
@@ -89,6 +89,8 @@ class TestLeCam:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             lecam_private(0.0, 1.0, 1, NONPRIVATE)
+        with pytest.raises(DomainError, match="n must be >= 1, got 0"):
+            lecam_private(1.0, 1.0, 0, NONPRIVATE)
 
 
 class TestMomentEstimation:
@@ -133,6 +135,8 @@ class TestMomentEstimation:
         # The exponent 2(k - 1)/k would be inf/inf.
         with pytest.raises(DomainError, match="finite"):
             moment_estimation_lb(math.inf, 5, NONPRIVATE)
+        with pytest.raises(DomainError, match="n must be >= 1, got 0"):
+            moment_estimation_lb(2.0, 0, NONPRIVATE)
 
 
 class TestFano:
@@ -176,6 +180,13 @@ class TestFano:
         with pytest.raises(DomainError):
             fano_lb(1, 0.0, 1.0, 1, BLOCKED)
 
+    def test_tau_and_n_validation(self):
+        for tau in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError, match="tau must be > 0"):
+                fano_lb(4, 0.1, tau, 1, BLOCKED)
+        with pytest.raises(DomainError, match="n must be >= 1, got 0"):
+            fano_lb(4, 0.1, 1.0, 0, BLOCKED)
+
 
 class TestHighdim:
     def test_positive_at_example_point(self):
@@ -200,6 +211,8 @@ class TestHighdim:
             highdim_mean_lb(0, 1.0, 1, NONPRIVATE)
         with pytest.raises(DomainError):
             highdim_mean_lb(4, -1.0, 1, NONPRIVATE)
+        with pytest.raises(DomainError, match="n must be >= 1, got 0"):
+            highdim_mean_lb(4, 1.0, 0, NONPRIVATE)
 
 
 def _xu_reference(info_value: float, pn: float, zetas: np.ndarray) -> float:
@@ -291,6 +304,10 @@ class TestBayesConfig:
         with pytest.raises(DomainError, match="info_value must be"):
             BayesConfig(small_ball=small_ball_uniform01, info_value=info, n=1, params=NONPRIVATE)
 
+    def test_n_must_be_positive(self):
+        with pytest.raises(DomainError, match="n must be >= 1, got 0"):
+            BayesConfig(small_ball=small_ball_uniform01, info_value=0.1, n=0, params=NONPRIVATE)
+
     def test_zeta_grid_must_not_start_below_zero(self):
         # zeta is a ball radius: a negative grid once gave a negative bound
         # and a negative witness radius
@@ -301,6 +318,50 @@ class TestBayesConfig:
             BayesConfig(zeta_grid=GridSpec(-1e-9, 0.5, 10), **base)
         report = bayes_egamma_lb(BayesConfig(zeta_grid=GridSpec(0.0, 0.5, 11), **base))
         assert report.value >= 0.0 and report.witness["zeta"] >= 0.0
+
+
+class TestBayesGrids:
+    """What the three Bayes bounds share: one argmax over their own grid."""
+
+    CALCULATORS = (bayes_xu_raginsky_private, bayes_egamma_lb, bayes_gamma_opt_lb)
+
+    @pytest.mark.parametrize("calculator", CALCULATORS)
+    def test_constant_small_ball_is_broadcast(self, calculator):
+        ball = 0.05
+        cfg = BayesConfig(
+            small_ball=lambda z: ball,
+            info_value=0.1,
+            n=2,
+            params=PrivacyParams(0.5, 0.01),
+            zeta_grid=GridSpec(0.0, 0.5, 11),
+            gamma_grid=GridSpec(0.0, 4.0, 9),
+            info_fn=lambda g: np.zeros_like(g),
+        )
+        array_cfg = dataclasses.replace(cfg, small_ball=lambda z: np.full(np.shape(z), ball))
+        report = calculator(cfg)
+        assert report == calculator(array_cfg)
+        # the bracket does not depend on zeta, so the last (largest) zeta wins
+        assert report.value > 0.0 and report.witness["zeta"] == 0.5
+
+    @pytest.mark.parametrize("calculator", CALCULATORS)
+    def test_plateau_reports_the_first_grid_point(self, calculator):
+        # an information of 10 nats makes every bracket nonpositive, so all
+        # grid values are 0 and the first zeta (and gamma) is the witness
+        zetas, gammas = GridSpec(0.1, 0.4, 4), GridSpec(0.5, 2.0, 4)
+        cfg = BayesConfig(
+            small_ball=small_ball_uniform01,
+            info_value=10.0,
+            n=1,
+            params=NONPRIVATE,
+            zeta_grid=zetas,
+            gamma_grid=gammas,
+            info_fn=lambda g: np.full(np.shape(g), 10.0),
+        )
+        report = calculator(cfg)
+        assert (report.value, report.witness["zeta"]) == (0.0, 0.1)
+        if calculator is bayes_gamma_opt_lb:
+            assert report.witness["gamma"] == 0.5
+        assert "vacuous" in report.flags
 
 
 class TestBayesGammaOpt:
@@ -393,13 +454,11 @@ class TestBayesGammaOpt:
             )
             zetas = GridSpec(1e-4, 0.5, 2000, "log").points()
 
-            def objective(z, g):
-                ig = np.vectorize(bu_igamma_n1)(g)
-                ball = np.minimum(2.0 * z, 1.0)
-                return z * np.maximum(0.0, 1.0 - ig - g * ball - np.maximum(1.0 - g, 0.0))
-
-            _, opt_value = grid_max(objective, zetas, shared)
-            assert opt_value >= fixed.value - 1e-12
+            z, g = zetas[:, None], shared[None, :]
+            ig = np.vectorize(bu_igamma_n1)(g)
+            ball = np.minimum(2.0 * z, 1.0)
+            vals = z * np.maximum(0.0, 1.0 - ig - g * ball - np.maximum(1.0 - g, 0.0))
+            assert vals.max() >= fixed.value - 1e-12
 
 
 class TestScalarBounds:

@@ -536,17 +536,33 @@ class TestBayesModelCommands:
         argv = [a.format(kernel=rr1_file, out=tmp_path / "unwritten.csv") for a in argv]
         assert "grid" in run_error(capsys, [*argv, grid])
 
-    # Both are refused before anything is allocated; uncapped, each is
-    # killed by the OS on an 8 GB machine.
+    # Grids and the Bernoulli-uniform n are refused before anything is
+    # allocated (uncapped, the two grids are killed by the OS on an 8 GB
+    # machine); a number too large for a float is one overflow line.
     @pytest.mark.parametrize(
         "argv, message",
         [(["audit", "{kernel}", "--profile-grid", "0:3:100000000"],
           "grid has 100000000 points, over the cap 1000000"),
          (["bound", "bayes-gammaopt", "--bu-n", "2", "--zeta-grid", "1e-4:0.5:100000:log",
-           "--gamma-grid", "0:4:1000"], "mesh has 100000000 points, over the cap 33554432")],
+           "--gamma-grid", "0:4:1000"], "mesh has 100000000 points, over the cap 33554432"),
+         (["bound", "highdim", "--d", "8", "--n", "64", "--r", "1e200", "--eps", "1"],
+          "numeric overflow"),
+         (["bound", "lecam", "--tau", "1", "--kl", "0.1", "--n", "{huge}", "--eps", "1"],
+          "numeric overflow"),
+         (["bound", "moment", "--k-moment", "2", "--n", "{huge}", "--eps", "1"],
+          "numeric overflow"),
+         (["bound", "bayes-mi", "--info", "0.1", "--n", "{huge}", "--eps", "1"],
+          "numeric overflow"),
+         (["bound", "bayes-egamma", "--info", "0.1", "--n", "{huge}", "--eps", "1"],
+          "numeric overflow"),
+         (["bound", "bayes-gammaopt", "--bu-n", "{huge}"], "over the cap 1000000"),
+         (["figure1", "--n", "{huge}", "--out", "{out}"], "over the cap 1000000")],
     )
-    def test_oversized_grid_is_one_error_line(self, capsys, rr1_file, argv, message):
-        assert message in run_error(capsys, [a.format(kernel=rr1_file) for a in argv])
+    def test_oversized_grid_is_one_error_line(self, capsys, tmp_path, rr1_file, argv, message):
+        argv = [a.format(kernel=rr1_file, huge=10**400, out=tmp_path / "unwritten.csv")
+                for a in argv]
+        assert message in run_error(capsys, argv)
+        assert not (tmp_path / "unwritten.csv").exists()
 
     def test_grid_flags_reach_the_manifest_as_specs(self, capsys, tmp_path, rr1_file):
         runs = [
@@ -679,14 +695,14 @@ def test_seed_and_trials_are_checked_in_one_order(capsys, rr1_file):
         assert err == "error: seed must be >= 0, got -1\n"
 
 
-# 10**15 trials fail at their first allocation (PiB-sized); 10**30 does not
-# fit numpy's index type.
-@pytest.mark.parametrize("trials", [10**15, 10**30])
+# Each sample array is capped at MAX_SAMPLES entries before it is drawn,
+# also past numpy's largest array (10**18 trials on 2 inputs) and index type.
+@pytest.mark.parametrize("trials", [10**15, 10**30, 10**18])
 @pytest.mark.parametrize(
     "argv", [["audit", "--epsilon", "1", "--delta", "0"], ["oracle", "eta-f", "--f", "tv"]]
 )
 def test_oversized_trials_is_one_error_line(capsys, rr1_file, argv, trials):
-    run_error(capsys, [*argv, str(rr1_file), "--trials", str(trials)])
+    assert "over the cap" in run_error(capsys, [*argv, str(rr1_file), "--trials", str(trials)])
 
 
 class TestOutputDirEnv:

@@ -265,6 +265,11 @@ class TestEtaKlBsc:
                 ((e - 1) / (e + 1)) ** 2, abs=1e-14
             )
 
+    @pytest.mark.parametrize("omega", [-0.1, 1.5, math.nan])
+    def test_crossover_outside_unit_interval(self, omega):
+        with pytest.raises(DomainError, match="outside \\[0, 1\\]"):
+            eta_kl_bsc(omega)
+
     def test_brute_estimate_approaches_from_below(self):
         rr = randomized_response(1.0)
         closed = eta_kl_bsc(1.0 / (1.0 + math.e))

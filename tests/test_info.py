@@ -11,8 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ldpkit.dist import Distribution, FGenerator, f_divergence
-from ldpkit.errors import DimensionError, DomainError
+from ldpkit.errors import CapacityError, DimensionError, DomainError
 from ldpkit.info import (
+    MAX_BU_N,
     BernoulliUniformModel,
     JointDistribution,
     bu_igamma,
@@ -111,6 +112,11 @@ class TestBernoulliUniformModel:
     def test_rejects_n_zero(self):
         with pytest.raises(DomainError):
             BernoulliUniformModel(0)
+
+    def test_n_is_capped(self):
+        assert BernoulliUniformModel(MAX_BU_N).n == MAX_BU_N
+        with pytest.raises(CapacityError, match=f"n = {MAX_BU_N + 1} is over the cap {MAX_BU_N}"):
+            BernoulliUniformModel(MAX_BU_N + 1)
 
     def test_rejects_odd_panels(self):
         with pytest.raises(DomainError):

@@ -78,6 +78,15 @@ class TestKernelInvariants:
         k = Kernel(np.array([[0.1, 0.2, 0.7]]))
         assert (k.input_size, k.output_size) == (1, 3)
 
+    @pytest.mark.parametrize("x", [-1, 2])
+    def test_row_index_outside_alphabet(self, x):
+        with pytest.raises(DomainError, match=f"input symbol {x} outside alphabet of size 2"):
+            bsc(0.25).row(x)
+
+    def test_identity_needs_a_symbol(self):
+        with pytest.raises(DomainError, match="alphabet size must be >= 1"):
+            Kernel.identity(0)
+
 
 class TestParsing:
     def test_parse_json(self):
@@ -193,6 +202,10 @@ class TestProducts:
         k = bsc(0.25)
         assert np.array_equal(tensor_power(k, 1).rows, k.rows)
 
+    def test_tensor_power_zero_rejected(self):
+        with pytest.raises(DomainError, match="tensor power needs n >= 1, got 0"):
+            tensor_power(bsc(0.25), 0)
+
     def test_tensor_power_mixing(self):
         assert np.all(tensor_power(bsc(0.5), 2).rows == 0.25)
 
@@ -239,6 +252,7 @@ def test_test_only_names_are_not_shipped():
         ldpkit.info.JointDistribution: ["marginal_a", "marginal_b"],
         ldpkit.kernel: ["pushforward", "product_distribution"],
         ldpkit.kernel.Kernel: ["to_json"],
+        ldpkit.oracle: ["grid_max"],
     }
     for owner, names in removed.items():
         for name in names:

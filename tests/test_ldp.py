@@ -327,6 +327,11 @@ class TestPrivacyProfile:
         with pytest.raises(DomainError):
             PrivacyProfile(points=((0.5, 0.3), (0.5, 0.2)))
 
+    @pytest.mark.parametrize("delta", [-0.1, 1.5, math.nan])
+    def test_deltas_must_lie_in_unit_interval(self, delta):
+        with pytest.raises(DomainError, match="profile deltas must lie in"):
+            PrivacyProfile(points=((0.0, delta),))
+
     def test_deltas_must_not_increase(self):
         with pytest.raises(DomainError):
             PrivacyProfile(points=((0.0, 0.1), (1.0, 0.4)))

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import ldpkit.oracle
 from ldpkit.contraction import two_point_scan
 from ldpkit.dist import Distribution, FGenerator, f_divergence
 from ldpkit.errors import CapacityError, DomainError
 from ldpkit.kernel import Kernel, bsc, k_rr, randomized_response
 from ldpkit.ldp import delta_at
-from ldpkit.oracle import DENOM_FLOOR, SearchConfig, brute_eta_f, brute_profile_check, grid_max
+from ldpkit.oracle import DENOM_FLOOR, MAX_SAMPLES, SearchConfig, brute_eta_f, brute_profile_check
 from support import audit_kernel_family, pushforward, random_kernel
 
 
@@ -20,6 +21,18 @@ class TestSearchConfig:
             SearchConfig(seed=1, trials=10, dirichlet_alpha=0.0)
         with pytest.raises(DomainError, match="seed must be >= 0"):
             SearchConfig(seed=-1, trials=10)
+
+    def test_sample_arrays_are_capped_before_drawing(self, monkeypatch):
+        trials = MAX_SAMPLES // 4 + 1
+        with pytest.raises(CapacityError, match=f"{trials} trials x 4 inputs, over the cap"):
+            SearchConfig(seed=1, trials=trials).dirichlet_pairs(4)
+        # trials past numpy's index range are refused the same way
+        with pytest.raises(CapacityError, match="over the cap"):
+            SearchConfig(seed=1, trials=10**30).dirichlet_pairs(1)
+        monkeypatch.setattr(ldpkit.oracle, "MAX_SAMPLES", 12)
+        assert SearchConfig(seed=1, trials=3).dirichlet_pairs(4)[0].shape == (3, 4)
+        with pytest.raises(CapacityError, match="13 trials x 1 inputs, over the cap 12"):
+            SearchConfig(seed=1, trials=13).dirichlet_pairs(1)
 
 
 class TestBruteEtaF:
@@ -143,43 +156,3 @@ class TestBruteProfileCheck:
     def test_negative_epsilon(self):
         with pytest.raises(DomainError):
             brute_profile_check(bsc(0.25), -1.0)
-
-
-class TestGridMax:
-    def test_constant_objective_takes_first_point(self):
-        witness, value = grid_max(lambda z: 0.7, np.linspace(0.0, 1.0, 11))
-        assert witness == (0.0,)
-        assert value == 0.7
-
-    def test_parabola(self):
-        witness, value = grid_max(lambda z: z * (1.0 - 2.0 * z), np.linspace(0.0, 0.5, 2001))
-        assert witness == (0.25,)
-        assert value == pytest.approx(0.125, abs=1e-12)
-
-    def test_single_point_grid(self):
-        witness, value = grid_max(lambda z: z + 1.0, np.array([0.3]))
-        assert witness == (0.3,)
-        assert value == pytest.approx(1.3)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(DomainError):
-            grid_max(lambda z: z, np.array([]))
-
-    def test_two_grids_tie_breaks_lexicographically(self):
-        witness, value = grid_max(
-            lambda a, b: np.zeros_like(a * b), np.array([1.0, 2.0]), np.array([5.0, 6.0])
-        )
-        assert witness == (1.0, 5.0)
-        assert value == 0.0
-
-    def test_two_grid_optimum(self):
-        za = np.linspace(0.0, 1.0, 101)
-        gb = np.linspace(0.0, 1.0, 101)
-        witness, value = grid_max(lambda a, b: -((a - 0.3) ** 2) - (b - 0.7) ** 2, za, gb)
-        assert witness[0] == pytest.approx(0.3, abs=1e-12)
-        assert witness[1] == pytest.approx(0.7, abs=1e-12)
-        assert value == pytest.approx(0.0, abs=1e-12)
-
-    def test_three_grids_rejected(self):
-        with pytest.raises(DomainError):
-            grid_max(lambda a, b, c: a, np.array([1.0]), np.array([1.0]), np.array([1.0]))
