@@ -3,7 +3,8 @@
 Subcommands: ``audit`` (exact privacy profiles and certification),
 ``figure1`` (the Bayes-bound comparison curve on the Bernoulli-uniform
 model), ``bound`` (the individual bound calculators, with epsilon
-sweeps), ``remark`` (the two non-private Bayes bounds side by side), and
+sweeps), ``remark`` (the two non-private Bayes bounds side by side),
+``model-curves`` (the Bernoulli-uniform model's information curves), and
 ``oracle`` (brute-force validation runs).
 
 ``main`` parses every grid flag into a ``GridSpec`` before dispatch.
@@ -78,12 +79,13 @@ def write_csv(path: Path, header: list[str], rows: list[list[float]]) -> None:
 
 
 def write_outputs(
-    command: str, args: argparse.Namespace, header: list[str], rows: list[list[float]]
+    command: str, args: argparse.Namespace, path: str, header: list[str],
+    rows: list[list[float]],
 ) -> dict:
-    """Write the CSV to ``args.out``, then ``<out>.manifest.json``: what was
+    """Write the CSV to ``path``, then ``<path>.manifest.json``: what was
     run and what it emitted, with dataclass arguments (grids) written as
     their fields. Returns the paths for the command's JSON line."""
-    out = resolve_out(args.out)
+    out = resolve_out(path)
     write_csv(out, header, rows)
     record = {
         "command": command,
@@ -158,7 +160,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         points = privacy_profile(kernel, args.profile_grid.points()).points
         report["profile"] = points
         if args.out is not None:
-            report.update(write_outputs("audit", args, ["epsilon", "delta"], points))
+            report.update(write_outputs("audit", args, args.out, ["epsilon", "delta"], points))
     _print_json(report)
     return exit_code
 
@@ -177,7 +179,8 @@ def cmd_figure1(args: argparse.Namespace) -> int:
     header = ["epsilon", "bayes_lb_mi", "bayes_lb_egamma"]
     mi = mi_reports[0].inputs["info_value"]
     summary = {"n": args.n, "delta": args.delta, "panels": args.panels, "mutual_information": mi}
-    _print_json({**summary, "rows": len(rows), **write_outputs("figure1", args, header, rows)})
+    written = write_outputs("figure1", args, args.out, header, rows)
+    _print_json({**summary, "rows": len(rows), **written})
     return 0
 
 
@@ -297,10 +300,12 @@ BOUNDS = {
 
 def cmd_bound(args: argparse.Namespace) -> int:
     _, _, reports = BOUNDS[args.bound_kind]
+    # A sweep takes each epsilon from its grid, but --eps is still checked.
+    params = PrivacyParams(args.eps, args.delta)
     if args.sweep is None:
         if args.out is not None:
             raise DomainError("--out requires --sweep")
-        _print_json(reports(args, [PrivacyParams(args.eps, args.delta)])[0])
+        _print_json(reports(args, [params])[0])
         return 0
     what, grid = args.sweep
     if what != "epsilon":
@@ -316,7 +321,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         for p, r in zip(params, results)
     ]
     command = f"bound {args.bound_kind}"
-    _print_json({"rows": len(rows), **write_outputs(command, args, header, rows)})
+    _print_json({"rows": len(rows), **write_outputs(command, args, args.out, header, rows)})
     return 0
 
 
@@ -379,6 +384,30 @@ def cmd_remark(args: argparse.Namespace) -> int:
         f"{'zeta=%.5f' % mi_report.witness['zeta']:<34}{REMARK_REFERENCE_MI:>10.3f}"
     )
     print(f"  ordering (gamma-optimized > mutual-info): {payload['ordering_holds']}")
+    return 0
+
+
+# --------------------------------------------------------------------------
+# model-curves
+
+
+def cmd_model_curves(args: argparse.Namespace) -> int:
+    # I_gamma over the gamma grid at sample size n, and I(Theta; X^m) for m = 1..n_max.
+    # Both models are built first, so an oversized n_max is refused before any work.
+    model = BernoulliUniformModel(args.n)
+    BernoulliUniformModel(args.n_max)
+    if args.gamma_grid is None:
+        args.gamma_grid = GridSpec(0.0, float(args.n + 1), 121)
+    gammas = args.gamma_grid.points()
+    rows = [[float(g), float(ig)] for g, ig in zip(gammas, bu_igamma(model, gammas))]
+    igamma = write_outputs("model-curves", args, args.igamma_out, ["gamma", "igamma"], rows)
+    rows = [
+        [float(m), bu_mutual_information(BernoulliUniformModel(m))]
+        for m in range(1, args.n_max + 1)
+    ]
+    mi = write_outputs("model-curves", args, args.mi_out, ["n", "mutual_information"], rows)
+    _print_json({"outputs": igamma["outputs"] + mi["outputs"],
+                 "manifests": [igamma["manifest"], mi["manifest"]]})
     return 0
 
 
@@ -466,6 +495,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--bits", action="store_true", help="display information in bits")
     p.set_defaults(func=cmd_remark)
+
+    p = sub.add_parser("model-curves", help="Bernoulli-uniform information curves")
+    p.add_argument("--n", type=int, default=5, help="sample size for the gamma curve")
+    p.add_argument("--gamma-grid", default=None, help="lo:hi:steps[:scale], default 0:n+1:121")
+    p.add_argument("--n-max", type=int, default=12, help="range of the growth curve")
+    p.add_argument("--igamma-out", default="bu_igamma_curve.csv")
+    p.add_argument("--mi-out", default="bu_mi_curve.csv")
+    p.set_defaults(func=cmd_model_curves)
 
     p = sub.add_parser("oracle", help="brute-force validation runs")
     osub = p.add_subparsers(dest="oracle_kind", required=True)

@@ -11,6 +11,7 @@ import pytest
 
 from ldpkit.bounds import (
     BayesConfig,
+    GridSpec,
     bayes_egamma_lb,
     bayes_xu_raginsky_private,
     fano_lb,
@@ -21,7 +22,7 @@ from ldpkit.bounds import (
     moment_estimation_lb,
     small_ball_uniform01,
 )
-from ldpkit.cli import BOUNDS, main, parse_grid_spec
+from ldpkit.cli import BOUNDS, main, parse_grid_spec, write_csv
 from ldpkit.contraction import PrivacyParams
 from ldpkit.errors import DomainError
 from ldpkit.info import BernoulliUniformModel, bu_igamma, bu_mutual_information
@@ -399,6 +400,18 @@ class TestBound:
         )
         assert "epsilon" in err
 
+    @pytest.mark.parametrize("eps", ["-5", "nan"])
+    def test_sweep_checks_eps(self, capsys, tmp_path, eps):
+        # a sweep takes each epsilon from its grid, but --eps is still checked
+        out = tmp_path / "s.csv"
+        err = run_error(
+            capsys,
+            ["bound", "moment", "--k-moment", "2", "--n", "4", "--eps", eps,
+             "--sweep", "epsilon", "0.1:1:3", "--out", str(out)],
+        )
+        assert err == f"error: epsilon must be >= 0, got {float(eps)!r}\n"
+        assert not out.exists()
+
     def test_moment_sweep_includes_witness_column(self, capsys, tmp_path):
         out = tmp_path / "m.csv"
         code, _, _ = run(
@@ -493,7 +506,9 @@ class TestBayesModelCommands:
         "argv",
         [["bound", "bayes-egamma", "--bu-n", "20", "--n", "20", "--eps", "1",
           "--sweep", "epsilon", "0.1:3:5", "--out", "{out}"],
-         ["figure1", "--n", "20", "--eps-grid", "0.1:3:5", "--out", "{out}"]],
+         ["figure1", "--n", "20", "--eps-grid", "0.1:3:5", "--out", "{out}"],
+         ["model-curves", "--n", "20", "--gamma-grid", "0.1:3:5", "--n-max", "1",
+          "--igamma-out", "{out}", "--mi-out", "{out}.mi"]],
     )
     def test_igamma_computed_in_one_call_per_curve(self, capsys, tmp_path, monkeypatch, argv):
         import ldpkit.cli
@@ -567,17 +582,24 @@ class TestBayesModelCommands:
     def test_grid_flags_reach_the_manifest_as_specs(self, capsys, tmp_path, rr1_file):
         runs = [
             (["bound", "bayes-mi", "--bu-n", "2", "--eps", "1", "--zeta-grid", "1e-3:0.5:50:log",
-              "--sweep", "epsilon", "0.5:1:2"],
+              "--sweep", "epsilon", "0.5:1:2", "--out", "{out}"],
              {"zeta_grid": {"lo": 1e-3, "hi": 0.5, "steps": 50, "scale": "log"},
               "sweep": ["epsilon", {"lo": 0.5, "hi": 1.0, "steps": 2, "scale": "linear"}]}),
-            (["audit", str(rr1_file), "--profile-grid", "0.1:1:4:log"],
+            (["audit", str(rr1_file), "--profile-grid", "0.1:1:4:log", "--out", "{out}"],
              {"profile_grid": {"lo": 0.1, "hi": 1.0, "steps": 4, "scale": "log"}}),
-            (["figure1", "--n", "2", "--eps-grid", "0.1:1:3"],
+            (["figure1", "--n", "2", "--eps-grid", "0.1:1:3", "--out", "{out}"],
              {"eps_grid": {"lo": 0.1, "hi": 1.0, "steps": 3, "scale": "linear"}}),
+            (["model-curves", "--n", "2", "--n-max", "1", "--gamma-grid", "0.5:3:7:log",
+              "--igamma-out", "{out}", "--mi-out", "{out}.mi"],
+             {"gamma_grid": {"lo": 0.5, "hi": 3.0, "steps": 7, "scale": "log"}}),
+            # the default gamma grid, 0:n+1:121, is recorded as the grid used
+            (["model-curves", "--n", "3", "--n-max", "1", "--igamma-out", "{out}",
+              "--mi-out", "{out}.mi"],
+             {"gamma_grid": {"lo": 0.0, "hi": 4.0, "steps": 121, "scale": "linear"}}),
         ]
         for i, (argv, specs) in enumerate(runs):
             out = tmp_path / f"{i}.csv"
-            code, _, _ = run(capsys, [*argv, "--out", str(out)])
+            code, _, _ = run(capsys, [a.format(out=out) for a in argv])
             assert code == 0
             manifest = json.loads((tmp_path / f"{i}.csv.manifest.json").read_text())
             for name, spec in specs.items():
@@ -643,6 +665,60 @@ class TestRemark:
         assert "0.278652 bits" in bits_out
 
 
+class TestModelCurves:
+    def test_writes_both_curves(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("LDPKIT_OUT_DIR", raising=False)
+        code, out, err = run(
+            capsys, ["model-curves", "--n", "2", "--gamma-grid", "0:3:7", "--n-max", "3"]
+        )
+        assert code == 0, err
+        igamma = (tmp_path / "bu_igamma_curve.csv").read_text().splitlines()
+        assert igamma[0] == "gamma,igamma"
+        assert len(igamma) == 8
+        mi = (tmp_path / "bu_mi_curve.csv").read_text().splitlines()
+        assert mi[0] == "n,mutual_information"
+        assert len(mi) == 4
+        assert json.loads(out) == {
+            "outputs": ["bu_igamma_curve.csv", "bu_mi_curve.csv"],
+            "manifests": ["bu_igamma_curve.csv.manifest.json", "bu_mi_curve.csv.manifest.json"],
+        }
+        for name in ("bu_igamma_curve.csv", "bu_mi_curve.csv"):
+            manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+            assert (manifest["command"], manifest["outputs"]) == ("model-curves", [name])
+
+    def test_curves_are_the_library_values(self, capsys, tmp_path):
+        igamma_out, mi_out = tmp_path / "igamma.csv", tmp_path / "mi.csv"
+        code, _, err = run(
+            capsys,
+            ["model-curves", "--n", "4", "--gamma-grid", "0:5:11", "--n-max", "5",
+             "--igamma-out", str(igamma_out), "--mi-out", str(mi_out)],
+        )
+        assert code == 0, err
+        gammas = GridSpec(0.0, 5.0, 11).points()
+        igamma = bu_igamma(BernoulliUniformModel(4), gammas)
+        write_csv(tmp_path / "igamma_ref.csv", ["gamma", "igamma"],
+                  [[float(g), float(ig)] for g, ig in zip(gammas, igamma)])
+        write_csv(tmp_path / "mi_ref.csv", ["n", "mutual_information"],
+                  [[float(m), bu_mutual_information(BernoulliUniformModel(m))]
+                   for m in range(1, 6)])
+        assert igamma_out.read_bytes() == (tmp_path / "igamma_ref.csv").read_bytes()
+        assert mi_out.read_bytes() == (tmp_path / "mi_ref.csv").read_bytes()
+
+    # Sizes are refused before any work: --n-max 1000001 otherwise runs for
+    # minutes, and no CSV is written.
+    @pytest.mark.parametrize(
+        "flags",
+        [["--n", "0"], ["--gamma-grid=0:-1:121"], ["--gamma-grid", "0:6:-1"],
+         ["--n", "2000000"], ["--gamma-grid", "0:6:2000000"], ["--n-max", "1000001"],
+         ["--n-max", "0"]],
+    )
+    def test_rejects_bad_flags_in_one_line(self, capsys, tmp_path, flags):
+        run_error(capsys, ["model-curves", *flags, "--igamma-out", str(tmp_path / "i.csv"),
+                           "--mi-out", str(tmp_path / "m.csv")])
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestOracleCommands:
     def test_eta_f(self, capsys, rr1_file):
         code, out, _ = run(
@@ -703,6 +779,17 @@ def test_seed_and_trials_are_checked_in_one_order(capsys, rr1_file):
 )
 def test_oversized_trials_is_one_error_line(capsys, rr1_file, argv, trials):
     assert "over the cap" in run_error(capsys, [*argv, str(rr1_file), "--trials", str(trials)])
+
+
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
+    import ldpkit.cli
+
+    def exhausted(model):
+        raise MemoryError("Unable to allocate 8.00 EiB")
+
+    monkeypatch.setattr(ldpkit.cli, "bu_mutual_information", exhausted)
+    err = run_error(capsys, ["remark"])
+    assert err == "error: out of memory: Unable to allocate 8.00 EiB\n"
 
 
 class TestOutputDirEnv:
