@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .contraction import PrivacyParams, gamma_from_epsilon, phi, phi_n
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, at_least, finite_above
 
 LN2 = math.log(2.0)
 # Point caps of a grid and of the zeta x gamma mesh (peak ~250 B and ~17 B a point).
@@ -108,12 +108,9 @@ class BayesConfig:
     info_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if not self.info_value >= 0:
-            raise DomainError("info_value must be >= 0")
-        if self.info_value == math.inf:
-            raise DomainError("info_value must be finite, got inf")
-        if self.n < 1:
-            raise DomainError(f"n must be >= 1, got {self.n}")
+        at_least("info_value", self.info_value, 0)
+        finite_above("info_value", self.info_value, -math.inf)  # only inf is left to refuse
+        at_least("n", self.n, 1)
         if self.zeta_grid.lo < 0:
             raise DomainError(f"zeta grid needs lo >= 0 (a radius), got {self.zeta_grid.lo!r}")
 
@@ -136,14 +133,9 @@ def lecam_private(tau: float, kl_p0_p1: float, n: int, params: PrivacyParams) ->
 
     The two hypotheses are 2 tau apart, and KL(P0||P1) is in nats.
     """
-    if not tau > 0:
-        raise DomainError(f"tau must be > 0, got {tau!r}")
-    if tau == math.inf:
-        raise DomainError("tau must be finite, got inf")
-    if not kl_p0_p1 >= 0:
-        raise DomainError("kl_p0_p1 must be >= 0")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    finite_above("tau", tau, 0)
+    at_least("kl_p0_p1", kl_p0_p1, 0)
+    at_least("n", n, 1)
     phi_v = phi(params)
     bracket = 1.0 - math.sqrt(_contracted(0.5 * n * phi_v, kl_p0_p1))
     value = max(0.0, 0.5 * tau * bracket)
@@ -165,12 +157,8 @@ def moment_estimation_lb(k_moment: float, n: int, params: PrivacyParams) -> Boun
     information leaves the mechanism and the trivial constant bound is
     returned, flagged.
     """
-    if not k_moment > 1:
-        raise DomainError(f"moment order must be > 1, got {k_moment!r}")
-    if k_moment == math.inf:
-        raise DomainError("moment order must be finite, got inf")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    finite_above("moment order", k_moment, 1)
+    at_least("n", n, 1)
     phi_v = phi(params)
     exponent = 2.0 * (k_moment - 1.0) / k_moment
     extra: tuple[str, ...] = ()
@@ -209,16 +197,11 @@ def fano_lb(
     ``inputs["mi_upper"]``, is phi_n * mi_xn_v when the sample information
     I(X^n; V) is supplied, and n * phi_n * avg_pairwise_kl otherwise.
     """
-    if v_count < 2:
-        raise DomainError(f"v_count must be >= 2, got {v_count}")
-    if not avg_pairwise_kl >= 0:
-        raise DomainError("avg_pairwise_kl must be >= 0")
-    if mi_xn_v is not None and not mi_xn_v >= 0:
-        raise DomainError("mi_xn_v must be >= 0")
-    if not tau > 0:
-        raise DomainError(f"tau must be > 0, got {tau!r}")
-    if tau == math.inf:
-        raise DomainError("tau must be finite, got inf")
+    at_least("v_count", v_count, 2)
+    at_least("avg_pairwise_kl", avg_pairwise_kl, 0)
+    if mi_xn_v is not None:
+        at_least("mi_xn_v", mi_xn_v, 0)
+    finite_above("tau", tau, 0)
     pn = phi_n(params, n)
     if mi_xn_v is not None:
         mi_up = _contracted(pn, mi_xn_v)
@@ -251,12 +234,8 @@ def highdim_mean_lb(d: int, r: float, n: int, params: PrivacyParams) -> BoundRep
     the order-notation statement is not reproduced; this is the explicit
     pre-constant expression.
     """
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
-    if not r > 0:
-        raise DomainError(f"radius must be > 0, got {r!r}")
-    if r == math.inf:
-        raise DomainError("radius must be finite, got inf")
+    at_least("dimension", d, 1)
+    finite_above("radius", r, 0)
     pn = phi_n(params, n)
     extra: tuple[str, ...] = ()
     if pn == 0.0:
@@ -305,7 +284,7 @@ def bayes_xu_raginsky_private(cfg: BayesConfig) -> BoundReport:
     numerator = pn * cfg.info_value + LN2
     zetas = cfg.zeta_grid.points()
     ball = cfg.small_ball(zetas)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         bracket = 1.0 - numerator / np.log(1.0 / ball)
     vals = np.where(ball < 1.0, zetas * np.maximum(0.0, bracket), -np.inf)
     i = int(np.argmax(vals))
@@ -333,7 +312,10 @@ def bayes_egamma_lb(cfg: BayesConfig) -> BoundReport:
     gamma = gamma_from_epsilon(cfg.params.epsilon)
     c = cfg.params.delta if cfg.n == 1 else phi_n(cfg.params, cfg.n)
     zetas = cfg.zeta_grid.points()
-    vals = zetas * np.maximum(0.0, 1.0 - c * cfg.info_value - gamma * cfg.small_ball(zetas))
+    ball = cfg.small_ball(zetas)
+    # A zero ball absorbs gamma = inf, as a zero coefficient does in _contracted.
+    penalty = gamma * ball if gamma < math.inf else np.where(ball > 0.0, math.inf, 0.0)
+    vals = zetas * np.maximum(0.0, 1.0 - c * cfg.info_value - penalty)
     i = int(np.argmax(vals))
     value = float(vals[i])
     return BoundReport(
@@ -389,15 +371,13 @@ def ht_exponent(kl_p0_p1: float, params: PrivacyParams) -> BoundReport:
     The privatized exponent is at least -phi(epsilon, delta) KL(P0||P1);
     the type-I level does not enter (the exponent is level-free).
     """
-    if not kl_p0_p1 >= 0:
-        raise DomainError("kl_p0_p1 must be >= 0")
+    at_least("kl_p0_p1", kl_p0_p1, 0)
     value = -_contracted(phi(params), kl_p0_p1)
     return BoundReport("ht_exponent", value, inputs={"kl_p0_p1": kl_p0_p1, **asdict(params)})
 
 
 def mi_cap(h_x: float, params: PrivacyParams) -> BoundReport:
     """Largest mutual information any private view can retain: phi * H(X)."""
-    if not h_x >= 0:
-        raise DomainError("entropy must be >= 0")
+    at_least("entropy", h_x, 0)
     value = _contracted(phi(params), h_x)
     return BoundReport("mi_cap", value, inputs={"entropy": h_x, **asdict(params)})

@@ -155,6 +155,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
                 "violation_found": verifier.violation_found,
             }
             exit_code = 0 if certified else 2
+    SearchConfig(args.seed, args.trials)  # the verifier's flags, checked even when it did not run
 
     if args.profile_grid is not None:
         points = privacy_profile(kernel, args.profile_grid.points()).points

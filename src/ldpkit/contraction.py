@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import excess
-from .errors import DomainError
+from .errors import DomainError, at_least, in_unit_interval
 from .kernel import Kernel
 
 # Byte budget of the one buffer a pairwise scan reuses for every block:
@@ -37,10 +37,8 @@ class PrivacyParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not self.epsilon >= 0:
-            raise DomainError(f"epsilon must be >= 0, got {self.epsilon!r}")
-        if not 0.0 <= self.delta <= 1.0:
-            raise DomainError(f"delta must be in [0, 1], got {self.delta!r}")
+        at_least("epsilon", self.epsilon, 0)
+        in_unit_interval("delta", self.delta)
 
 
 def gamma_from_epsilon(epsilon: float) -> float:
@@ -50,8 +48,7 @@ def gamma_from_epsilon(epsilon: float) -> float:
     read as gamma = inf: that would certify against the infinite-epsilon
     residual instead of the level asked for.
     """
-    if not epsilon >= 0:
-        raise DomainError(f"epsilon must be >= 0, got {epsilon!r}")
+    at_least("epsilon", epsilon, 0)
     try:
         return math.exp(epsilon)
     except OverflowError:
@@ -101,17 +98,14 @@ def phi(params: PrivacyParams) -> float:
 
 def phi_n(params: PrivacyParams, n: int) -> float:
     """Tensorized bound 1 - (1 - phi)^n = 1 - e^{-n epsilon} (1 - delta)^n."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    at_least("n", n, 1)
     return 1.0 - (1.0 - phi(params)) ** n
 
 
 def eta_tv_from_eta_gamma(eta_gamma: float, gamma: float) -> float:
     """Upper bound on the TV coefficient: eta_tv <= 1 - (1 - eta_gamma) / gamma."""
-    if not 0.0 <= eta_gamma <= 1.0:
-        raise DomainError(f"eta_gamma must be in [0, 1], got {eta_gamma!r}")
-    if not gamma >= 1:
-        raise DomainError(f"gamma must be >= 1, got {gamma!r}")
+    in_unit_interval("eta_gamma", eta_gamma)
+    at_least("gamma", gamma, 1)
     return 1.0 - (1.0 - eta_gamma) / gamma
 
 

@@ -1,4 +1,10 @@
-"""Semantic exceptions shared across the toolkit."""
+"""Semantic exceptions shared across the toolkit, and the scalar input checks.
+
+Each check is written as ``not <comparison>``, so NaN fails every one, and
+each message names the value it got.
+"""
+
+import math
 
 
 class DimensionError(ValueError):
@@ -11,3 +17,20 @@ class DomainError(ValueError):
 
 class CapacityError(ValueError):
     """A product construction would exceed the configured state cap."""
+
+
+def at_least(name: str, value, lo) -> None:
+    if not value >= lo:
+        raise DomainError(f"{name} must be >= {lo}, got {value}")
+
+
+def in_unit_interval(name: str, value) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise DomainError(f"{name} must be in [0, 1], got {value}")
+
+
+def finite_above(name: str, value, lo) -> None:
+    if not value > lo:
+        raise DomainError(f"{name} must be > {lo}, got {value}")
+    if value == math.inf:
+        raise DomainError(f"{name} must be finite, got inf")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import Distribution, FGenerator, f_divergence, probability_array
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, at_least
 
 # Largest n of the Bernoulli-uniform model (I_gamma: ~180 B a class, ~40 s a gamma at it).
 MAX_BU_N = 10**6
@@ -63,8 +63,7 @@ class BernoulliUniformModel:
     panels: int = 20000
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"sample size n must be >= 1, got {self.n}")
+        at_least("sample size n", self.n, 1)
         if self.n > MAX_BU_N:
             raise CapacityError(f"sample size n = {self.n} is over the cap {MAX_BU_N}")
         if self.panels < 2 or self.panels % 2 != 0:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .dist import Distribution, probability_array
-from .errors import CapacityError, DimensionError, DomainError
+from .errors import CapacityError, DimensionError, DomainError, at_least
 
 # Tensor powers refuse to materialize more states than this.
 DEFAULT_STATE_CAP = 4096
@@ -51,8 +51,7 @@ class Kernel:
 
     @classmethod
     def identity(cls, size: int) -> "Kernel":
-        if size < 1:
-            raise DomainError("alphabet size must be >= 1")
+        at_least("alphabet size", size, 1)
         return cls(np.eye(size))
 
 
@@ -111,8 +110,7 @@ def bsc(omega: float) -> Kernel:
 
 def _odds(epsilon: float) -> float:
     """e^epsilon for epsilon in [0, inf]; +inf once it overflows (epsilon > 709.78)."""
-    if not epsilon >= 0:
-        raise DomainError(f"epsilon must be >= 0, got {epsilon!r}")
+    at_least("epsilon", epsilon, 0)
     with np.errstate(over="ignore"):
         return float(np.exp(epsilon))
 
@@ -126,8 +124,7 @@ def randomized_response(epsilon: float) -> Kernel:
 def k_rr(epsilon: float, k: int) -> Kernel:
     """k-ary randomized response: keeps the input with odds e^eps : 1 per
     alternative, so the identity where e^eps is infinite."""
-    if k < 2:
-        raise DomainError(f"k-ary randomized response needs k >= 2, got {k}")
+    at_least("k", k, 2)
     e = _odds(epsilon)
     if np.isinf(e):  # the diagonal below would be inf * 0
         return Kernel.identity(k)

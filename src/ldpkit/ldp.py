@@ -20,7 +20,7 @@ import numpy as np
 
 from .contraction import PrivacyParams, gamma_from_epsilon, two_point_scan
 from .dist import Distribution, excess, normalize_rows
-from .errors import DomainError
+from .errors import DomainError, in_unit_interval
 from .kernel import Kernel
 from .oracle import SearchConfig
 
@@ -94,8 +94,7 @@ def tightest_epsilon(k: Kernel, delta: float) -> EpsilonSearchResult:
     no longer rises. Every iterate is scanned at e^epsilon, so the last
     scan is delta_at(k, epsilon).
     """
-    if not 0.0 <= delta <= 1.0:
-        raise DomainError(f"delta must be in [0, 1], got {delta!r}")
+    in_unit_interval("delta", delta)
     (residual, best), (_, pair) = two_point_scan(k, [math.inf, 1.0])
     if residual > delta:
         return EpsilonSearchResult(epsilon=math.inf, delta_achieved=residual)

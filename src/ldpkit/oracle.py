@@ -17,7 +17,7 @@ import numpy as np
 
 from .contraction import gamma_from_epsilon
 from .dist import FGenerator, divergence
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, at_least
 from .kernel import Kernel
 
 # Ratios whose denominator falls below this are not evidence of anything.
@@ -48,10 +48,8 @@ class SearchConfig:
     dirichlet_alpha: float = 1.0
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
-        if self.trials < 1:
-            raise DomainError(f"trials must be >= 1, got {self.trials}")
+        at_least("seed", self.seed, 0)
+        at_least("trials", self.trials, 1)
         if not 0 < self.dirichlet_alpha < math.inf:
             raise DomainError(
                 f"dirichlet_alpha must be finite and positive, got {self.dirichlet_alpha!r}"

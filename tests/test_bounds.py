@@ -297,6 +297,19 @@ class TestBayesEgamma:
         r2 = bayes_egamma_lb(BayesConfig(n=2, **base))
         assert r2.inputs["info_coefficient"] == phi_n(params, 2)
 
+    def test_zero_ball_absorbs_infinite_gamma(self):
+        # at zeta = 0, gamma L(0) is inf * 0 for epsilon = inf; it counts as 0
+        grid = GridSpec(0.0, 0.5, 11)
+        base = dict(small_ball=small_ball_uniform01, info_value=0.3, n=2, zeta_grid=grid)
+        report = bayes_egamma_lb(BayesConfig(params=PrivacyParams(math.inf, 0.1), **base))
+        assert (report.value, report.witness, report.flags) == (0.0, {"zeta": 0.0}, ("vacuous",))
+        # a finite gamma keeps the plain product, bit for bit
+        params = PrivacyParams(0.5, 0.1)
+        z = grid.points()
+        c = phi_n(params, 2)
+        plain = z * np.maximum(0.0, 1.0 - c * 0.3 - math.exp(0.5) * small_ball_uniform01(z))
+        assert bayes_egamma_lb(BayesConfig(params=params, **base)).value == plain.max()
+
 
 class TestBayesConfig:
     @pytest.mark.parametrize("info", [-1.0, math.nan, math.inf])

@@ -323,6 +323,36 @@ class TestBound:
         code, out, _ = run(capsys, ["bound", *argv, "inf", "--eps", "0.5"])
         assert (code, json.loads(out)["value"]) == (0, value)
 
+    # Each of these messages once left out the value it rejected.
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["lecam", "--tau", "1", "--kl"], "kl_p0_p1"),
+            (["ht", "--kl"], "kl_p0_p1"),
+            (["fano", "--v-count", "4", "--tau", "1", "--avg-kl"], "avg_pairwise_kl"),
+            (["fano", "--v-count", "4", "--tau", "1", "--avg-kl", "0.1", "--mi"], "mi_xn_v"),
+            (["micap", "--entropy"], "entropy"),
+            (["bayes-mi", "--info"], "info_value"),
+            (["bayes-egamma", "--info"], "info_value"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["-5", "nan"])
+    def test_rejected_information_is_named_in_its_error_line(self, capsys, argv, name, value):
+        err = run_error(capsys, ["bound", *argv, value, "--eps", "1"])
+        assert err == f"error: {name} must be >= 0, got {float(value)}\n"
+
+    # gamma = e^eps = inf meets L(0) = 0 at zeta = 0: inf * 0 gave a
+    # RuntimeWarning and a NaN value.
+    def test_bayes_egamma_at_infinite_epsilon_is_vacuous(self, capsys):
+        argv = ["bound", "bayes-egamma", "--eps", "inf", "--info", "0.1", "--zeta-grid", "0:0.5:3"]
+        code, out, err = run(capsys, argv)
+        payload = json.loads(out)
+        assert (code, err, payload["value"], payload["flags"]) == (0, "", 0.0, ["vacuous"])
+
+    def test_bayes_mi_with_huge_information_warns_nothing(self, capsys):
+        code, out, err = run(capsys, ["bound", "bayes-mi", "--info", "1e308", "--eps", "1"])
+        assert (code, err, json.loads(out)["value"]) == (0, "", 0.0)
+
     def test_bayes_mi_with_model(self, capsys):
         code, out, _ = run(
             capsys,
@@ -769,6 +799,25 @@ def test_seed_and_trials_are_checked_in_one_order(capsys, rr1_file):
     for argv in (["audit", "--epsilon", "1", "--delta", "0.1"], ["oracle", "eta-f", "--f", "tv"]):
         err = run_error(capsys, [*argv, str(rr1_file), "--trials", "0", "--seed", "-1"])
         assert err == "error: seed must be >= 0, got -1\n"
+
+
+# audit checks --seed and --trials even when no --delta runs the verifier.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--epsilon", "1", "--seed", "-1", "--trials", "0"], "seed must be >= 0, got -1"),
+        (["--epsilon", "1", "--trials", "0"], "trials must be >= 1, got 0"),
+        (["--profile-grid", "0:3:4", "--out", "p.csv", "--seed", "-1", "--trials", "-7"],
+         "seed must be >= 0, got -1"),
+    ],
+)
+def test_audit_checks_seed_and_trials_without_the_verifier(
+    capsys, rr1_file, tmp_path, monkeypatch, argv, message
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LDPKIT_OUT_DIR", raising=False)
+    assert run_error(capsys, ["audit", str(rr1_file), *argv]) == f"error: {message}\n"
+    assert not (tmp_path / "p.csv").exists()
 
 
 # Each sample array is capped at MAX_SAMPLES entries before it is drawn,

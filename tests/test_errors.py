@@ -1,0 +1,63 @@
+import math
+import re
+
+import pytest
+
+from ldpkit.bounds import (
+    BayesConfig,
+    fano_lb,
+    highdim_mean_lb,
+    lecam_private,
+    moment_estimation_lb,
+    small_ball_uniform01,
+)
+from ldpkit.contraction import PrivacyParams, phi_n
+from ldpkit.errors import DomainError, at_least, finite_above, in_unit_interval
+from ldpkit.info import BernoulliUniformModel
+from ldpkit.oracle import SearchConfig
+
+NAN = math.nan
+P = PrivacyParams(1.0, 0.1)
+
+
+# A comparison with NaN is false, so a check written as `if n < 1` lets
+# NaN through to a silent NaN or vacuous 0.0; each of these once did.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: phi_n(P, NAN),
+        lambda: lecam_private(1.0, 0.1, NAN, P),
+        lambda: moment_estimation_lb(2.0, NAN, P),
+        lambda: fano_lb(4, 0.1, 1.0, NAN, P),
+        lambda: highdim_mean_lb(8, 1.0, NAN, P),
+        lambda: BayesConfig(small_ball_uniform01, 0.1, NAN, P),
+        lambda: fano_lb(NAN, 0.1, 1.0, 5, P),
+        lambda: highdim_mean_lb(NAN, 1.0, 5, P),
+        lambda: BernoulliUniformModel(NAN),
+        lambda: SearchConfig(seed=NAN, trials=10),
+        lambda: SearchConfig(seed=0, trials=NAN),
+    ],
+    ids=[
+        "phi_n-n", "lecam-n", "moment-n", "fano-n", "highdim-n", "bayes-config-n",
+        "fano-v_count", "highdim-d", "bu-model-n", "search-seed", "search-trials",
+    ],
+)
+def test_nan_count_or_parameter_is_one_domain_error_naming_nan(call):
+    with pytest.raises(DomainError, match=r", got nan$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (lambda v: at_least("n", v, 1), "n must be >= 1, got {}"),
+        (lambda v: in_unit_interval("delta", v), "delta must be in [0, 1], got {}"),
+        (lambda v: finite_above("tau", v, 0), "tau must be > 0, got {}"),
+    ],
+    ids=["at_least", "in_unit_interval", "finite_above"],
+)
+@pytest.mark.parametrize("value", [NAN, -0.5])
+def test_each_check_rejects_nan_and_names_the_value(check, message, value):
+    with pytest.raises(DomainError, match=f"^{re.escape(message.format(value))}$"):
+        check(value)
+
