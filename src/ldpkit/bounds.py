@@ -37,8 +37,10 @@ class GridSpec:
     scale: str = "linear"
 
     def __post_init__(self):
-        if self.steps < 1:
+        if not self.steps >= 1:
             raise DomainError(f"grid needs at least 1 step, got {self.steps}")
+        if not isinstance(self.steps, (int, np.integer)):
+            raise DomainError(f"grid steps must be an integer, got {self.steps}")
         if self.steps > MAX_GRID_STEPS:
             raise CapacityError(f"grid has {self.steps} points, over the cap {MAX_GRID_STEPS}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):

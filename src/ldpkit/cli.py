@@ -7,7 +7,7 @@ sweeps), ``remark`` (the two non-private Bayes bounds side by side),
 ``model-curves`` (the Bernoulli-uniform model's information curves), and
 ``oracle`` (brute-force validation runs).
 
-``main`` parses every grid flag into a ``GridSpec`` before dispatch.
+Grid flags become ``GridSpec``s as argv is read; a rejected argv is one ``error:`` line.
 CSV output is comma-separated, LF-terminated, with a header row and 17
 significant digits, so identical flags give byte-identical files. Every
 command that writes a CSV also writes a ``<out>.manifest.json`` listing
@@ -110,6 +110,18 @@ def parse_grid_spec(text: str) -> GridSpec:
     except ValueError as exc:
         raise DomainError(f"grid must look like lo:hi:steps[:scale], got {text!r}") from exc
     return GridSpec(lo, hi, steps, scale)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # reported by main, as one error line with exit 1
+        raise DomainError(message)
+
+
+class _Grid(argparse.Action):
+    """Stores a grid flag as a ``GridSpec``, and --sweep PARAM GRID as [PARAM, GridSpec]."""
+    def __call__(self, parser, namespace, values, option_string=None):
+        grid = parse_grid_spec(values[1] if self.nargs else values)
+        setattr(namespace, self.dest, [values[0], grid] if self.nargs else grid)
 
 
 def _print_json(payload) -> None:
@@ -232,22 +244,18 @@ _N = {"--n": {"type": int, "default": 1}}
 # Recorded in reports and manifests but without effect: the informations
 # are closed forms.
 _PANELS_HELP = "former quadrature panel count, no effect (even, >= 2)"
-# Grid flags, and the GRID of --sweep PARAM GRID, stay strings until
-# main() parses them, so that a malformed grid gives the DomainError's
-# message and exit 1 (argparse would swallow the message and exit 2).
-_GRID_FLAGS = ("zeta_grid", "gamma_grid", "profile_grid", "eps_grid")
 _BAYES_FLAGS = {
     "--info": {"type": float, "default": None, "help": "information value in nats"},
     "--bu-n": {"type": int, "default": 1, "help": "Bernoulli-uniform sample size"},
     "--bu-panels": {"type": int, "default": 20000, "help": _PANELS_HELP},
     **_N,
-    "--zeta-grid": {"default": DEFAULT_ZETA_GRID},
+    "--zeta-grid": {"action": _Grid, "default": DEFAULT_ZETA_GRID},
 }
 # Taken by every subcommand in BOUNDS, after its own flags.
 _PRIVACY_AND_SWEEP_FLAGS = {
     "--eps": {"type": float, "required": True, "help": "privacy level epsilon"},
     "--delta": {"type": float, "default": 0.0, "help": "privacy slack delta"},
-    "--sweep": {"nargs": 2, "metavar": ("PARAM", "GRID"), "default": None,
+    "--sweep": {"nargs": 2, "metavar": ("PARAM", "GRID"), "action": _Grid,
                 "help": "sweep a parameter over lo:hi:steps (only epsilon)"},
     "--out": {"default": None, "help": "CSV path for sweep output"},
 }
@@ -453,7 +461,7 @@ def cmd_oracle_profile_check(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ldpkit",
         description="Hockey-stick divergence toolkit: LDP auditing and risk bounds",
     )
@@ -464,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kernel", help="kernel file (JSON rows object or CSV)")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--profile-grid", default=None, help="epsilon grid lo:hi:steps")
+    p.add_argument("--profile-grid", action=_Grid, help="epsilon grid lo:hi:steps")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--out", default=None, help="CSV path for the profile")
@@ -473,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure1", help="Bayes-bound comparison curve (Bernoulli-uniform model)")
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--delta", type=float, default=1e-4)
-    p.add_argument("--eps-grid", default="0.01:3:60")
+    p.add_argument("--eps-grid", action=_Grid, default=GridSpec(0.01, 3.0, 60))
     p.add_argument("--panels", type=int, default=20000, help=_PANELS_HELP)
     p.add_argument("--out", default="figure1.csv")
     p.set_defaults(func=cmd_figure1)
@@ -489,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = bsub.add_parser("bayes-gammaopt", help="gamma-optimized non-private Bayes bound")
     for flag in ("--bu-n", "--bu-panels", "--zeta-grid"):
         q.add_argument(flag, **_BAYES_FLAGS[flag])
-    q.add_argument("--gamma-grid", default=DEFAULT_GAMMA_GRID)
+    q.add_argument("--gamma-grid", action=_Grid, default=DEFAULT_GAMMA_GRID)
     q.set_defaults(func=cmd_gammaopt)
 
     p = sub.add_parser("remark", help="side-by-side non-private Bayes bounds")
@@ -499,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("model-curves", help="Bernoulli-uniform information curves")
     p.add_argument("--n", type=int, default=5, help="sample size for the gamma curve")
-    p.add_argument("--gamma-grid", default=None, help="lo:hi:steps[:scale], default 0:n+1:121")
+    p.add_argument("--gamma-grid", action=_Grid, help="lo:hi:steps[:scale], default 0:n+1:121")
     p.add_argument("--n-max", type=int, default=12, help="range of the growth curve")
     p.add_argument("--igamma-out", default="bu_igamma_curve.csv")
     p.add_argument("--mi-out", default="bu_mi_curve.csv")
@@ -527,14 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        for name in _GRID_FLAGS:
-            if isinstance(getattr(args, name, None), str):
-                setattr(args, name, parse_grid_spec(getattr(args, name)))
-        if getattr(args, "sweep", None) is not None:
-            args.sweep[1] = parse_grid_spec(args.sweep[1])
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (DomainError, DimensionError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -150,7 +150,7 @@ def tensor_power(k: Kernel, n: int) -> Kernel:
     Indices run row-major over coordinates with coordinate 1 most
     significant.
     """
-    if n < 1:
+    if not n >= 1:
         raise DomainError(f"tensor power needs n >= 1, got {n}")
     _check_cap(k.input_size, n, "tensor-power input alphabet")
     _check_cap(k.output_size, n, "tensor-power output alphabet")

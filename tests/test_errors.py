@@ -5,6 +5,7 @@ import pytest
 
 from ldpkit.bounds import (
     BayesConfig,
+    GridSpec,
     fano_lb,
     highdim_mean_lb,
     lecam_private,
@@ -14,6 +15,7 @@ from ldpkit.bounds import (
 from ldpkit.contraction import PrivacyParams, phi_n
 from ldpkit.errors import DomainError, at_least, finite_above, in_unit_interval
 from ldpkit.info import BernoulliUniformModel
+from ldpkit.kernel import bsc, tensor_power
 from ldpkit.oracle import SearchConfig
 
 NAN = math.nan
@@ -36,15 +38,24 @@ P = PrivacyParams(1.0, 0.1)
         lambda: BernoulliUniformModel(NAN),
         lambda: SearchConfig(seed=NAN, trials=10),
         lambda: SearchConfig(seed=0, trials=NAN),
+        lambda: GridSpec(0.0, 1.0, NAN),
+        lambda: tensor_power(bsc(0.2), NAN),
     ],
     ids=[
         "phi_n-n", "lecam-n", "moment-n", "fano-n", "highdim-n", "bayes-config-n",
         "fano-v_count", "highdim-d", "bu-model-n", "search-seed", "search-trials",
+        "grid-steps", "tensor-power-n",
     ],
 )
 def test_nan_count_or_parameter_is_one_domain_error_naming_nan(call):
     with pytest.raises(DomainError, match=r", got nan$"):
         call()
+
+
+def test_fractional_grid_steps_is_one_domain_error():
+    # numpy takes steps as an integer, so a fractional one is refused when built
+    with pytest.raises(DomainError, match=r"^grid steps must be an integer, got 2\.5$"):
+        GridSpec(0.0, 1.0, 2.5)
 
 
 @pytest.mark.parametrize(
