@@ -12,13 +12,14 @@ negative. Logs are nats throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .contraction import PrivacyParams, gamma_from_epsilon, phi, phi_n
-from .errors import CapacityError, DomainError, at_least, finite_above
+from .errors import CapacityError, DomainError, at_least, finite_above, integer
 
 LN2 = math.log(2.0)
 # Point caps of a grid and of the zeta x gamma mesh (peak ~250 B and ~17 B a point).
@@ -29,7 +30,12 @@ MAX_MESH_POINTS = 2**25
 @dataclass(frozen=True)
 class GridSpec:
     """Dense evaluation grid: ``steps`` points from lo to hi, linear or log
-    spaced. One step is the grid [lo], whatever hi is."""
+    spaced. One step is the grid [lo], whatever hi is.
+
+    ``points()`` builds the grid on its first call and returns the same
+    read-only array after. The array is kept on this instance, not shared
+    between equal specs: GridSpec(-0.0, 1.0, 1) == GridSpec(0.0, 1.0, 1),
+    yet their grids differ in sign."""
 
     lo: float
     hi: float
@@ -39,8 +45,7 @@ class GridSpec:
     def __post_init__(self):
         if not self.steps >= 1:
             raise DomainError(f"grid needs at least 1 step, got {self.steps}")
-        if not isinstance(self.steps, (int, np.integer)):
-            raise DomainError(f"grid steps must be an integer, got {self.steps}")
+        integer("grid steps", self.steps)
         if self.steps > MAX_GRID_STEPS:
             raise CapacityError(f"grid has {self.steps} points, over the cap {MAX_GRID_STEPS}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
@@ -53,11 +58,18 @@ class GridSpec:
             raise DomainError("log-spaced grid requires lo > 0")
 
     def points(self) -> np.ndarray:
+        return self._points
+
+    @cached_property
+    def _points(self) -> np.ndarray:
         if self.steps == 1:
-            return np.array([self.lo])
-        if self.scale == "log":
-            return np.geomspace(self.lo, self.hi, self.steps)
-        return np.linspace(self.lo, self.hi, self.steps)
+            pts = np.array([self.lo])
+        elif self.scale == "log":
+            pts = np.geomspace(self.lo, self.hi, self.steps)
+        else:
+            pts = np.linspace(self.lo, self.hi, self.steps)
+        pts.setflags(write=False)
+        return pts
 
 
 DEFAULT_ZETA_GRID = GridSpec(1e-4, 0.5, 2000, "log")
@@ -98,7 +110,9 @@ class BayesConfig:
     Both callables must take numpy arrays and broadcast: ``small_ball`` is
     called once on the whole zeta grid (a column of it for the
     gamma-optimized bound) and ``info_fn`` once on the 1-d gamma grid. A
-    constant result is broadcast to the grid.
+    constant result is broadcast to the grid. The grids they get are the
+    read-only arrays of ``GridSpec.points()``, shared by every bound
+    evaluated on that grid: neither callable may write into them.
     """
 
     small_ball: Callable[[np.ndarray], np.ndarray]
@@ -126,6 +140,11 @@ def _contracted(c: float, info: float) -> float:
     return 0.0 if c == 0.0 else c * info
 
 
+def _fields(obj) -> dict:
+    """A flat dataclass's fields by name: ``asdict`` without its deep copy."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def _flags_for(value: float, extra: tuple[str, ...] = ()) -> tuple[str, ...]:
     return extra + (("vacuous",) if value <= 0 else ())
 
@@ -144,7 +163,7 @@ def lecam_private(tau: float, kl_p0_p1: float, n: int, params: PrivacyParams) ->
     return BoundReport(
         bound_name="lecam_private",
         value=value,
-        inputs={"tau": tau, "kl_p0_p1": kl_p0_p1, "n": n, **asdict(params), "phi": phi_v},
+        inputs={"tau": tau, "kl_p0_p1": kl_p0_p1, "n": n, **_fields(params), "phi": phi_v},
         flags=_flags_for(value),
     )
 
@@ -179,7 +198,7 @@ def moment_estimation_lb(k_moment: float, n: int, params: PrivacyParams) -> Boun
         inputs={
             "k_moment": k_moment,
             "n": n,
-            **asdict(params),
+            **_fields(params),
             "phi": phi_v,
             "variant": "explicit-constant",
         },
@@ -219,7 +238,7 @@ def fano_lb(
             "avg_pairwise_kl": avg_pairwise_kl,
             "tau": tau,
             "n": n,
-            **asdict(params),
+            **_fields(params),
             "mi_upper": mi_up,
         },
         flags=_flags_for(value),
@@ -257,7 +276,7 @@ def highdim_mean_lb(d: int, r: float, n: int, params: PrivacyParams) -> BoundRep
             "d": d,
             "r": r,
             "n": n,
-            **asdict(params),
+            **_fields(params),
             "phi_n": pn,
             "variant": "explicit-constant",
         },
@@ -269,8 +288,8 @@ def _bayes_inputs(cfg: BayesConfig, **extra) -> dict:
     return {
         "info_value": cfg.info_value,
         "n": cfg.n,
-        **asdict(cfg.params),
-        "zeta_grid": asdict(cfg.zeta_grid),
+        **_fields(cfg.params),
+        "zeta_grid": _fields(cfg.zeta_grid),
         **extra,
     }
 
@@ -362,7 +381,7 @@ def bayes_gamma_opt_lb(cfg: BayesConfig) -> BoundReport:
         bound_name="bayes_gamma_opt_lb",
         value=value,
         witness={"zeta": zeta_star, "gamma": gamma_star},
-        inputs=_bayes_inputs(cfg, gamma_grid=asdict(cfg.gamma_grid)),
+        inputs=_bayes_inputs(cfg, gamma_grid=_fields(cfg.gamma_grid)),
         flags=_flags_for(value, edge),
     )
 
@@ -375,11 +394,11 @@ def ht_exponent(kl_p0_p1: float, params: PrivacyParams) -> BoundReport:
     """
     at_least("kl_p0_p1", kl_p0_p1, 0)
     value = -_contracted(phi(params), kl_p0_p1)
-    return BoundReport("ht_exponent", value, inputs={"kl_p0_p1": kl_p0_p1, **asdict(params)})
+    return BoundReport("ht_exponent", value, inputs={"kl_p0_p1": kl_p0_p1, **_fields(params)})
 
 
 def mi_cap(h_x: float, params: PrivacyParams) -> BoundReport:
     """Largest mutual information any private view can retain: phi * H(X)."""
     at_least("entropy", h_x, 0)
     value = _contracted(phi(params), h_x)
-    return BoundReport("mi_cap", value, inputs={"entropy": h_x, **asdict(params)})
+    return BoundReport("mi_cap", value, inputs={"entropy": h_x, **_fields(params)})

@@ -6,6 +6,8 @@ each message names the value it got.
 
 import math
 
+import numpy as np
+
 
 class DimensionError(ValueError):
     """Operands live on alphabets of incompatible sizes."""
@@ -34,3 +36,9 @@ def finite_above(name: str, value, lo) -> None:
         raise DomainError(f"{name} must be > {lo}, got {value}")
     if value == math.inf:
         raise DomainError(f"{name} must be finite, got inf")
+
+
+def integer(name: str, value) -> None:
+    """A count must be an int or numpy integer: a float (NaN too) or bool is refused."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)):
+        raise DomainError(f"{name} must be an integer, got {value}")

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .dist import Distribution, FGenerator, f_divergence, probability_array
-from .errors import CapacityError, DomainError, at_least
+from .errors import CapacityError, DomainError, at_least, integer
 
 # Largest n of the Bernoulli-uniform model (I_gamma: ~180 B a class, ~40 s a gamma at it).
 MAX_BU_N = 10**6
@@ -64,10 +65,32 @@ class BernoulliUniformModel:
 
     def __post_init__(self):
         at_least("sample size n", self.n, 1)
+        integer("sample size n", self.n)
         if self.n > MAX_BU_N:
             raise CapacityError(f"sample size n = {self.n} is over the cap {MAX_BU_N}")
-        if self.panels < 2 or self.panels % 2 != 0:
+        if not (self.panels >= 2 and self.panels % 2 == 0):
             raise DomainError(f"panels must be even and >= 2, got {self.panels}")
+        integer("panels", self.panels)
+
+    @cached_property
+    def _classes(self) -> tuple:
+        """The gamma-free constants of bu_igamma, built on first use and kept
+        with the model. For classes 0..n: the log Beta normalizers and log
+        mode heights. For classes 1..n: s and n - s as floats, the
+        gamma-free part of the log of the first tail term, the log mode
+        log(s/n), and s n."""
+        n = self.n
+        k = np.arange(n + 1)
+        logfact = np.array([math.lgamma(j + 1.0) for j in range(n + 2)])
+        # log of the Beta normalizer (n+1) C(n,s) and of the mode height
+        # f_s(s/n), each summed so that classes s and n - s agree bit for bit
+        logc = math.log(n + 1) + (logfact[n] - (logfact[k] + logfact[n - k]))
+        xlogx = np.zeros(n + 1)
+        xlogx[1:] = k[1:] * np.log(k[1:] / n)
+        logh = logc + (xlogx + xlogx[::-1])
+        s, rest = k[1:].astype(float), (n - k[1:]).astype(float)
+        log_choose = logfact[n + 1] - (logfact[2:] + logfact[n - k[1:]])
+        return logc, logh, s, rest, log_choose, np.log(s / s[-1]), s * s[-1]
 
 
 # Gamma values times count classes handled together, so a long gamma grid
@@ -109,11 +132,11 @@ def bu_igamma(model: BernoulliUniformModel, gamma):
     step = max(1, _BLOCK // n)
     for i in range(0, inside.size, step):
         idx = inside[i : i + step]
-        out[idx] = _igamma_block(n, flat[idx])
+        out[idx] = _igamma_block(model._classes, flat[idx])
     return float(out[0]) if g.ndim == 0 else out.reshape(g.shape)
 
 
-def _igamma_block(n: int, gamma: np.ndarray) -> np.ndarray:
+def _igamma_block(classes: tuple, gamma: np.ndarray) -> np.ndarray:
     """bu_igamma for a 1-d block of gamma values, all in (0, n + 1).
 
     Only left ends are solved for: reflecting theta -> 1 - theta maps
@@ -128,36 +151,29 @@ def _igamma_block(n: int, gamma: np.ndarray) -> np.ndarray:
     m (1 - gamma) + 2 sum_s d_s; below gamma = 1 all n + 1 are active and
     m (1 - gamma) cancels max(1 - gamma, 0) (n + 1) exactly.
     """
-    k = np.arange(n + 1)
-    logfact = np.array([math.lgamma(j + 1.0) for j in range(n + 2)])
-    # log of the Beta normalizer (n+1) C(n,s) and of the mode height
-    # f_s(s/n), each summed so that classes s and n - s agree bit for bit
-    logc = math.log(n + 1) + (logfact[n] - (logfact[k] + logfact[n - k]))
-    xlogx = np.zeros(n + 1)
-    xlogx[1:] = k[1:] * np.log(k[1:] / n)
-    logh = logc + (xlogx + xlogx[::-1])
+    logc, logh, s, rest, log_choose, u_mode, sn = classes
+    n = s.size
     logg = np.log(gamma)[:, None]
     active = logg < logh  # {f_s > gamma} is non-empty; symmetric in s <-> n - s
 
-    s, rest = k[1:].astype(float), (n - k[1:]).astype(float)  # classes 1..n
     # Class n has no (1 - theta) factor, and its left end rounds to
     # theta = 1 when gamma is within rounding of n + 1; the 0 * inf
     # products that makes are masked in _rest_terms.
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = _log_left_ends(s, rest, logc[1:], logh[1:], logg, active[:, 1:])
+        u = _log_left_ends(s, rest, logc[1:], logh[1:], u_mode, sn, logg, active[:, 1:])
         # F_s(a_s) = P(Bin(n+1, a_s) >= s+1): the first term in log space,
-        # then the term ratios (n+1-j)/(j+1) * a/(1-a) while they matter.
+        # then the term ratios (n+1-j)/(j+1) * a/(1-a) while they matter,
+        # at j = s+1+t, where (n+1-j, j+1) = (n-s-t, s+2+t) are exact.
         rest_log1m, odds = _rest_terms(u, rest)
-        log_first = (logfact[n + 1] - (logfact[2:] + logfact[n - k[1:]])) + (s + 1.0) * u + rest_log1m
-        term, total, j = np.ones_like(u), np.ones_like(u), s + 1.0
+        log_first = log_choose + (s + 1.0) * u + rest_log1m
+        term, total = np.ones_like(u), np.ones_like(u)
         live = active[:, 1:].copy()
-        for _ in range(n):
-            term = term * ((n + 1.0 - j) / (j + 1.0)) * odds
-            j = j + 1.0
+        for t in range(n):
+            term = term * ((rest - t) / (s + (t + 2.0))) * odds
             live &= term > _TAIL_EPS * total
             if not live.any():
                 break
-            total = np.where(live, total + term, total)
+            np.add(total, term, out=total, where=live)
         tail = np.exp(log_first) * total
 
     d = np.where(active[:, 1:], gamma[:, None] * np.exp(u) - tail, 0.0).sum(axis=1)
@@ -170,10 +186,12 @@ def _rest_terms(u, rest):
     """(n - s) log(1 - theta) and theta / (1 - theta) at theta = e^u; both
     are 0 for class n, whose density has no (1 - theta) factor."""
     log1m = np.log1p(-np.exp(u))
-    return np.where(rest > 0, rest * log1m, 0.0), np.where(rest > 0, np.exp(u - log1m), 0.0)
+    rest_log1m, odds = rest * log1m, np.exp(u - log1m)
+    rest_log1m[:, -1] = odds[:, -1] = 0.0  # the last column is class n
+    return rest_log1m, odds
 
 
-def _log_left_ends(s, rest, logc, logh, logg, active):
+def _log_left_ends(s, rest, logc, logh, u_mode, sn, logg, active):
     """log a_s for classes s = 1..n: the root of r(u) = log f_s(e^u) - log gamma
     below the mode u_m = log(s/n), where it is active.
 
@@ -182,23 +200,21 @@ def _log_left_ends(s, rest, logc, logh, logg, active):
     right lands left of it. Steps are clipped to [u_lo, u_m]: u_lo drops the
     (n - s) log(1 - theta) <= 0 term, so it lies at or left of the root.
     """
-    n = s[-1]  # the classes run 1..n
-    u_mode = np.log(s / n)
     u_lo = (logg - logc) / s
     # the quadratic model of r at the mode starts near-double roots close by
-    drop = np.sqrt(2.0 * np.maximum(logh - logg, 0.0) * rest / (s * n))
+    drop = np.sqrt(2.0 * np.maximum(logh - logg, 0.0) * rest / sn)
     live = active.copy()
     u = np.where(live, np.maximum(u_lo, u_mode - drop), u_mode - 1.0)
     for it in range(_NEWTON_CAP):
         rest_log1m, odds = _rest_terms(u, rest)
         resid = logc + s * u + rest_log1m - logg
-        new = np.clip(u - resid / (s - rest * odds), u_lo, u_mode)
+        new = np.minimum(np.maximum(u - resid / (s - rest * odds), u_lo), u_mode)
         if it:  # past the first step the iterates stay left of the root,
             live &= resid < 0  # so r >= 0 means it is reached within rounding
         live &= new != u
         if not live.any():
             break
-        u = np.where(live, new, u)
+        np.copyto(u, new, where=live)
     return u
 
 

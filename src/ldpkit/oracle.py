@@ -17,7 +17,7 @@ import numpy as np
 
 from .contraction import gamma_from_epsilon
 from .dist import FGenerator, divergence
-from .errors import CapacityError, DomainError, at_least
+from .errors import CapacityError, DomainError, at_least, integer
 from .kernel import Kernel
 
 # Ratios whose denominator falls below this are not evidence of anything.
@@ -49,7 +49,9 @@ class SearchConfig:
 
     def __post_init__(self):
         at_least("seed", self.seed, 0)
+        integer("seed", self.seed)
         at_least("trials", self.trials, 1)
+        integer("trials", self.trials)
         if not 0 < self.dirichlet_alpha < math.inf:
             raise DomainError(
                 f"dirichlet_alpha must be finite and positive, got {self.dirichlet_alpha!r}"

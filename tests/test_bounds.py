@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from functools import partial
 
@@ -60,6 +61,77 @@ class TestGridSpec:
         assert GridSpec(0.0, 3.0, MAX_GRID_STEPS).steps == 10**6
         with pytest.raises(CapacityError, match="grid has 1000001 points, over the cap 1000000"):
             GridSpec(0.0, 3.0, MAX_GRID_STEPS + 1)
+
+    @pytest.mark.parametrize(
+        "grid, fresh",
+        [
+            (GridSpec(1e-4, 0.5, 2000, "log"), lambda: np.geomspace(1e-4, 0.5, 2000)),
+            (GridSpec(0.0, 4.0, 800), lambda: np.linspace(0.0, 4.0, 800)),
+            (GridSpec(3.0, 4.0, 1), lambda: np.array([3.0])),
+        ],
+        ids=["log", "linear", "one-step"],
+    )
+    def test_points_are_built_once_and_read_only(self, grid, fresh):
+        pts = grid.points()
+        assert grid.points() is pts
+        assert not pts.flags.writeable
+        with pytest.raises(ValueError):
+            pts[0] = 1.0
+        assert pts.tobytes() == fresh().tobytes()
+        # the cache is not a field: manifests still write the four fields
+        assert dataclasses.asdict(grid) == {
+            "lo": grid.lo, "hi": grid.hi, "steps": grid.steps, "scale": grid.scale,
+        }
+        assert json.dumps(grid, default=dataclasses.asdict) == json.dumps(dataclasses.asdict(grid))
+
+    def test_points_are_cached_per_instance_not_per_value(self):
+        # equal specs whose grids differ: a one-step grid is [lo], and linspace
+        # itself turns a -0.0 start into 0.0 on longer grids
+        assert GridSpec(0.0, 1.0, 1) == GridSpec(-0.0, 1.0, 1)
+        assert math.copysign(1.0, GridSpec(0.0, 1.0, 1).points()[0]) == 1.0
+        assert math.copysign(1.0, GridSpec(-0.0, 1.0, 1).points()[0]) == -1.0
+
+
+_GRID = GridSpec(1e-3, 0.5, 50, "log")
+_BU2 = BernoulliUniformModel(2)
+_ECHO_CASES = [
+    (lambda p: lecam_private(0.5, 0.1, 10, p),
+     lambda p: {"tau": 0.5, "kl_p0_p1": 0.1, "n": 10, **dataclasses.asdict(p), "phi": phi(p)}),
+    (lambda p: moment_estimation_lb(2.0, 10, p),
+     lambda p: {"k_moment": 2.0, "n": 10, **dataclasses.asdict(p), "phi": phi(p),
+                "variant": "explicit-constant"}),
+    (lambda p: fano_lb(64, 0.01, 0.5, 20, p),
+     lambda p: {"v_count": 64, "avg_pairwise_kl": 0.01, "tau": 0.5, "n": 20,
+                **dataclasses.asdict(p), "mi_upper": 20 * phi_n(p, 20) * 0.01}),
+    (lambda p: highdim_mean_lb(8, 1.0, 64, p),
+     lambda p: {"d": 8, "r": 1.0, "n": 64, **dataclasses.asdict(p), "phi_n": phi_n(p, 64),
+                "variant": "explicit-constant"}),
+    (lambda p: ht_exponent(0.3, p), lambda p: {"kl_p0_p1": 0.3, **dataclasses.asdict(p)}),
+    (lambda p: mi_cap(0.7, p), lambda p: {"entropy": 0.7, **dataclasses.asdict(p)}),
+    (lambda p: bayes_xu_raginsky_private(BayesConfig(small_ball_uniform01, 0.2, 3, p, _GRID)),
+     lambda p: {"info_value": 0.2, "n": 3, **dataclasses.asdict(p),
+                "zeta_grid": dataclasses.asdict(_GRID), "phi_n": phi_n(p, 3)}),
+    (lambda p: bayes_egamma_lb(BayesConfig(small_ball_uniform01, 0.2, 3, p, _GRID)),
+     lambda p: {"info_value": 0.2, "n": 3, **dataclasses.asdict(p),
+                "zeta_grid": dataclasses.asdict(_GRID), "gamma": math.exp(p.epsilon),
+                "info_coefficient": phi_n(p, 3)}),
+    (lambda p: bayes_gamma_opt_lb(BayesConfig(
+        small_ball_uniform01, 0.0, 2, p, _GRID, GridSpec(0.0, 3.0, 7), partial(bu_igamma, _BU2))),
+     lambda p: {"info_value": 0.0, "n": 2, **dataclasses.asdict(p),
+                "zeta_grid": dataclasses.asdict(_GRID),
+                "gamma_grid": dataclasses.asdict(GridSpec(0.0, 3.0, 7))}),
+]
+
+
+@pytest.mark.parametrize("call, expected", _ECHO_CASES, ids=[
+    "lecam", "moment", "fano", "highdim", "ht", "micap", "bayes-mi", "bayes-egamma",
+    "bayes-gammaopt",
+])
+def test_input_echo_is_the_asdict_built_dict(call, expected):
+    params = PrivacyParams(0.7, 0.05)
+    inputs = call(params).inputs
+    assert inputs == expected(params)
+    assert json.dumps(inputs, sort_keys=True) == json.dumps(expected(params), sort_keys=True)
 
 
 class TestLeCam:

@@ -1,6 +1,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from ldpkit.bounds import (
@@ -13,9 +14,9 @@ from ldpkit.bounds import (
     small_ball_uniform01,
 )
 from ldpkit.contraction import PrivacyParams, phi_n
-from ldpkit.errors import DomainError, at_least, finite_above, in_unit_interval
-from ldpkit.info import BernoulliUniformModel
-from ldpkit.kernel import bsc, tensor_power
+from ldpkit.errors import DomainError, at_least, finite_above, in_unit_interval, integer
+from ldpkit.info import BernoulliUniformModel, bu_mutual_information
+from ldpkit.kernel import Kernel, bsc, k_rr, tensor_power
 from ldpkit.oracle import SearchConfig
 
 NAN = math.nan
@@ -50,6 +51,43 @@ P = PrivacyParams(1.0, 0.1)
 def test_nan_count_or_parameter_is_one_domain_error_naming_nan(call):
     with pytest.raises(DomainError, match=r", got nan$"):
         call()
+
+
+# A count that is a float or a bool once gave a bare TypeError from numpy,
+# or went through: n = 2.5 gave a mutual information, n = True a broadcast
+# error, steps = True a one-point grid.
+@pytest.mark.parametrize(
+    "call, got",
+    [
+        (lambda: tensor_power(bsc(0.2), 2.5), "2.5"),
+        (lambda: tensor_power(bsc(0.2), True), "True"),
+        (lambda: Kernel.identity(2.5), "2.5"),
+        (lambda: k_rr(1.0, 2.5), "2.5"),
+        (lambda: k_rr(1.0, 3.0), "3.0"),
+        (lambda: SearchConfig(seed=1, trials=2.5).dirichlet_pairs(3), "2.5"),
+        (lambda: SearchConfig(seed=1.5, trials=2).dirichlet_pairs(3), "1.5"),
+        (lambda: SearchConfig(seed=True, trials=2).dirichlet_pairs(3), "True"),
+        (lambda: bu_mutual_information(BernoulliUniformModel(2.5)), "2.5"),
+        (lambda: BernoulliUniformModel(True), "True"),
+        (lambda: BernoulliUniformModel(2, panels=4.0), "4.0"),
+        (lambda: GridSpec(0.0, 1.0, True), "True"),
+    ],
+    ids=[
+        "tensor-power-n", "tensor-power-bool", "identity-size", "k_rr-k", "k_rr-whole-float",
+        "search-trials", "search-seed", "search-seed-bool", "bu-model-n", "bu-model-bool",
+        "bu-model-panels", "grid-steps-bool",
+    ],
+)
+def test_fractional_or_bool_count_is_one_domain_error_naming_it(call, got):
+    with pytest.raises(DomainError, match=f" must be an integer, got {re.escape(got)}$"):
+        call()
+
+
+@pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)])
+def test_integer_accepts_python_and_numpy_integers(value):
+    integer("n", value)
+    assert Kernel.identity(value).input_size == 3
+    assert BernoulliUniformModel(value).n == 3
 
 
 def test_fractional_grid_steps_is_one_domain_error():

@@ -193,6 +193,17 @@ class TestBuIgamma:
             bu_igamma(model, np.array([0.5, -1e-300]))
 
 
+def test_bu_igamma_class_constants_are_kept_per_model():
+    # constants built for one n never leak into another model's calls
+    gammas = np.array([0.5, 1.0, 2.5, 4.0, 5.5])
+    fresh = {n: [bu_igamma(BernoulliUniformModel(n), float(g)) for g in gammas] for n in (5, 20)}
+    reused = {n: BernoulliUniformModel(n) for n in (5, 20)}
+    for n in (5, 20, 5):
+        for model in (BernoulliUniformModel(n), reused[n]):
+            assert [bu_igamma(model, float(g)) for g in gammas] == fresh[n]
+            assert bu_igamma(model, gammas).tolist() == fresh[n]
+
+
 def mode_heights(n: int) -> np.ndarray:
     """max over theta of each class density f_s, the Beta(s+1, n-s+1) density at s/n."""
     def log_height(s):
