@@ -6,7 +6,9 @@ be re-derived from the report alone. Suprema over the slack parameter
 zeta (and, where applicable, gamma) are the maxima of the bound's values
 on configurable grids, ties going to the first grid point; negative
 brackets clamp to zero and are flagged as vacuous rather than reported
-negative. Logs are nats throughout.
+negative. Logs are nats throughout. numpy is imported only inside the
+functions that build arrays (the grids, the small ball and the three Bayes
+bounds), so the closed-form calculators load on the standard library alone.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .contraction import PrivacyParams, gamma_from_epsilon, phi, phi_n
 from .errors import CapacityError, DomainError, at_least, finite_above, integer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 LN2 = math.log(2.0)
 # Point caps of a grid and of the zeta x gamma mesh (peak ~250 B and ~17 B a point).
@@ -45,7 +48,7 @@ class GridSpec:
     def __post_init__(self):
         if not self.steps >= 1:
             raise DomainError(f"grid needs at least 1 step, got {self.steps}")
-        integer("grid steps", self.steps)
+        object.__setattr__(self, "steps", integer("grid steps", self.steps))
         if self.steps > MAX_GRID_STEPS:
             raise CapacityError(f"grid has {self.steps} points, over the cap {MAX_GRID_STEPS}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
@@ -62,6 +65,8 @@ class GridSpec:
 
     @cached_property
     def _points(self) -> np.ndarray:
+        import numpy as np
+
         if self.steps == 1:
             pts = np.array([self.lo])
         elif self.scale == "log":
@@ -82,6 +87,8 @@ def small_ball_uniform01(zeta):
     The largest probability that the parameter lands within zeta of any
     fixed point: min(2 zeta, 1), elementwise on arrays.
     """
+    import numpy as np
+
     return np.minimum(2.0 * zeta, 1.0)
 
 
@@ -301,6 +308,8 @@ def bayes_xu_raginsky_private(cfg: BayesConfig) -> BoundReport:
     with grid points where L(zeta) >= 1 skipped (their bracket is
     vacuous). If no grid point is feasible the value is 0, flagged.
     """
+    import numpy as np
+
     pn = phi_n(cfg.params, cfg.n)
     numerator = pn * cfg.info_value + LN2
     zetas = cfg.zeta_grid.points()
@@ -330,6 +339,8 @@ def bayes_egamma_lb(cfg: BayesConfig) -> BoundReport:
     where the contraction coefficient c is delta itself for n = 1 and
     phi_n for n > 1.
     """
+    import numpy as np
+
     gamma = gamma_from_epsilon(cfg.params.epsilon)
     c = cfg.params.delta if cfg.n == 1 else phi_n(cfg.params, cfg.n)
     zetas = cfg.zeta_grid.points()
@@ -356,6 +367,8 @@ def bayes_gamma_opt_lb(cfg: BayesConfig) -> BoundReport:
     gamma profile supplied by ``cfg.info_fn``, evaluated once on the gamma
     grid.
     """
+    import numpy as np
+
     if cfg.info_fn is None:
         raise DomainError("bayes_gamma_opt_lb requires info_fn (gamma -> I_gamma)")
     mesh = cfg.zeta_grid.steps * cfg.gamma_grid.steps

@@ -13,6 +13,10 @@ significant digits, so identical flags give byte-identical files. Every
 command that writes a CSV also writes a ``<out>.manifest.json`` listing
 the command, arguments (grids as their fields), seed, and outputs.
 Relative output paths resolve against $LDPKIT_OUT_DIR when it is set.
+
+The modules that compute with arrays (dist, info, kernel, ldp, oracle) are
+imported inside the commands that call them, so ``--version``, ``--help``,
+a rejected argv and the scalar ``bound`` kinds run without numpy.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from . import __version__
+from . import DEFAULT_SEED, F_KIND_NAMES, __version__
 from .bounds import (
     DEFAULT_GAMMA_GRID,
     DEFAULT_ZETA_GRID,
@@ -45,12 +49,7 @@ from .bounds import (
     small_ball_uniform01,
 )
 from .contraction import PrivacyParams, gamma_from_epsilon, two_point_scan
-from .dist import F_KINDS, FGenerator
 from .errors import CapacityError, DimensionError, DomainError
-from .info import BernoulliUniformModel, bu_igamma, bu_mutual_information
-from .kernel import load_kernel
-from .ldp import DEFAULT_SEED, delta_at, privacy_profile, verify_equivalence
-from .oracle import SearchConfig, brute_eta_f, brute_profile_check
 
 # Values the remark table is compared against; treated as approximate.
 REMARK_REFERENCE_EGAMMA = 0.08
@@ -134,6 +133,10 @@ def _print_json(payload) -> None:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    from .kernel import load_kernel
+    from .ldp import privacy_profile, verify_equivalence
+    from .oracle import SearchConfig
+
     if args.delta is not None and args.epsilon is None:
         raise DomainError("--delta requires --epsilon")
     if args.out is not None and args.profile_grid is None:
@@ -203,8 +206,9 @@ def cmd_figure1(args: argparse.Namespace) -> int:
 # Each subcommand's reports(args, params) gives one BoundReport per entry
 # of the list params: one entry for a single run, one per epsilon for a
 # sweep, so epsilon-independent work is done once. Calculators are
-# looked up in this module's globals at call time, so rebinding one here
-# (as a tracer does) reaches every subcommand.
+# looked up in this module's globals at call time, and the informations in
+# ldpkit.info, so rebinding one there (as a tracer does) reaches every
+# subcommand.
 
 
 def _with_bu_model(report: BoundReport, bu_model: dict) -> BoundReport:
@@ -220,6 +224,8 @@ def bayes_reports(
     is validated on every call; with info None the information comes from
     it, and the reports record it: the mutual information is computed
     once, and I_gamma in one call over every gamma = e^epsilon."""
+    from .info import BernoulliUniformModel, bu_igamma, bu_mutual_information
+
     model = BernoulliUniformModel(bu_n, bu_panels)
     infos = [info] * len(params)
     if info is None:
@@ -340,6 +346,8 @@ def gamma_opt_report(
     """The gamma-optimized non-private Bayes bound of the Bernoulli-uniform
     model with n observations, and the record of the model it used
     (``panels`` is validated and recorded, without effect)."""
+    from .info import BernoulliUniformModel, bu_igamma
+
     model = BernoulliUniformModel(n, panels)
     cfg = BayesConfig(
         small_ball_uniform01, 0.0, n, PrivacyParams(0.0, 1.0), zeta_grid, gamma_grid,
@@ -359,6 +367,8 @@ def cmd_gammaopt(args: argparse.Namespace) -> int:
 
 
 def cmd_remark(args: argparse.Namespace) -> int:
+    from .info import BernoulliUniformModel, bu_mutual_information
+
     # The two non-private bounds of the Bernoulli-uniform model at n = 1.
     mi = bu_mutual_information(BernoulliUniformModel(1))
     mi_report = bayes_xu_raginsky_private(
@@ -401,6 +411,8 @@ def cmd_remark(args: argparse.Namespace) -> int:
 
 
 def cmd_model_curves(args: argparse.Namespace) -> int:
+    from .info import BernoulliUniformModel, bu_igamma, bu_mutual_information
+
     # I_gamma over the gamma grid at sample size n, and I(Theta; X^m) for m = 1..n_max.
     # Both models are built first, so an oversized n_max is refused before any work.
     model = BernoulliUniformModel(args.n)
@@ -425,6 +437,10 @@ def cmd_model_curves(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_eta_f(args: argparse.Namespace) -> int:
+    from .dist import FGenerator
+    from .kernel import load_kernel
+    from .oracle import SearchConfig, brute_eta_f
+
     kernel = load_kernel(args.kernel)
     f = FGenerator(args.f, args.gamma)
     cfg = SearchConfig(
@@ -448,6 +464,10 @@ def cmd_oracle_eta_f(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_profile_check(args: argparse.Namespace) -> int:
+    from .kernel import load_kernel
+    from .ldp import delta_at
+    from .oracle import brute_profile_check
+
     kernel = load_kernel(args.kernel)
     payload = dataclasses.asdict(brute_profile_check(kernel, args.epsilon))
     payload["kernel"] = str(args.kernel)
@@ -518,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = osub.add_parser("eta-f", help="sampled contraction-ratio search")
     q.add_argument("kernel")
-    q.add_argument("--f", choices=list(F_KINDS), required=True)
+    q.add_argument("--f", choices=list(F_KIND_NAMES), required=True)
     q.add_argument("--gamma", type=float, default=None)
     q.add_argument("--trials", type=int, default=1000)
     q.add_argument("--seed", type=int, default=DEFAULT_SEED)

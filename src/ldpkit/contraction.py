@@ -8,19 +8,20 @@ The universal upper bound for any f-divergence contraction of an
 
     phi(epsilon, delta) = 1 - (1 - delta) * exp(-epsilon),
 
-with the n-fold tensorized version phi_n = 1 - (1 - phi)^n.
+with the n-fold tensorized version phi_n = 1 - (1 - phi)^n. Only the
+scan imports numpy, when it runs; the closed forms need none.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .dist import excess
 from .errors import DomainError, at_least, in_unit_interval
-from .kernel import Kernel
+
+if TYPE_CHECKING:
+    from .kernel import Kernel
 
 # Byte budget of the one buffer a pairwise scan reuses for every block:
 # blocks of rows (and of gammas) are sized to fit it, down to one row's
@@ -67,6 +68,10 @@ def two_point_scan(k: Kernel, gammas) -> tuple[list[float], list[tuple[int, int]
     one buffer allocated once per call; each gamma block's pair values
     fill one slab that is reduced before the next block starts.
     """
+    import numpy as np
+
+    from .dist import excess
+
     g = np.asarray(gammas, dtype=float).reshape(-1)
     bad = g[~(g >= 1)]
     if bad.size:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import F_KIND_NAMES
 from .errors import DimensionError, DomainError
 
 # A probability vector whose sum misses 1 by less than RENORM_TOL is
@@ -165,7 +166,7 @@ def _hellinger_sq(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 # The f-divergence kinds, each with its batched formula; egamma's takes gamma as well.
-F_KINDS = {"tv": _tv, "kl": _kl, "chi2": _chi2, "hellinger_sq": _hellinger_sq, "egamma": _egamma}
+F_KINDS = dict(zip(F_KIND_NAMES, (_tv, _kl, _chi2, _hellinger_sq, _egamma), strict=True))
 
 
 def divergence(p: np.ndarray, q: np.ndarray, f: FGenerator) -> np.ndarray:

@@ -5,8 +5,7 @@ each message names the value it got.
 """
 
 import math
-
-import numpy as np
+import numbers
 
 
 class DimensionError(ValueError):
@@ -38,7 +37,12 @@ def finite_above(name: str, value, lo) -> None:
         raise DomainError(f"{name} must be finite, got inf")
 
 
-def integer(name: str, value) -> None:
-    """A count must be an int or numpy integer: a float (NaN too) or bool is refused."""
-    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)):
+def integer(name: str, value) -> int:
+    """``value`` as a plain int, for a count that must be an integer: an int
+    or any type registered as ``numbers.Integral``, which numpy's integer
+    types are. A float (NaN too) or a bool is refused. Callers store the
+    returned int, so a numpy-integer count does its arithmetic as the equal
+    int and cannot wrap around in a fixed-width dtype."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)):
         raise DomainError(f"{name} must be an integer, got {value}")
+    return int(value)

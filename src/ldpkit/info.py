@@ -65,12 +65,12 @@ class BernoulliUniformModel:
 
     def __post_init__(self):
         at_least("sample size n", self.n, 1)
-        integer("sample size n", self.n)
+        object.__setattr__(self, "n", integer("sample size n", self.n))
         if self.n > MAX_BU_N:
             raise CapacityError(f"sample size n = {self.n} is over the cap {MAX_BU_N}")
         if not (self.panels >= 2 and self.panels % 2 == 0):
             raise DomainError(f"panels must be even and >= 2, got {self.panels}")
-        integer("panels", self.panels)
+        object.__setattr__(self, "panels", integer("panels", self.panels))
 
     @cached_property
     def _classes(self) -> tuple:

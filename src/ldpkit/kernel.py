@@ -52,7 +52,7 @@ class Kernel:
     @classmethod
     def identity(cls, size: int) -> "Kernel":
         at_least("alphabet size", size, 1)
-        integer("alphabet size", size)
+        size = integer("alphabet size", size)
         return cls(np.eye(size))
 
 
@@ -126,7 +126,7 @@ def k_rr(epsilon: float, k: int) -> Kernel:
     """k-ary randomized response: keeps the input with odds e^eps : 1 per
     alternative, so the identity where e^eps is infinite."""
     at_least("k", k, 2)
-    integer("k", k)
+    k = integer("k", k)
     e = _odds(epsilon)
     if np.isinf(e):  # the diagonal below would be inf * 0
         return Kernel.identity(k)
@@ -154,7 +154,7 @@ def tensor_power(k: Kernel, n: int) -> Kernel:
     """
     if not n >= 1:
         raise DomainError(f"tensor power needs n >= 1, got {n}")
-    integer("tensor power n", n)
+    n = integer("tensor power n", n)
     _check_cap(k.input_size, n, "tensor-power input alphabet")
     _check_cap(k.output_size, n, "tensor-power output alphabet")
     rows = k.rows

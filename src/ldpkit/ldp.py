@@ -18,15 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DEFAULT_SEED
 from .contraction import PrivacyParams, gamma_from_epsilon, two_point_scan
 from .dist import Distribution, excess, normalize_rows
 from .errors import DomainError, in_unit_interval
 from .kernel import Kernel
 from .oracle import SearchConfig
-
-# Fixed default seed for the sampled verifier; override per call for
-# independent replications.
-DEFAULT_SEED = 1729
 
 IS_LDP_TOL = 1e-12
 VERIFY_TOL = 1e-10

@@ -49,9 +49,9 @@ class SearchConfig:
 
     def __post_init__(self):
         at_least("seed", self.seed, 0)
-        integer("seed", self.seed)
+        object.__setattr__(self, "seed", integer("seed", self.seed))
         at_least("trials", self.trials, 1)
-        integer("trials", self.trials)
+        object.__setattr__(self, "trials", integer("trials", self.trials))
         if not 0 < self.dirichlet_alpha < math.inf:
             raise DomainError(
                 f"dirichlet_alpha must be finite and positive, got {self.dirichlet_alpha!r}"

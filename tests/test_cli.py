@@ -514,7 +514,7 @@ def test_every_bound_subcommand_matches_library_and_its_sweep(kind, capsys, tmp_
 
 class TestBayesModelCommands:
     def test_mutual_information_computed_once_per_sweep(self, capsys, tmp_path, monkeypatch):
-        import ldpkit.cli
+        import ldpkit.info
 
         calls = []
 
@@ -522,7 +522,7 @@ class TestBayesModelCommands:
             calls.append(model)
             return bu_mutual_information(model)
 
-        monkeypatch.setattr(ldpkit.cli, "bu_mutual_information", counting)
+        monkeypatch.setattr(ldpkit.info, "bu_mutual_information", counting)
         code, _, _ = run(
             capsys,
             ["bound", "bayes-mi", "--bu-n", "20", "--n", "20", "--eps", "1",
@@ -541,7 +541,7 @@ class TestBayesModelCommands:
           "--igamma-out", "{out}", "--mi-out", "{out}.mi"]],
     )
     def test_igamma_computed_in_one_call_per_curve(self, capsys, tmp_path, monkeypatch, argv):
-        import ldpkit.cli
+        import ldpkit.info
 
         calls = []
 
@@ -549,7 +549,7 @@ class TestBayesModelCommands:
             calls.append(np.shape(gamma))
             return bu_igamma(model, gamma)
 
-        monkeypatch.setattr(ldpkit.cli, "bu_igamma", counting)
+        monkeypatch.setattr(ldpkit.info, "bu_igamma", counting)
         out = tmp_path / "curve.csv"
         code, _, _ = run(capsys, [a.format(out=out) for a in argv])
         assert code == 0
@@ -831,12 +831,12 @@ def test_oversized_trials_is_one_error_line(capsys, rr1_file, argv, trials):
 
 
 def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
-    import ldpkit.cli
+    import ldpkit.info
 
     def exhausted(model):
         raise MemoryError("Unable to allocate 8.00 EiB")
 
-    monkeypatch.setattr(ldpkit.cli, "bu_mutual_information", exhausted)
+    monkeypatch.setattr(ldpkit.info, "bu_mutual_information", exhausted)
     err = run_error(capsys, ["remark"])
     assert err == "error: out of memory: Unable to allocate 8.00 EiB\n"
 
@@ -902,3 +902,36 @@ def test_cli_imports_nothing_beyond_numpy_and_the_standard_library():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+_SCALAR_BOUNDS = {
+    "lecam": ["--tau", "1", "--kl", "0.1", "--n", "10"],
+    "moment": ["--k-moment", "2", "--n", "4"],
+    "fano": ["--v-count", "64", "--avg-kl", "0.01", "--tau", "0.5", "--n", "20"],
+    "highdim": ["--d", "8", "--r", "1", "--n", "64"],
+    "ht": ["--kl", "1"],
+    "micap": ["--entropy", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code, loads_numpy",
+    [(["--version"], 0, False), (["--help"], 0, False),
+     (["audit", "k.json", "--epsilon", "abc"], 1, False)]
+    + [(["bound", kind, *flags, "--eps", "1"], 0, False) for kind, flags in _SCALAR_BOUNDS.items()]
+    + [(["audit", "k.json", "--epsilon", "1"], 0, True)],
+    ids=["version", "help", "rejected-argv", *_SCALAR_BOUNDS, "audit"],
+)
+def test_only_commands_that_compute_with_arrays_load_numpy(tmp_path, argv, code, loads_numpy):
+    (tmp_path / "k.json").write_text(kernel_json(randomized_response(1.0)))
+    script = (
+        "import atexit, sys; atexit.register(lambda: print('numpy' in sys.modules)); "
+        "from ldpkit.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=60,
+        env=env, cwd=tmp_path,
+    )
+    assert result.returncode == code, result.stderr
+    assert result.stdout.splitlines()[-1] == str(loads_numpy)

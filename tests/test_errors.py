@@ -15,7 +15,7 @@ from ldpkit.bounds import (
 )
 from ldpkit.contraction import PrivacyParams, phi_n
 from ldpkit.errors import DomainError, at_least, finite_above, in_unit_interval, integer
-from ldpkit.info import BernoulliUniformModel, bu_mutual_information
+from ldpkit.info import BernoulliUniformModel, bu_igamma, bu_mutual_information
 from ldpkit.kernel import Kernel, bsc, k_rr, tensor_power
 from ldpkit.oracle import SearchConfig
 
@@ -88,6 +88,34 @@ def test_integer_accepts_python_and_numpy_integers(value):
     integer("n", value)
     assert Kernel.identity(value).input_size == 3
     assert BernoulliUniformModel(value).n == 3
+
+
+def _outcome(call, count):
+    """The float that call(count) returns, or the type and message of what it raises."""
+    try:
+        return "returns", float(call(count))
+    except Exception as exc:
+        return "raises", type(exc).__name__, str(exc)
+
+
+# A numpy-integer count was once kept as given, so its arithmetic wrapped
+# around in the fixed-width dtype: n + 1 = 0 for a uint8 n of 255, a
+# trials x d product under the sample cap, and 2^n under the state cap.
+# The caps are lowered so that a wrapped count cannot build much.
+@pytest.mark.parametrize(
+    "call, count",
+    [
+        (lambda n: bu_igamma(BernoulliUniformModel(n), 2.0), np.uint8(255)),
+        (lambda n: bu_mutual_information(BernoulliUniformModel(n)), np.uint8(255)),
+        (lambda n: SearchConfig(seed=1, trials=n).dirichlet_pairs(6), np.uint8(200)),
+        (lambda n: tensor_power(bsc(0.2), n), np.int8(7)),
+    ],
+    ids=["bu-igamma", "bu-mutual-information", "search-trials", "tensor-power-n"],
+)
+def test_numpy_integer_count_behaves_like_the_equal_int(monkeypatch, call, count):
+    monkeypatch.setattr("ldpkit.kernel.DEFAULT_STATE_CAP", 64)
+    monkeypatch.setattr("ldpkit.oracle.MAX_SAMPLES", 1000)
+    assert _outcome(call, count) == _outcome(call, int(count))
 
 
 def test_fractional_grid_steps_is_one_domain_error():
