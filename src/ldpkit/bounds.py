@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 from .contraction import PrivacyParams, gamma_from_epsilon, phi, phi_n
-from .errors import CapacityError, DomainError, at_least, finite_above, integer
+from .errors import CapacityError, DomainError, at_least, count, finite_above
 
 if TYPE_CHECKING:
     import numpy as np
@@ -46,9 +46,7 @@ class GridSpec:
     scale: str = "linear"
 
     def __post_init__(self):
-        if not self.steps >= 1:
-            raise DomainError(f"grid needs at least 1 step, got {self.steps}")
-        object.__setattr__(self, "steps", integer("grid steps", self.steps))
+        object.__setattr__(self, "steps", count("grid steps", self.steps, 1))
         if self.steps > MAX_GRID_STEPS:
             raise CapacityError(f"grid has {self.steps} points, over the cap {MAX_GRID_STEPS}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
@@ -133,7 +131,7 @@ class BayesConfig:
     def __post_init__(self):
         at_least("info_value", self.info_value, 0)
         finite_above("info_value", self.info_value, -math.inf)  # only inf is left to refuse
-        at_least("n", self.n, 1)
+        object.__setattr__(self, "n", count("n", self.n, 1))
         if self.zeta_grid.lo < 0:
             raise DomainError(f"zeta grid needs lo >= 0 (a radius), got {self.zeta_grid.lo!r}")
 
@@ -163,7 +161,7 @@ def lecam_private(tau: float, kl_p0_p1: float, n: int, params: PrivacyParams) ->
     """
     finite_above("tau", tau, 0)
     at_least("kl_p0_p1", kl_p0_p1, 0)
-    at_least("n", n, 1)
+    n = count("n", n, 1)
     phi_v = phi(params)
     bracket = 1.0 - math.sqrt(_contracted(0.5 * n * phi_v, kl_p0_p1))
     value = max(0.0, 0.5 * tau * bracket)
@@ -186,7 +184,7 @@ def moment_estimation_lb(k_moment: float, n: int, params: PrivacyParams) -> Boun
     returned, flagged.
     """
     finite_above("moment order", k_moment, 1)
-    at_least("n", n, 1)
+    n = count("n", n, 1)
     phi_v = phi(params)
     exponent = 2.0 * (k_moment - 1.0) / k_moment
     extra: tuple[str, ...] = ()
@@ -225,11 +223,12 @@ def fano_lb(
     ``inputs["mi_upper"]``, is phi_n * mi_xn_v when the sample information
     I(X^n; V) is supplied, and n * phi_n * avg_pairwise_kl otherwise.
     """
-    at_least("v_count", v_count, 2)
+    v_count = count("v_count", v_count, 2)
     at_least("avg_pairwise_kl", avg_pairwise_kl, 0)
     if mi_xn_v is not None:
         at_least("mi_xn_v", mi_xn_v, 0)
     finite_above("tau", tau, 0)
+    n = count("n", n, 1)
     pn = phi_n(params, n)
     if mi_xn_v is not None:
         mi_up = _contracted(pn, mi_xn_v)
@@ -262,8 +261,9 @@ def highdim_mean_lb(d: int, r: float, n: int, params: PrivacyParams) -> BoundRep
     the order-notation statement is not reproduced; this is the explicit
     pre-constant expression.
     """
-    at_least("dimension", d, 1)
+    d = count("dimension", d, 1)
     finite_above("radius", r, 0)
+    n = count("n", n, 1)
     pn = phi_n(params, n)
     extra: tuple[str, ...] = ()
     if pn == 0.0:

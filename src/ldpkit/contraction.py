@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, at_least, in_unit_interval
+from .errors import DomainError, at_least, count, in_unit_interval
 
 if TYPE_CHECKING:
     from .kernel import Kernel
@@ -103,8 +103,7 @@ def phi(params: PrivacyParams) -> float:
 
 def phi_n(params: PrivacyParams, n: int) -> float:
     """Tensorized bound 1 - (1 - phi)^n = 1 - e^{-n epsilon} (1 - delta)^n."""
-    at_least("n", n, 1)
-    return 1.0 - (1.0 - phi(params)) ** n
+    return 1.0 - (1.0 - phi(params)) ** count("n", n, 1)
 
 
 def eta_tv_from_eta_gamma(eta_gamma: float, gamma: float) -> float:

@@ -1,7 +1,7 @@
 """Semantic exceptions shared across the toolkit, and the scalar input checks.
 
 Each check is written as ``not <comparison>``, so NaN fails every one, and
-each message names the value it got.
+each message names the value it got. Counts and indexes come back as ints.
 """
 
 import math
@@ -37,12 +37,23 @@ def finite_above(name: str, value, lo) -> None:
         raise DomainError(f"{name} must be finite, got inf")
 
 
-def integer(name: str, value) -> int:
-    """``value`` as a plain int, for a count that must be an integer: an int
-    or any type registered as ``numbers.Integral``, which numpy's integer
-    types are. A float (NaN too) or a bool is refused. Callers store the
-    returned int, so a numpy-integer count does its arithmetic as the equal
-    int and cannot wrap around in a fixed-width dtype."""
-    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)):
+def _is_int(value) -> bool:
+    # a plain int first, as the ABC check that admits numpy integers is slow
+    return type(value) is int or (isinstance(value, numbers.Integral) and type(value) is not bool)
+
+
+def count(name: str, value, lo: int) -> int:
+    """``value`` as a plain int, for a count of at least ``lo``: the range is
+    checked first, then a float or a bool is refused. A numpy integer passes
+    and the caller stores the int, so its arithmetic cannot wrap around."""
+    at_least(name, value, lo)
+    if not _is_int(value):
         raise DomainError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
+def in_alphabet(what: str, value, size: int) -> int:
+    """``value`` as a plain int, for a symbol index: an integer in [0, size)."""
+    if not (_is_int(value) and 0 <= value < size):
+        raise DomainError(f"{what} {value} outside alphabet of size {size}")
     return int(value)

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .dist import Distribution, FGenerator, f_divergence, probability_array
-from .errors import CapacityError, DomainError, at_least, integer
+from .errors import CapacityError, DomainError, count
 
 # Largest n of the Bernoulli-uniform model (I_gamma: ~180 B a class, ~40 s a gamma at it).
 MAX_BU_N = 10**6
@@ -64,13 +64,12 @@ class BernoulliUniformModel:
     panels: int = 20000
 
     def __post_init__(self):
-        at_least("sample size n", self.n, 1)
-        object.__setattr__(self, "n", integer("sample size n", self.n))
+        object.__setattr__(self, "n", count("sample size n", self.n, 1))
         if self.n > MAX_BU_N:
             raise CapacityError(f"sample size n = {self.n} is over the cap {MAX_BU_N}")
         if not (self.panels >= 2 and self.panels % 2 == 0):
             raise DomainError(f"panels must be even and >= 2, got {self.panels}")
-        object.__setattr__(self, "panels", integer("panels", self.panels))
+        object.__setattr__(self, "panels", count("panels", self.panels, 2))
 
     @cached_property
     def _classes(self) -> tuple:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .dist import Distribution, probability_array
-from .errors import CapacityError, DimensionError, DomainError, at_least, integer
+from .errors import CapacityError, DimensionError, DomainError, at_least, count, in_alphabet
 
 # Tensor powers refuse to materialize more states than this.
 DEFAULT_STATE_CAP = 4096
@@ -45,15 +45,11 @@ class Kernel:
         return int(self.rows.shape[1])
 
     def row(self, x: int) -> Distribution:
-        if not 0 <= x < self.input_size:
-            raise DomainError(f"input symbol {x} outside alphabet of size {self.input_size}")
-        return Distribution(self.rows[x])
+        return Distribution(self.rows[in_alphabet("input symbol", x, self.input_size)])
 
     @classmethod
     def identity(cls, size: int) -> "Kernel":
-        at_least("alphabet size", size, 1)
-        size = integer("alphabet size", size)
-        return cls(np.eye(size))
+        return cls(np.eye(count("alphabet size", size, 1)))
 
 
 def parse_kernel(text: str) -> Kernel:
@@ -125,8 +121,7 @@ def randomized_response(epsilon: float) -> Kernel:
 def k_rr(epsilon: float, k: int) -> Kernel:
     """k-ary randomized response: keeps the input with odds e^eps : 1 per
     alternative, so the identity where e^eps is infinite."""
-    at_least("k", k, 2)
-    k = integer("k", k)
+    k = count("k", k, 2)
     e = _odds(epsilon)
     if np.isinf(e):  # the diagonal below would be inf * 0
         return Kernel.identity(k)
@@ -154,7 +149,7 @@ def tensor_power(k: Kernel, n: int) -> Kernel:
     """
     if not n >= 1:
         raise DomainError(f"tensor power needs n >= 1, got {n}")
-    n = integer("tensor power n", n)
+    n = count("tensor power n", n, 1)
     _check_cap(k.input_size, n, "tensor-power input alphabet")
     _check_cap(k.output_size, n, "tensor-power output alphabet")
     rows = k.rows

@@ -182,7 +182,7 @@ def verify_equivalence(
         epsilon=params.epsilon,
         delta=params.delta,
         certified=certified,
-        trials=trials,
+        trials=cfg.trials,
         max_ratio=max_ratio,
         max_ratio_pair=pair(best) if max_ratio > 0.0 else None,
         violation_found=violations.size > 0,

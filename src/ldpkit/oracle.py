@@ -17,7 +17,7 @@ import numpy as np
 
 from .contraction import gamma_from_epsilon
 from .dist import FGenerator, divergence
-from .errors import CapacityError, DomainError, at_least, integer
+from .errors import CapacityError, DomainError, count
 from .kernel import Kernel
 
 # Ratios whose denominator falls below this are not evidence of anything.
@@ -48,10 +48,8 @@ class SearchConfig:
     dirichlet_alpha: float = 1.0
 
     def __post_init__(self):
-        at_least("seed", self.seed, 0)
-        object.__setattr__(self, "seed", integer("seed", self.seed))
-        at_least("trials", self.trials, 1)
-        object.__setattr__(self, "trials", integer("trials", self.trials))
+        object.__setattr__(self, "seed", count("seed", self.seed, 0))
+        object.__setattr__(self, "trials", count("trials", self.trials, 1))
         if not 0 < self.dirichlet_alpha < math.inf:
             raise DomainError(
                 f"dirichlet_alpha must be finite and positive, got {self.dirichlet_alpha!r}"

@@ -54,7 +54,7 @@ class TestDistribution:
 
     def test_point_mass(self):
         assert Distribution.point_mass(1, 3).probs.tolist() == [0.0, 1.0, 0.0]
-        for index in (-1, 3):
+        for index in (-1, 3, 1.5):
             with pytest.raises(DomainError, match=f"index {index} outside alphabet of size 3"):
                 Distribution.point_mass(index, 3)
 

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -7,6 +8,7 @@ import pytest
 from ldpkit.bounds import (
     BayesConfig,
     GridSpec,
+    bayes_egamma_lb,
     fano_lb,
     highdim_mean_lb,
     lecam_private,
@@ -14,9 +16,10 @@ from ldpkit.bounds import (
     small_ball_uniform01,
 )
 from ldpkit.contraction import PrivacyParams, phi_n
-from ldpkit.errors import DomainError, at_least, finite_above, in_unit_interval, integer
+from ldpkit.errors import DomainError, at_least, count, finite_above, in_unit_interval
 from ldpkit.info import BernoulliUniformModel, bu_igamma, bu_mutual_information
 from ldpkit.kernel import Kernel, bsc, k_rr, tensor_power
+from ldpkit.ldp import verify_equivalence
 from ldpkit.oracle import SearchConfig
 
 NAN = math.nan
@@ -71,11 +74,21 @@ def test_nan_count_or_parameter_is_one_domain_error_naming_nan(call):
         (lambda: BernoulliUniformModel(True), "True"),
         (lambda: BernoulliUniformModel(2, panels=4.0), "4.0"),
         (lambda: GridSpec(0.0, 1.0, True), "True"),
+        (lambda: phi_n(P, 2.5), "2.5"),
+        (lambda: phi_n(P, True), "True"),
+        (lambda: lecam_private(1.0, 0.1, 2.5, P), "2.5"),
+        (lambda: moment_estimation_lb(2.0, 2.5, P), "2.5"),
+        (lambda: fano_lb(4.5, 0.1, 1.0, 5, P), "4.5"),
+        (lambda: fano_lb(4, 0.1, 1.0, 2.5, P), "2.5"),
+        (lambda: highdim_mean_lb(8.5, 1.0, 5, P), "8.5"),
+        (lambda: highdim_mean_lb(8, 1.0, 2.5, P), "2.5"),
+        (lambda: BayesConfig(small_ball_uniform01, 0.1, 2.5, P), "2.5"),
     ],
     ids=[
         "tensor-power-n", "tensor-power-bool", "identity-size", "k_rr-k", "k_rr-whole-float",
         "search-trials", "search-seed", "search-seed-bool", "bu-model-n", "bu-model-bool",
-        "bu-model-panels", "grid-steps-bool",
+        "bu-model-panels", "grid-steps-bool", "phi_n-n", "phi_n-bool", "lecam-n", "moment-n",
+        "fano-v_count", "fano-n", "highdim-d", "highdim-n", "bayes-config-n",
     ],
 )
 def test_fractional_or_bool_count_is_one_domain_error_naming_it(call, got):
@@ -85,9 +98,23 @@ def test_fractional_or_bool_count_is_one_domain_error_naming_it(call, got):
 
 @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)])
 def test_integer_accepts_python_and_numpy_integers(value):
-    integer("n", value)
+    count("n", value, 1)
     assert Kernel.identity(value).input_size == 3
+    assert Kernel.identity(value).row(value - 1).probs.tolist() == [0.0, 0.0, 1.0]
     assert BernoulliUniformModel(value).n == 3
+    assert type(verify_equivalence(bsc(0.3), P, value).trials) is int
+    # a report echoes the count as the equal int, so it serializes as one
+    calculators = [
+        lambda n: lecam_private(1.0, 0.1, n, P),
+        lambda n: moment_estimation_lb(2.0, n, P),
+        lambda n: fano_lb(n, 0.1, 1.0, n, P),
+        lambda n: highdim_mean_lb(n, 1.0, n, P),
+        lambda n: bayes_egamma_lb(BayesConfig(small_ball_uniform01, 0.1, n, P)),
+    ]
+    for calculator in calculators:
+        report = calculator(value)
+        assert report == calculator(3)
+        assert json.dumps(report.inputs) == json.dumps(calculator(3).inputs)
 
 
 def _outcome(call, count):
@@ -128,10 +155,11 @@ def test_fractional_grid_steps_is_one_domain_error():
     "check, message",
     [
         (lambda v: at_least("n", v, 1), "n must be >= 1, got {}"),
+        (lambda v: count("n", v, 1), "n must be >= 1, got {}"),
         (lambda v: in_unit_interval("delta", v), "delta must be in [0, 1], got {}"),
         (lambda v: finite_above("tau", v, 0), "tau must be > 0, got {}"),
     ],
-    ids=["at_least", "in_unit_interval", "finite_above"],
+    ids=["at_least", "count", "in_unit_interval", "finite_above"],
 )
 @pytest.mark.parametrize("value", [NAN, -0.5])
 def test_each_check_rejects_nan_and_names_the_value(check, message, value):

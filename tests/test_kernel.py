@@ -78,7 +78,7 @@ class TestKernelInvariants:
         k = Kernel(np.array([[0.1, 0.2, 0.7]]))
         assert (k.input_size, k.output_size) == (1, 3)
 
-    @pytest.mark.parametrize("x", [-1, 2])
+    @pytest.mark.parametrize("x", [-1, 2, True, 1.5])
     def test_row_index_outside_alphabet(self, x):
         with pytest.raises(DomainError, match=f"input symbol {x} outside alphabet of size 2"):
             bsc(0.25).row(x)
