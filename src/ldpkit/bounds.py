@@ -255,11 +255,12 @@ def highdim_mean_lb(d: int, r: float, n: int, params: PrivacyParams) -> BoundRep
     """Explicit-constant lower bound for mean estimation in an l2-ball of
     radius r in d dimensions.
 
-    Evaluates (r^2 omega^2 / k)[1 - 16 (1 + n omega phi_n) log2 / k] at
+    Evaluates ((r omega)^2 / k)[1 - 16 (1 + n omega phi_n) log2 / k] at
     the packing size k = max(16, min(floor(n phi_n), d)) and
     omega = min(1, k / (50 n phi_n)). The hidden universal constant of
     the order-notation statement is not reproduced; this is the explicit
-    pre-constant expression.
+    pre-constant expression. Squaring r omega, not r, keeps a finite bound
+    finite for r up to about 1.3e154 / omega.
     """
     d = count("dimension", d, 1)
     finite_above("radius", r, 0)
@@ -274,7 +275,7 @@ def highdim_mean_lb(d: int, r: float, n: int, params: PrivacyParams) -> BoundRep
         k_pack = max(16, min(int(math.floor(n * pn)), d))
         omega = min(1.0, k_pack / (50.0 * n * pn))
     bracket = 1.0 - 16.0 * (1.0 + n * omega * pn) * LN2 / k_pack
-    value = (r**2 * omega**2 / k_pack) * max(0.0, bracket)
+    value = ((r * omega) ** 2 / k_pack) * max(0.0, bracket)
     return BoundReport(
         bound_name="highdim_mean_lb",
         value=value,

@@ -134,7 +134,7 @@ def _print_json(payload) -> None:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     from .kernel import load_kernel
-    from .ldp import privacy_profile, verify_equivalence
+    from .ldp import PrivacyProfile, verify_from_scan
     from .oracle import SearchConfig
 
     if args.delta is not None and args.epsilon is None:
@@ -147,38 +147,34 @@ def cmd_audit(args: argparse.Namespace) -> int:
         "input_size": kernel.input_size,
         "output_size": kernel.output_size,
     }
-    exit_code = 0
 
+    # Checked in this order, then one scan serves all: gamma = e^epsilon, 1, the grid.
+    head = [] if args.epsilon is None else [gamma_from_epsilon(args.epsilon), 1.0]
+    params = None if args.delta is None else PrivacyParams(args.epsilon, args.delta)
+    cfg = SearchConfig(args.seed, args.trials)  # checked even when no --delta runs the verifier
+    eps = [] if args.profile_grid is None else [float(e) for e in args.profile_grid.points()]
+    gammas = head + [gamma_from_epsilon(e) for e in eps]
+    values, pairs = two_point_scan(kernel, gammas) if gammas else ([], [])
     if args.epsilon is not None:
-        (delta_tight, eta_tv), (pair, _) = two_point_scan(
-            kernel, [gamma_from_epsilon(args.epsilon), 1.0]
-        )
-        report["epsilon"] = args.epsilon
-        report["delta_tight"] = delta_tight
-        report["eta_tv"] = eta_tv
-        report["argmax_pair"] = list(pair)
-        if args.delta is not None:
-            verifier = verify_equivalence(
-                kernel, PrivacyParams(args.epsilon, args.delta), args.trials, seed=args.seed
-            )
-            certified = verifier.certified
+        report.update(epsilon=args.epsilon, delta_tight=values[0], eta_tv=values[1],
+                      argmax_pair=list(pairs[0]))
+        if params is not None:
+            verifier = verify_from_scan(kernel, params, values[0], pairs[0], cfg)
             report["delta_requested"] = args.delta
-            report["certified"] = certified
+            report["certified"] = verifier.certified
             report["verifier"] = {
                 "trials": verifier.trials,
                 "max_ratio": verifier.max_ratio,
                 "violation_found": verifier.violation_found,
             }
-            exit_code = 0 if certified else 2
-    SearchConfig(args.seed, args.trials)  # the verifier's flags, checked even when it did not run
 
     if args.profile_grid is not None:
-        points = privacy_profile(kernel, args.profile_grid.points()).points
+        points = PrivacyProfile(tuple(zip(eps, values[len(head):]))).points
         report["profile"] = points
         if args.out is not None:
             report.update(write_outputs("audit", args, args.out, ["epsilon", "delta"], points))
     _print_json(report)
-    return exit_code
+    return 0 if report.get("certified", True) else 2
 
 
 # --------------------------------------------------------------------------
@@ -211,8 +207,10 @@ def cmd_figure1(args: argparse.Namespace) -> int:
 # subcommand.
 
 
-def _with_bu_model(report: BoundReport, bu_model: dict) -> BoundReport:
-    return dataclasses.replace(report, inputs={**report.inputs, "bu_model": bu_model})
+def _with_bu_model(report: BoundReport, bu_model: dict, flags: tuple = ()) -> BoundReport:
+    return dataclasses.replace(
+        report, inputs={**report.inputs, "bu_model": bu_model}, flags=report.flags + flags
+    )
 
 
 def bayes_reports(
@@ -223,7 +221,9 @@ def bayes_reports(
     at each of ``params``. The Bernoulli-uniform model (bu_n, bu_panels)
     is validated on every call; with info None the information comes from
     it, and the reports record it: the mutual information is computed
-    once, and I_gamma in one call over every gamma = e^epsilon."""
+    once, and I_gamma in one call over every gamma = e^epsilon. That
+    information is for bu_n draws and is contracted with the coefficient
+    for n, so a report where the two differ is flagged."""
     from .info import BernoulliUniformModel, bu_igamma, bu_mutual_information
 
     model = BernoulliUniformModel(bu_n, bu_panels)
@@ -239,7 +239,8 @@ def bayes_reports(
         for value, p in zip(infos, params)
     ]
     if info is None:
-        reports = [_with_bu_model(r, {"n": bu_n, "panels": bu_panels}) for r in reports]
+        flags = ("n-differs-from-bu-n",) if n != bu_n else ()
+        reports = [_with_bu_model(r, {"n": bu_n, "panels": bu_panels}, flags) for r in reports]
     return reports
 
 
@@ -254,7 +255,8 @@ _BAYES_FLAGS = {
     "--info": {"type": float, "default": None, "help": "information value in nats"},
     "--bu-n": {"type": int, "default": 1, "help": "Bernoulli-uniform sample size"},
     "--bu-panels": {"type": int, "default": 20000, "help": _PANELS_HELP},
-    **_N,
+    "--n": {**_N["--n"], "help": "sample size n of the contraction coefficient; "
+            "must equal --bu-n when the model supplies the information (no --info)"},
     "--zeta-grid": {"action": _Grid, "default": DEFAULT_ZETA_GRID},
 }
 # Taken by every subcommand in BOUNDS, after its own flags.

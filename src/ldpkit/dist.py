@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import F_KIND_NAMES
-from .errors import DimensionError, DomainError, in_alphabet
+from .errors import DimensionError, DomainError, count, in_alphabet
 
 # A probability vector whose sum misses 1 by less than RENORM_TOL is
 # accepted and rescaled by normalize_rows; one further off is rejected.
@@ -88,8 +88,8 @@ class Distribution:
 
     @classmethod
     def point_mass(cls, index: int, size: int) -> "Distribution":
-        v = np.zeros(size)
-        v[in_alphabet("point mass index", index, size)] = 1.0
+        v = np.zeros(count("alphabet size", size, 1))
+        v[in_alphabet("point mass index", index, v.size)] = 1.0
         return cls(v)
 
 

@@ -153,12 +153,21 @@ def verify_equivalence(
     the point-mass sweep is the two-point scan: its top pair has the
     largest ratio of them all, and violates whenever any of them does.
     ``seed`` and ``trials`` make a :class:`~ldpkit.oracle.SearchConfig`,
-    which checks them and draws the Dirichlet(1) pairs.
+    which checks them and draws the Dirichlet(1) pairs. This function runs
+    the scan at e^epsilon; :func:`verify_from_scan` judges it and the pairs.
     """
     cfg = SearchConfig(seed=seed, trials=trials)
+    (top,), (worst,) = two_point_scan(k, [gamma_from_epsilon(params.epsilon)])
+    return verify_from_scan(k, params, top, worst, cfg)
+
+
+def verify_from_scan(
+    k: Kernel, params: PrivacyParams, top: float, worst: tuple[int, int], cfg: SearchConfig
+) -> EquivalenceReport:
+    """:func:`verify_equivalence` after its scan, which this function does not run:
+    ``top`` and ``worst`` are ``two_point_scan``'s value and pair for k at e^epsilon."""
     gamma = gamma_from_epsilon(params.epsilon)
     d = k.input_size
-    (top,), (worst,) = two_point_scan(k, [gamma])
     certified = top <= params.delta + IS_LDP_TOL
 
     ps, qs = (normalize_rows(v) for v in cfg.dirichlet_pairs(d))

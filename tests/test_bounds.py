@@ -278,6 +278,15 @@ class TestHighdim:
         b = highdim_mean_lb(64, 2.0, 256, NONPRIVATE).value
         assert b == pytest.approx(4.0 * a, rel=1e-12)
 
+    # r^2 alone overflows from r = 1.35e154, (r omega)^2 not until r omega does.
+    def test_finite_bound_at_large_radius_stays_finite(self):
+        params = PrivacyParams(1.0, 0.0)
+        base = highdim_mean_lb(8, 1.0, 64, params).value
+        value = highdim_mean_lb(8, 1e155, 64, params).value
+        assert value / 1e155 / 1e155 == pytest.approx(base, rel=1e-12)
+        with pytest.raises(OverflowError):
+            highdim_mean_lb(8, 1e200, 64, params)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             highdim_mean_lb(0, 1.0, 1, NONPRIVATE)

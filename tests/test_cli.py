@@ -26,7 +26,8 @@ from ldpkit.cli import BOUNDS, main, parse_grid_spec, write_csv
 from ldpkit.contraction import PrivacyParams
 from ldpkit.errors import DomainError
 from ldpkit.info import BernoulliUniformModel, bu_igamma, bu_mutual_information
-from ldpkit.kernel import k_rr, randomized_response
+from ldpkit.kernel import k_rr, load_kernel, randomized_response
+from ldpkit.ldp import privacy_profile
 
 
 def kernel_json(k) -> str:
@@ -197,6 +198,37 @@ class TestAudit:
         manifest = json.loads((tmp_path / "profile.csv.manifest.json").read_text())
         assert manifest["outputs"] == [str(out_csv)]
         assert manifest["command"] == "audit"
+
+    # delta_tight, eta_tv, the verifier and the profile all read one scan.
+    @pytest.mark.parametrize(
+        "argv, scans",
+        [([], 0), (["--epsilon", "1"], 1), (["--epsilon", "1", "--delta", "0.5"], 1),
+         (["--profile-grid", "0:3:31"], 1),
+         (["--epsilon", "1", "--delta", "0.5", "--profile-grid", "0:3:31"], 1)],
+    )
+    def test_one_scan_per_run(self, capsys, rr1_file, monkeypatch, argv, scans):
+        import ldpkit.cli
+        import ldpkit.ldp
+        from ldpkit.contraction import two_point_scan
+
+        calls = []
+
+        def counting(k, gammas):
+            calls.append(gammas)
+            return two_point_scan(k, gammas)
+
+        for module in (ldpkit.cli, ldpkit.ldp):
+            monkeypatch.setattr(module, "two_point_scan", counting)
+        code, out, _ = run(capsys, ["audit", str(rr1_file), *argv])
+        assert code == 0 and len(calls) == scans
+        payload, kernel = json.loads(out), load_kernel(rr1_file)
+        if "--epsilon" in argv:
+            (delta_tight, eta_tv), (pair, _) = two_point_scan(kernel, [math.exp(1.0), 1.0])
+            assert [payload["delta_tight"], payload["eta_tv"]] == [delta_tight, eta_tv]
+            assert payload["argmax_pair"] == list(pair)
+        if "--profile-grid" in argv:
+            profile = privacy_profile(kernel, parse_grid_spec("0:3:31").points())
+            assert payload["profile"] == [list(p) for p in profile.points]
 
     def test_profile_csv_byte_reproducible(self, capsys, rr1_file, tmp_path):
         a, b = tmp_path / "p1.csv", tmp_path / "p2.csv"
@@ -556,6 +588,20 @@ class TestBayesModelCommands:
         assert calls == [(5,)]
         assert len(out.read_text().splitlines()) == 6
 
+    # The model's information is for --bu-n draws; the coefficient is for --n.
+    @pytest.mark.parametrize("kind", ["bayes-egamma", "bayes-mi"])
+    @pytest.mark.parametrize(
+        "argv, flagged",
+        [(["--bu-n", "20"], True), (["--bu-n", "20", "--n", "20"], False),
+         (["--n", "20"], True), (["--bu-n", "20", "--info", "0.1"], False)],
+    )
+    def test_model_information_for_another_n_is_flagged(self, capsys, kind, argv, flagged):
+        code, out, _ = run(capsys, ["bound", kind, *argv, "--eps", "0.5", "--delta", "0"])
+        flags = json.loads(out)["flags"]
+        assert code == 0 and ("n-differs-from-bu-n" in flags) == flagged
+        if kind == "bayes-egamma" and argv == ["--bu-n", "20"]:
+            assert json.loads(out)["value"] == pytest.approx(0.0758, abs=1e-4)
+
     @pytest.mark.parametrize(
         "argv",
         [["bound", "bayes-egamma", "--eps", "1"], ["bound", "bayes-mi", "--eps", "1"],
@@ -809,6 +855,14 @@ def test_seed_and_trials_are_checked_in_one_order(capsys, rr1_file):
         (["--epsilon", "1", "--trials", "0"], "trials must be >= 1, got 0"),
         (["--profile-grid", "0:3:4", "--out", "p.csv", "--seed", "-1", "--trials", "-7"],
          "seed must be >= 0, got -1"),
+        # with two bad flags, the first in audit's check order is named:
+        # epsilon, delta, seed and trials, then the profile grid
+        (["--profile-grid", "0:800:3", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--epsilon", "1", "--profile-grid", "0:800:3", "--trials", "0"],
+         "trials must be >= 1, got 0"),
+        (["--epsilon", "1e6", "--seed", "-1"],
+         "epsilon = 1000000.0 is too large: e^epsilon overflows"),
+        (["--epsilon", "1", "--delta", "1.5", "--seed", "-1"], "delta must be in [0, 1], got 1.5"),
     ],
 )
 def test_audit_checks_seed_and_trials_without_the_verifier(

@@ -57,6 +57,10 @@ class TestDistribution:
         for index in (-1, 3, 1.5):
             with pytest.raises(DomainError, match=f"index {index} outside alphabet of size 3"):
                 Distribution.point_mass(index, 3)
+        for size, message in [(2.5, "an integer, got 2.5"), (True, "an integer, got True"),
+                              (-1, ">= 1, got -1")]:
+            with pytest.raises(DomainError, match=f"^alphabet size must be {message}$"):
+                Distribution.point_mass(0, size)
 
 
 class TestFGenerator:
