@@ -207,9 +207,20 @@ def cmd_figure1(args: argparse.Namespace) -> int:
 # subcommand.
 
 
-def _with_bu_model(report: BoundReport, bu_model: dict, flags: tuple = ()) -> BoundReport:
+def bu_model(n: int, panels: int):
+    """The Bernoulli-uniform model of n draws, then the check of the no-op
+    --panels or --bu-panels value (the former Simpson panel count)."""
+    from .info import BernoulliUniformModel
+
+    model = BernoulliUniformModel(n)
+    if not (panels >= 2 and panels % 2 == 0):
+        raise DomainError(f"panels must be even and >= 2, got {panels}")
+    return model
+
+
+def _with_bu_model(report: BoundReport, record: dict, flags: tuple = ()) -> BoundReport:
     return dataclasses.replace(
-        report, inputs={**report.inputs, "bu_model": bu_model}, flags=report.flags + flags
+        report, inputs={**report.inputs, "bu_model": record}, flags=report.flags + flags
     )
 
 
@@ -224,9 +235,9 @@ def bayes_reports(
     once, and I_gamma in one call over every gamma = e^epsilon. That
     information is for bu_n draws and is contracted with the coefficient
     for n, so a report where the two differ is flagged."""
-    from .info import BernoulliUniformModel, bu_igamma, bu_mutual_information
+    from .info import bu_igamma, bu_mutual_information
 
-    model = BernoulliUniformModel(bu_n, bu_panels)
+    model = bu_model(bu_n, bu_panels)
     infos = [info] * len(params)
     if info is None:
         if mi:
@@ -248,8 +259,6 @@ def bayes_reports(
 _FLOAT = {"type": float, "required": True}
 _INT = {"type": int, "required": True}
 _N = {"--n": {"type": int, "default": 1}}
-# Recorded in reports and manifests but without effect: the informations
-# are closed forms.
 _PANELS_HELP = "former quadrature panel count, no effect (even, >= 2)"
 _BAYES_FLAGS = {
     "--info": {"type": float, "default": None, "help": "information value in nats"},
@@ -342,25 +351,21 @@ def cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
-def gamma_opt_report(
-    n: int, panels: int = 20000, zeta_grid=DEFAULT_ZETA_GRID, gamma_grid=DEFAULT_GAMMA_GRID
-) -> tuple[BoundReport, dict]:
-    """The gamma-optimized non-private Bayes bound of the Bernoulli-uniform
-    model with n observations, and the record of the model it used
-    (``panels`` is validated and recorded, without effect)."""
-    from .info import BernoulliUniformModel, bu_igamma
+def gamma_opt_report(model, zeta_grid=DEFAULT_ZETA_GRID, gamma_grid=DEFAULT_GAMMA_GRID):
+    """The gamma-optimized non-private Bayes bound of a Bernoulli-uniform model."""
+    from .info import bu_igamma
 
-    model = BernoulliUniformModel(n, panels)
     cfg = BayesConfig(
-        small_ball_uniform01, 0.0, n, PrivacyParams(0.0, 1.0), zeta_grid, gamma_grid,
+        small_ball_uniform01, 0.0, model.n, PrivacyParams(0.0, 1.0), zeta_grid, gamma_grid,
         partial(bu_igamma, model),
     )
-    return bayes_gamma_opt_lb(cfg), {"n": n, "panels": panels}
+    return bayes_gamma_opt_lb(cfg)
 
 
 def cmd_gammaopt(args: argparse.Namespace) -> int:
-    report, bu_model = gamma_opt_report(args.bu_n, args.bu_panels, args.zeta_grid, args.gamma_grid)
-    _print_json(_with_bu_model(report, bu_model))
+    model = bu_model(args.bu_n, args.bu_panels)
+    report = gamma_opt_report(model, args.zeta_grid, args.gamma_grid)
+    _print_json(_with_bu_model(report, {"n": args.bu_n, "panels": args.bu_panels}))
     return 0
 
 
@@ -372,11 +377,12 @@ def cmd_remark(args: argparse.Namespace) -> int:
     from .info import BernoulliUniformModel, bu_mutual_information
 
     # The two non-private bounds of the Bernoulli-uniform model at n = 1.
-    mi = bu_mutual_information(BernoulliUniformModel(1))
+    model = BernoulliUniformModel(1)
+    mi = bu_mutual_information(model)
     mi_report = bayes_xu_raginsky_private(
         BayesConfig(small_ball_uniform01, info_value=mi, n=1, params=PrivacyParams(0.0, 1.0))
     )
-    eg_report, _ = gamma_opt_report(1)
+    eg_report = gamma_opt_report(model)
     payload = {
         "model": "uniform prior on [0,1], one Bernoulli observation, absolute loss",
         "mutual_information_nats": mi,

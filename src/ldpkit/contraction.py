@@ -120,6 +120,5 @@ def eta_kl_bsc(omega: float) -> float:
     for the randomized-response parameterization. (The form 1 - 2 omega^2
     sometimes quoted is inconsistent with that specialization.)
     """
-    if not 0.0 <= omega <= 1.0:
-        raise DomainError(f"crossover probability {omega!r} outside [0, 1]")
+    in_unit_interval("crossover probability", omega)
     return (1.0 - 2.0 * omega) ** 2

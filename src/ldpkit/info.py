@@ -13,9 +13,10 @@ so each count class carries mass 1/(n + 1) and has the Beta(s + 1,
 n - s + 1) posterior density f_s. Both informations are closed forms in
 those n + 1 classes (cost O(n) per gamma, never 2^n, no quadrature):
 I_gamma from binomial tails at the ends of each class's superlevel set
-{f_s > gamma}, and I(Theta; X^n) from a harmonic-number identity.
-Composite Simpson quadrature of the same integrals lives in the test
-suite (tests/support.py) as the cross-check. All informations are in nats.
+{f_s > gamma}, and I(Theta; X^n) from a harmonic-number identity, so
+the model is its sample size n alone. Composite Simpson quadrature of
+the same integrals lives in the test suite (tests/support.py) as the
+cross-check. All informations are in nats.
 """
 
 from __future__ import annotations
@@ -52,24 +53,14 @@ def f_information(j: JointDistribution, f: FGenerator) -> float:
 
 @dataclass(frozen=True)
 class BernoulliUniformModel:
-    """Uniform prior on [0, 1] with n conditionally i.i.d. Bernoulli draws.
-
-    ``panels`` is validated (even, >= 2) and recorded in reports and
-    manifests, but it has no effect: both informations are closed forms.
-    It was the Simpson panel count and is kept so that existing calls,
-    flags and manifests stay valid.
-    """
+    """Uniform prior on [0, 1] with n conditionally i.i.d. Bernoulli draws."""
 
     n: int
-    panels: int = 20000
 
     def __post_init__(self):
         object.__setattr__(self, "n", count("sample size n", self.n, 1))
         if self.n > MAX_BU_N:
             raise CapacityError(f"sample size n = {self.n} is over the cap {MAX_BU_N}")
-        if not (self.panels >= 2 and self.panels % 2 == 0):
-            raise DomainError(f"panels must be even and >= 2, got {self.panels}")
-        object.__setattr__(self, "panels", count("panels", self.panels, 2))
 
     @cached_property
     def _classes(self) -> tuple:

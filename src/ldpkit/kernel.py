@@ -16,7 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .dist import Distribution, probability_array
-from .errors import CapacityError, DimensionError, DomainError, at_least, count, in_alphabet
+from .errors import (
+    CapacityError, DimensionError, DomainError, at_least, count, in_alphabet, in_unit_interval,
+)
 
 # Tensor powers refuse to materialize more states than this.
 DEFAULT_STATE_CAP = 4096
@@ -100,8 +102,7 @@ def load_kernel(path: str | Path) -> Kernel:
 
 def bsc(omega: float) -> Kernel:
     """Binary symmetric channel with crossover probability omega."""
-    if not 0.0 <= omega <= 1.0:
-        raise DomainError(f"crossover probability {omega!r} outside [0, 1]")
+    in_unit_interval("crossover probability", omega)
     return Kernel(np.array([[1.0 - omega, omega], [omega, 1.0 - omega]]))
 
 
@@ -147,8 +148,6 @@ def tensor_power(k: Kernel, n: int) -> Kernel:
     Indices run row-major over coordinates with coordinate 1 most
     significant.
     """
-    if not n >= 1:
-        raise DomainError(f"tensor power needs n >= 1, got {n}")
     n = count("tensor power n", n, 1)
     _check_cap(k.input_size, n, "tensor-power input alphabet")
     _check_cap(k.output_size, n, "tensor-power output alphabet")

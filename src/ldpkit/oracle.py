@@ -10,14 +10,13 @@ live in tests/support.py. Identical configs give bit-identical results.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .contraction import gamma_from_epsilon
 from .dist import FGenerator, divergence
-from .errors import CapacityError, DomainError, count
+from .errors import CapacityError, count, finite_above
 from .kernel import Kernel
 
 # Ratios whose denominator falls below this are not evidence of anything.
@@ -50,10 +49,7 @@ class SearchConfig:
     def __post_init__(self):
         object.__setattr__(self, "seed", count("seed", self.seed, 0))
         object.__setattr__(self, "trials", count("trials", self.trials, 1))
-        if not 0 < self.dirichlet_alpha < math.inf:
-            raise DomainError(
-                f"dirichlet_alpha must be finite and positive, got {self.dirichlet_alpha!r}"
-            )
+        finite_above("dirichlet_alpha", self.dirichlet_alpha, 0)
 
     def dirichlet_pairs(self, d: int) -> tuple[np.ndarray, np.ndarray]:
         """``trials`` sampled input pairs on d symbols, as two (trials, d) arrays."""

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ldpkit import DEFAULT_SEED
 from ldpkit.bounds import (
     BayesConfig,
     GridSpec,
@@ -24,10 +25,12 @@ from ldpkit.bounds import (
 )
 from ldpkit.cli import BOUNDS, main, parse_grid_spec, write_csv
 from ldpkit.contraction import PrivacyParams
+from ldpkit.dist import FGenerator
 from ldpkit.errors import DomainError
 from ldpkit.info import BernoulliUniformModel, bu_igamma, bu_mutual_information
-from ldpkit.kernel import k_rr, load_kernel, randomized_response
+from ldpkit.kernel import Kernel, k_rr, load_kernel, randomized_response
 from ldpkit.ldp import privacy_profile
+from ldpkit.oracle import SearchConfig, brute_eta_f
 
 
 def kernel_json(k) -> str:
@@ -485,7 +488,7 @@ class TestBound:
         assert out.read_text().splitlines()[0] == "epsilon,value,witness_omega"
 
 
-_BU = BernoulliUniformModel(3, 200)
+_BU = BernoulliUniformModel(3)
 
 # subcommand -> (its own flags, the library value at PrivacyParams p)
 BOUND_CASES = {
@@ -698,6 +701,15 @@ class TestBayesModelCommands:
         assert "sample size n must be >= 1, got -5" in err
         assert "panels must be even" in run_error(capsys, [*argv, "--bu-panels", "3"])
 
+    @pytest.mark.parametrize("n, message", [
+        ("2", "panels must be even and >= 2, got 3"),
+        ("0", "sample size n must be >= 1, got 0"),  # n is checked first
+    ])
+    @pytest.mark.parametrize("command", [["figure1", "--n"], ["bound", "bayes-gammaopt", "--bu-n"]])
+    def test_panels_flag_is_checked_after_n(self, capsys, command, n, message):
+        panels = "--panels" if command[0] == "figure1" else "--bu-panels"
+        assert run_error(capsys, [*command, n, panels, "3"]) == f"error: {message}\n"
+
     def test_gammaopt_shares_the_model_flags(self, capsys):
         helps = {}
         for kind in ("bayes-mi", "bayes-gammaopt"):
@@ -811,10 +823,28 @@ class TestOracleCommands:
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
 
-    @pytest.mark.parametrize("alpha", ["inf", "nan", "0"])
-    def test_eta_f_rejects_unusable_dirichlet_alpha(self, capsys, rr1_file, alpha):
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [("inf", "must be finite, got inf"), ("nan", "must be > 0, got nan"),
+         ("0", "must be > 0, got 0.0")],
+        ids=["inf", "nan", "0"],
+    )
+    def test_eta_f_rejects_unusable_dirichlet_alpha(self, capsys, rr1_file, alpha, message):
         err = run_error(capsys, ["oracle", "eta-f", str(rr1_file), "--f", "kl", "--alpha", alpha])
-        assert err.startswith("error: dirichlet_alpha must be finite and positive")
+        assert err == f"error: dirichlet_alpha {message}\n"
+
+    def test_eta_f_without_point_masses(self, capsys, tmp_path):
+        # eta_TV is attained at a point-mass pair, which the flag leaves out;
+        # on binary and k-RR kernels every sampled pair attains it as well.
+        k = Kernel(np.random.default_rng(3).dirichlet(np.ones(5), size=4))
+        path = tmp_path / "k.json"
+        path.write_text(kernel_json(k))
+        argv = ["oracle", "eta-f", str(path), "--f", "tv", "--trials", "50"]
+        values = [json.loads(run(capsys, a)[1])["eta_estimate"]
+                  for a in (argv, [*argv, "--no-point-masses"])]
+        cfg = SearchConfig(DEFAULT_SEED, 50, include_point_masses=False)
+        assert values[1] == brute_eta_f(k, FGenerator("tv"), cfg)
+        assert values[1] < values[0]
 
     @pytest.mark.parametrize(
         "flags",

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -267,7 +268,8 @@ class TestEtaKlBsc:
 
     @pytest.mark.parametrize("omega", [-0.1, 1.5, math.nan])
     def test_crossover_outside_unit_interval(self, omega):
-        with pytest.raises(DomainError, match="outside \\[0, 1\\]"):
+        message = f"crossover probability must be in [0, 1], got {omega}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             eta_kl_bsc(omega)
 
     def test_brute_estimate_approaches_from_below(self):

@@ -72,7 +72,6 @@ def test_nan_count_or_parameter_is_one_domain_error_naming_nan(call):
         (lambda: SearchConfig(seed=True, trials=2).dirichlet_pairs(3), "True"),
         (lambda: bu_mutual_information(BernoulliUniformModel(2.5)), "2.5"),
         (lambda: BernoulliUniformModel(True), "True"),
-        (lambda: BernoulliUniformModel(2, panels=4.0), "4.0"),
         (lambda: GridSpec(0.0, 1.0, True), "True"),
         (lambda: phi_n(P, 2.5), "2.5"),
         (lambda: phi_n(P, True), "True"),
@@ -87,7 +86,7 @@ def test_nan_count_or_parameter_is_one_domain_error_naming_nan(call):
     ids=[
         "tensor-power-n", "tensor-power-bool", "identity-size", "k_rr-k", "k_rr-whole-float",
         "search-trials", "search-seed", "search-seed-bool", "bu-model-n", "bu-model-bool",
-        "bu-model-panels", "grid-steps-bool", "phi_n-n", "phi_n-bool", "lecam-n", "moment-n",
+        "grid-steps-bool", "phi_n-n", "phi_n-bool", "lecam-n", "moment-n",
         "fano-v_count", "fano-n", "highdim-d", "highdim-n", "bayes-config-n",
     ],
 )

@@ -118,10 +118,6 @@ class TestBernoulliUniformModel:
         with pytest.raises(CapacityError, match=f"n = {MAX_BU_N + 1} is over the cap {MAX_BU_N}"):
             BernoulliUniformModel(MAX_BU_N + 1)
 
-    def test_rejects_odd_panels(self):
-        with pytest.raises(DomainError):
-            BernoulliUniformModel(1, panels=333)
-
     def test_class_marginal_sums_to_one_exactly(self):
         for n in range(1, 13):
             assert math.fsum(bu_class_marginal(n)) == 1.0
@@ -169,7 +165,7 @@ class TestBuIgamma:
     def test_nonincreasing_convex_past_one_and_vanishing(self, n):
         # rises on [0, 1] (the (1 - gamma)_+ term), then nonincreasing and
         # convex on [1, n + 1], vanishing once gamma reaches n + 1
-        model = BernoulliUniformModel(n, panels=4000)
+        model = BernoulliUniformModel(n)
         rising = [bu_igamma(model, float(g)) for g in np.linspace(0.0, 1.0, 6)]
         assert np.all(np.diff(rising) >= -1e-9)
         grid = np.linspace(1.0, n + 1.0, 25)
@@ -340,13 +336,11 @@ class TestBuMutualInformation:
     @given(st.integers(1, 8))
     def test_bounded_by_prior_entropy_proxy(self, n):
         # I(Theta; X^n) grows with n but never exceeds log(n + 1)
-        value = bu_mutual_information(BernoulliUniformModel(n, panels=2000))
+        value = bu_mutual_information(BernoulliUniformModel(n))
         assert 0.0 < value < math.log(n + 1.0)
 
     def test_monotone_in_n(self):
-        values = [
-            bu_mutual_information(BernoulliUniformModel(n, panels=2000)) for n in (1, 2, 4, 8)
-        ]
+        values = [bu_mutual_information(BernoulliUniformModel(n)) for n in (1, 2, 4, 8)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("n", [1, 2, 5, 20, 100])

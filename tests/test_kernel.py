@@ -136,7 +136,7 @@ class TestConstructors:
         assert np.all(bsc(0.5).rows == 0.5)
 
     def test_bsc_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^crossover probability must be in \[0, 1\], got 1.5$"):
             bsc(1.5)
 
     def test_randomized_response_is_bsc(self):
@@ -203,7 +203,7 @@ class TestProducts:
         assert np.array_equal(tensor_power(k, 1).rows, k.rows)
 
     def test_tensor_power_zero_rejected(self):
-        with pytest.raises(DomainError, match="tensor power needs n >= 1, got 0"):
+        with pytest.raises(DomainError, match="^tensor power n must be >= 1, got 0$"):
             tensor_power(bsc(0.25), 0)
 
     def test_tensor_power_mixing(self):
