@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 from .contraction import PrivacyParams, gamma_from_epsilon, phi, phi_n
-from .errors import CapacityError, DomainError, at_least, count, finite_above
+from .errors import DomainError, at_least, count, finite_above, within_cap
 
 if TYPE_CHECKING:
     import numpy as np
@@ -47,8 +47,7 @@ class GridSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", count("grid steps", self.steps, 1))
-        if self.steps > MAX_GRID_STEPS:
-            raise CapacityError(f"grid has {self.steps} points, over the cap {MAX_GRID_STEPS}")
+        within_cap("grid steps", self.steps, MAX_GRID_STEPS)
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise DomainError(f"grid ends must be finite, got [{self.lo}, {self.hi}]")
         if self.steps > 1 and not self.lo < self.hi:
@@ -372,9 +371,7 @@ def bayes_gamma_opt_lb(cfg: BayesConfig) -> BoundReport:
 
     if cfg.info_fn is None:
         raise DomainError("bayes_gamma_opt_lb requires info_fn (gamma -> I_gamma)")
-    mesh = cfg.zeta_grid.steps * cfg.gamma_grid.steps
-    if mesh > MAX_MESH_POINTS:
-        raise CapacityError(f"zeta x gamma mesh has {mesh} points, over the cap {MAX_MESH_POINTS}")
+    within_cap("zeta x gamma mesh", cfg.zeta_grid.steps * cfg.gamma_grid.steps, MAX_MESH_POINTS)
     zetas = cfg.zeta_grid.points()
     gammas = cfg.gamma_grid.points()
     info = cfg.info_fn(gammas)

@@ -49,13 +49,15 @@ from .bounds import (
     small_ball_uniform01,
 )
 from .contraction import PrivacyParams, gamma_from_epsilon, two_point_scan
-from .errors import CapacityError, DimensionError, DomainError
+from .errors import CapacityError, DimensionError, DomainError, count, within_cap
 
 # Values the remark table is compared against; treated as approximate.
 REMARK_REFERENCE_EGAMMA = 0.08
 REMARK_REFERENCE_MI = 0.03
 
 ENV_OUT_DIR = "LDPKIT_OUT_DIR"
+# Largest --n-max of model-curves: the growth curve costs O(n_max^2), ~3 s at the cap.
+MAX_CURVE_N = 10**4
 
 
 def _fmt(x: float) -> str:
@@ -264,8 +266,8 @@ _BAYES_FLAGS = {
     "--info": {"type": float, "default": None, "help": "information value in nats"},
     "--bu-n": {"type": int, "default": 1, "help": "Bernoulli-uniform sample size"},
     "--bu-panels": {"type": int, "default": 20000, "help": _PANELS_HELP},
-    "--n": {**_N["--n"], "help": "sample size n of the contraction coefficient; "
-            "must equal --bu-n when the model supplies the information (no --info)"},
+    "--n": {**_N["--n"], "help": "sample size n of the contraction coefficient; without "
+            "--info, a value other than --bu-n is flagged n-differs-from-bu-n"},
     "--zeta-grid": {"action": _Grid, "default": DEFAULT_ZETA_GRID},
 }
 # Taken by every subcommand in BOUNDS, after its own flags.
@@ -422,9 +424,9 @@ def cmd_model_curves(args: argparse.Namespace) -> int:
     from .info import BernoulliUniformModel, bu_igamma, bu_mutual_information
 
     # I_gamma over the gamma grid at sample size n, and I(Theta; X^m) for m = 1..n_max.
-    # Both models are built first, so an oversized n_max is refused before any work.
+    # Both sizes are checked first, so an oversized one is refused before any work.
     model = BernoulliUniformModel(args.n)
-    BernoulliUniformModel(args.n_max)
+    within_cap("n-max", count("n-max", args.n_max, 1), MAX_CURVE_N)
     if args.gamma_grid is None:
         args.gamma_grid = GridSpec(0.0, float(args.n + 1), 121)
     gammas = args.gamma_grid.points()

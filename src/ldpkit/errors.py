@@ -2,6 +2,7 @@
 
 Each check is written as ``not <comparison>``, so NaN fails every one, and
 each message names the value it got. Counts and indexes come back as ints.
+Every size cap is one ``within_cap`` call, with one message form.
 """
 
 import math
@@ -17,7 +18,7 @@ class DomainError(ValueError):
 
 
 class CapacityError(ValueError):
-    """A product construction would exceed the configured state cap."""
+    """A size would exceed its cap: a grid, a mesh, a model, a sample or a product."""
 
 
 def at_least(name: str, value, lo) -> None:
@@ -35,6 +36,11 @@ def finite_above(name: str, value, lo) -> None:
         raise DomainError(f"{name} must be > {lo}, got {value}")
     if value == math.inf:
         raise DomainError(f"{name} must be finite, got inf")
+
+
+def within_cap(name: str, size, cap) -> None:
+    if not size <= cap:
+        raise CapacityError(f"{name} = {size} is over the cap {cap}")
 
 
 def _is_int(value) -> bool:

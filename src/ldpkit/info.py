@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .dist import Distribution, FGenerator, f_divergence, probability_array
-from .errors import CapacityError, DomainError, count
+from .errors import DomainError, count, within_cap
 
 # Largest n of the Bernoulli-uniform model (I_gamma: ~180 B a class, ~40 s a gamma at it).
 MAX_BU_N = 10**6
@@ -59,8 +59,7 @@ class BernoulliUniformModel:
 
     def __post_init__(self):
         object.__setattr__(self, "n", count("sample size n", self.n, 1))
-        if self.n > MAX_BU_N:
-            raise CapacityError(f"sample size n = {self.n} is over the cap {MAX_BU_N}")
+        within_cap("sample size n", self.n, MAX_BU_N)
 
     @cached_property
     def _classes(self) -> tuple:

@@ -18,6 +18,7 @@ import numpy as np
 from .dist import Distribution, probability_array
 from .errors import (
     CapacityError, DimensionError, DomainError, at_least, count, in_alphabet, in_unit_interval,
+    within_cap,
 )
 
 # Tensor powers refuse to materialize more states than this.
@@ -135,11 +136,10 @@ def k_rr(epsilon: float, k: int) -> Kernel:
 def _check_cap(size: int, n: int, what: str) -> None:
     # size^n >= 2^n > the cap once n passes the cap's bit length; the count
     # is then left unbuilt, since printing it could take millions of digits.
-    cap = DEFAULT_STATE_CAP
-    total = size**n if size < 2 or n <= cap.bit_length() else None
-    if total is None or total > cap:
-        count = f"{size}^{n}" if total is None else f"{total} ({size}^{n})"
-        raise CapacityError(f"{what} would have {count} states, exceeding the cap {cap}")
+    name, cap = f"{what} states", DEFAULT_STATE_CAP
+    if size >= 2 and n > cap.bit_length():
+        raise CapacityError(f"{name} = {size}^{n} is over the cap {cap}")
+    within_cap(name, size**n, cap)
 
 
 def tensor_power(k: Kernel, n: int) -> Kernel:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .contraction import gamma_from_epsilon
 from .dist import FGenerator, divergence
-from .errors import CapacityError, count, finite_above
+from .errors import count, finite_above, within_cap
 from .kernel import Kernel
 
 # Ratios whose denominator falls below this are not evidence of anything.
@@ -53,8 +53,7 @@ class SearchConfig:
 
     def dirichlet_pairs(self, d: int) -> tuple[np.ndarray, np.ndarray]:
         """``trials`` sampled input pairs on d symbols, as two (trials, d) arrays."""
-        if self.trials * d > MAX_SAMPLES:
-            raise CapacityError(f"{self.trials} trials x {d} inputs, over the cap {MAX_SAMPLES}")
+        within_cap(f"{self.trials} trials x {d} inputs", self.trials * d, MAX_SAMPLES)
         rng = np.random.default_rng(self.seed)
         alpha = np.full(d, self.dirichlet_alpha)
         return rng.dirichlet(alpha, size=self.trials), rng.dirichlet(alpha, size=self.trials)
@@ -104,8 +103,9 @@ def brute_eta_f(k: Kernel, f: FGenerator, cfg: SearchConfig) -> float:
     d = k.input_size
     ps, qs = cfg.dirichlet_pairs(d)
 
+    pushed = ps @ k.rows
     dens = divergence(ps, qs, f)
-    nums = divergence(ps @ k.rows, qs @ k.rows, f)
+    nums = divergence(pushed, qs @ k.rows, f)
     if cfg.include_point_masses:
         # The pushforward of the point mass at x is row x of the kernel.
         off = ~np.eye(d, dtype=bool)
@@ -117,7 +117,6 @@ def brute_eta_f(k: Kernel, f: FGenerator, cfg: SearchConfig) -> float:
 
     if f.kind in ("kl", "chi2"):
         shift = _shift_kl if f.kind == "kl" else _shift_chi2
-        pushed = ps @ k.rows
         for h in _NEAR_COINCIDENT_H:
             dvec = h * (qs - ps)
             dens = shift(ps, dvec)
@@ -147,10 +146,7 @@ def brute_profile_check(k: Kernel, epsilon: float) -> ProfileCheckReport:
     """
     gamma = gamma_from_epsilon(epsilon)
     nz = k.output_size
-    if nz > OUTPUT_CAP:
-        raise CapacityError(
-            f"exhaustive set enumeration needs output size <= {OUTPUT_CAP}, got {nz}"
-        )
+    within_cap("output size", nz, OUTPUT_CAP)
     best = 0.0
     witness_pair = None
     witness_set = None

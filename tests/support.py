@@ -54,6 +54,32 @@ def audit_kernel_family(seed: int = 7):
     ]
 
 
+def eps_delta_rr(eps: float, delta: float) -> Kernel:
+    """(eps, delta) randomized response on two inputs: with probability
+    delta the input is revealed in an output of its own, otherwise the
+    bit is answered by eps-randomized response. Its profile is delta at
+    eps, and its TV coefficient is (e^eps - 1 + 2 delta) / (e^eps + 1)."""
+    a = math.exp(eps) / (1.0 + math.exp(eps))
+    b = 1.0 - a
+    return Kernel(np.array([
+        [delta, (1.0 - delta) * a, (1.0 - delta) * b, 0.0],
+        [0.0, (1.0 - delta) * b, (1.0 - delta) * a, delta],
+    ]))
+
+
+def hadamard_response(eps: float, k: int) -> Kernel:
+    """Hadamard response on k inputs: input x draws an output column of
+    the K = 2^ceil(log2(k + 1)) Sylvester Hadamard matrix, with mass
+    2 e^eps / (K (1 + e^eps)) on the +1 entries of row x (rows 1..k) and
+    2 / (K (1 + e^eps)) elsewhere. Any two rows differ on K/2 columns, so
+    every pair has E_gamma = (e^eps - gamma)_+ / (2 (1 + e^eps))."""
+    h = np.ones((1, 1))
+    while h.shape[0] <= k:
+        h = np.block([[h, h], [h, -h]])
+    scale = 2.0 / (h.shape[0] * (1.0 + math.exp(eps)))
+    return Kernel(np.where(h[1 : k + 1] > 0, math.exp(eps) * scale, scale))
+
+
 @st.composite
 def distributions(draw, size: int | None = None, min_size: int = 2, max_size: int = 5):
     k = size if size is not None else draw(st.integers(min_size, max_size))

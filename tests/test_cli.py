@@ -636,9 +636,9 @@ class TestBayesModelCommands:
     @pytest.mark.parametrize(
         "argv, message",
         [(["audit", "{kernel}", "--profile-grid", "0:3:100000000"],
-          "grid has 100000000 points, over the cap 1000000"),
+          "grid steps = 100000000 is over the cap 1000000"),
          (["bound", "bayes-gammaopt", "--bu-n", "2", "--zeta-grid", "1e-4:0.5:100000:log",
-           "--gamma-grid", "0:4:1000"], "mesh has 100000000 points, over the cap 33554432"),
+           "--gamma-grid", "0:4:1000"], "zeta x gamma mesh = 100000000 is over the cap 33554432"),
          (["bound", "highdim", "--d", "8", "--n", "64", "--r", "1e200", "--eps", "1"],
           "numeric overflow"),
          (["bound", "lecam", "--tau", "1", "--kl", "0.1", "--n", "{huge}", "--eps", "1"],
@@ -720,6 +720,14 @@ class TestBayesModelCommands:
             assert re.search(r"--bu-n BU_N\s+Bernoulli-uniform sample size", text)
             assert re.search(r"--bu-panels BU_PANELS\s+former quadrature panel count", text)
 
+    @pytest.mark.parametrize("kind", ["bayes-mi", "bayes-egamma"])
+    def test_n_help_says_a_differing_n_is_flagged(self, capsys, kind):
+        with pytest.raises(SystemExit):
+            main(["bound", kind, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert ("--n N sample size n of the contraction coefficient; without --info, "
+                "a value other than --bu-n is flagged n-differs-from-bu-n") in text
+
     def test_gammaopt_records_the_model_at_every_n(self, capsys):
         for n in ("1", "3"):
             code, out, _ = run(capsys, ["bound", "bayes-gammaopt", "--bu-n", n,
@@ -793,8 +801,22 @@ class TestModelCurves:
         assert igamma_out.read_bytes() == (tmp_path / "igamma_ref.csv").read_bytes()
         assert mi_out.read_bytes() == (tmp_path / "mi_ref.csv").read_bytes()
 
+    def test_n_max_is_capped(self, capsys, tmp_path, monkeypatch):
+        import ldpkit.cli
+
+        monkeypatch.setattr(ldpkit.cli, "MAX_CURVE_N", 3)
+        outs = ["--igamma-out", str(tmp_path / "i.csv"), "--mi-out", str(tmp_path / "m.csv")]
+        err = run_error(capsys, ["model-curves", "--n", "2", "--n-max", "4", *outs])
+        assert err == "error: n-max = 4 is over the cap 3\n"
+        err = run_error(capsys, ["model-curves", "--n", "2", "--n-max", "0", *outs])
+        assert err == "error: n-max must be >= 1, got 0\n"
+        assert list(tmp_path.iterdir()) == []
+        code, _, err = run(capsys, ["model-curves", "--n", "2", "--n-max", "3", *outs])
+        assert code == 0, err
+        assert len((tmp_path / "m.csv").read_text().splitlines()) == 4
+
     # Sizes are refused before any work: --n-max 1000001 otherwise runs for
-    # minutes, and no CSV is written.
+    # hours, and no CSV is written.
     @pytest.mark.parametrize(
         "flags",
         [["--n", "0"], ["--gamma-grid=0:-1:121"], ["--gamma-grid", "0:6:-1"],

@@ -18,8 +18,15 @@ from ldpkit.contraction import (
 from ldpkit.dist import FGenerator, excess, f_divergence
 from ldpkit.errors import DomainError
 from ldpkit.kernel import Kernel, bsc, k_rr, randomized_response, tensor_power
+from ldpkit.ldp import delta_at
 from ldpkit.oracle import SearchConfig, brute_eta_f
-from support import kernels, loop_infinite_epsilon_residual, loop_two_point, random_kernel
+from support import (
+    eps_delta_rr,
+    kernels,
+    loop_infinite_epsilon_residual,
+    loop_two_point,
+    random_kernel,
+)
 
 
 class TestPrivacyParams:
@@ -216,6 +223,18 @@ class TestPhi:
     def test_phi_n_rejects_bad_n(self):
         with pytest.raises(DomainError):
             phi_n(PrivacyParams(1.0), 0)
+
+    # (eps, delta) randomized response is exactly (eps, delta)-LDP and attains
+    # psi = (e^eps - 1 + 2 delta) / (e^eps + 1), which phi exceeds by a closed-form gap.
+    @pytest.mark.parametrize("eps, delta", [(1, 0), (1, 0.01), (0.3, 0.2), (0.5, 0), (2, 0.05)])
+    def test_eps_delta_rr_attains_psi_below_phi(self, eps, delta):
+        k = eps_delta_rr(eps, delta)
+        e = math.exp(eps)
+        psi = (e - 1 + 2 * delta) / (e + 1)
+        assert abs(delta_at(k, eps) - delta) <= 1e-15
+        assert abs(two_point_scan(k, [1.0])[0][0] - psi) <= 1e-15
+        gap = phi(PrivacyParams(eps, delta)) - psi
+        assert abs(gap - (e - 1) * (1 - delta) / (e * (e + 1))) <= 1e-15
 
 
 class TestEtaTvFromEtaGamma:

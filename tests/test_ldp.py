@@ -25,6 +25,7 @@ from ldpkit.oracle import brute_profile_check
 from support import (
     audit_kernel_family,
     bisect_tightest_epsilon,
+    hadamard_response,
     kernels,
     loop_two_point,
     loop_verify,
@@ -335,3 +336,20 @@ class TestPrivacyProfile:
     def test_deltas_must_not_increase(self):
         with pytest.raises(DomainError):
             PrivacyProfile(points=((0.0, 0.1), (1.0, 0.4)))
+
+
+# Every pair of Hadamard-response rows has the same closed-form profile,
+# so the scan, eta_TV and the inverted profile are checked at |X| = 127.
+@pytest.mark.parametrize("k", [7, 127])
+def test_hadamard_response_matches_its_closed_form(k):
+    eps = 1.0
+    e = math.exp(eps)
+    kernel = hadamard_response(eps, k)
+    grid = np.linspace(0.0, 2.0, 9)
+    for (_, got), e2 in zip(privacy_profile(kernel, grid).points, grid):
+        assert abs(got - max(e - math.exp(e2), 0.0) / (2 * (1 + e))) <= 1e-15
+    assert abs(two_point_scan(kernel, [1.0])[0][0] - (e - 1) / (2 * (e + 1))) <= 1e-15
+    for delta in (0.0, 0.01, 0.05, 0.1):
+        expected = math.log(e - 2 * delta * (1 + e))
+        got = tightest_epsilon(kernel, delta).epsilon
+        assert abs(got - expected) <= 4 * math.ulp(expected), delta

@@ -24,14 +24,16 @@ class TestSearchConfig:
 
     def test_sample_arrays_are_capped_before_drawing(self, monkeypatch):
         trials = MAX_SAMPLES // 4 + 1
-        with pytest.raises(CapacityError, match=f"{trials} trials x 4 inputs, over the cap"):
+        message = f"^{trials} trials x 4 inputs = {4 * trials} is over the cap {MAX_SAMPLES}$"
+        with pytest.raises(CapacityError, match=message):
             SearchConfig(seed=1, trials=trials).dirichlet_pairs(4)
         # trials past numpy's index range are refused the same way
-        with pytest.raises(CapacityError, match="over the cap"):
+        message = f"^{10**30} trials x 1 inputs = {10**30} is over the cap {MAX_SAMPLES}$"
+        with pytest.raises(CapacityError, match=message):
             SearchConfig(seed=1, trials=10**30).dirichlet_pairs(1)
         monkeypatch.setattr(ldpkit.oracle, "MAX_SAMPLES", 12)
         assert SearchConfig(seed=1, trials=3).dirichlet_pairs(4)[0].shape == (3, 4)
-        with pytest.raises(CapacityError, match="13 trials x 1 inputs, over the cap 12"):
+        with pytest.raises(CapacityError, match="^13 trials x 1 inputs = 13 is over the cap 12$"):
             SearchConfig(seed=1, trials=13).dirichlet_pairs(1)
 
 
