@@ -14,9 +14,11 @@ command that writes a CSV also writes a ``<out>.manifest.json`` listing
 the command, arguments (grids as their fields), seed, and outputs.
 Relative output paths resolve against $LDPKIT_OUT_DIR when it is set.
 
-The modules that compute with arrays (dist, info, kernel, ldp, oracle) are
-imported inside the commands that call them, so ``--version``, ``--help``,
-a rejected argv and the scalar ``bound`` kinds run without numpy.
+The modules that compute with arrays (dist, info, ldp, oracle) are
+imported inside the commands that call them, after any kernel file is
+parsed, so ``--version``, ``--help``, a rejected argv, the scalar ``bound``
+kinds, and kernel text that is not rows or an ``audit`` epsilon or delta
+that is refused run without numpy.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .bounds import (
 )
 from .contraction import PrivacyParams, gamma_from_epsilon, two_point_scan
 from .errors import CapacityError, DimensionError, DomainError, count, within_cap
+from .kernel import load_kernel
 
 # Values the remark table is compared against; treated as approximate.
 REMARK_REFERENCE_EGAMMA = 0.08
@@ -135,14 +138,14 @@ def _print_json(payload) -> None:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    from .kernel import load_kernel
-    from .ldp import PrivacyProfile, verify_from_scan
-    from .oracle import SearchConfig
-
+    # Checked in this order, the file after epsilon and delta as those need no
+    # numpy, then one scan serves all: gamma = e^epsilon, 1, the grid.
     if args.delta is not None and args.epsilon is None:
         raise DomainError("--delta requires --epsilon")
     if args.out is not None and args.profile_grid is None:
         raise DomainError("--out requires --profile-grid")
+    head = [] if args.epsilon is None else [gamma_from_epsilon(args.epsilon), 1.0]
+    params = None if args.delta is None else PrivacyParams(args.epsilon, args.delta)
     kernel = load_kernel(args.kernel)
     report: dict = {
         "kernel": str(args.kernel),
@@ -150,9 +153,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
         "output_size": kernel.output_size,
     }
 
-    # Checked in this order, then one scan serves all: gamma = e^epsilon, 1, the grid.
-    head = [] if args.epsilon is None else [gamma_from_epsilon(args.epsilon), 1.0]
-    params = None if args.delta is None else PrivacyParams(args.epsilon, args.delta)
+    from .ldp import PrivacyProfile, verify_from_scan
+    from .oracle import SearchConfig
+
     cfg = SearchConfig(args.seed, args.trials)  # checked even when no --delta runs the verifier
     eps = [] if args.profile_grid is None else [float(e) for e in args.profile_grid.points()]
     gammas = head + [gamma_from_epsilon(e) for e in eps]
@@ -447,11 +450,10 @@ def cmd_model_curves(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_eta_f(args: argparse.Namespace) -> int:
+    kernel = load_kernel(args.kernel)
     from .dist import FGenerator
-    from .kernel import load_kernel
     from .oracle import SearchConfig, brute_eta_f
 
-    kernel = load_kernel(args.kernel)
     f = FGenerator(args.f, args.gamma)
     cfg = SearchConfig(
         seed=args.seed,
@@ -474,11 +476,10 @@ def cmd_oracle_eta_f(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_profile_check(args: argparse.Namespace) -> int:
-    from .kernel import load_kernel
+    kernel = load_kernel(args.kernel)
     from .ldp import delta_at
     from .oracle import brute_profile_check
 
-    kernel = load_kernel(args.kernel)
     payload = dataclasses.asdict(brute_profile_check(kernel, args.epsilon))
     payload["kernel"] = str(args.kernel)
     payload["delta_formula"] = delta_at(kernel, args.epsilon)

@@ -4,7 +4,9 @@ A kernel maps each input symbol x to a distribution K(.|x) over the
 output alphabet; pushing a distribution through it is the vector-matrix
 product. Product alphabets are flattened row-major with the first
 coordinate most significant, so tensor powers are iterated Kronecker
-products and CSV output is reproducible bit-for-bit.
+products and CSV output is reproducible bit-for-bit. numpy is imported
+inside the functions that build arrays, so text that does not parse as
+rows is refused before it loads.
 """
 
 from __future__ import annotations
@@ -12,14 +14,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .dist import Distribution, probability_array
 from .errors import (
     CapacityError, DimensionError, DomainError, at_least, count, in_alphabet, in_unit_interval,
     within_cap,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .dist import Distribution
 
 # Tensor powers refuse to materialize more states than this.
 DEFAULT_STATE_CAP = 4096
@@ -36,6 +41,8 @@ class Kernel:
     rows: np.ndarray
 
     def __post_init__(self):
+        from .dist import probability_array
+
         rows = probability_array(self.rows, 2, "kernel", per_row=True)
         object.__setattr__(self, "rows", rows)
 
@@ -48,10 +55,14 @@ class Kernel:
         return int(self.rows.shape[1])
 
     def row(self, x: int) -> Distribution:
+        from .dist import Distribution
+
         return Distribution(self.rows[in_alphabet("input symbol", x, self.input_size)])
 
     @classmethod
     def identity(cls, size: int) -> "Kernel":
+        import numpy as np
+
         return cls(np.eye(count("alphabet size", size, 1)))
 
 
@@ -85,6 +96,8 @@ def parse_kernel(text: str) -> Kernel:
         widths = {len(r) for r in rows}
         if len(widths) != 1:
             raise DimensionError("kernel rows have inconsistent lengths")
+        import numpy as np  # only once the text is rows
+
         matrix = np.asarray(rows, dtype=float)
     except (DomainError, DimensionError):
         raise
@@ -104,11 +117,13 @@ def load_kernel(path: str | Path) -> Kernel:
 def bsc(omega: float) -> Kernel:
     """Binary symmetric channel with crossover probability omega."""
     in_unit_interval("crossover probability", omega)
-    return Kernel(np.array([[1.0 - omega, omega], [omega, 1.0 - omega]]))
+    return Kernel([[1.0 - omega, omega], [omega, 1.0 - omega]])
 
 
 def _odds(epsilon: float) -> float:
     """e^epsilon for epsilon in [0, inf]; +inf once it overflows (epsilon > 709.78)."""
+    import numpy as np
+
     at_least("epsilon", epsilon, 0)
     with np.errstate(over="ignore"):
         return float(np.exp(epsilon))
@@ -123,6 +138,8 @@ def randomized_response(epsilon: float) -> Kernel:
 def k_rr(epsilon: float, k: int) -> Kernel:
     """k-ary randomized response: keeps the input with odds e^eps : 1 per
     alternative, so the identity where e^eps is infinite."""
+    import numpy as np
+
     k = count("k", k, 2)
     e = _odds(epsilon)
     if np.isinf(e):  # the diagonal below would be inf * 0
@@ -148,6 +165,8 @@ def tensor_power(k: Kernel, n: int) -> Kernel:
     Indices run row-major over coordinates with coordinate 1 most
     significant.
     """
+    import numpy as np
+
     n = count("tensor power n", n, 1)
     _check_cap(k.input_size, n, "tensor-power input alphabet")
     _check_cap(k.output_size, n, "tensor-power output alphabet")

@@ -32,6 +32,9 @@ _NEAR_COINCIDENT_FLOOR = 1e-9
 
 # brute_profile_check enumerates 2^|Z| output sets; larger |Z| is refused.
 OUTPUT_CAP = 20
+# ... for each ordered input pair: pairs x 2^max(|Z|, 13) is capped, the
+# 2^13 pricing a pair's fixed overhead (20-60 us). At most ~2 s at the cap.
+MAX_PROFILE_WORK = 2**28
 # Entries of each (trials, d) sample array (peak ~100 B an entry, ~1 GB at the cap).
 MAX_SAMPLES = 10**7
 
@@ -147,6 +150,8 @@ def brute_profile_check(k: Kernel, epsilon: float) -> ProfileCheckReport:
     gamma = gamma_from_epsilon(epsilon)
     nz = k.output_size
     within_cap("output size", nz, OUTPUT_CAP)
+    pairs, sets = k.input_size * (k.input_size - 1), max(nz, 13)
+    within_cap(f"{pairs} input pairs x 2^{sets} output sets", pairs << sets, MAX_PROFILE_WORK)
     best = 0.0
     witness_pair = None
     witness_set = None

@@ -30,7 +30,7 @@ from ldpkit.errors import DomainError
 from ldpkit.info import BernoulliUniformModel, bu_igamma, bu_mutual_information
 from ldpkit.kernel import Kernel, k_rr, load_kernel, randomized_response
 from ldpkit.ldp import privacy_profile
-from ldpkit.oracle import SearchConfig, brute_eta_f
+from ldpkit.oracle import MAX_PROFILE_WORK, SearchConfig, brute_eta_f
 
 
 def kernel_json(k) -> str:
@@ -883,6 +883,13 @@ class TestOracleCommands:
         payload = json.loads(out)
         assert payload["delta"] == pytest.approx(payload["delta_formula"], abs=1e-12)
 
+    @pytest.mark.parametrize("shape", [(1000, 20), (10**4, 4)])
+    def test_profile_check_work_cap_is_one_error_line(self, capsys, tmp_path, shape):
+        path = tmp_path / "tall.json"
+        path.write_text(kernel_json(Kernel(np.full(shape, 1.0 / shape[1]))))
+        err = run_error(capsys, ["oracle", "profile-check", str(path), "--epsilon", "1"])
+        assert err.endswith(f"is over the cap {MAX_PROFILE_WORK}\n")
+
 
 @pytest.mark.parametrize(
     "argv", [["audit", "--epsilon", "1", "--delta", "0.1"], ["oracle", "eta-f", "--f", "tv"]]
@@ -924,6 +931,26 @@ def test_audit_checks_seed_and_trials_without_the_verifier(
     monkeypatch.delenv("LDPKIT_OUT_DIR", raising=False)
     assert run_error(capsys, ["audit", str(rr1_file), *argv]) == f"error: {message}\n"
     assert not (tmp_path / "p.csv").exists()
+
+
+# epsilon and delta are checked before the kernel file is read, so with a
+# bad file as well, the flag is named.
+@pytest.mark.parametrize(
+    "name, text, argv, message",
+    [
+        ("bad.csv", "0.5,abc\n", ["--epsilon", "1e6"],
+         "epsilon = 1000000.0 is too large: e^epsilon overflows"),
+        ("missing.json", None, ["--epsilon", "1", "--delta", "2"],
+         "delta must be in [0, 1], got 2.0"),
+    ],
+    ids=["epsilon-over-malformed", "delta-over-missing"],
+)
+def test_audit_names_a_bad_epsilon_or_delta_before_a_bad_file(
+    capsys, tmp_path, name, text, argv, message
+):
+    if text is not None:
+        (tmp_path / name).write_text(text)
+    assert run_error(capsys, ["audit", str(tmp_path / name), *argv]) == f"error: {message}\n"
 
 
 # Each sample array is capped at MAX_SAMPLES entries before it is drawn,
@@ -1020,16 +1047,38 @@ _SCALAR_BOUNDS = {
 }
 
 
+# Kernel files whose text is not rows, as the perfbench cli workload writes
+# them; sum.csv parses, but its row 1 sums to 1.2.
+_KERNEL_TEXTS = {
+    "token.csv": "0.5,abc\n0.5,0.5\n",
+    "truncated.json": '{"rows": [[0.5, 0.5], [0.2',
+    "array.json": "[[0.5, 0.5], [0.2, 0.8]]\n",
+    "sum.csv": "0.5,0.5\n0.6,0.6\n",
+}
+_UNPARSEABLE = ["token.csv", "truncated.json", "array.json"]
+
+
 @pytest.mark.parametrize(
     "argv, code, loads_numpy",
     [(["--version"], 0, False), (["--help"], 0, False),
      (["audit", "k.json", "--epsilon", "abc"], 1, False)]
     + [(["bound", kind, *flags, "--eps", "1"], 0, False) for kind, flags in _SCALAR_BOUNDS.items()]
-    + [(["audit", "k.json", "--epsilon", "1"], 0, True)],
-    ids=["version", "help", "rejected-argv", *_SCALAR_BOUNDS, "audit"],
+    + [(["audit", "k.json", "--epsilon", "1"], 0, True)]
+    + [(["audit", name, "--epsilon", "1"], 1, False) for name in _UNPARSEABLE]
+    + [(["audit", "k.json", "--epsilon", "1e6"], 1, False),
+       (["audit", "k.json", "--epsilon", "1", "--delta", "2"], 1, False),
+       (["oracle", "eta-f", "token.csv", "--f", "tv"], 1, False),
+       (["oracle", "profile-check", "token.csv", "--epsilon", "1"], 1, False),
+       (["audit", "sum.csv", "--epsilon", "1"], 1, True)],
+    ids=["version", "help", "rejected-argv", *_SCALAR_BOUNDS, "audit"]
+    + [f"audit-{name}" for name in _UNPARSEABLE]
+    + ["audit-epsilon-overflow", "audit-delta", "eta-f-token.csv", "profile-check-token.csv",
+       "audit-row-sum"],
 )
 def test_only_commands_that_compute_with_arrays_load_numpy(tmp_path, argv, code, loads_numpy):
     (tmp_path / "k.json").write_text(kernel_json(randomized_response(1.0)))
+    for name, text in _KERNEL_TEXTS.items():
+        (tmp_path / name).write_text(text)
     script = (
         "import atexit, sys; atexit.register(lambda: print('numpy' in sys.modules)); "
         "from ldpkit.cli import main; sys.exit(main(sys.argv[1:]))"

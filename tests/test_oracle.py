@@ -9,7 +9,9 @@ from ldpkit.dist import Distribution, FGenerator, f_divergence
 from ldpkit.errors import CapacityError, DomainError
 from ldpkit.kernel import Kernel, bsc, k_rr, randomized_response
 from ldpkit.ldp import delta_at
-from ldpkit.oracle import DENOM_FLOOR, MAX_SAMPLES, SearchConfig, brute_eta_f, brute_profile_check
+from ldpkit.oracle import (
+    DENOM_FLOOR, MAX_PROFILE_WORK, MAX_SAMPLES, SearchConfig, brute_eta_f, brute_profile_check,
+)
 from support import audit_kernel_family, pushforward, random_kernel
 
 
@@ -147,6 +149,21 @@ class TestBruteProfileCheck:
         wide = Kernel(np.full((2, 21), 1.0 / 21))
         with pytest.raises(CapacityError):
             brute_profile_check(wide, 1.0)
+
+    # pairs x 2^max(|Z|, 13) is capped before any set is enumerated
+    @pytest.mark.parametrize("shape, sets", [((17, 20), 20), ((182, 4), 13), ((10**4, 4), 13)])
+    def test_work_cap(self, shape, sets):
+        pairs = shape[0] * (shape[0] - 1)
+        message = (f"^{pairs} input pairs x 2\\^{sets} output sets = {pairs << sets} "
+                   f"is over the cap {MAX_PROFILE_WORK}$")
+        with pytest.raises(CapacityError, match=message):
+            brute_profile_check(Kernel(np.full(shape, 1.0 / shape[1])), 1.0)
+
+    def test_work_cap_admits_its_bound(self, monkeypatch):
+        monkeypatch.setattr(ldpkit.oracle, "MAX_PROFILE_WORK", 6 << 13)
+        assert brute_profile_check(Kernel.identity(3), 1.0).delta == 1.0
+        with pytest.raises(CapacityError):
+            brute_profile_check(Kernel.identity(4), 1.0)
 
     def test_infinite_epsilon_keeps_the_residual(self):
         k = Kernel(np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]))
