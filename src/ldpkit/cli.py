@@ -427,7 +427,9 @@ def cmd_model_curves(args: argparse.Namespace) -> int:
     from .info import BernoulliUniformModel, bu_igamma, bu_mutual_information
 
     # I_gamma over the gamma grid at sample size n, and I(Theta; X^m) for m = 1..n_max.
-    # Both sizes are checked first, so an oversized one is refused before any work.
+    # The paths and both sizes are checked first, so a bad one is refused before any work.
+    if resolve_out(args.igamma_out).resolve() == resolve_out(args.mi_out).resolve():
+        raise DomainError(f"--igamma-out and --mi-out are the same file: {args.mi_out}")
     model = BernoulliUniformModel(args.n)
     within_cap("n-max", count("n-max", args.n_max, 1), MAX_CURVE_N)
     if args.gamma_grid is None:

@@ -60,8 +60,8 @@ def two_point_scan(k: Kernel, gammas) -> tuple[list[float], list[tuple[int, int]
     """eta_gamma(K) and its witness pair for every gamma >= 1 (+inf allowed).
 
     Returns ``(values, pairs)``: ``values[i]`` is the largest
-    E_gamma_i(K_x || K_x') over ordered row pairs, clamped to at most 1
-    (disjoint rows can otherwise sum to 1 + 1 ulp), and ``pairs[i]`` is
+    E_gamma_i(K_x || K_x') over ordered row pairs, at most 1 as
+    :func:`ldpkit.dist.excess` gives it, and ``pairs[i]`` is
     the lexicographically smallest (x, x') attaining it ((0, 0) when it
     is 0). One numpy pass over the (gamma, x, x', z) difference tensor,
     in blocks of rows and gammas sized by SCAN_BYTES, each written into
@@ -89,7 +89,7 @@ def two_point_scan(k: Kernel, gammas) -> tuple[list[float], list[tuple[int, int]
         for lo in range(0, n, step):
             p = rows[lo : lo + step, None, :]
             t = buf[: gb.shape[0] * p.shape[0] * n * m].reshape(gb.shape[0], p.shape[0], n, m)
-            np.minimum(excess(p, rows, gb, out=t), 1.0, out=block[:, lo : lo + step])
+            block[:, lo : lo + step] = excess(p, rows, gb, out=t)
         flat = block.reshape(gb.shape[0], n * n)
         values.extend(flat.max(axis=1).tolist())
         pairs.extend(divmod(i, n) for i in flat.argmax(axis=1).tolist())

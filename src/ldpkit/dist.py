@@ -11,6 +11,8 @@ hockey-stick family
 which equals total variation at gamma = 1. Each divergence is implemented
 once, batched along the last axis (:func:`divergence`, :func:`excess`);
 :func:`f_divergence` is its one scalar entry point, on two Distributions.
+``excess`` and total variation are at most 1 and squared Hellinger at most
+2: a sum that rounds past its bound (disjoint supports) is cut to it.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ def _check_alphabets(p: Distribution, q: Distribution):
 
 
 def excess(p: np.ndarray, q: np.ndarray, gamma, out: np.ndarray | None = None) -> np.ndarray:
-    """sum_i max(p_i - gamma q_i, 0) along the last axis, broadcasting.
+    """sum_i max(p_i - gamma q_i, 0) along the last axis, broadcasting, at most 1.
 
     This is E_gamma(P||Q) for gamma >= 1. gamma * 0 counts as 0, so
     gamma = +inf gives the mass p puts where q is zero. ``out``, a float
@@ -134,7 +136,7 @@ def excess(p: np.ndarray, q: np.ndarray, gamma, out: np.ndarray | None = None) -
         t = np.subtract(p, np.multiply(gamma, q, out=out), out=out)
     if np.isinf(gamma).any():
         np.copyto(t, p, where=(q == 0.0))
-    return np.maximum(t, 0.0, out=t).sum(axis=-1)
+    return np.minimum(np.maximum(t, 0.0, out=t).sum(axis=-1), 1.0)
 
 
 def _egamma(p: np.ndarray, q: np.ndarray, gamma) -> np.ndarray:
@@ -142,7 +144,7 @@ def _egamma(p: np.ndarray, q: np.ndarray, gamma) -> np.ndarray:
 
 
 def _tv(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return 0.5 * np.abs(p - q).sum(axis=-1)
+    return np.minimum(0.5 * np.abs(p - q).sum(axis=-1), 1.0)
 
 
 def _kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -160,7 +162,7 @@ def _chi2(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _hellinger_sq(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return ((np.sqrt(p) - np.sqrt(q)) ** 2).sum(axis=-1)
+    return np.minimum(((np.sqrt(p) - np.sqrt(q)) ** 2).sum(axis=-1), 2.0)
 
 
 # The f-divergence kinds, each with its batched formula; egamma's takes gamma as well.

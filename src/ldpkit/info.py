@@ -32,6 +32,8 @@ from .errors import DomainError, count, within_cap
 
 # Largest n of the Bernoulli-uniform model (I_gamma: ~180 B a class, ~40 s a gamma at it).
 MAX_BU_N = 10**6
+# bu_igamma's gammas x n x ceil(sqrt(n)), ~30 ns a unit: 1 gamma at MAX_BU_N, 31 at n = 10^5.
+MAX_BU_WORK = 10**9
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,16 +109,18 @@ def bu_igamma(model: BernoulliUniformModel, gamma):
 
     ``gamma`` is a number (the result is a float) or an array (the result
     has its shape, and each element equals the scalar call bit for bit).
-    NaN and negative gamma are rejected.
+    NaN and negative gamma are rejected, and so is work over MAX_BU_WORK.
     """
     g = np.asarray(gamma, dtype=float)
+    n = model.n
+    root = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+    within_cap(f"{g.size} gammas x {n} x {root} (n x ceil(sqrt n))", g.size * n * root, MAX_BU_WORK)
     if np.isnan(g).any():
         raise DomainError("gamma must not be NaN")
     if (g < 0).any():
         raise DomainError(f"gamma must be >= 0, got {float(g.min())!r}")
     flat = g.reshape(-1)
     out = np.zeros(flat.shape)
-    n = model.n
     inside = np.flatnonzero((flat > 0) & (flat < n + 1))
     step = max(1, _BLOCK // n)
     for i in range(0, inside.size, step):

@@ -12,6 +12,7 @@ rows is refused before it loads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -120,29 +121,23 @@ def bsc(omega: float) -> Kernel:
     return Kernel([[1.0 - omega, omega], [omega, 1.0 - omega]])
 
 
-def _odds(epsilon: float) -> float:
-    """e^epsilon for epsilon in [0, inf]; +inf once it overflows (epsilon > 709.78)."""
-    import numpy as np
-
-    at_least("epsilon", epsilon, 0)
-    with np.errstate(over="ignore"):
-        return float(np.exp(epsilon))
-
-
 def randomized_response(epsilon: float) -> Kernel:
-    """Binary randomized response at privacy level epsilon: BSC(1/(1+e^eps)),
-    the identity where e^eps is infinite."""
-    return bsc(1.0 / (1.0 + _odds(epsilon)))
+    """Binary randomized response, ``k_rr(epsilon, 2)``: BSC(1/(1+e^eps)) up to rounding."""
+    return k_rr(epsilon, 2)
 
 
 def k_rr(epsilon: float, k: int) -> Kernel:
-    """k-ary randomized response: keeps the input with odds e^eps : 1 per
-    alternative, so the identity where e^eps is infinite."""
+    """k-ary randomized response: keeps the input with odds e^eps : 1 per alternative,
+    e^eps from ``math.exp`` as audits take gamma, so the identity where it is infinite."""
     import numpy as np
 
     k = count("k", k, 2)
-    e = _odds(epsilon)
-    if np.isinf(e):  # the diagonal below would be inf * 0
+    at_least("epsilon", epsilon, 0)
+    try:
+        e = math.exp(epsilon)
+    except OverflowError:  # epsilon > 709.78
+        e = math.inf
+    if e == math.inf:  # the diagonal below would be inf * 0
         return Kernel.identity(k)
     off = 1.0 / (k - 1 + e)
     rows = np.full((k, k), off)

@@ -1,11 +1,12 @@
 """Brute-force searches behind the ``oracle`` subcommand.
 
-A sampled contraction-ratio search and an exhaustive subset-sup
-evaluation of the raw privacy constraint validate the two-point
-characterizations on tiny instances. The test-only references (the
-sorted-prefix profile inversion, the integral and threshold forms of
-E_gamma, and Simpson quadrature of the Bernoulli-uniform informations)
-live in tests/support.py. Identical configs give bit-identical results.
+A sampled contraction-ratio search, which takes the KL and chi-squared
+local limit in closed form, and an exhaustive subset-sup evaluation of
+the raw privacy constraint validate the two-point characterizations on
+tiny instances. The test-only references (the sorted-prefix profile
+inversion, the integral and threshold forms of E_gamma, and Simpson
+quadrature of the Bernoulli-uniform informations) live in
+tests/support.py. Identical configs give bit-identical results.
 """
 
 from __future__ import annotations
@@ -21,14 +22,6 @@ from .kernel import Kernel
 
 # Ratios whose denominator falls below this are not evidence of anything.
 DENOM_FLOOR = 1e-12
-
-# Local perturbation sizes for the divergences whose contraction sup is
-# approached by near-coincident input pairs. Those pairs use a higher
-# denominator floor: their quotients sit close to the supremum, so the
-# ~1e-16 absolute noise of any divergence evaluation must stay several
-# orders below the denominator.
-_NEAR_COINCIDENT_H = (1e-3, 1e-4)
-_NEAR_COINCIDENT_FLOOR = 1e-9
 
 # brute_profile_check enumerates 2^|Z| output sets; larger |Z| is refused.
 OUTPUT_CAP = 20
@@ -62,53 +55,35 @@ class SearchConfig:
         return rng.dirichlet(alpha, size=self.trials), rng.dirichlet(alpha, size=self.trials)
 
 
-def _f1(x: np.ndarray) -> np.ndarray:
-    # f1(x) = (1+x) log1p(x) - x >= 0, the per-symbol Bregman excess of
-    # KL; a short series replaces the direct form below |x| < 1e-3 where
-    # it cancels.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = (1.0 + x) * np.log1p(x) - x
-    series = x * x * (
-        1.0 / 2 + x * (-1.0 / 6 + x * (1.0 / 12 + x * (-1.0 / 20 + x / 30)))
-    )
-    out = np.where(np.abs(x) < 1e-3, series, direct)
-    return np.where(x == -1.0, 1.0, out)  # p = 0 contributes exactly q
-
-
-def _shift_kl(p: np.ndarray, d: np.ndarray) -> np.ndarray:
-    # KL(p || p + d) with the perturbation kept in factored form: the
-    # mass-imbalance term d.sum() then scales with |d| instead of
-    # carrying ~1e-16 absolute noise, which matters because these
-    # denominators sit near the supremum quotient. A symbol with
-    # q = p + d = 0 (an all-zero output column) has x = 0 and adds 0.
-    q = p + d
-    x = np.divide(-d, q, out=np.zeros_like(q), where=q > 0)
-    return (q * _f1(x)).sum(axis=1) - d.sum(axis=1)
-
-
-def _shift_chi2(p: np.ndarray, d: np.ndarray) -> np.ndarray:
-    q = p + d
-    return np.divide(d * d, q, out=np.zeros_like(q), where=q > 0).sum(axis=1)
+def _local_quotients(p: np.ndarray, d: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # R(P, d) of brute_eta_f for each row; 0 where its denominator is 0 or
+    # infinite (P_x = 0 < |d_x|). An output with (PK)_z = 0 adds 0.
+    pk, dk = p @ rows, d @ rows
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        den = np.where(d != 0.0, d * d / p, 0.0).sum(axis=1)
+        num = np.where(pk > 0.0, dk * dk / pk, 0.0).sum(axis=1)
+    return np.divide(num, den, out=np.zeros_like(num), where=np.isfinite(den) & (den > 0.0))
 
 
 def brute_eta_f(k: Kernel, f: FGenerator, cfg: SearchConfig) -> float:
-    """Largest observed D_f(PK||QK) / D_f(P||Q) over the sampled pairs.
+    """Largest observed D_f(PK||QK) / D_f(P||Q) over the sampled pairs, at most 1.
 
     Point-mass pairs (when enabled) push forward to pairs of kernel rows,
     evaluated by the batched formulas of :mod:`ldpkit.dist`, whose
     ``excess`` sums the two-point scan also runs on; so for hockey-stick
     divergences with gamma >= 1 (and total variation, up to rounding) the
-    result attains the two-point coefficient. For KL and chi-squared,
-    near-coincident pairs are appended because those contraction suprema
-    are approached in the local limit; the result is a certified lower
-    estimate.
+    result attains the two-point coefficient. KL and chi-squared suprema
+    are approached in the local limit, so each sampled pair also adds the
+    quotient R(P, d) = sum_z (dK)_z^2 / (PK)_z / sum_x d_x^2 / P_x at P
+    along d = Q - P and at Q along -d: for chi-squared the pair's attained
+    ratios chi2(QK||PK) / chi2(Q||P) and its reverse, for KL the h -> 0
+    limits of the ratios at P and P + h d, so still lower bounds on
+    eta_KL. No f-divergence grows through a kernel: rounding above 1 is cut.
     """
     d = k.input_size
     ps, qs = cfg.dirichlet_pairs(d)
-
-    pushed = ps @ k.rows
     dens = divergence(ps, qs, f)
-    nums = divergence(pushed, qs @ k.rows, f)
+    nums = divergence(ps @ k.rows, qs @ k.rows, f)
     if cfg.include_point_masses:
         # The pushforward of the point mass at x is row x of the kernel.
         off = ~np.eye(d, dtype=bool)
@@ -119,15 +94,9 @@ def brute_eta_f(k: Kernel, f: FGenerator, cfg: SearchConfig) -> float:
     best = float((nums[ok] / dens[ok]).max(initial=0.0))
 
     if f.kind in ("kl", "chi2"):
-        shift = _shift_kl if f.kind == "kl" else _shift_chi2
-        for h in _NEAR_COINCIDENT_H:
-            dvec = h * (qs - ps)
-            dens = shift(ps, dvec)
-            nums = shift(pushed, dvec @ k.rows)
-            ok = dens >= _NEAR_COINCIDENT_FLOOR
-            if np.any(ok):
-                best = max(best, float((nums[ok] / dens[ok]).max()))
-    return best
+        for base in (ps, qs):
+            best = max(best, float(_local_quotients(base, qs - ps, k.rows).max()))
+    return min(best, 1.0)
 
 
 @dataclass(frozen=True)

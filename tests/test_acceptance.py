@@ -167,12 +167,12 @@ def test_criterion_5_kl_contraction_closed_form(criterion):
         est = brute_eta_f(randomized_response(eps), FGenerator("kl"), cfg)
         gaps.append(closed - est)
         ok &= est <= closed + 1e-10
-        ok &= abs(est - closed) <= 1e-3
+        ok &= abs(est - closed) <= 1e-8
     criterion(
         5,
         ok,
         "KL contraction of randomized response reaches its closed form from below, "
-        f"gaps = {['%.1e' % g for g in gaps]} (tol 1e-3 / 1e-10)",
+        f"gaps = {['%.1e' % g for g in gaps]} (tol 1e-8 / 1e-10)",
     )
 
 

@@ -829,6 +829,26 @@ class TestModelCurves:
         assert list(tmp_path.iterdir()) == []
 
 
+    def test_bu_work_over_the_cap_is_one_error_line(self, capsys, tmp_path):
+        # each factor is within its own cap; their product is not
+        err = run_error(capsys, ["model-curves", "--n", "1000000", "--gamma-grid", "0:6:1000000",
+                                 "--igamma-out", str(tmp_path / "i.csv"),
+                                 "--mi-out", str(tmp_path / "m.csv")])
+        assert err.endswith(f" = {10**15} is over the cap {10**9}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("mi_out", ["a.csv", "./a.csv", "{tmp}/out/a.csv", "../out/a.csv"])
+    def test_one_file_for_both_curves_is_one_error_line(self, capsys, tmp_path, monkeypatch,
+                                                        mi_out):
+        # relative paths resolve against $LDPKIT_OUT_DIR, so all four name one file
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("LDPKIT_OUT_DIR", str(tmp_path / "out"))
+        mi_out = mi_out.format(tmp=tmp_path)
+        err = run_error(capsys, ["model-curves", "--igamma-out", "a.csv", "--mi-out", mi_out])
+        assert err == f"error: --igamma-out and --mi-out are the same file: {mi_out}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestOracleCommands:
     def test_eta_f(self, capsys, rr1_file):
         code, out, _ = run(
@@ -875,6 +895,17 @@ class TestOracleCommands:
     )
     def test_eta_f_rejects_nan_gamma(self, capsys, rr1_file, flags):
         run_error(capsys, ["oracle", "eta-f", str(rr1_file), *flags])
+
+    @pytest.mark.parametrize("f", ["tv", "hellinger_sq", "kl", "chi2"])
+    def test_eta_f_on_disjoint_rows_is_at_most_one(self, capsys, tmp_path, f):
+        rng = np.random.default_rng(0)
+        rows = np.zeros((2, 6))
+        rows[0, :3], rows[1, 3:] = rng.dirichlet(np.ones(3), size=2)
+        path = tmp_path / "disjoint.json"
+        path.write_text(kernel_json(Kernel(rows)))
+        code, out, err = run(capsys, ["oracle", "eta-f", str(path), "--f", f, "--trials", "50"])
+        assert code == 0, err
+        assert json.loads(out)["eta_estimate"] <= 1.0
 
     def test_profile_check(self, capsys, rr1_file):
         code, out, _ = run(

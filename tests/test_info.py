@@ -14,6 +14,7 @@ from ldpkit.dist import Distribution, FGenerator, f_divergence
 from ldpkit.errors import CapacityError, DimensionError, DomainError
 from ldpkit.info import (
     MAX_BU_N,
+    MAX_BU_WORK,
     BernoulliUniformModel,
     JointDistribution,
     bu_igamma,
@@ -187,6 +188,28 @@ class TestBuIgamma:
             bu_igamma(model, np.array([0.5, float("nan"), 2.0]))
         with pytest.raises(DomainError):
             bu_igamma(model, np.array([0.5, -1e-300]))
+
+    @pytest.mark.parametrize("n, admitted", [(MAX_BU_N, 1), (10**5, 31), (2000, 11111)])
+    def test_work_is_capped_before_any_work(self, n, admitted):
+        # gamma = 0 needs no class constants, so the admitted calls are instant
+        model = BernoulliUniformModel(n)
+        assert not bu_igamma(model, np.zeros(admitted)).any()
+        root = math.ceil(math.sqrt(n))
+        message = (rf"^{admitted + 1} gammas x {n} x {root} \(n x ceil\(sqrt n\)\) = "
+                   rf"{(admitted + 1) * n * root} is over the cap {MAX_BU_WORK}$")
+        with pytest.raises(CapacityError, match=message):
+            bu_igamma(model, np.ones(admitted + 1))
+        assert "_classes" not in vars(model)
+
+    @pytest.mark.parametrize("n, gammas", [(4, 3), (5, 2)])  # ceil(sqrt n) = 2 and 3
+    def test_work_cap_prices_gammas_n_and_the_root_of_n(self, monkeypatch, n, gammas):
+        import ldpkit.info
+
+        monkeypatch.setattr(ldpkit.info, "MAX_BU_WORK", n * math.ceil(math.sqrt(n)) * gammas)
+        model = BernoulliUniformModel(n)
+        assert bu_igamma(model, np.full(gammas, 1.5)).shape == (gammas,)
+        with pytest.raises(CapacityError):
+            bu_igamma(model, np.full(gammas + 1, 1.5))
 
 
 def test_bu_igamma_class_constants_are_kept_per_model():

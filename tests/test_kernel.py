@@ -12,6 +12,7 @@ import ldpkit.info
 from ldpkit.dist import RENORM_TOL, Distribution, FGenerator, f_divergence
 from ldpkit.errors import CapacityError, DimensionError, DomainError
 from ldpkit.kernel import Kernel, bsc, k_rr, parse_kernel, randomized_response, tensor_power
+from ldpkit.ldp import delta_at
 from support import distributions, kernels, pushforward
 
 
@@ -140,7 +141,17 @@ class TestConstructors:
             bsc(1.5)
 
     def test_randomized_response_is_bsc(self):
-        assert np.array_equal(randomized_response(1.0).rows, bsc(1 / (1 + math.e)).rows)
+        for eps in (0.0, 0.3, 1.0, 2.5, 8.0):
+            assert np.array_equal(randomized_response(eps).rows, k_rr(eps, 2).rows)
+            assert np.allclose(randomized_response(eps).rows, bsc(1 / (1 + math.exp(eps))).rows,
+                               rtol=0, atol=1e-15)
+
+    def test_delta_is_exactly_zero_at_the_kernels_own_epsilon(self):
+        # the kernels take e^eps from the math.exp the audit's gamma comes from
+        for eps in np.linspace(0.0, 8.0, 4001)[1:].tolist():
+            assert delta_at(randomized_response(eps), eps) == 0.0
+            for k in (2, 3, 16):
+                assert delta_at(k_rr(eps, k), eps) == 0.0
 
     def test_randomized_response_at_zero_mixes_fully(self):
         assert np.array_equal(randomized_response(0.0).rows, bsc(0.5).rows)

@@ -12,7 +12,17 @@ from ldpkit.ldp import delta_at
 from ldpkit.oracle import (
     DENOM_FLOOR, MAX_PROFILE_WORK, MAX_SAMPLES, SearchConfig, brute_eta_f, brute_profile_check,
 )
+from ldpkit.oracle import _local_quotients
 from support import audit_kernel_family, pushforward, random_kernel
+
+
+def disjoint_rows_kernel(seed: int) -> Kernel:
+    """A 2 x 6 kernel whose rows have disjoint supports."""
+    rng = np.random.default_rng(seed)
+    rows = np.zeros((2, 6))
+    rows[0, :3] = rng.dirichlet(np.ones(3))
+    rows[1, 3:] = rng.dirichlet(np.ones(3))
+    return Kernel(rows)
 
 
 class TestSearchConfig:
@@ -115,6 +125,59 @@ class TestBruteEtaF:
         cfg = SearchConfig(seed=1, trials=200)
         with_zero = brute_eta_f(Kernel([[0.6, 0.4, 0.0], [0.1, 0.9, 0.0]]), f, cfg)
         assert with_zero == brute_eta_f(Kernel([[0.6, 0.4], [0.1, 0.9]]), f, cfg)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_disjoint_rows_give_at_most_one(self, seed):
+        # every kind rounded to 1 + a few ulps here before the range rule
+        k = disjoint_rows_kernel(seed)
+        for f in (FGenerator("tv"), FGenerator("kl"), FGenerator("chi2"),
+                  FGenerator("hellinger_sq"), FGenerator("egamma", 2.0)):
+            assert brute_eta_f(k, f, SearchConfig(seed=1, trials=50)) <= 1.0
+
+    def test_chi2_local_candidates_are_attained_ratios(self, rng):
+        # R(P, d) = chi2(QK||PK) / chi2(Q||P) and R(Q, d) = chi2(PK||QK) / chi2(P||Q)
+        chi2 = FGenerator("chi2")
+        for _ in range(20):
+            d = int(rng.integers(2, 6))
+            k = random_kernel(rng, d, int(rng.integers(2, 6)))
+            ps, qs = SearchConfig(seed=int(rng.integers(1000)), trials=10).dirichlet_pairs(d)
+            for base, other in ((ps, qs), (qs, ps)):
+                quotients = _local_quotients(base, qs - ps, k.rows)
+                for b, o, r in zip(base, other, quotients):
+                    b, o = Distribution(b), Distribution(o)
+                    ratio = (f_divergence(pushforward(o, k), pushforward(b, k), chi2)
+                             / f_divergence(o, b, chi2))
+                    assert r == pytest.approx(ratio, rel=1e-12, abs=0)
+
+    def test_kl_local_candidates_are_the_small_step_limit(self):
+        # The KL ratio at P and P + h d tends to R(P, d) with a relative gap
+        # of order h |d| / min(P, PK), so h is 1e-4 of the smallest entry.
+        # KL(P || P + h d) = sum p log1p(-h d / (p + h d)), summed exactly:
+        # the plain p log(p / q) form cancels at these steps.
+        def kl_step(p, d, h):
+            return math.fsum(x * math.log1p(-h * y / (x + h * y)) for x, y in zip(p, d) if x > 0)
+
+        rng = np.random.default_rng(28)
+        for _ in range(200):
+            nx = int(rng.integers(2, 6))
+            k = random_kernel(rng, nx, int(rng.integers(2, 6)))
+            p, q = rng.dirichlet(np.ones(nx), size=2)
+            h = 1e-4 * min(p.min(), (p @ k.rows).min())
+            r = _local_quotients(p[None], (q - p)[None], k.rows)[0]
+            ratio = kl_step(p @ k.rows, (q - p) @ k.rows, h) / kl_step(p, q - p, h)
+            assert r == pytest.approx(ratio, rel=1e-3)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_local_quotient_skips_what_has_no_finite_denominator(self):
+        rows = np.array([[0.6, 0.4, 0.0], [0.1, 0.9, 0.0], [0.3, 0.3, 0.4]])
+        p = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
+        d = np.array([[0.1, -0.2, 0.1], [0.1, -0.1, 0.0], [0.0, 0.0, 0.0]])
+        # row 0 moves mass onto P_x = 0 and row 2 does not move: both give 0;
+        # row 1's third output has (PK)_z = 0 and adds 0
+        expected = (0.05**2 / 0.35 + 0.05**2 / 0.65) / (0.1**2 / 0.5 + 0.1**2 / 0.5)
+        out = _local_quotients(p, d, rows)
+        assert out[0] == 0.0 and out[2] == 0.0
+        assert out[1] == pytest.approx(expected, rel=1e-14)
 
     def test_deterministic(self):
         cfg = SearchConfig(seed=31, trials=400)
