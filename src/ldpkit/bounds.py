@@ -7,8 +7,10 @@ zeta (and, where applicable, gamma) are the maxima of the bound's values
 on configurable grids, ties going to the first grid point; negative
 brackets clamp to zero and are flagged as vacuous rather than reported
 negative. Logs are nats throughout. numpy is imported only inside the
-functions that build arrays (the grids, the small ball and the three Bayes
-bounds), so the closed-form calculators load on the standard library alone.
+functions that build arrays (``GridSpec.points()``, a log grid's
+``values()``, the small ball and the three Bayes bounds), so the
+closed-form calculators, and a linear grid's ``values()``, load on the
+standard library alone.
 """
 
 from __future__ import annotations
@@ -35,10 +37,15 @@ class GridSpec:
     """Dense evaluation grid: ``steps`` points from lo to hi, linear or log
     spaced. One step is the grid [lo], whatever hi is.
 
-    ``points()`` builds the grid on its first call and returns the same
-    read-only array after. The array is kept on this instance, not shared
-    between equal specs: GridSpec(-0.0, 1.0, 1) == GridSpec(0.0, 1.0, 1),
-    yet their grids differ in sign."""
+    ``values()`` gives the grid as a tuple of Python floats and ``points()``
+    as a read-only array; each is built on its first call and the same
+    object is returned after. A linear grid is computed on the standard
+    library with ``np.linspace``'s arithmetic, bit for bit, so reading its
+    ``values()`` loads no numpy. A log grid is ``np.geomspace``: Python's
+    ``10.0 ** y`` can differ from numpy's ``power`` in the last bit. The
+    grids are kept on this instance, not shared between equal specs:
+    GridSpec(-0.0, 1.0, 1) == GridSpec(0.0, 1.0, 1), yet their grids differ
+    in sign."""
 
     lo: float
     hi: float
@@ -57,19 +64,35 @@ class GridSpec:
         if self.scale == "log" and self.lo <= 0:
             raise DomainError("log-spaced grid requires lo > 0")
 
+    def values(self) -> tuple[float, ...]:
+        return self._values
+
     def points(self) -> np.ndarray:
         return self._points
+
+    @cached_property
+    def _values(self) -> tuple[float, ...]:
+        lo, hi, div = self.lo, self.hi, self.steps - 1
+        if div == 0:
+            return (lo,)
+        if self.scale == "log":
+            return tuple(self.points().tolist())
+        # np.linspace: i * step + lo, or i / div * (hi - lo) + lo where the
+        # step underflows to zero; the span may overflow to inf, as there.
+        delta = hi - lo
+        step = delta / div
+        if step == 0:
+            return (*(i / div * delta + lo for i in range(div)), hi)
+        return (*(i * step + lo for i in range(div)), hi)
 
     @cached_property
     def _points(self) -> np.ndarray:
         import numpy as np
 
-        if self.steps == 1:
-            pts = np.array([self.lo])
-        elif self.scale == "log":
+        if self.scale == "log" and self.steps > 1:
             pts = np.geomspace(self.lo, self.hi, self.steps)
         else:
-            pts = np.linspace(self.lo, self.hi, self.steps)
+            pts = np.array(self.values())
         pts.setflags(write=False)
         return pts
 

@@ -16,9 +16,11 @@ Relative output paths resolve against $LDPKIT_OUT_DIR when it is set.
 
 The modules that compute with arrays (dist, info, ldp, oracle) are
 imported inside the commands that call them, after any kernel file is
-parsed, so ``--version``, ``--help``, a rejected argv, the scalar ``bound``
-kinds, and kernel text that is not rows or an ``audit`` epsilon or delta
-that is refused run without numpy.
+parsed, and commands read epsilon grids as ``GridSpec.values()``, whose
+linear grids are computed without numpy. So ``--version``, ``--help``, a
+rejected argv, the closed-form ``bound`` kinds with or without a linear
+``--sweep``, and kernel text that is not rows or an ``audit`` epsilon or
+delta that is refused run without numpy.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import json
 import os
 import sys
 from functools import partial
+from itertools import product
 from pathlib import Path
 
 from . import DEFAULT_SEED, F_KIND_NAMES, __version__
@@ -82,6 +85,10 @@ def write_csv(path: Path, header: list[str], rows: list[list[float]]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def manifest_path(out: Path) -> Path:
+    return out.with_name(out.name + ".manifest.json")
+
+
 def write_outputs(
     command: str, args: argparse.Namespace, path: str, header: list[str],
     rows: list[list[float]],
@@ -98,7 +105,7 @@ def write_outputs(
         "tool_version": __version__,
         "outputs": [str(out)],
     }
-    manifest = out.with_name(out.name + ".manifest.json")
+    manifest = manifest_path(out)
     text = json.dumps(record, sort_keys=True, indent=2, default=dataclasses.asdict)
     manifest.write_text(text + "\n")
     return {"outputs": [str(out)], "manifest": str(manifest)}
@@ -157,7 +164,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     from .oracle import SearchConfig
 
     cfg = SearchConfig(args.seed, args.trials)  # checked even when no --delta runs the verifier
-    eps = [] if args.profile_grid is None else [float(e) for e in args.profile_grid.points()]
+    eps = () if args.profile_grid is None else args.profile_grid.values()
     gammas = head + [gamma_from_epsilon(e) for e in eps]
     values, pairs = two_point_scan(kernel, gammas) if gammas else ([], [])
     if args.epsilon is not None:
@@ -189,7 +196,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def cmd_figure1(args: argparse.Namespace) -> int:
     # Per epsilon, the two private Bayes-risk lower bounds at
     # (epsilon, delta) from n observations of the Bernoulli-uniform model.
-    params = [PrivacyParams(float(eps), args.delta) for eps in args.eps_grid.points()]
+    params = [PrivacyParams(eps, args.delta) for eps in args.eps_grid.values()]
     mi_reports = bayes_reports(True, None, args.n, args.panels, args.n, DEFAULT_ZETA_GRID, params)
     eg_reports = bayes_reports(False, None, args.n, args.panels, args.n, DEFAULT_ZETA_GRID, params)
     rows = [[p.epsilon, m.value, e.value] for p, m, e in zip(params, mi_reports, eg_reports)]
@@ -343,7 +350,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         raise DomainError(f"only epsilon sweeps are supported, got {what!r}")
     if not args.out:
         raise DomainError("--sweep requires --out for the CSV curve")
-    params = [PrivacyParams(float(e), args.delta) for e in grid.points()]
+    params = [PrivacyParams(e, args.delta) for e in grid.values()]
     results = reports(args, params)
     witness_keys = sorted(results[0].witness)
     header = ["epsilon", "value"] + [f"witness_{k}" for k in witness_keys]
@@ -423,13 +430,24 @@ def cmd_remark(args: argparse.Namespace) -> int:
 # model-curves
 
 
+def _written(flag: str, path: str) -> list[tuple[str, str, Path]]:
+    """The CSV and manifest that write_outputs writes for ``flag``: (label, path as
+    given, resolved path)."""
+    out = resolve_out(path)
+    return [(flag, path, out.resolve()),
+            (f"the {flag} manifest", str(manifest_path(Path(path))), manifest_path(out).resolve())]
+
+
 def cmd_model_curves(args: argparse.Namespace) -> int:
     from .info import BernoulliUniformModel, bu_igamma, bu_mutual_information
 
     # I_gamma over the gamma grid at sample size n, and I(Theta; X^m) for m = 1..n_max.
-    # The paths and both sizes are checked first, so a bad one is refused before any work.
-    if resolve_out(args.igamma_out).resolve() == resolve_out(args.mi_out).resolve():
-        raise DomainError(f"--igamma-out and --mi-out are the same file: {args.mi_out}")
+    # The paths and both sizes are checked first, so a bad one is refused before any work:
+    # no file of one curve (its CSV or manifest) may be a file of the other.
+    files = product(_written("--igamma-out", args.igamma_out), _written("--mi-out", args.mi_out))
+    for (name_a, _, a), (name_b, shown, b) in files:
+        if a == b:
+            raise DomainError(f"{name_a} and {name_b} are the same file: {shown}")
     model = BernoulliUniformModel(args.n)
     within_cap("n-max", count("n-max", args.n_max, 1), MAX_CURVE_N)
     if args.gamma_grid is None:

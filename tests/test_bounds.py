@@ -5,6 +5,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ldpkit.bounds import (
     MAX_GRID_STEPS,
@@ -35,7 +37,44 @@ NONPRIVATE = PrivacyParams(0.0, 1.0)
 BLOCKED = PrivacyParams(0.0, 0.0)
 
 
+_TINY = 5e-324  # the smallest subnormal
+_BIG = st.floats(1e307, 1.7976931348623157e308)
+
+
+@st.composite
+def _linear_ends(draw):
+    """(lo, hi) of a linear grid: ordinary spans, subnormal spans whose step
+    underflows to zero, signed-zero ends, and spans whose hi - lo overflows."""
+    kind = draw(st.sampled_from(["any", "subnormal", "signed-zero", "overflow"]))
+    if kind == "subnormal":
+        return draw(st.sampled_from([0.0, -0.0])), draw(st.integers(1, 5000)) * _TINY
+    if kind == "signed-zero":
+        zero = draw(st.sampled_from([0.0, -0.0]))
+        other = draw(st.floats(_TINY, 1e6))
+        return (zero, other) if draw(st.booleans()) else (-other, zero)
+    if kind == "overflow":
+        return -draw(_BIG), draw(_BIG)
+    ends = st.floats(allow_nan=False, allow_infinity=False)
+    lo, hi = sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+    return lo, hi
+
+
 class TestGridSpec:
+    @given(_linear_ends(), st.integers(1, 2000))
+    def test_linear_grid_is_linspace_bit_for_bit(self, ends, steps):
+        lo, hi = ends
+        grid = GridSpec(lo, hi, steps)
+        if steps == 1:
+            expected = np.array([lo])  # one step is [lo], where linspace gives 0 * (hi - lo) + lo
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = np.linspace(lo, hi, steps)
+        values = np.array(grid.values())
+        # equal bytes: equal signs (signbit) and NaNs in the same places, with their payloads
+        assert values.tobytes() == expected.tobytes()
+        assert grid.points().tobytes() == expected.tobytes()
+        assert all(type(v) is float for v in grid.values())
+
     def test_points(self):
         lin = GridSpec(0.0, 1.0, 5).points()
         assert np.allclose(lin, [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -74,6 +113,8 @@ class TestGridSpec:
     def test_points_are_built_once_and_read_only(self, grid, fresh):
         pts = grid.points()
         assert grid.points() is pts
+        assert grid.values() is grid.values()
+        assert np.array(grid.values()).tobytes() == pts.tobytes()
         assert not pts.flags.writeable
         with pytest.raises(ValueError):
             pts[0] = 1.0

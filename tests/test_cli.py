@@ -848,6 +848,27 @@ class TestModelCurves:
         assert err == f"error: --igamma-out and --mi-out are the same file: {mi_out}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "igamma_out, mi_out, message",
+        [("a.csv.manifest.json", "a.csv",
+          "--igamma-out and the --mi-out manifest are the same file: a.csv.manifest.json"),
+         ("a.csv.manifest.json", "../out/a.csv",
+          "--igamma-out and the --mi-out manifest are the same file: ../out/a.csv.manifest.json"),
+         ("a.csv", "a.csv.manifest.json",
+          "the --igamma-out manifest and --mi-out are the same file: a.csv.manifest.json"),
+         ("../out/a.csv", "{tmp}/out/a.csv.manifest.json",
+          "the --igamma-out manifest and --mi-out are the same file: "
+          "{tmp}/out/a.csv.manifest.json")],
+    )
+    def test_one_curve_may_not_overwrite_the_other_manifest(self, capsys, tmp_path, monkeypatch,
+                                                            igamma_out, mi_out, message):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("LDPKIT_OUT_DIR", str(tmp_path / "out"))
+        argv = ["model-curves", "--igamma-out", igamma_out, "--mi-out", mi_out]
+        err = run_error(capsys, [a.format(tmp=tmp_path) for a in argv])
+        assert err == f"error: {message.format(tmp=tmp_path)}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestOracleCommands:
     def test_eta_f(self, capsys, rr1_file):
@@ -1037,6 +1058,22 @@ def test_rejected_argv_is_one_error_line(capsys, tmp_path, rr1_file, identity_fi
     assert not out.exists()
 
 
+# hi - lo overflows: the grid is np.linspace's, NaN at its start, and that NaN
+# is refused in one error line, with no floating-point warning before it.
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["audit", "{kernel}", "--profile-grid=-1e308:1e308:3"], "epsilon must be >= 0, got nan"),
+     (["figure1", "--out", "{out}", "--eps-grid=-1e308:1e308:3"], "epsilon must be >= 0, got nan"),
+     (["model-curves", "--igamma-out", "{out}", "--mi-out", "{out}.mi",
+       "--gamma-grid=-1e308:1e308:3"], "gamma must not be NaN")],
+)
+def test_overflowing_grid_span_is_one_error_line(capsys, tmp_path, rr1_file, argv, message):
+    out = tmp_path / "out" / "unwritten.csv"
+    err = run_error(capsys, [a.format(kernel=rr1_file, out=out) for a in argv])
+    assert err == f"error: {message}\n"
+    assert not out.parent.exists()
+
+
 class TestOutputDirEnv:
     def test_relative_paths_resolve_against_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("LDPKIT_OUT_DIR", str(tmp_path))
@@ -1077,6 +1114,10 @@ _SCALAR_BOUNDS = {
     "micap": ["--entropy", "1"],
 }
 
+# A linear epsilon sweep of a closed-form kind is computed without numpy; a
+# log sweep is np.geomspace, and the bayes kinds compute with arrays.
+_CSV_SWEEP = ["--out", "s.csv", "--sweep", "epsilon"]
+
 
 # Kernel files whose text is not rows, as the perfbench cli workload writes
 # them; sum.csv parses, but its row 1 sums to 1.2.
@@ -1094,6 +1135,11 @@ _UNPARSEABLE = ["token.csv", "truncated.json", "array.json"]
     [(["--version"], 0, False), (["--help"], 0, False),
      (["audit", "k.json", "--epsilon", "abc"], 1, False)]
     + [(["bound", kind, *flags, "--eps", "1"], 0, False) for kind, flags in _SCALAR_BOUNDS.items()]
+    + [(["bound", kind, *flags, "--eps", "1", *_CSV_SWEEP, "0.1:3:30"], 0, False)
+       for kind, flags in _SCALAR_BOUNDS.items()]
+    + [(["bound", "moment", *_SCALAR_BOUNDS["moment"], "--eps", "1", *_CSV_SWEEP, "0.1:3:30:log"],
+        0, True),
+       (["bound", "bayes-egamma", "--bu-n", "2", "--eps", "1", *_CSV_SWEEP, "0.1:3:3"], 0, True)]
     + [(["audit", "k.json", "--epsilon", "1"], 0, True)]
     + [(["audit", name, "--epsilon", "1"], 1, False) for name in _UNPARSEABLE]
     + [(["audit", "k.json", "--epsilon", "1e6"], 1, False),
@@ -1101,8 +1147,9 @@ _UNPARSEABLE = ["token.csv", "truncated.json", "array.json"]
        (["oracle", "eta-f", "token.csv", "--f", "tv"], 1, False),
        (["oracle", "profile-check", "token.csv", "--epsilon", "1"], 1, False),
        (["audit", "sum.csv", "--epsilon", "1"], 1, True)],
-    ids=["version", "help", "rejected-argv", *_SCALAR_BOUNDS, "audit"]
-    + [f"audit-{name}" for name in _UNPARSEABLE]
+    ids=["version", "help", "rejected-argv", *_SCALAR_BOUNDS]
+    + [f"{kind}-sweep" for kind in _SCALAR_BOUNDS] + ["moment-log-sweep", "bayes-egamma-sweep"]
+    + ["audit"] + [f"audit-{name}" for name in _UNPARSEABLE]
     + ["audit-epsilon-overflow", "audit-delta", "eta-f-token.csv", "profile-check-token.csv",
        "audit-row-sum"],
 )
