@@ -321,3 +321,20 @@ def bu_igamma_n1(gamma: float) -> float:
     if gamma <= 2.0:
         return 0.25 * (gamma - 2.0) ** 2
     return 0.0
+
+
+def gamma_opt_full_mesh(cfg) -> tuple[float, dict, tuple[str, ...]]:
+    """The value, witness and flags of ``bayes_gamma_opt_lb(cfg)`` from the
+    whole zeta x gamma mesh in one array and one ``np.argmax`` over it."""
+    zetas, gammas = cfg.zeta_grid.points(), cfg.gamma_grid.points()
+    info = cfg.info_fn(gammas)
+    z, g = zetas[:, None], gammas[None, :]
+    vals = np.multiply(g, cfg.small_ball(z), out=np.empty((zetas.size, gammas.size)))
+    np.subtract(1.0 - info, vals, out=vals)
+    vals -= np.maximum(1.0 - g, 0.0)
+    np.maximum(0.0, vals, out=vals)
+    vals *= z
+    i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    value, gamma = float(vals[i, j]), float(gammas[j])
+    flags = ("gamma-at-grid-edge",) if gamma in (gammas[0], gammas[-1]) else ()
+    return value, {"zeta": float(zetas[i]), "gamma": gamma}, flags + ("vacuous",) * (value <= 0)

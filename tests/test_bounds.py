@@ -1,14 +1,19 @@
 import dataclasses
 import json
 import math
-from functools import partial
+import struct
+import tracemalloc
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ldpkit.bounds
 from ldpkit.bounds import (
+    DEFAULT_GAMMA_GRID,
+    DEFAULT_ZETA_GRID,
     MAX_GRID_STEPS,
     MAX_MESH_POINTS,
     BayesConfig,
@@ -29,7 +34,7 @@ from ldpkit.errors import CapacityError, DomainError
 from ldpkit.dist import FGenerator
 from ldpkit.info import BernoulliUniformModel, JointDistribution, bu_igamma, f_information
 from ldpkit.kernel import randomized_response
-from support import bu_igamma_n1
+from support import bu_igamma_n1, gamma_opt_full_mesh
 
 LN2 = math.log(2.0)
 
@@ -454,6 +459,17 @@ class TestBayesConfig:
         report = bayes_egamma_lb(BayesConfig(zeta_grid=GridSpec(0.0, 0.5, 11), **base))
         assert report.value >= 0.0 and report.witness["zeta"] >= 0.0
 
+    def test_gamma_grid_must_not_start_below_zero(self):
+        # the gamma-optimized bound is a supremum over gamma >= 0
+        base = dict(small_ball=small_ball_uniform01, info_value=0.0, n=1, params=NONPRIVATE,
+                    info_fn=lambda g: 0.0)
+        with pytest.raises(DomainError, match=r"^gamma grid needs lo >= 0, got -3\.0$"):
+            BayesConfig(gamma_grid=GridSpec(-3.0, 1.0, 9), **base)
+        with pytest.raises(DomainError, match=r"^gamma grid needs lo >= 0, got -1e-09$"):
+            BayesConfig(gamma_grid=GridSpec(-1e-9, 1.0, 9), **base)
+        report = bayes_gamma_opt_lb(BayesConfig(gamma_grid=GridSpec(0.0, 1.0, 9), **base))
+        assert report.witness["gamma"] >= 0.0
+
 
 class TestBayesGrids:
     """What the three Bayes bounds share: one argmax over their own grid."""
@@ -522,15 +538,19 @@ class TestBayesGammaOpt:
         assert report.witness["gamma"] > 0.0
 
     def test_info_fn_called_once_on_the_gamma_grid(self):
-        seen = []
+        seen, balls = [], []
 
         def info_fn(g):
             seen.append(np.array(g, copy=True))
             return bu_igamma(BernoulliUniformModel(2), g)
 
+        def small_ball(z):
+            balls.append(np.array(z, copy=True))
+            return small_ball_uniform01(z)
+
         grid = GridSpec(0.0, 4.0, 33)
         cfg = BayesConfig(
-            small_ball=small_ball_uniform01,
+            small_ball=small_ball,
             info_value=0.0,
             n=2,
             params=NONPRIVATE,
@@ -540,6 +560,9 @@ class TestBayesGammaOpt:
         bayes_gamma_opt_lb(cfg)
         assert len(seen) == 1
         assert np.array_equal(seen[0], grid.points())
+        # the small ball is called once too, on the whole zeta column
+        assert len(balls) == 1
+        assert np.array_equal(balls[0], cfg.zeta_grid.points()[:, None])
 
     def test_oversized_mesh_is_refused_before_info_fn(self):
         def info_fn(g):
@@ -595,6 +618,102 @@ class TestBayesGammaOpt:
             ball = np.minimum(2.0 * z, 1.0)
             vals = z * np.maximum(0.0, 1.0 - ig - g * ball - np.maximum(1.0 - g, 0.0))
             assert vals.max() >= fixed.value - 1e-12
+
+
+@lru_cache(maxsize=None)
+def _bu_model(n: int) -> BernoulliUniformModel:
+    return BernoulliUniformModel(n)
+
+
+def _with_nan_at(index: int, info_fn):
+    def info(g):
+        vals = np.array(info_fn(g), dtype=float)
+        vals[min(index, vals.size - 1)] = np.nan
+        return vals
+
+    return info
+
+
+_BALLS = {
+    "uniform01": small_ball_uniform01,
+    "constant": lambda z: 0.05,
+    "non-monotone": lambda z: np.abs(np.sin(40.0 * z)),
+    "inf-above-0.3": lambda z: np.where(z > 0.3, np.inf, np.minimum(2.0 * z, 1.0)),
+}
+
+
+@st.composite
+def _gamma_opt_configs(draw):
+    if draw(st.booleans()):
+        lo = draw(st.sampled_from([0.0, 1e-3, 0.05]))
+        zetas = GridSpec(lo, draw(st.floats(0.2, 1.0)), draw(st.integers(1, 600)))
+    else:
+        lo = draw(st.floats(1e-6, 1e-2))
+        zetas = GridSpec(lo, draw(st.floats(0.2, 1.0)), draw(st.integers(1, 600)), "log")
+    g_lo = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    gammas = GridSpec(g_lo, g_lo + draw(st.floats(0.5, 6.0)), draw(st.integers(1, 300)))
+    kind = draw(st.sampled_from(["bu", "constant", "nan"]))
+    if kind == "constant":
+        # an information of at least 1 nat makes every cell 0
+        info_fn = partial(np.full_like, fill_value=draw(st.sampled_from([1.0, 2.5])))
+    else:
+        info_fn = partial(bu_igamma, _bu_model(draw(st.integers(1, 12))))
+        if kind == "nan":
+            info_fn = _with_nan_at(draw(st.integers(0, gammas.steps - 1)), info_fn)
+    ball = draw(st.sampled_from(sorted(_BALLS)))
+    cfg = BayesConfig(_BALLS[ball], 0.0, 1, NONPRIVATE, zetas, gammas, info_fn)
+    return cfg, kind, ball, draw(st.sampled_from([8, 800, ldpkit.bounds.MESH_BLOCK_BYTES]))
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+class TestGammaOptBlocks:
+    """The blocked evaluation of the mesh against the whole mesh."""
+
+    @given(_gamma_opt_configs())
+    def test_equals_the_full_mesh_bit_for_bit(self, case):
+        cfg, kind, ball, block_bytes = case
+        with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
+            # 8 bytes is one row a block, 800 a few rows at most
+            mp.setattr(ldpkit.bounds, "MESH_BLOCK_BYTES", block_bytes)
+            report = bayes_gamma_opt_lb(cfg)
+            value, witness, flags = gamma_opt_full_mesh(cfg)
+        assert _bits(report.value) == _bits(value)
+        assert (report.witness, report.flags) == (witness, flags)
+        if kind == "constant" and ball != "inf-above-0.3":  # 0 * inf is NaN
+            first = {"zeta": cfg.zeta_grid.points()[0], "gamma": cfg.gamma_grid.points()[0]}
+            assert (report.value, report.witness) == (0.0, first) and "vacuous" in report.flags
+        if kind == "nan":
+            # np.argmax takes the first NaN: the first zeta, at the NaN gamma
+            assert math.isnan(report.value) and report.witness["zeta"] == cfg.zeta_grid.lo
+
+    @pytest.mark.parametrize("gamma_grid, edge", [
+        (GridSpec(0.0, 4.0, 81), False), (GridSpec(2.0, 4.0, 9), True),
+        (GridSpec(0.0, 1.0, 9), True), (GridSpec(1.0, 4.0, 1), True),
+    ])
+    def test_grid_edge_witness_matches_the_full_mesh(self, gamma_grid, edge):
+        cfg = BayesConfig(small_ball_uniform01, 0.0, 1, NONPRIVATE, DEFAULT_ZETA_GRID,
+                          gamma_grid, partial(bu_igamma, _bu_model(1)))
+        report = bayes_gamma_opt_lb(cfg)
+        value, witness, flags = gamma_opt_full_mesh(cfg)
+        assert (_bits(report.value), report.witness, report.flags) == (_bits(value), witness, flags)
+        assert ("gamma-at-grid-edge" in report.flags) is edge
+
+    def test_peak_memory_is_a_block_not_the_mesh(self):
+        # the default 2000 x 800 mesh alone is 12.8 MB of float64
+        info = bu_igamma(_bu_model(2), DEFAULT_GAMMA_GRID.points())
+        cfg = BayesConfig(small_ball_uniform01, 0.0, 2, NONPRIVATE, DEFAULT_ZETA_GRID,
+                          DEFAULT_GAMMA_GRID, lambda g: info)
+        bayes_gamma_opt_lb(cfg)  # the grids' points are built and kept
+        tracemalloc.start()
+        try:
+            bayes_gamma_opt_lb(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * DEFAULT_ZETA_GRID.steps * DEFAULT_GAMMA_GRID.steps / 4
 
 
 class TestScalarBounds:

@@ -1074,6 +1074,13 @@ def test_overflowing_grid_span_is_one_error_line(capsys, tmp_path, rr1_file, arg
     assert not out.parent.exists()
 
 
+# The gamma-optimized bound is a supremum over gamma >= 0: its config refuses
+# the grid before any I_gamma is computed.
+def test_negative_gamma_grid_is_one_error_line(capsys):
+    err = run_error(capsys, ["bound", "bayes-gammaopt", "--bu-n", "2", "--gamma-grid=-1:4:10"])
+    assert err == "error: gamma grid needs lo >= 0, got -1.0\n"
+
+
 class TestOutputDirEnv:
     def test_relative_paths_resolve_against_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("LDPKIT_OUT_DIR", str(tmp_path))
