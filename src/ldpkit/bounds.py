@@ -381,6 +381,8 @@ def bayes_egamma_lb(cfg: BayesConfig) -> BoundReport:
     vals = zetas * np.maximum(0.0, 1.0 - c * cfg.info_value - penalty)
     i = int(np.argmax(vals))
     value = float(vals[i])
+    if math.isnan(value):  # np.argmax stops at the first NaN
+        raise DomainError("L(zeta) must not be NaN on the zeta grid")
     return BoundReport(
         bound_name="bayes_egamma_lb",
         value=value,
@@ -401,8 +403,7 @@ def bayes_gamma_opt_lb(cfg: BayesConfig) -> BoundReport:
     The value is the first maximum of the zeta x gamma mesh in row-major
     order, bit for bit, but the mesh is evaluated a block of zeta rows at a
     time, and a block is skipped when an upper bound on its cells is below
-    the best cell found. The bounds are exact when I_gamma and L are
-    finite on the grids; otherwise every block is evaluated.
+    the best cell found. A non-finite I_gamma or L on the grids is refused.
     """
     import numpy as np
 
@@ -413,6 +414,8 @@ def bayes_gamma_opt_lb(cfg: BayesConfig) -> BoundReport:
     gammas = cfg.gamma_grid.points()
     info = cfg.info_fn(gammas)
     ball = np.broadcast_to(cfg.small_ball(zetas[:, None]), (zetas.size, 1))
+    if not (np.isfinite(info).all() and np.isfinite(ball).all()):
+        raise DomainError("I_gamma and L(zeta) must be finite on the gamma and zeta grids")
     g, head = gammas[None, :], 1.0 - info
     hinge = np.maximum(1.0 - g, 0.0)
     rows = max(1, MESH_BLOCK_BYTES // (8 * gammas.size))
@@ -431,15 +434,13 @@ def bayes_gamma_opt_lb(cfg: BayesConfig) -> BoundReport:
     # Each block's bound is the same operations at its largest zeta and its
     # smallest ball value: rounding is monotone in each operand, and the
     # cell grows with z >= 0 and shrinks in L for gamma >= 0, so with finite
-    # inputs no cell of the block exceeds its bound. Otherwise every bound
-    # is inf and every block is evaluated.
+    # inputs no cell of the block exceeds its bound.
     starts = np.arange(0, zetas.size, rows)
-    bound = np.full(starts.size, np.inf)
-    if np.isfinite(head).all() and np.isfinite(ball).all():
-        top = np.maximum.reduceat(zetas, starts)[:, None]
-        low = np.minimum.reduceat(ball[:, 0], starts)[:, None]
-        for s in range(0, starts.size, rows):
-            bound[s : s + rows] = mesh(top[s : s + rows], low[s : s + rows]).max(axis=1)
+    bound = np.empty(starts.size)
+    top = np.maximum.reduceat(zetas, starts)[:, None]
+    low = np.minimum.reduceat(ball[:, 0], starts)[:, None]
+    for s in range(0, starts.size, rows):
+        bound[s : s + rows] = mesh(top[s : s + rows], low[s : s + rows]).max(axis=1)
 
     def block(b):
         lo = int(starts[b])
@@ -449,7 +450,7 @@ def bayes_gamma_opt_lb(cfg: BayesConfig) -> BoundReport:
 
     # The block of highest bound gives a floor; a block bounded below it
     # cannot hold the maximum. The rest are merged in row order, so the
-    # first maximum (or first NaN) of the whole mesh wins, as in np.argmax.
+    # first maximum of the whole mesh wins, as in np.argmax.
     seed = int(np.argmax(bound))
     done = {seed: block(seed)}
     floor = done[seed][1]
@@ -458,7 +459,7 @@ def bayes_gamma_opt_lb(cfg: BayesConfig) -> BoundReport:
         if bound[b] < floor:
             continue
         k, v = done.pop(b) if b in done else block(b)
-        if best is None or v > best[1] or (math.isnan(v) and not math.isnan(best[1])):
+        if best is None or v > best[1]:
             best = k, v
     (i, j), value = divmod(best[0], gammas.size), best[1]
     zeta_star, gamma_star = float(zetas[i]), float(gammas[j])

@@ -72,6 +72,8 @@ def _fmt(x: float) -> str:
 
 def resolve_out(path: str) -> Path:
     p = Path(path)
+    if not p.name:  # "" and "." name a directory
+        raise DomainError(f"output path {path!r} names no file")
     base = os.environ.get(ENV_OUT_DIR)
     if base and not p.is_absolute():
         p = Path(base) / p

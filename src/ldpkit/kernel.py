@@ -71,15 +71,23 @@ def parse_kernel(text: str) -> Kernel:
     """Parse a kernel from JSON {"rows": [[...], ...]} or CSV (one row per line).
 
     Text that is neither raises DomainError, never a bare parse error.
-    JSON entries must be numbers: booleans and strings are rejected.
+    Text that starts with ``{`` or ``[`` is JSON, which must be an object
+    whose "rows" is a list of lists of numbers: booleans and strings are
+    rejected.
     """
     stripped = text.strip()
     try:
-        if stripped.startswith("{"):
+        if stripped.startswith(("{", "[")):
             payload = json.loads(stripped)
+            if not isinstance(payload, dict):
+                raise DomainError(
+                    'malformed kernel file: kernel JSON must be an object with a "rows" field'
+                )
             if "rows" not in payload:
                 raise DomainError('kernel JSON must contain a "rows" field')
             rows = payload["rows"]
+            if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+                raise DomainError('malformed kernel file: "rows" must be a list of lists')
             # bool is a subclass of int, so compare exact types.
             bad = [v for row in rows for v in row if type(v) not in (int, float)]
             if bad:

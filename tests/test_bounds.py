@@ -437,6 +437,15 @@ class TestBayesEgamma:
         plain = z * np.maximum(0.0, 1.0 - c * 0.3 - math.exp(0.5) * small_ball_uniform01(z))
         assert bayes_egamma_lb(BayesConfig(params=params, **base)).value == plain.max()
 
+    def test_nan_ball_is_refused(self):
+        # NaN above zeta = 0.1 once gave a NaN value with no error and no flag
+        def ball(z):
+            return np.where(z > 0.1, np.nan, small_ball_uniform01(z))
+
+        cfg = BayesConfig(ball, 0.1, 1, PrivacyParams(0.5, 0.1))
+        with pytest.raises(DomainError, match="L\\(zeta\\) must not be NaN on the zeta grid"):
+            bayes_egamma_lb(cfg)
+
 
 class TestBayesConfig:
     @pytest.mark.parametrize("info", [-1.0, math.nan, math.inf])
@@ -675,19 +684,32 @@ class TestGammaOptBlocks:
     @given(_gamma_opt_configs())
     def test_equals_the_full_mesh_bit_for_bit(self, case):
         cfg, kind, ball, block_bytes = case
-        with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
+        if kind == "nan" or not np.isfinite(cfg.small_ball(cfg.zeta_grid.points())).all():
+            # a NaN I_gamma, or an inf L where zeta > 0.3 is on the grid
+            with pytest.raises(DomainError, match="must be finite on the gamma and zeta grids"):
+                bayes_gamma_opt_lb(cfg)
+            return
+        with pytest.MonkeyPatch.context() as mp:
             # 8 bytes is one row a block, 800 a few rows at most
             mp.setattr(ldpkit.bounds, "MESH_BLOCK_BYTES", block_bytes)
             report = bayes_gamma_opt_lb(cfg)
             value, witness, flags = gamma_opt_full_mesh(cfg)
         assert _bits(report.value) == _bits(value)
         assert (report.witness, report.flags) == (witness, flags)
-        if kind == "constant" and ball != "inf-above-0.3":  # 0 * inf is NaN
+        if kind == "constant":
             first = {"zeta": cfg.zeta_grid.points()[0], "gamma": cfg.gamma_grid.points()[0]}
             assert (report.value, report.witness) == (0.0, first) and "vacuous" in report.flags
-        if kind == "nan":
-            # np.argmax takes the first NaN: the first zeta, at the NaN gamma
-            assert math.isnan(report.value) and report.witness["zeta"] == cfg.zeta_grid.lo
+
+    # Each of these once gave a NaN value with no error and no flag.
+    @pytest.mark.parametrize("info_fn, small_ball", [
+        (lambda g: np.where(g == 2.0, np.nan, 0.1), small_ball_uniform01),
+        (lambda g: np.full_like(g, 0.1), lambda z: np.full_like(z, np.inf)),
+    ], ids=["nan-information", "inf-ball"])
+    def test_non_finite_information_or_ball_is_refused(self, info_fn, small_ball):
+        cfg = BayesConfig(small_ball, 0.0, 1, NONPRIVATE, gamma_grid=GridSpec(0.0, 4.0, 9),
+                          info_fn=info_fn)
+        with pytest.raises(DomainError, match="must be finite on the gamma and zeta grids"):
+            bayes_gamma_opt_lb(cfg)
 
     @pytest.mark.parametrize("gamma_grid, edge", [
         (GridSpec(0.0, 4.0, 81), False), (GridSpec(2.0, 4.0, 9), True),
