@@ -441,7 +441,7 @@ def _written(flag: str, path: str) -> list[tuple[str, str, Path]]:
 
 
 def cmd_model_curves(args: argparse.Namespace) -> int:
-    from .info import BernoulliUniformModel, bu_igamma, bu_mutual_information
+    from .info import BernoulliUniformModel, bu_igamma, bu_mutual_information, check_bu_igamma_work
 
     # I_gamma over the gamma grid at sample size n, and I(Theta; X^m) for m = 1..n_max.
     # The paths and both sizes are checked first, so a bad one is refused before any work:
@@ -454,6 +454,7 @@ def cmd_model_curves(args: argparse.Namespace) -> int:
     within_cap("n-max", count("n-max", args.n_max, 1), MAX_CURVE_N)
     if args.gamma_grid is None:
         args.gamma_grid = GridSpec(0.0, float(args.n + 1), 121)
+    check_bu_igamma_work(model, args.gamma_grid.steps)
     gammas = args.gamma_grid.points()
     rows = [[float(g), float(ig)] for g, ig in zip(gammas, bu_igamma(model, gammas))]
     igamma = write_outputs("model-curves", args, args.igamma_out, ["gamma", "igamma"], rows)

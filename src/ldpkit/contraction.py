@@ -63,10 +63,27 @@ def two_point_scan(k: Kernel, gammas) -> tuple[list[float], list[tuple[int, int]
     E_gamma_i(K_x || K_x') over ordered row pairs, at most 1 as
     :func:`ldpkit.dist.excess` gives it, and ``pairs[i]`` is
     the lexicographically smallest (x, x') attaining it ((0, 0) when it
-    is 0). One numpy pass over the (gamma, x, x', z) difference tensor,
-    in blocks of rows and gammas sized by SCAN_BYTES, each written into
-    one buffer allocated once per call; each gamma block's pair values
-    fill one slab that is reduced before the next block starts.
+    is 0). The (gamma, x, x', z) difference tensor is computed in blocks
+    of rows and gammas sized by SCAN_BYTES, each written into one buffer
+    allocated once per call; each gamma block's pair values fill one
+    slab that is reduced before the next block starts.
+
+    Gammas that fit one block take one full pass, in the caller's order.
+    More are taken in ascending order (a stable sort), the first block in
+    a full pass. Each pair's E_gamma is nonincreasing in gamma bit for
+    bit: fl(gamma q) does not fall as gamma rises, and the subtraction,
+    max(., 0), the pairwise row sum and min(., 1) are each monotone under
+    round-to-nearest. So a pair's value at the largest gamma evaluated so
+    far bounds it at every later gamma. A later block is floored by the
+    last witness pair's value at the block's largest gamma, which no
+    block maximum falls below, and evaluates only the pairs whose bound
+    is >= that floor (a tie can still win on the lexicographic rule) and
+    > 0, always with (0, 0), whose value is 0: the rest cannot attain
+    any of the block's maxima, nor win a tie. The candidates' rows are
+    gathered into the same buffer, so each value is the full pass's bit
+    for bit; a block where more than half the pairs are candidates takes
+    the full pass. A scan that returns every pair above a threshold must
+    keep the pairs whose bound is >= min(floor, threshold).
     """
     import numpy as np
 
@@ -80,19 +97,64 @@ def two_point_scan(k: Kernel, gammas) -> tuple[list[float], list[tuple[int, int]
     n, m = rows.shape
     step = min(n, max(1, SCAN_BYTES // (8 * n * m)))
     gstep = max(1, min(g.size, SCAN_BYTES // (8 * n * m * step)))
-    buf = np.empty(gstep * step * n * m)
+    # Past the first block a candidate takes two gathered rows beside its
+    # gstep rows of terms; n >= 3 rows leave room for them already.
+    buf = np.empty(max(gstep * step * n, gstep + 2) * m)
     slab = np.empty((gstep, n, n))
-    values, pairs = [], []
-    for a in range(0, g.size, gstep):
-        gb = g[a : a + gstep, None, None, None]
+
+    def full(gb):  # every pair's values, (len(gb), n * n)
+        gb = gb[:, None, None, None]
         block = slab[: gb.shape[0]]
         for lo in range(0, n, step):
             p = rows[lo : lo + step, None, :]
             t = buf[: gb.shape[0] * p.shape[0] * n * m].reshape(gb.shape[0], p.shape[0], n, m)
             block[:, lo : lo + step] = excess(p, rows, gb, out=t)
-        flat = block.reshape(gb.shape[0], n * n)
-        values.extend(flat.max(axis=1).tolist())
-        pairs.extend(divmod(i, n) for i in flat.argmax(axis=1).tolist())
+        return block.reshape(gb.shape[0], n * n)
+
+    if g.size <= gstep:
+        flat = full(g)
+        return flat.max(axis=1).tolist(), [divmod(i, n) for i in flat.argmax(axis=1).tolist()]
+
+    def pruned(gb, xs, xps):  # the values of the pairs (xs, xps), (len(gb), xs.size)
+        vals = slab.reshape(gstep, n * n)[: gb.size, : xs.size]
+        chunk = buf.size // ((gb.size + 2) * m)
+        for lo in range(0, xs.size, chunk):
+            c = min(chunk, xs.size - lo)
+            p, q = buf[: 2 * c * m].reshape(2, c, m)
+            # mode="clip" takes straight into out, where "raise" would buffer
+            np.take(rows, xs[lo : lo + c], axis=0, out=p, mode="clip")
+            np.take(rows, xps[lo : lo + c], axis=0, out=q, mode="clip")
+            t = buf[2 * c * m : (gb.size + 2) * c * m].reshape(gb.size, c, m)
+            vals[:, lo : lo + c] = excess(p, q, gb[:, None, None], out=t)
+        return vals
+
+    order = np.argsort(g, kind="stable")
+    gs = g[order]
+    values, pairs = [0.0] * g.size, [(0, 0)] * g.size
+    bound = np.empty((n, n))
+    for a in range(0, g.size, gstep):
+        gb = gs[a : a + gstep]
+        many = True
+        if a:
+            x, xp = pairs[order[a - 1]]
+            floor = excess(rows[x], rows[xp], gb[-1], out=buf[:m])
+            keep = bound >= floor if floor else bound > 0.0
+            keep[0, 0] = True
+            # A gathered pair costs about 1.5 times a pair of the full pass.
+            many = 2 * np.count_nonzero(keep) > n * n
+        if many:
+            flat = full(gb)
+            bound[...] = flat[-1].reshape(n, n)
+            top = flat.argmax(axis=1)
+        else:
+            xs, xps = keep.nonzero()
+            flat = pruned(gb, xs, xps)
+            bound[xs, xps] = flat[-1]
+            i = flat.argmax(axis=1)
+            top = xs[i] * n + xps[i]
+        found = zip(order[a : a + gstep].tolist(), flat.max(axis=1).tolist(), top.tolist())
+        for i, v, w in found:
+            values[i], pairs[i] = v, divmod(w, n)
     return values, pairs
 
 

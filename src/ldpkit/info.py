@@ -97,6 +97,14 @@ _NEWTON_CAP = 100
 _TAIL_EPS = 2.0**-60
 
 
+def check_bu_igamma_work(model: BernoulliUniformModel, gammas: int) -> None:
+    """Refuse :func:`bu_igamma` work over MAX_BU_WORK at ``gammas`` gammas, before
+    any grid of them is built."""
+    n = model.n
+    root = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+    within_cap(f"{gammas} gammas x {n} x {root} (n x ceil(sqrt n))", gammas * n * root, MAX_BU_WORK)
+
+
 def bu_igamma(model: BernoulliUniformModel, gamma):
     """Hockey-stick information I_gamma(Theta; X^n) of the model.
 
@@ -113,8 +121,7 @@ def bu_igamma(model: BernoulliUniformModel, gamma):
     """
     g = np.asarray(gamma, dtype=float)
     n = model.n
-    root = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
-    within_cap(f"{g.size} gammas x {n} x {root} (n x ceil(sqrt n))", g.size * n * root, MAX_BU_WORK)
+    check_bu_igamma_work(model, g.size)
     if np.isnan(g).any():
         raise DomainError("gamma must not be NaN")
     if (g < 0).any():

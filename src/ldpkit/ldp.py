@@ -20,7 +20,7 @@ import numpy as np
 
 from . import DEFAULT_SEED
 from .contraction import PrivacyParams, gamma_from_epsilon, two_point_scan
-from .dist import Distribution, excess, normalize_rows
+from .dist import excess, normalize_rows
 from .errors import DomainError, in_unit_interval
 from .kernel import Kernel
 from .oracle import SearchConfig
@@ -176,8 +176,9 @@ def verify_from_scan(
 
     def pair(i: int) -> tuple:
         if i == 0:
-            x, xp = worst
-            return Distribution.point_mass(x, d).probs, Distribution.point_mass(xp, d).probs
+            p, q = np.zeros((2, d))
+            p[worst[0]] = q[worst[1]] = 1.0
+            return p, q
         return ps[i - 1], qs[i - 1]
 
     violating = num > params.delta * den + VERIFY_TOL

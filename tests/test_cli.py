@@ -762,6 +762,17 @@ class TestModelCurves:
                            "--mi-out", str(tmp_path / "m.csv")])
         assert list(tmp_path.iterdir()) == []
 
+    def test_bu_work_is_capped_before_the_grid_is_built(self, capsys, tmp_path, monkeypatch):
+        def unbuilt(grid):
+            raise AssertionError("the gamma grid was built")
+
+        monkeypatch.setattr(GridSpec, "points", unbuilt)
+        err = run_error(capsys, ["model-curves", "--n", "1000000", "--gamma-grid", "0:6:1000000",
+                                 "--igamma-out", str(tmp_path / "i.csv"),
+                                 "--mi-out", str(tmp_path / "m.csv")])
+        assert err == ("error: 1000000 gammas x 1000000 x 1000 (n x ceil(sqrt n)) = "
+                       "1000000000000000 is over the cap 1000000000\n")
+
     @pytest.mark.parametrize("mi_out", ["a.csv", "./a.csv", "{tmp}/out/a.csv", "../out/a.csv"])
     def test_one_file_for_both_curves_is_one_error_line(self, capsys, tmp_path, monkeypatch,
                                                         mi_out):

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ldpkit.contraction
+import ldpkit.dist
 from ldpkit.contraction import (
     PrivacyParams,
     eta_kl_bsc,
@@ -99,6 +100,35 @@ class TestTwoPoint:
         assert float(lines[-1].split(",")[1]) <= 1e-12
 
 
+@st.composite
+def tied_kernels(draw):
+    """Kernels up to 6 x 8 with exact ties: duplicated rows, all-zero
+    columns, and point-mass or small-integer rows, often disjoint."""
+    nx, nz = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    live = draw(st.lists(st.booleans(), min_size=nz, max_size=nz).filter(any))
+    rows = np.zeros((nx, nz))
+    for x in range(nx):
+        kind = draw(st.sampled_from(["copy", "point", "weights"] if x else ["point", "weights"]))
+        if kind == "copy":
+            rows[x] = rows[draw(st.integers(0, x - 1))]
+        elif kind == "point":
+            rows[x, draw(st.sampled_from(np.flatnonzero(live).tolist()))] = 1.0
+        else:
+            w = draw(st.lists(st.integers(0, 3) | st.integers(0, 1000), min_size=nz, max_size=nz))
+            rows[x] = np.where(live, w, 0)
+            rows[x, np.flatnonzero(live)[0]] += rows[x].sum() == 0
+    return Kernel(rows / rows.sum(axis=1, keepdims=True))
+
+
+@st.composite
+def unsorted_gammas(draw):
+    """An unsorted gamma list with repeats, drawn with 1.0 and inf."""
+    gamma = st.just(1.0) | st.just(math.inf) | st.floats(1.0, 20.0)
+    gammas = draw(st.lists(gamma, min_size=1, max_size=8))
+    gammas += draw(st.lists(st.sampled_from(gammas), max_size=4))
+    return draw(st.permutations(gammas))
+
+
 class TestPairwiseScan:
     @given(kernels(max_in=5, max_out=6), st.floats(1.0, 5.0))
     def test_matches_per_pair_loop(self, k, gamma):
@@ -149,20 +179,44 @@ class TestPairwiseScan:
             monkeypatch.setattr(ldpkit.contraction, "SCAN_BYTES", budget)
             assert two_point_scan(k, gammas) == (values, pairs)
 
-    @given(kernels(max_in=5, max_out=6), st.lists(st.floats(1.0, 20.0), max_size=4))
-    def test_scan_is_the_max_and_first_argmax(self, k, middle):
+    @given(tied_kernels(), unsorted_gammas())
+    def test_scan_is_the_max_and_first_argmax(self, k, gammas):
         # Zero entries are allowed, so gamma = inf meets the residual and
-        # disjoint rows meet the clamp at 1.
-        gammas = np.array([1.0, *middle, math.inf])
-        n = k.input_size
-        direct = np.minimum(excess(k.rows[:, None, :], k.rows, gammas[:, None, None, None]), 1.0)
-        flat = direct.reshape(gammas.size, n * n)
-        xs, xps = np.unravel_index(flat.argmax(axis=1), (n, n))
-        want = (flat.max(axis=1).tolist(), list(zip(xs.tolist(), xps.tolist())))
-        for budget in (ldpkit.contraction.SCAN_BYTES, 1):
+        # disjoint rows meet the clamp at 1. Budgets of one byte and of one
+        # and two gammas' slabs make blocks of one, one and two gammas, each
+        # pruned after the first; the default takes one block.
+        n, m = k.rows.shape
+        g = np.array(gammas)
+        direct = excess(k.rows[:, None, :], k.rows, g[:, None, None, None]).reshape(g.size, n * n)
+        want = (direct.max(axis=1).tolist(), [divmod(i, n) for i in direct.argmax(axis=1).tolist()])
+        for budget in (1, 8 * n * n * m, 16 * n * n * m, ldpkit.contraction.SCAN_BYTES):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ldpkit.contraction, "SCAN_BYTES", budget)
                 assert two_point_scan(k, gammas) == want
+
+    def test_evaluates_few_pairs_of_a_sparse_kernel(self, monkeypatch):
+        # Each row is Dirichlet on its own random support, as in the audit
+        # benchmark, and the grid is its 31-point profile.
+        rng = np.random.default_rng(7)
+        rows = np.zeros((36, 64))
+        for row in rows:
+            support = rng.choice(64, size=int(rng.integers(16, 33)), replace=False)
+            row[support] = rng.dirichlet(np.ones(support.size))
+        k = Kernel(rows)
+        gammas = np.exp(np.linspace(0.0, 3.0, 31))
+        direct = excess(rows[:, None, :], rows, gammas[:, None, None, None]).reshape(31, 36 * 36)
+        cells = []
+
+        def counted(*args, **kwargs):
+            out = excess(*args, **kwargs)
+            cells.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(ldpkit.dist, "excess", counted)
+        values, pairs = two_point_scan(k, gammas)
+        assert values == direct.max(axis=1).tolist()
+        assert pairs == [divmod(i, 36) for i in direct.argmax(axis=1).tolist()]
+        assert sum(cells) < 31 * 36**2 / 10
 
     def test_disjoint_rows_clamped_to_one(self):
         # Seeded instance whose unclamped E_2 sums to 1 + 1 ulp; before the
