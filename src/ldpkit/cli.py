@@ -113,6 +113,22 @@ def write_outputs(
     return {"outputs": [str(out)], "manifest": str(manifest)}
 
 
+def _written(flag: str, path: str) -> list[tuple[str, str, Path]]:
+    """The CSV and manifest that write_outputs writes for ``flag``: (label, path as
+    given, resolved path)."""
+    out = resolve_out(path)
+    return [(flag, path, out.resolve()),
+            (f"the {flag} manifest", str(manifest_path(Path(path))), manifest_path(out).resolve())]
+
+
+def _refuse_same_file(files_a, files_b) -> None:
+    """One error line if a file of ``files_a`` is a file of ``files_b``, each a
+    list of (label, path as given, resolved path) as ``_written`` gives."""
+    for (name_a, _, a), (name_b, shown, b) in product(files_a, files_b):
+        if a == b:
+            raise DomainError(f"{name_a} and {name_b} are the same file: {shown}")
+
+
 def parse_grid_spec(text: str) -> GridSpec:
     parts = text.split(":")
     if len(parts) == 3:
@@ -155,6 +171,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
         raise DomainError("--out requires --profile-grid")
     head = [] if args.epsilon is None else [gamma_from_epsilon(args.epsilon), 1.0]
     params = None if args.delta is None else PrivacyParams(args.epsilon, args.delta)
+    if args.out is not None:  # the profile may not overwrite the kernel it was read from
+        kernel_file = ("the kernel file", args.kernel, Path(args.kernel).resolve())
+        _refuse_same_file(_written("--out", args.out), [kernel_file])
     kernel = load_kernel(args.kernel)
     report: dict = {
         "kernel": str(args.kernel),
@@ -432,24 +451,13 @@ def cmd_remark(args: argparse.Namespace) -> int:
 # model-curves
 
 
-def _written(flag: str, path: str) -> list[tuple[str, str, Path]]:
-    """The CSV and manifest that write_outputs writes for ``flag``: (label, path as
-    given, resolved path)."""
-    out = resolve_out(path)
-    return [(flag, path, out.resolve()),
-            (f"the {flag} manifest", str(manifest_path(Path(path))), manifest_path(out).resolve())]
-
-
 def cmd_model_curves(args: argparse.Namespace) -> int:
     from .info import BernoulliUniformModel, bu_igamma, bu_mutual_information, check_bu_igamma_work
 
     # I_gamma over the gamma grid at sample size n, and I(Theta; X^m) for m = 1..n_max.
     # The paths and both sizes are checked first, so a bad one is refused before any work:
     # no file of one curve (its CSV or manifest) may be a file of the other.
-    files = product(_written("--igamma-out", args.igamma_out), _written("--mi-out", args.mi_out))
-    for (name_a, _, a), (name_b, shown, b) in files:
-        if a == b:
-            raise DomainError(f"{name_a} and {name_b} are the same file: {shown}")
+    _refuse_same_file(_written("--igamma-out", args.igamma_out), _written("--mi-out", args.mi_out))
     model = BernoulliUniformModel(args.n)
     within_cap("n-max", count("n-max", args.n_max, 1), MAX_CURVE_N)
     if args.gamma_grid is None:

@@ -29,6 +29,8 @@ if TYPE_CHECKING:
 
 # Tensor powers refuse to materialize more states than this.
 DEFAULT_STATE_CAP = 4096
+# The most characters of a rejected entry or token that an error line echoes.
+ECHO_CAP = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,6 +69,20 @@ class Kernel:
         return cls(np.eye(count("alphabet size", size, 1)))
 
 
+def _excerpt(text: str) -> str:
+    """``text``, or its first ECHO_CAP characters and its length when longer."""
+    return text if len(text) <= ECHO_CAP else f"{text[:ECHO_CAP]}... ({len(text)} characters)"
+
+
+def _number(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:  # float's own message would echo the whole token
+        raise DomainError(
+            f"malformed kernel file: could not convert string to float: {_excerpt(repr(token))}"
+        ) from None
+
+
 def parse_kernel(text: str) -> Kernel:
     """Parse a kernel from JSON {"rows": [[...], ...]} or CSV (one row per line).
 
@@ -92,11 +108,11 @@ def parse_kernel(text: str) -> Kernel:
             bad = [v for row in rows for v in row if type(v) not in (int, float)]
             if bad:
                 raise DomainError(
-                    f"malformed kernel file: entry {json.dumps(bad[0])} is not a number"
+                    f"malformed kernel file: entry {_excerpt(json.dumps(bad[0]))} is not a number"
                 )
         else:
             rows = [
-                [float(tok) for tok in line.split(",") if tok.strip()]
+                [_number(tok) for tok in line.split(",") if tok.strip()]
                 for line in stripped.splitlines()
                 if line.strip()
             ]

@@ -15,8 +15,10 @@ equal and each number within ULP_BUDGET units in the last place.
 
     python tests/golden/corpus.py
 
-rewrites records.json from the ldpkit that Python imports. A change that
-moves bytes commits the new records and names the moved argvs.
+rewrites records.json from the ldpkit that Python imports, and prints to
+stderr where that ldpkit is and the ids whose records changed, were added
+or were dropped. A change that moves bytes commits the new records and
+names the moved argvs.
 """
 
 from __future__ import annotations
@@ -186,6 +188,9 @@ def load() -> dict:
 
 
 def main() -> None:
+    import ldpkit
+
+    old = load()["records"] if RECORDS.exists() else {}
     records = {}
     with tempfile.TemporaryDirectory() as tmp:
         for i, entry in enumerate(entries()):
@@ -195,6 +200,14 @@ def main() -> None:
     payload = {"platform": platform(), "records": records}
     RECORDS.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(records)} records to {RECORDS}", file=sys.stderr)
+    print(f"recorded from ldpkit at {Path(ldpkit.__file__).parent}", file=sys.stderr)
+    moved = {
+        "changed": [i for i in records if i in old and old[i] != records[i]],
+        "added": [i for i in records if i not in old],
+        "dropped": [i for i in old if i not in records],
+    }
+    for what, ids in moved.items():
+        print(f"{what}: {' '.join(ids) or '(none)'}", file=sys.stderr)
 
 
 if __name__ == "__main__":

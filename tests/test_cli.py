@@ -887,13 +887,6 @@ def test_negative_seed_is_one_error_line(capsys, rr1_file, argv):
     assert err == "error: seed must be >= 0, got -1\n"
 
 
-def test_seed_and_trials_are_checked_in_one_order(capsys, rr1_file):
-    # audit's verifier and oracle eta-f validate both through one SearchConfig
-    for argv in (["audit", "--epsilon", "1", "--delta", "0.1"], ["oracle", "eta-f", "--f", "tv"]):
-        err = run_error(capsys, [*argv, str(rr1_file), "--trials", "0", "--seed", "-1"])
-        assert err == "error: seed must be >= 0, got -1\n"
-
-
 # audit checks --seed and --trials even when no --delta runs the verifier.
 @pytest.mark.parametrize(
     "argv, message",

@@ -32,6 +32,11 @@ def test_every_entry_has_one_record_and_every_command_an_entry():
     assert kinds >= {*BOUNDS, "bayes-gammaopt", "eta-f", "profile-check"}
 
 
+def test_every_fixture_is_read_by_an_entry():
+    named = {word for e in ENTRIES for word in e.argv}
+    assert sorted(p.name for p in corpus.FIXTURES.iterdir() if p.name not in named) == []
+
+
 LECAM = RECORDED["records"]["lecam"]
 _OUT = LECAM["stdout"]
 _START = _OUT.index('"value": ') + len('"value": ')

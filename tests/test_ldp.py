@@ -139,6 +139,15 @@ class TestTightestEpsilon:
         with pytest.raises(DomainError):
             tightest_epsilon(bsc(0.25), 1.5)
 
+    # epsilon* is the smallest double whose delta is within delta: one
+    # double lower, the scan's delta is above it.
+    def test_last_bit_on_hadamard_response(self):
+        k = hadamard_response(1.0, 7)
+        res = tightest_epsilon(k, 0.05)
+        assert res.epsilon == 0.8529051013643217
+        assert res.delta_achieved == delta_at(k, res.epsilon) == 0.04999999999999999
+        assert delta_at(k, math.nextafter(res.epsilon, 0.0)) == 0.050000000000000044
+
     def test_residual_decides_finiteness(self):
         assert tightest_epsilon(SPLIT_SUPPORT, 0.49).epsilon == math.inf
         assert tightest_epsilon(SPLIT_SUPPORT, 0.49).delta_achieved == 0.5
