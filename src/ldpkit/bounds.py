@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING, Callable
 
 from .contraction import PrivacyParams, gamma_from_epsilon, phi, phi_n
@@ -175,9 +175,14 @@ def _contracted(c: float, info: float) -> float:
     return 0.0 if c == 0.0 else c * info
 
 
+@cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
 def _fields(obj) -> dict:
     """A flat dataclass's fields by name: ``asdict`` without its deep copy."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return {name: getattr(obj, name) for name in _field_names(type(obj))}
 
 
 def _flags_for(value: float, extra: tuple[str, ...] = ()) -> tuple[str, ...]:

@@ -30,9 +30,9 @@ import numpy as np
 from .dist import Distribution, FGenerator, f_divergence, probability_array
 from .errors import DomainError, count, within_cap
 
-# Largest n of the Bernoulli-uniform model (I_gamma: ~180 B a class, ~40 s a gamma at it).
+# Largest n of the Bernoulli-uniform model (I_gamma: ~140 B a class, ~12 s a gamma at it).
 MAX_BU_N = 10**6
-# bu_igamma's gammas x n x ceil(sqrt(n)), ~30 ns a unit: 1 gamma at MAX_BU_N, 31 at n = 10^5.
+# bu_igamma's gammas x n x ceil(sqrt(n)), ~12-16 ns a unit: 1 gamma at MAX_BU_N, 31 at n = 10^5.
 MAX_BU_WORK = 10**9
 
 
@@ -66,10 +66,10 @@ class BernoulliUniformModel:
     @cached_property
     def _classes(self) -> tuple:
         """The gamma-free constants of bu_igamma, built on first use and kept
-        with the model. For classes 0..n: the log Beta normalizers and log
-        mode heights. For classes 1..n: s and n - s as floats, the
-        gamma-free part of the log of the first tail term, the log mode
-        log(s/n), and s n."""
+        with the model: the log mode heights of classes 0..n, and a table
+        with a column per class 1..n whose rows are s and n - s as floats,
+        the log Beta normalizer, the log mode log(s/n), the log mode height,
+        s n, and the gamma-free part of the log of the first tail term."""
         n = self.n
         k = np.arange(n + 1)
         logfact = np.array([math.lgamma(j + 1.0) for j in range(n + 2)])
@@ -79,14 +79,19 @@ class BernoulliUniformModel:
         xlogx = np.zeros(n + 1)
         xlogx[1:] = k[1:] * np.log(k[1:] / n)
         logh = logc + (xlogx + xlogx[::-1])
-        s, rest = k[1:].astype(float), (n - k[1:]).astype(float)
-        log_choose = logfact[n + 1] - (logfact[2:] + logfact[n - k[1:]])
-        return logc, logh, s, rest, log_choose, np.log(s / s[-1]), s * s[-1]
+        table = np.empty((7, n))  # filled row by row: no stacked copy at large n
+        s, rest, logc_s, u_mode, logh_s, sn, log_choose = table
+        s[:], rest[:], logc_s[:], logh_s[:] = k[1:], n - k[1:], logc[1:], logh[1:]
+        np.log(s / n, out=u_mode)
+        np.multiply(s, n, out=sn)
+        np.subtract(logfact[n + 1], logfact[2:] + logfact[n - k[1:]], out=log_choose)
+        return logh, table
 
 
-# Gamma values times count classes handled together, so a long gamma grid
-# at large n never builds a (grid, n) temporary.
-_BLOCK = 1 << 16
+# (gamma, class) cells handled together: a block of gamma values spans at
+# most this many, and at larger n one gamma's classes are taken this many at
+# a time, so a long grid or a large n never builds a (grid, n) temporary.
+_BLOCK = 1 << 15
 # Newton converges in a handful of steps; the cap is only approached when
 # gamma is within rounding of a class's mode height (a near-double root,
 # where convergence is linear).
@@ -95,6 +100,11 @@ _NEWTON_CAP = 100
 # running sum. Past the pmf's mode they fall off faster than geometrically,
 # so the dropped remainder is below the sum's last bit.
 _TAIL_EPS = 2.0**-60
+# Blocks of fewer cells than this leave finished cells in place and sum
+# their tails _CHUNK cell-terms at a time, as numpy's cost per call would
+# dominate a term-at-a-time loop there; larger blocks loop over terms.
+_FEW_CELLS = 256
+_CHUNK = 1 << 12
 
 
 def check_bu_igamma_work(model: BernoulliUniformModel, gammas: int) -> None:
@@ -119,8 +129,16 @@ def bu_igamma(model: BernoulliUniformModel, gamma):
     has its shape, and each element equals the scalar call bit for bit).
     NaN and negative gamma are rejected, and so is work over MAX_BU_WORK.
     """
-    g = np.asarray(gamma, dtype=float)
     n = model.n
+    if isinstance(gamma, float) or np.ndim(gamma) == 0:
+        x = float(gamma)
+        check_bu_igamma_work(model, 1)
+        if math.isnan(x):
+            raise DomainError("gamma must not be NaN")
+        if x < 0:
+            raise DomainError(f"gamma must be >= 0, got {x!r}")
+        return float(_igamma_block(model._classes, np.array([x]))[0]) if 0 < x < n + 1 else 0.0
+    g = np.asarray(gamma, dtype=float)
     check_bu_igamma_work(model, g.size)
     if np.isnan(g).any():
         raise DomainError("gamma must not be NaN")
@@ -133,7 +151,7 @@ def bu_igamma(model: BernoulliUniformModel, gamma):
     for i in range(0, inside.size, step):
         idx = inside[i : i + step]
         out[idx] = _igamma_block(model._classes, flat[idx])
-    return float(out[0]) if g.ndim == 0 else out.reshape(g.shape)
+    return out.reshape(g.shape)
 
 
 def _igamma_block(classes: tuple, gamma: np.ndarray) -> np.ndarray:
@@ -150,72 +168,188 @@ def _igamma_block(classes: tuple, gamma: np.ndarray) -> np.ndarray:
     are closed under s -> n - s, so over m of them the sum is
     m (1 - gamma) + 2 sum_s d_s; below gamma = 1 all n + 1 are active and
     m (1 - gamma) cancels max(1 - gamma, 0) (n + 1) exactly.
+
+    The work is done on the flat list of active (gamma, class s >= 1)
+    cells, class by class and at most _BLOCK at a time. Each cell is
+    computed alone, so its value does not depend on the others in its
+    block. Only d_s is summed across a row, and that sum is numpy's
+    pairwise sum over the whole length-n row (zeros at inactive classes),
+    whose order is set by n alone.
     """
-    logc, logh, s, rest, log_choose, u_mode, sn = classes
-    n = s.size
-    logg = np.log(gamma)[:, None]
-    active = logg < logh  # {f_s > gamma} is non-empty; symmetric in s <-> n - s
-
-    # Class n has no (1 - theta) factor, and its left end rounds to
-    # theta = 1 when gamma is within rounding of n + 1; the 0 * inf
-    # products that makes are masked in _rest_terms.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = _log_left_ends(s, rest, logc[1:], logh[1:], u_mode, sn, logg, active[:, 1:])
-        # F_s(a_s) = P(Bin(n+1, a_s) >= s+1): the first term in log space,
-        # then the term ratios (n+1-j)/(j+1) * a/(1-a) while they matter,
-        # at j = s+1+t, where (n+1-j, j+1) = (n-s-t, s+2+t) are exact.
-        rest_log1m, odds = _rest_terms(u, rest)
-        log_first = log_choose + (s + 1.0) * u + rest_log1m
-        term, total = np.ones_like(u), np.ones_like(u)
-        live = active[:, 1:].copy()
-        for t in range(n):
-            term = term * ((rest - t) / (s + (t + 2.0))) * odds
-            live &= term > _TAIL_EPS * total
-            if not live.any():
-                break
-            np.add(total, term, out=total, where=live)
-        tail = np.exp(log_first) * total
-
-    d = np.where(active[:, 1:], gamma[:, None] * np.exp(u) - tail, 0.0).sum(axis=1)
+    logh, table = classes
+    n = table.shape[1]
+    logg = np.log(gamma)
+    active = logg[:, None] < logh  # {f_s > gamma} is non-empty; symmetric in s <-> n - s
+    # the cells class by class, so that the cells of a class are adjacent
+    col, row = np.nonzero(active[:, 1:].T)
+    d = np.zeros((gamma.size, n))
+    for i in range(0, row.size, _BLOCK):  # one pass unless n > _BLOCK
+        r, c = row[i : i + _BLOCK], col[i : i + _BLOCK]
+        s, rest = table[:2, c]
+        # Class n has no (1 - theta) factor, and its left end rounds to
+        # theta = 1 when gamma is within rounding of n + 1; the 0 * inf
+        # products that makes are zeroed in _rest_terms.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u, rest_log1m, odds = _log_left_ends(table, c, s, rest, logg[r])
+            # F_s(a_s) = P(Bin(n+1, a_s) >= s+1): the first term in log space,
+            # then the term ratios (n+1-j)/(j+1) * a/(1-a) while they matter,
+            # at j = s+1+t, where (n+1-j, j+1) = (n-s-t, s+2+t) are exact.
+            tail = np.add(table[6, c] + (s + 1.0) * u, rest_log1m, out=rest_log1m)
+            np.exp(tail, out=tail)
+            if c.size < _FEW_CELLS:
+                tail *= _tail_by_chunk(s, rest, odds, n)
+            else:
+                tail *= _tail_by_term(table, c, odds)
+        d[r, c] = gamma[r] * np.exp(u) - tail
     m = active.sum(axis=1)
-    total = 2.0 * d + (m * (1.0 - gamma) - (n + 1) * np.maximum(1.0 - gamma, 0.0))
+    total = 2.0 * d.sum(axis=1) + (m * (1.0 - gamma) - (n + 1) * np.maximum(1.0 - gamma, 0.0))
     return np.maximum(total / (n + 1), 0.0)
 
 
-def _rest_terms(u, rest):
-    """(n - s) log(1 - theta) and theta / (1 - theta) at theta = e^u; both
-    are 0 for class n, whose density has no (1 - theta) factor."""
-    log1m = np.log1p(-np.exp(u))
-    rest_log1m, odds = rest * log1m, np.exp(u - log1m)
-    rest_log1m[:, -1] = odds[:, -1] = 0.0  # the last column is class n
-    return rest_log1m, odds
+def _rest_terms(u, rest, last, rest_log1m, odds):
+    """(n - s) log(1 - theta) and theta / (1 - theta) at theta = e^u, into
+    ``rest_log1m`` and ``odds``; both are 0 at the ``last`` cells, of
+    class n, whose density has no (1 - theta) factor."""
+    np.exp(u, out=odds)
+    np.negative(odds, out=odds)
+    np.log1p(odds, out=odds)
+    np.multiply(rest, odds, out=rest_log1m)
+    np.exp(np.subtract(u, odds, out=odds), out=odds)
+    rest_log1m[last] = odds[last] = 0.0
 
 
-def _log_left_ends(s, rest, logc, logh, u_mode, sn, logg, active):
-    """log a_s for classes s = 1..n: the root of r(u) = log f_s(e^u) - log gamma
-    below the mode u_m = log(s/n), where it is active.
+def _log_left_ends(table, col, s, rest, logg):
+    """log a_s for each cell, of class s = ``col`` + 1 with columns s and
+    rest = n - s of the constant table, at its log gamma: the root of
+    r(u) = log f_s(e^u) - log gamma below the mode u_m = log(s/n); with it
+    the _rest_terms at the root.
 
     In u = log(theta), r is increasing and concave on (-inf, u_m), so Newton
     steps from the left approach the root monotonically, and a step from its
     right lands left of it. Steps are clipped to [u_lo, u_m]: u_lo drops the
     (n - s) log(1 - theta) <= 0 term, so it lies at or left of the root.
+
+    A cell stops once its step would not move it, or past the first step
+    once r >= 0. A stopped cell's u no longer changes, and neither does
+    anything computed from it; so in a block of _FEW_CELLS or more, once at
+    most half the working cells still move, the stopped ones are set aside
+    with their last _rest_terms.
     """
-    u_lo = (logg - logc) / s
+    logc, u_mode = table[2:4, col]
+    last = rest == 0.0  # class n
+    u_lo = np.subtract(logg, logc)
+    u_lo /= s
     # the quadratic model of r at the mode starts near-double roots close by
-    drop = np.sqrt(2.0 * np.maximum(logh - logg, 0.0) * rest / sn)
-    live = active.copy()
-    u = np.where(live, np.maximum(u_lo, u_mode - drop), u_mode - 1.0)
+    u = np.sqrt(2.0 * np.maximum(table[4, col] - logg, 0.0) * rest / table[5, col])
+    np.maximum(u_lo, np.subtract(u_mode, u, out=u), out=u)
+    rest_log1m, odds, resid, new = (np.empty(u.size) for _ in range(4))
+    done = cells = None
     for it in range(_NEWTON_CAP):
-        rest_log1m, odds = _rest_terms(u, rest)
-        resid = logc + s * u + rest_log1m - logg
-        new = np.minimum(np.maximum(u - resid / (s - rest * odds), u_lo), u_mode)
+        _rest_terms(u, rest, last, rest_log1m, odds)
+        np.multiply(s, u, out=resid)
+        resid += logc
+        resid += rest_log1m
+        resid -= logg
+        np.multiply(rest, odds, out=new)
+        np.subtract(s, new, out=new)
+        np.divide(resid, new, out=new)
+        np.subtract(u, new, out=new)
+        np.minimum(np.maximum(new, u_lo, out=new), u_mode, out=new)
+        live = new != u
         if it:  # past the first step the iterates stay left of the root,
             live &= resid < 0  # so r >= 0 means it is reached within rounding
-        live &= new != u
-        if not live.any():
+        moving = np.count_nonzero(live)
+        if not moving:
             break
-        np.copyto(u, new, where=live)
-    return u
+        if 2 * moving > live.size or live.size < _FEW_CELLS:
+            np.copyto(u, new, where=live)
+            continue
+        done = _set_aside(done, cells, (u, rest_log1m, odds))
+        keep = live.nonzero()[0]
+        cells = keep if cells is None else cells[keep]
+        u = new[keep]
+        s, rest, logc, u_mode, u_lo, logg, last = (
+            a[keep] for a in (s, rest, logc, u_mode, u_lo, logg, last)
+        )
+        rest_log1m, odds, resid, new = (np.empty(keep.size) for _ in range(4))
+    else:  # at the cap, u moved after its last _rest_terms
+        _rest_terms(u, rest, last, rest_log1m, odds)
+    return _set_aside(done, cells, (u, rest_log1m, odds))
+
+
+def _set_aside(done, cells, parts):
+    """The full-size arrays ``done`` with ``parts`` written at ``cells``; while
+    nothing is set aside (``done`` is None) the parts cover every cell."""
+    if done is None:
+        return parts
+    for full, part in zip(done, parts):
+        full[cells] = part
+    return done
+
+
+def _tail_by_term(table, col, odds):
+    """Per cell, of class s = ``col`` + 1 (in class order), 1 + the tail's
+    term ratios summed in order up to the first term that is <= _TAIL_EPS
+    times the sum before it: a term of every working cell at a time, with
+    each class's term ratio computed once for its cells, and once at most
+    half of the cells go on, only those."""
+    n = table.shape[1]
+    term, total = np.ones(col.size), np.ones(col.size)
+    live, test, bar = np.ones(col.size, dtype=bool), np.empty(col.size, dtype=bool), np.empty(col.size)
+    done = cells = None
+    classes, counts = np.unique(col, return_counts=True)
+    s, rest = table[:2, classes]
+    for t in range(n):
+        ratio = (rest - t) / (s + (t + 2.0))
+        term *= ratio if ratio.size == term.size else np.repeat(ratio, counts)
+        term *= odds
+        live &= np.greater(term, np.multiply(total, _TAIL_EPS, out=bar), out=test)
+        going = np.count_nonzero(live)
+        if not going:
+            break
+        np.add(total, term, out=total, where=live)
+        if 2 * going <= live.size:
+            done = _set_aside(done, cells, (total,))
+            keep = live.nonzero()[0]
+            cells = keep if cells is None else cells[keep]
+            col, odds, term, total, live, test, bar = (
+                a[keep] for a in (col, odds, term, total, live, test, bar)
+            )
+            classes, counts = np.unique(col, return_counts=True)
+            s, rest = table[:2, classes]
+    return _set_aside(done, cells, (total,))[0]
+
+
+def _tail_by_chunk(s, rest, odds, n):
+    """_tail_by_term's sums a chunk of terms at a time. A cell's terms come
+    from one np.multiply.accumulate over its interleaved factors
+    (ratio_t, odds), and its running sums from one np.add.accumulate; both
+    run strictly in order, so every term and sum equals the loop's. Only
+    the cells whose terms all mattered go on to the next chunk."""
+    term = total = 1.0
+    done = cells = None
+    t0 = 0
+    while True:
+        t = np.arange(t0, min(n, t0 + max(1, _CHUNK // s.size)), dtype=float)
+        f = np.empty((s.size, 2 * t.size + 1))
+        f[:, 0] = term
+        np.divide(rest[:, None] - t, s[:, None] + (t + 2.0), out=f[:, 1::2])
+        f[:, 2::2] = odds[:, None]
+        np.multiply.accumulate(f, axis=1, out=f)
+        terms = f[:, 2::2]
+        sums = np.empty((s.size, t.size + 1))
+        sums[:, 0], sums[:, 1:] = total, terms
+        np.add.accumulate(sums, axis=1, out=sums)
+        # the run of leading terms that matter; the cell's sum ends after it
+        run = np.logical_and.accumulate(terms > _TAIL_EPS * sums[:, :-1], axis=1).sum(axis=1)
+        total = sums[np.arange(s.size), run]
+        t0 += t.size
+        going = (run == t.size).nonzero()[0]
+        if not going.size or t0 == n:
+            return _set_aside(done, cells, (total,))[0]
+        done = _set_aside(done, cells, (total,))
+        cells = going if cells is None else cells[going]
+        term, total, s, rest, odds = terms[going, -1], total[going], s[going], rest[going], odds[going]
 
 
 def bu_mutual_information(model: BernoulliUniformModel) -> float:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
+from ldpkit import info
 from ldpkit.dist import Distribution, FGenerator, _check_alphabets, f_divergence
 from ldpkit.errors import DimensionError, DomainError
 from ldpkit.kernel import Kernel, bsc, k_rr, randomized_response
@@ -110,8 +111,8 @@ def kernels(draw, min_in: int = 2, max_in: int = 4, min_out: int = 2, max_out: i
 # pair) at a time through the scalar Distribution API, which the batched
 # engine must reproduce; then the sorted-prefix inversion of the profile,
 # two forms of E_gamma other than the sup-over-sets one in ldpkit.dist,
-# Simpson quadrature of the Bernoulli-uniform informations, and I_gamma
-# at n = 1 in closed form.
+# Simpson quadrature of the Bernoulli-uniform informations, I_gamma at
+# n = 1 in closed form, and I_gamma on whole (gamma, class) rectangles.
 
 
 def loop_two_point(k: Kernel, gamma: float) -> tuple[float, float, tuple[int, int]]:
@@ -321,6 +322,78 @@ def bu_igamma_n1(gamma: float) -> float:
     if gamma <= 2.0:
         return 0.25 * (gamma - 2.0) ** 2
     return 0.0
+
+
+def bu_igamma_dense(n: int, gamma: np.ndarray) -> np.ndarray:
+    """``bu_igamma`` of the n-sample model at a 1-d array of gamma >= 0 the
+    dense way: every gamma in (0, n + 1) and every class s = 1..n is one
+    cell of a (gamma, class) rectangle, and Newton's iteration and the tail
+    sums run over the whole rectangle, masked, until the slowest cell is
+    done. Its values are the library's, bit for bit; ``_NEWTON_CAP`` and
+    ``_TAIL_EPS`` are read from ldpkit.info at each call."""
+    k = np.arange(n + 1)
+    logfact = np.array([math.lgamma(j + 1.0) for j in range(n + 2)])
+    logc = math.log(n + 1) + (logfact[n] - (logfact[k] + logfact[n - k]))
+    xlogx = np.zeros(n + 1)
+    xlogx[1:] = k[1:] * np.log(k[1:] / n)
+    logh = logc + (xlogx + xlogx[::-1])
+    s, rest = k[1:].astype(float), (n - k[1:]).astype(float)
+    log_choose = logfact[n + 1] - (logfact[2:] + logfact[n - k[1:]])
+    classes = logc, logh, s, rest, log_choose, np.log(s / s[-1]), s * s[-1]
+    out = np.zeros(gamma.shape)
+    inside = (gamma > 0) & (gamma < n + 1)
+    if inside.any():
+        out[inside] = _dense_block(classes, gamma[inside])
+    return out
+
+
+def _dense_block(classes: tuple, gamma: np.ndarray) -> np.ndarray:
+    logc, logh, s, rest, log_choose, u_mode, sn = classes
+    n = s.size
+    logg = np.log(gamma)[:, None]
+    active = logg < logh
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = _dense_left_ends(s, rest, logc[1:], logh[1:], u_mode, sn, logg, active[:, 1:])
+        rest_log1m, odds = _dense_rest_terms(u, rest)
+        log_first = log_choose + (s + 1.0) * u + rest_log1m
+        term, total = np.ones_like(u), np.ones_like(u)
+        live = active[:, 1:].copy()
+        for t in range(n):
+            term = term * ((rest - t) / (s + (t + 2.0))) * odds
+            live &= term > info._TAIL_EPS * total
+            if not live.any():
+                break
+            np.add(total, term, out=total, where=live)
+        tail = np.exp(log_first) * total
+    d = np.where(active[:, 1:], gamma[:, None] * np.exp(u) - tail, 0.0).sum(axis=1)
+    m = active.sum(axis=1)
+    total = 2.0 * d + (m * (1.0 - gamma) - (n + 1) * np.maximum(1.0 - gamma, 0.0))
+    return np.maximum(total / (n + 1), 0.0)
+
+
+def _dense_rest_terms(u, rest):
+    log1m = np.log1p(-np.exp(u))
+    rest_log1m, odds = rest * log1m, np.exp(u - log1m)
+    rest_log1m[:, -1] = odds[:, -1] = 0.0  # the last column is class n
+    return rest_log1m, odds
+
+
+def _dense_left_ends(s, rest, logc, logh, u_mode, sn, logg, active):
+    u_lo = (logg - logc) / s
+    drop = np.sqrt(2.0 * np.maximum(logh - logg, 0.0) * rest / sn)
+    live = active.copy()
+    u = np.where(live, np.maximum(u_lo, u_mode - drop), u_mode - 1.0)
+    for it in range(info._NEWTON_CAP):
+        rest_log1m, odds = _dense_rest_terms(u, rest)
+        resid = logc + s * u + rest_log1m - logg
+        new = np.minimum(np.maximum(u - resid / (s - rest * odds), u_lo), u_mode)
+        if it:
+            live &= resid < 0
+        live &= new != u
+        if not live.any():
+            break
+        np.copyto(u, new, where=live)
+    return u
 
 
 def gamma_opt_full_mesh(cfg) -> tuple[float, dict, tuple[str, ...]]:

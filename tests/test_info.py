@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldpkit.dist import Distribution, FGenerator, f_divergence
@@ -23,6 +23,7 @@ from ldpkit.info import (
 )
 from support import (
     bu_class_marginal,
+    bu_igamma_dense,
     bu_igamma_n1,
     bu_igamma_quadrature,
     bu_mutual_information_quadrature,
@@ -323,7 +324,7 @@ class TestBuIgammaClosedForm:
         for gamma, value in zip(gammas, values):
             scalar = bu_igamma(model, gamma)
             assert type(scalar) is float
-            assert scalar == value
+            assert scalar.hex() == float(value).hex()
 
     def test_blocks_of_a_long_grid_match_scalar_calls(self, monkeypatch):
         import ldpkit.info
@@ -332,7 +333,7 @@ class TestBuIgammaClosedForm:
         model = BernoulliUniformModel(20)
         gammas = np.linspace(0.0, 22.0, 41)
         values = bu_igamma(model, gammas)
-        assert values.tolist() == [bu_igamma(model, float(g)) for g in gammas]
+        assert bits(values) == bits([bu_igamma(model, float(g)) for g in gammas])
 
     def test_array_shape_is_kept(self):
         model = BernoulliUniformModel(4)
@@ -341,6 +342,82 @@ class TestBuIgammaClosedForm:
         assert values.shape == (3, 4)
         assert values[2, 1] == bu_igamma(model, float(grid[2, 1]))
         assert type(bu_igamma(model, np.float64(1.5))) is float
+
+
+def bits(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def ulps_away(x: float, k: int) -> float:
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else 0.0)
+    return x
+
+
+@st.composite
+def bu_gamma_calls(draw):
+    """(n, gamma): gamma a 0-d form (int, float, np.float64, 0-d array) or
+    a 1-d or 2-d array with repeats, at class mode heights give or take a
+    few ulps, at the edges 0, 1, 5e-324, n + 1 and inf, or anywhere."""
+    n = draw(st.sampled_from([*range(1, 61), 500, 2000]))
+    heights = mode_heights(n)
+    point = st.one_of(
+        st.builds(lambda s, k: ulps_away(float(heights[s]), k), st.integers(0, n), st.integers(-3, 3)),
+        st.sampled_from([0.0, 1.0, 5e-324, n + 1.0, math.nextafter(n + 1.0, 0.0), math.inf]),
+        st.floats(0.0, n + 2.0),
+    )
+    form = draw(st.sampled_from(["int", "float", "float64", "0-d", "1-d", "2-d"]))
+    if form == "int":
+        return n, draw(st.integers(0, n + 2))
+    if form in ("float", "float64", "0-d"):
+        x = draw(point)
+        return n, {"float": x, "float64": np.float64(x), "0-d": np.array(x)}[form]
+    values = draw(st.lists(point, min_size=1, max_size=6 if n >= 500 else 16))
+    values += draw(st.lists(st.sampled_from(values), max_size=4))  # repeats
+    if form == "2-d":
+        values = values[: len(values) // 2 * 2] or values * 2
+        return n, np.array(values).reshape(2, -1)
+    return n, np.array(values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bu_gamma_calls())
+def test_bu_igamma_is_the_dense_rectangle_bit_for_bit(call):
+    n, gamma = call
+    value = bu_igamma(BernoulliUniformModel(n), gamma)
+    expected = bu_igamma_dense(n, np.asarray(gamma, dtype=float).reshape(-1))
+    if np.ndim(gamma) == 0:
+        assert type(value) is float
+    else:
+        assert value.shape == np.shape(gamma)
+    assert bits(value) == bits(expected)
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"_FEW_CELLS": 1},  # every block compacts its Newton cells and loops over tail terms
+        {"_FEW_CELLS": 1 << 30, "_CHUNK": 1},  # every block sums its tails in one-term chunks
+        {"_BLOCK": 16},  # each gamma's classes in passes of 16 cells
+        {"_FEW_CELLS": 1, "_NEWTON_CAP": 3},  # Newton stops at the cap, cells set aside
+        {"_NEWTON_CAP": 3},  # Newton stops at the cap, no cell set aside
+    ],
+)
+def test_each_path_is_the_dense_rectangle_bit_for_bit(monkeypatch, setting):
+    import ldpkit.info
+
+    for name, value in setting.items():
+        monkeypatch.setattr(ldpkit.info, name, value)
+    for n in (1, 7, 40, 200):
+        heights = mode_heights(n)
+        gammas = np.concatenate([
+            np.linspace(0.0, n + 2.0, 23), heights, np.nextafter(heights, 0.0),
+            [5e-324, 1.0, math.nextafter(n + 1.0, 0.0), math.inf],
+        ])
+        model = BernoulliUniformModel(n)
+        expected = bu_igamma_dense(n, gammas)
+        assert bits(bu_igamma(model, gammas)) == bits(expected), n
+        assert bits([bu_igamma(model, float(g)) for g in gammas[::5]]) == bits(expected[::5]), n
 
 
 class TestBuMutualInformation:
