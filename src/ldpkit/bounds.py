@@ -133,7 +133,8 @@ class BayesConfig:
     """Inputs for the Bayes-risk lower bounds.
 
     ``small_ball`` maps zeta to the largest prior mass of a zeta-ball
-    (nondecreasing, valued in [0, 1]; not validated). ``info_value`` is
+    (nondecreasing, valued in [0, 1]; a bound refuses only values it
+    cannot rank, such as NaN). ``info_value`` is
     I(Theta; X^n) in nats for the mutual-information bound and
     I_{e^eps}(Theta; X^n) for the hockey-stick bound. The gamma-optimized
     bound ignores ``info_value`` and needs ``info_fn``, a callable
@@ -337,6 +338,20 @@ def _bayes_inputs(cfg: BayesConfig, **extra) -> dict:
     }
 
 
+def _ball_on_grid(cfg: BayesConfig):
+    """The zeta grid and L on it for the 1-d Bayes bounds; a NaN L (read as
+    infeasible) or a negative one (0 * inf at zeta = 0) is refused."""
+    import numpy as np
+
+    zetas = cfg.zeta_grid.points()
+    ball = cfg.small_ball(zetas)
+    if np.isnan(ball).any():
+        raise DomainError("L(zeta) must not be NaN on the zeta grid")
+    if np.less(ball, 0.0).any():
+        raise DomainError("L(zeta) must be >= 0 on the zeta grid")
+    return zetas, ball
+
+
 def bayes_xu_raginsky_private(cfg: BayesConfig) -> BoundReport:
     """Mutual-information Bayes-risk lower bound under privacy.
 
@@ -348,8 +363,7 @@ def bayes_xu_raginsky_private(cfg: BayesConfig) -> BoundReport:
 
     pn = phi_n(cfg.params, cfg.n)
     numerator = pn * cfg.info_value + LN2
-    zetas = cfg.zeta_grid.points()
-    ball = cfg.small_ball(zetas)
+    zetas, ball = _ball_on_grid(cfg)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         bracket = 1.0 - numerator / np.log(1.0 / ball)
     vals = np.where(ball < 1.0, zetas * np.maximum(0.0, bracket), -np.inf)
@@ -379,15 +393,12 @@ def bayes_egamma_lb(cfg: BayesConfig) -> BoundReport:
 
     gamma = gamma_from_epsilon(cfg.params.epsilon)
     c = cfg.params.delta if cfg.n == 1 else phi_n(cfg.params, cfg.n)
-    zetas = cfg.zeta_grid.points()
-    ball = cfg.small_ball(zetas)
+    zetas, ball = _ball_on_grid(cfg)
     # A zero ball absorbs gamma = inf, as a zero coefficient does in _contracted.
     penalty = gamma * ball if gamma < math.inf else np.where(ball > 0.0, math.inf, 0.0)
     vals = zetas * np.maximum(0.0, 1.0 - c * cfg.info_value - penalty)
     i = int(np.argmax(vals))
     value = float(vals[i])
-    if math.isnan(value):  # np.argmax stops at the first NaN
-        raise DomainError("L(zeta) must not be NaN on the zeta grid")
     return BoundReport(
         bound_name="bayes_egamma_lb",
         value=value,

@@ -72,7 +72,7 @@ class BernoulliUniformModel:
         s n, and the gamma-free part of the log of the first tail term."""
         n = self.n
         k = np.arange(n + 1)
-        logfact = np.array([math.lgamma(j + 1.0) for j in range(n + 2)])
+        logfact = np.fromiter(map(math.lgamma, range(1, n + 3)), float, n + 2)  # log j!, j = 0..n+1
         # log of the Beta normalizer (n+1) C(n,s) and of the mode height
         # f_s(s/n), each summed so that classes s and n - s agree bit for bit
         logc = math.log(n + 1) + (logfact[n] - (logfact[k] + logfact[n - k]))
@@ -96,12 +96,12 @@ _BLOCK = 1 << 15
 # gamma is within rounding of a class's mode height (a near-double root,
 # where convergence is linear).
 _NEWTON_CAP = 100
-# Binomial-tail terms are summed until one falls below this fraction of the
-# running sum. Past the pmf's mode they fall off faster than geometrically,
-# so the dropped remainder is below the sum's last bit.
+# Binomial tails are summed until no cell's term exceeds this fraction of its
+# running sum. Past the pmf's mode no term from there on changes a bit of
+# the sum (_tail_by_term), so the sum is that of all the tail's terms.
 _TAIL_EPS = 2.0**-60
-# Blocks of fewer cells than this leave finished cells in place and sum
-# their tails _CHUNK cell-terms at a time, as numpy's cost per call would
+# Blocks of fewer cells than this leave Newton's finished cells in place and
+# sum their tails _CHUNK cell-terms at a time, as numpy's cost per call would
 # dominate a term-at-a-time loop there; larger blocks loop over terms.
 _FEW_CELLS = 256
 _CHUNK = 1 << 12
@@ -289,45 +289,37 @@ def _set_aside(done, cells, parts):
 
 def _tail_by_term(table, col, odds):
     """Per cell, of class s = ``col`` + 1 (in class order), 1 + the tail's
-    term ratios summed in order up to the first term that is <= _TAIL_EPS
-    times the sum before it: a term of every working cell at a time, with
-    each class's term ratio computed once for its cells, and once at most
-    half of the cells go on, only those."""
+    term ratios summed in order, a term of every cell at a time (a class's
+    ratio is computed once for its cells), until no term exceeds _TAIL_EPS
+    times its cell's sum. That is the sum of all the terms, bit for bit:
+    the tail starts past the pmf's mode ((n + 2) a_s < s + 2, as a_s <= s/n
+    and s < n; class n has odds 0), so ratio_t * odds < 1 and each float
+    term is at most (1 + u)^2 times the one before. From a term <= 2^-60 S
+    on, S the sum before it, every term is below 2^-54 S < ulp(S)/2, and
+    S + t rounds to S."""
     n = table.shape[1]
-    term, total = np.ones(col.size), np.ones(col.size)
-    live, test, bar = np.ones(col.size, dtype=bool), np.empty(col.size, dtype=bool), np.empty(col.size)
-    done = cells = None
     classes, counts = np.unique(col, return_counts=True)
     s, rest = table[:2, classes]
+    term, total = np.ones(col.size), np.ones(col.size)
+    test, bar = np.empty(col.size, dtype=bool), np.empty(col.size)
     for t in range(n):
         ratio = (rest - t) / (s + (t + 2.0))
         term *= ratio if ratio.size == term.size else np.repeat(ratio, counts)
         term *= odds
-        live &= np.greater(term, np.multiply(total, _TAIL_EPS, out=bar), out=test)
-        going = np.count_nonzero(live)
-        if not going:
+        if not np.greater(term, np.multiply(total, _TAIL_EPS, out=bar), out=test).any():
             break
-        np.add(total, term, out=total, where=live)
-        if 2 * going <= live.size:
-            done = _set_aside(done, cells, (total,))
-            keep = live.nonzero()[0]
-            cells = keep if cells is None else cells[keep]
-            col, odds, term, total, live, test, bar = (
-                a[keep] for a in (col, odds, term, total, live, test, bar)
-            )
-            classes, counts = np.unique(col, return_counts=True)
-            s, rest = table[:2, classes]
-    return _set_aside(done, cells, (total,))[0]
+        total += term
+    return total
 
 
 def _tail_by_chunk(s, rest, odds, n):
     """_tail_by_term's sums a chunk of terms at a time. A cell's terms come
     from one np.multiply.accumulate over its interleaved factors
     (ratio_t, odds), and its running sums from one np.add.accumulate; both
-    run strictly in order, so every term and sum equals the loop's. Only
-    the cells whose terms all mattered go on to the next chunk."""
+    run strictly in order, so every term and sum equals the loop's. Chunks
+    go on until no cell's last term exceeds _TAIL_EPS times the sum before
+    it, the stop rule of _tail_by_term."""
     term = total = 1.0
-    done = cells = None
     t0 = 0
     while True:
         t = np.arange(t0, min(n, t0 + max(1, _CHUNK // s.size)), dtype=float)
@@ -336,20 +328,13 @@ def _tail_by_chunk(s, rest, odds, n):
         np.divide(rest[:, None] - t, s[:, None] + (t + 2.0), out=f[:, 1::2])
         f[:, 2::2] = odds[:, None]
         np.multiply.accumulate(f, axis=1, out=f)
-        terms = f[:, 2::2]
         sums = np.empty((s.size, t.size + 1))
-        sums[:, 0], sums[:, 1:] = total, terms
+        sums[:, 0], sums[:, 1:] = total, f[:, 2::2]
         np.add.accumulate(sums, axis=1, out=sums)
-        # the run of leading terms that matter; the cell's sum ends after it
-        run = np.logical_and.accumulate(terms > _TAIL_EPS * sums[:, :-1], axis=1).sum(axis=1)
-        total = sums[np.arange(s.size), run]
+        term, total = f[:, -1], sums[:, -1]
         t0 += t.size
-        going = (run == t.size).nonzero()[0]
-        if not going.size or t0 == n:
-            return _set_aside(done, cells, (total,))[0]
-        done = _set_aside(done, cells, (total,))
-        cells = going if cells is None else cells[going]
-        term, total, s, rest, odds = terms[going, -1], total[going], s[going], rest[going], odds[going]
+        if t0 == n or not (term > _TAIL_EPS * sums[:, -2]).any():
+            return total
 
 
 def bu_mutual_information(model: BernoulliUniformModel) -> float:

@@ -523,6 +523,20 @@ class TestBayesGrids:
             assert report.witness["gamma"] == 0.5
         assert "vacuous" in report.flags
 
+    @pytest.mark.parametrize("calculator", CALCULATORS[:2])
+    @pytest.mark.parametrize("ball, message", [
+        (lambda z: np.full_like(z, np.nan), "must not be NaN"),
+        # on the default zeta grid this ball once gave the MI bound 0.0335 at zeta = 0.0499
+        (lambda z: np.where(z > 0.05, np.nan, small_ball_uniform01(z)), "must not be NaN"),
+        (lambda z: np.where(z == 0.0, -np.inf, small_ball_uniform01(z)), "must be >= 0"),
+    ], ids=["all-nan", "nan-above-0.05", "minus-inf-at-0"])
+    def test_nan_or_negative_ball_is_refused(self, calculator, ball, message):
+        # the MI bound once read NaN as infeasible: 0.0 flagged no-feasible-zeta
+        # for an all-NaN ball
+        cfg = BayesConfig(ball, 0.1, 1, PrivacyParams(1, 0), GridSpec(0.0, 0.5, 11))
+        with pytest.raises(DomainError, match=f"L\\(zeta\\) {message} on the zeta grid"):
+            calculator(cfg)
+
 
 class TestBayesGammaOpt:
     def test_requires_info_fn(self):

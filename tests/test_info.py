@@ -17,6 +17,8 @@ from ldpkit.info import (
     MAX_BU_WORK,
     BernoulliUniformModel,
     JointDistribution,
+    _tail_by_chunk,
+    _tail_by_term,
     bu_igamma,
     bu_mutual_information,
     f_information,
@@ -418,6 +420,41 @@ def test_each_path_is_the_dense_rectangle_bit_for_bit(monkeypatch, setting):
         expected = bu_igamma_dense(n, gammas)
         assert bits(bu_igamma(model, gammas)) == bits(expected), n
         assert bits([bu_igamma(model, float(g)) for g in gammas[::5]]) == bits(expected[::5]), n
+
+
+@st.composite
+def tail_cells(draw):
+    """(n, cells): cells (s, a) in class order, 1 <= s < n <= 2000 and
+    a in (0, s/n], with a = s/n, the mode, drawn often."""
+    n = draw(st.integers(2, 2000))
+    a_for = lambda s: st.one_of(st.just(s / n), st.floats(0.0, s / n, exclude_min=True))
+    cell = st.integers(1, n - 1).flatmap(lambda s: st.tuples(st.just(s), a_for(s)))
+    return n, sorted(draw(st.lists(cell, min_size=1, max_size=8)))
+
+
+def every_tail_term(n: int, s: int, odds: float) -> float:
+    """1 + each of the n - s later terms of class s's tail over its first, at
+    the given odds, summed in order with no stop."""
+    term = total = 1.0
+    for t in range(n - s):
+        term = term * ((n - s - t) / (s + (t + 2.0))) * odds
+        total += term
+    return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(tail_cells())
+def test_tail_stop_rule_sums_every_term_bit_for_bit(case):
+    # the stop lemma of _tail_by_term: past the cut at _TAIL_EPS no term
+    # changes a bit of its sum, in either tail function
+    n, cells = case
+    s = np.array([c for c, _ in cells], dtype=float)
+    a = np.array([a for _, a in cells])
+    odds = a / (1.0 - a)
+    expected = bits([every_tail_term(n, int(c), o) for c, o in zip(s, odds)])
+    table = BernoulliUniformModel(n)._classes[1]
+    assert bits(_tail_by_term(table, s.astype(int) - 1, odds)) == expected
+    assert bits(_tail_by_chunk(s, n - s, odds, n)) == expected
 
 
 class TestBuMutualInformation:
