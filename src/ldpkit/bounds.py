@@ -418,8 +418,9 @@ def bayes_gamma_opt_lb(cfg: BayesConfig) -> BoundReport:
 
     The value is the first maximum of the zeta x gamma mesh in row-major
     order, bit for bit, but the mesh is evaluated a block of zeta rows at a
-    time, and a block is skipped when an upper bound on its cells is below
-    the best cell found. A non-finite I_gamma or L on the grids is refused.
+    time, from the block of highest upper bound down, and the walk ends at
+    the first block whose bound is below the best cell found. A non-finite
+    I_gamma or L on the grids is refused.
     """
     import numpy as np
 
@@ -459,25 +460,21 @@ def bayes_gamma_opt_lb(cfg: BayesConfig) -> BoundReport:
         bound[s : s + rows] = mesh(top[s : s + rows], low[s : s + rows]).max(axis=1)
 
     def block(b):
+        # the block's first maximum, as (value, -flat index): of two equal
+        # cells max() keeps the smaller index, the first maximum of np.argmax
         lo = int(starts[b])
         vals = mesh(zetas[lo : lo + rows, None], ball[lo : lo + rows])
         k = int(np.argmax(vals))
-        return lo * gammas.size + k, float(vals.flat[k])
+        return float(vals.flat[k]), -(lo * gammas.size + k)
 
-    # The block of highest bound gives a floor; a block bounded below it
-    # cannot hold the maximum. The rest are merged in row order, so the
-    # first maximum of the whole mesh wins, as in np.argmax.
-    seed = int(np.argmax(bound))
-    done = {seed: block(seed)}
-    floor = done[seed][1]
-    best = None
-    for b in range(starts.size):
-        if bound[b] < floor:
-            continue
-        k, v = done.pop(b) if b in done else block(b)
-        if best is None or v > best[1]:
-            best = k, v
-    (i, j), value = divmod(best[0], gammas.size), best[1]
+    # Blocks are evaluated from the highest bound down, and the walk stops at
+    # the first bound below the best cell found: no later block can hold it.
+    best = (-math.inf, 0)
+    for b in np.argsort(-bound, kind="stable"):
+        if bound[b] < best[0]:
+            break
+        best = max(best, block(b))
+    value, (i, j) = best[0], divmod(-best[1], gammas.size)
     zeta_star, gamma_star = float(zetas[i]), float(gammas[j])
     # Until the gamma supremum is searched off the grid, a witness on an
     # end of the grid says the supremum may lie beyond it.

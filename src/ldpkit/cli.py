@@ -29,6 +29,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 from functools import partial
 from itertools import product
@@ -142,6 +143,12 @@ def parse_grid_spec(text: str) -> GridSpec:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A token of "-" and a number is a value, not a flag, so
+        # --eps-grid -1:1:3 reaches the grid check as --eps-grid=-1:1:3 does.
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):  # reported by main, as one error line with exit 1
         raise DomainError(message)
 

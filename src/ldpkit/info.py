@@ -71,20 +71,31 @@ class BernoulliUniformModel:
         the log Beta normalizer, the log mode log(s/n), the log mode height,
         s n, and the gamma-free part of the log of the first tail term."""
         n = self.n
-        k = np.arange(n + 1)
         logfact = np.fromiter(map(math.lgamma, range(1, n + 3)), float, n + 2)  # log j!, j = 0..n+1
+        # filled row by row from slices of logfact and the rows before: no
+        # index arrays, gathered copies or stacked copy at large n
+        table = np.empty((7, n))
+        s, rest, logc, u_mode, logh_s, sn, log_choose = table
+        s[:] = np.arange(1, n + 1)
+        np.subtract(n, s, out=rest)
+        np.log(np.divide(s, n, out=u_mode), out=u_mode)
         # log of the Beta normalizer (n+1) C(n,s) and of the mode height
-        # f_s(s/n), each summed so that classes s and n - s agree bit for bit
-        logc = math.log(n + 1) + (logfact[n] - (logfact[k] + logfact[n - k]))
-        xlogx = np.zeros(n + 1)
-        xlogx[1:] = k[1:] * np.log(k[1:] / n)
-        logh = logc + (xlogx + xlogx[::-1])
-        table = np.empty((7, n))  # filled row by row: no stacked copy at large n
-        s, rest, logc_s, u_mode, logh_s, sn, log_choose = table
-        s[:], rest[:], logc_s[:], logh_s[:] = k[1:], n - k[1:], logc[1:], logh[1:]
-        np.log(s / n, out=u_mode)
+        # f_s(s/n) of classes 0..n, each summed so that classes s and n - s
+        # agree bit for bit
+        logh = np.add(logfact[: n + 1], logfact[n::-1])
+        np.subtract(logfact[n], logh, out=logh)
+        logh += math.log(n + 1)
+        logc[:] = logh[1:]
+        # x_s + x_{n-s} with x_s = s log(s/n) (x_0 = 0), in the last two rows
+        np.multiply(s, u_mode, out=sn)
+        np.add(sn[:-1], sn[-2::-1], out=log_choose[:-1])
+        log_choose[-1] = sn[-1] + 0.0  # x_n + x_0
+        logh[1:] += log_choose
+        logh[0] += log_choose[-1]
+        logh_s[:] = logh[1:]
         np.multiply(s, n, out=sn)
-        np.subtract(logfact[n + 1], logfact[2:] + logfact[n - k[1:]], out=log_choose)
+        np.add(logfact[2:], logfact[n - 1 :: -1], out=log_choose)
+        np.subtract(logfact[n + 1], log_choose, out=log_choose)
         return logh, table
 
 
@@ -100,9 +111,9 @@ _NEWTON_CAP = 100
 # running sum. Past the pmf's mode no term from there on changes a bit of
 # the sum (_tail_by_term), so the sum is that of all the tail's terms.
 _TAIL_EPS = 2.0**-60
-# Blocks of fewer cells than this leave Newton's finished cells in place and
-# sum their tails _CHUNK cell-terms at a time, as numpy's cost per call would
-# dominate a term-at-a-time loop there; larger blocks loop over terms.
+# Blocks of fewer cells than this sum their tails _CHUNK cell-terms at a
+# time, as numpy's cost per call would dominate a term-at-a-time loop there;
+# larger blocks loop over terms.
 _FEW_CELLS = 256
 _CHUNK = 1 << 12
 
@@ -230,10 +241,9 @@ def _log_left_ends(table, col, s, rest, logg):
     (n - s) log(1 - theta) <= 0 term, so it lies at or left of the root.
 
     A cell stops once its step would not move it, or past the first step
-    once r >= 0. A stopped cell's u no longer changes, and neither does
-    anything computed from it; so in a block of _FEW_CELLS or more, once at
-    most half the working cells still move, the stopped ones are set aside
-    with their last _rest_terms.
+    once r >= 0. A stopped cell's u no longer changes: its next step is the
+    same one, so it stays stopped, and its _rest_terms are recomputed to the
+    same values until every cell has stopped.
     """
     logc, u_mode = table[2:4, col]
     last = rest == 0.0  # class n
@@ -243,7 +253,6 @@ def _log_left_ends(table, col, s, rest, logg):
     u = np.sqrt(2.0 * np.maximum(table[4, col] - logg, 0.0) * rest / table[5, col])
     np.maximum(u_lo, np.subtract(u_mode, u, out=u), out=u)
     rest_log1m, odds, resid, new = (np.empty(u.size) for _ in range(4))
-    done = cells = None
     for it in range(_NEWTON_CAP):
         _rest_terms(u, rest, last, rest_log1m, odds)
         np.multiply(s, u, out=resid)
@@ -258,33 +267,11 @@ def _log_left_ends(table, col, s, rest, logg):
         live = new != u
         if it:  # past the first step the iterates stay left of the root,
             live &= resid < 0  # so r >= 0 means it is reached within rounding
-        moving = np.count_nonzero(live)
-        if not moving:
-            break
-        if 2 * moving > live.size or live.size < _FEW_CELLS:
-            np.copyto(u, new, where=live)
-            continue
-        done = _set_aside(done, cells, (u, rest_log1m, odds))
-        keep = live.nonzero()[0]
-        cells = keep if cells is None else cells[keep]
-        u = new[keep]
-        s, rest, logc, u_mode, u_lo, logg, last = (
-            a[keep] for a in (s, rest, logc, u_mode, u_lo, logg, last)
-        )
-        rest_log1m, odds, resid, new = (np.empty(keep.size) for _ in range(4))
-    else:  # at the cap, u moved after its last _rest_terms
-        _rest_terms(u, rest, last, rest_log1m, odds)
-    return _set_aside(done, cells, (u, rest_log1m, odds))
-
-
-def _set_aside(done, cells, parts):
-    """The full-size arrays ``done`` with ``parts`` written at ``cells``; while
-    nothing is set aside (``done`` is None) the parts cover every cell."""
-    if done is None:
-        return parts
-    for full, part in zip(done, parts):
-        full[cells] = part
-    return done
+        if not live.any():
+            return u, rest_log1m, odds
+        np.copyto(u, new, where=live)
+    _rest_terms(u, rest, last, rest_log1m, odds)  # at the cap, u moved after its last _rest_terms
+    return u, rest_log1m, odds
 
 
 def _tail_by_term(table, col, odds):

@@ -331,6 +331,17 @@ def bu_igamma_dense(n: int, gamma: np.ndarray) -> np.ndarray:
     sums run over the whole rectangle, masked, until the slowest cell is
     done. Its values are the library's, bit for bit; ``_NEWTON_CAP`` and
     ``_TAIL_EPS`` are read from ldpkit.info at each call."""
+    out = np.zeros(gamma.shape)
+    inside = (gamma > 0) & (gamma < n + 1)
+    if inside.any():
+        out[inside] = _dense_block(bu_classes_dense(n), gamma[inside])
+    return out
+
+
+def bu_classes_dense(n: int) -> tuple:
+    """The gamma-free constants of ``bu_igamma_dense``, from index arrays:
+    log Beta normalizer and log mode height of classes 0..n, then s, n - s,
+    the first tail term's constant, log(s/n) and s n of classes 1..n."""
     k = np.arange(n + 1)
     logfact = np.array([math.lgamma(j + 1.0) for j in range(n + 2)])
     logc = math.log(n + 1) + (logfact[n] - (logfact[k] + logfact[n - k]))
@@ -339,12 +350,7 @@ def bu_igamma_dense(n: int, gamma: np.ndarray) -> np.ndarray:
     logh = logc + (xlogx + xlogx[::-1])
     s, rest = k[1:].astype(float), (n - k[1:]).astype(float)
     log_choose = logfact[n + 1] - (logfact[2:] + logfact[n - k[1:]])
-    classes = logc, logh, s, rest, log_choose, np.log(s / s[-1]), s * s[-1]
-    out = np.zeros(gamma.shape)
-    inside = (gamma > 0) & (gamma < n + 1)
-    if inside.any():
-        out[inside] = _dense_block(classes, gamma[inside])
-    return out
+    return logc, logh, s, rest, log_choose, np.log(s / s[-1]), s * s[-1]
 
 
 def _dense_block(classes: tuple, gamma: np.ndarray) -> np.ndarray:

@@ -714,6 +714,19 @@ class TestGammaOptBlocks:
             first = {"zeta": cfg.zeta_grid.points()[0], "gamma": cfg.gamma_grid.points()[0]}
             assert (report.value, report.witness) == (0.0, first) and "vacuous" in report.flags
 
+    def test_a_tie_with_a_higher_bound_block_keeps_the_first_cell(self, monkeypatch):
+        # With gamma = 1, I = 0 and two rows a block, zeta = 0.25, 0.5 and 1
+        # all give 0.25 exactly; the block {0.5, 0.75} has the highest bound
+        # (0.75 (1 - 0.5)), so it is evaluated first, but the cell at 0.25
+        # comes first in row order.
+        ball = partial(np.interp, xp=[0.0, 0.25, 0.5, 0.75, 1.0], fp=[0.0, 0.0, 0.5, 0.75, 0.75])
+        cfg = BayesConfig(ball, 0.0, 1, NONPRIVATE, GridSpec(0.0, 1.0, 5), GridSpec(1.0, 1.0, 1),
+                          np.zeros_like)
+        monkeypatch.setattr(ldpkit.bounds, "MESH_BLOCK_BYTES", 16)
+        report = bayes_gamma_opt_lb(cfg)
+        assert (report.value, report.witness) == (0.25, {"zeta": 0.25, "gamma": 1.0})
+        assert (report.value, report.witness, report.flags) == gamma_opt_full_mesh(cfg)
+
     # Each of these once gave a NaN value with no error and no flag.
     @pytest.mark.parametrize("info_fn, small_ball", [
         (lambda g: np.where(g == 2.0, np.nan, 0.1), small_ball_uniform01),

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from ldpkit.info import (
 )
 from support import (
     bu_class_marginal,
+    bu_classes_dense,
     bu_igamma_dense,
     bu_igamma_n1,
     bu_igamma_quadrature,
@@ -134,6 +136,26 @@ class TestBernoulliUniformModel:
                 for s in range(n + 1)
             )
             assert total == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 20, 1001, 2000])
+    def test_class_table_is_the_index_array_one_bit_for_bit(self, n):
+        logh, table = BernoulliUniformModel(n)._classes
+        logc, logh_dense, s, rest, log_choose, u_mode, sn = bu_classes_dense(n)
+        expected = np.stack([s, rest, logc[1:], u_mode, logh_dense[1:], sn, log_choose])
+        assert logh.tobytes() == logh_dense.tobytes()
+        assert table.tobytes() == expected.tobytes()
+
+    def test_class_table_peak_memory_is_what_it_keeps_and_log_factorials(self):
+        # kept: the (7, n) table and the n + 1 log mode heights, 64 MB at the
+        # cap; the n + 2 log-factorials are the one other array of that size
+        model = BernoulliUniformModel(MAX_BU_N)
+        tracemalloc.start()
+        try:
+            model._classes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10 * (MAX_BU_N + 2)
 
 
 class TestBuIgamma:
@@ -398,11 +420,11 @@ def test_bu_igamma_is_the_dense_rectangle_bit_for_bit(call):
 @pytest.mark.parametrize(
     "setting",
     [
-        {"_FEW_CELLS": 1},  # every block compacts its Newton cells and loops over tail terms
+        {"_FEW_CELLS": 1},  # every block loops over tail terms
         {"_FEW_CELLS": 1 << 30, "_CHUNK": 1},  # every block sums its tails in one-term chunks
         {"_BLOCK": 16},  # each gamma's classes in passes of 16 cells
-        {"_FEW_CELLS": 1, "_NEWTON_CAP": 3},  # Newton stops at the cap, cells set aside
-        {"_NEWTON_CAP": 3},  # Newton stops at the cap, no cell set aside
+        {"_FEW_CELLS": 1, "_NEWTON_CAP": 3},  # Newton stops at the cap, tails term by term
+        {"_NEWTON_CAP": 3},  # Newton stops at the cap, the default tail split
     ],
 )
 def test_each_path_is_the_dense_rectangle_bit_for_bit(monkeypatch, setting):
