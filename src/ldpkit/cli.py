@@ -14,20 +14,21 @@ command that writes a CSV also writes a ``<out>.manifest.json`` listing
 the command, arguments (grids as their fields), seed, and outputs.
 Relative output paths resolve against $LDPKIT_OUT_DIR when it is set.
 
-The modules that compute with arrays (dist, info, ldp, oracle) are
-imported inside the commands that call them, after any kernel file is
-parsed, and commands read epsilon grids as ``GridSpec.values()``, whose
-linear grids are computed without numpy. So ``--version``, ``--help``, a
-rejected argv, the closed-form ``bound`` kinds with or without a linear
-``--sweep``, and kernel text that is not rows or an ``audit`` epsilon or
-delta that is refused run without numpy.
+Only the standard library, the package constants and ``errors`` load with
+this module; every other ldpkit module, ``json`` and ``dataclasses`` are
+imported inside the commands that call them, and an unset grid flag stays
+None until its command fills in the default. The modules that compute with
+arrays (dist, info, ldp, oracle) load after any kernel file is parsed, and
+epsilon grids are read as ``GridSpec.values()``, whose linear grids are
+computed without numpy. So ``--version``, ``--help`` and an argv rejected
+before any grid flag load no other ldpkit module, the closed-form ``bound``
+kinds (alone or with a linear ``--sweep``) no kernel module and no numpy, and
+kernel text that is not rows or a refused ``audit`` epsilon or delta no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import os
 import re
 import sys
@@ -36,27 +37,7 @@ from itertools import product
 from pathlib import Path
 
 from . import DEFAULT_SEED, F_KIND_NAMES, __version__
-from .bounds import (
-    DEFAULT_GAMMA_GRID,
-    DEFAULT_ZETA_GRID,
-    LN2,
-    BayesConfig,
-    BoundReport,
-    GridSpec,
-    bayes_egamma_lb,
-    bayes_gamma_opt_lb,
-    bayes_xu_raginsky_private,
-    fano_lb,
-    highdim_mean_lb,
-    ht_exponent,
-    lecam_private,
-    mi_cap,
-    moment_estimation_lb,
-    small_ball_uniform01,
-)
-from .contraction import PrivacyParams, gamma_from_epsilon, two_point_scan
 from .errors import CapacityError, DimensionError, DomainError, count, within_cap
-from .kernel import load_kernel
 
 # Values the remark table is compared against; treated as approximate.
 REMARK_REFERENCE_EGAMMA = 0.08
@@ -109,8 +90,7 @@ def write_outputs(
         "outputs": [str(out)],
     }
     manifest = manifest_path(out)
-    text = json.dumps(record, sort_keys=True, indent=2, default=dataclasses.asdict)
-    manifest.write_text(text + "\n")
+    manifest.write_text(_json(record, indent=2) + "\n")
     return {"outputs": [str(out)], "manifest": str(manifest)}
 
 
@@ -131,6 +111,8 @@ def _refuse_same_file(files_a, files_b) -> None:
 
 
 def parse_grid_spec(text: str) -> GridSpec:
+    from .bounds import GridSpec
+
     parts = text.split(":")
     if len(parts) == 3:
         parts.append("linear")
@@ -160,9 +142,16 @@ class _Grid(argparse.Action):
         setattr(namespace, self.dest, [values[0], grid] if self.nargs else grid)
 
 
+def _json(payload, **kwargs) -> str:
+    """JSON with sorted keys; dataclasses (reports, grids) are written as their fields."""
+    import dataclasses
+    import json
+
+    return json.dumps(payload, sort_keys=True, default=dataclasses.asdict, **kwargs)
+
+
 def _print_json(payload) -> None:
-    """Print one JSON line; dataclass reports are written as their fields."""
-    print(json.dumps(payload, sort_keys=True, default=dataclasses.asdict))
+    print(_json(payload))
 
 
 # --------------------------------------------------------------------------
@@ -170,6 +159,9 @@ def _print_json(payload) -> None:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    from .contraction import PrivacyParams, gamma_from_epsilon, two_point_scan
+    from .kernel import load_kernel
+
     # Checked in this order, the file after epsilon and delta as those need no
     # numpy, then one scan serves all: gamma = e^epsilon, 1, the grid.
     if args.delta is not None and args.epsilon is None:
@@ -222,8 +214,13 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_figure1(args: argparse.Namespace) -> int:
+    from .bounds import DEFAULT_ZETA_GRID, GridSpec
+    from .contraction import PrivacyParams
+
     # Per epsilon, the two private Bayes-risk lower bounds at
     # (epsilon, delta) from n observations of the Bernoulli-uniform model.
+    if args.eps_grid is None:
+        args.eps_grid = GridSpec(0.01, 3.0, 60)
     params = [PrivacyParams(eps, args.delta) for eps in args.eps_grid.values()]
     mi_reports = bayes_reports(True, None, args.n, args.panels, args.n, DEFAULT_ZETA_GRID, params)
     eg_reports = bayes_reports(False, None, args.n, args.panels, args.n, DEFAULT_ZETA_GRID, params)
@@ -239,10 +236,10 @@ def cmd_figure1(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 # bound
 #
-# Each subcommand's reports(args, params) gives one BoundReport per entry
-# of the list params: one entry for a single run, one per epsilon for a
-# sweep, so epsilon-independent work is done once. Calculators are
-# looked up in this module's globals at call time, and the informations in
+# Each subcommand's reports(bounds, args, params) gives one BoundReport per
+# entry of the list params: one entry for a single run, one per epsilon for
+# a sweep, so epsilon-independent work is done once. Calculators are read
+# from the module ldpkit.bounds at call time, and the informations from
 # ldpkit.info, so rebinding one there (as a tracer does) reaches every
 # subcommand.
 
@@ -259,6 +256,8 @@ def bu_model(n: int, panels: int):
 
 
 def _with_bu_model(report: BoundReport, record: dict, flags: tuple = ()) -> BoundReport:
+    import dataclasses
+
     return dataclasses.replace(
         report, inputs={**report.inputs, "bu_model": record}, flags=report.flags + flags
     )
@@ -275,6 +274,8 @@ def bayes_reports(
     once, and I_gamma in one call over every gamma = e^epsilon. That
     information is for bu_n draws and is contracted with the coefficient
     for n, so a report where the two differ is flagged."""
+    from . import bounds
+    from .contraction import gamma_from_epsilon
     from .info import bu_igamma, bu_mutual_information
 
     model = bu_model(bu_n, bu_panels)
@@ -284,9 +285,9 @@ def bayes_reports(
             infos = [bu_mutual_information(model)] * len(params)
         else:
             infos = bu_igamma(model, [gamma_from_epsilon(p.epsilon) for p in params]).tolist()
-    calculator = bayes_xu_raginsky_private if mi else bayes_egamma_lb
+    calculator = bounds.bayes_xu_raginsky_private if mi else bounds.bayes_egamma_lb
     reports = [
-        calculator(BayesConfig(small_ball_uniform01, value, n, p, zeta_grid=zeta_grid))
+        calculator(bounds.BayesConfig(bounds.small_ball_uniform01, value, n, p, zeta_grid))
         for value, p in zip(infos, params)
     ]
     if info is None:
@@ -306,7 +307,7 @@ _BAYES_FLAGS = {
     "--bu-panels": {"type": int, "default": 20000, "help": _PANELS_HELP},
     "--n": {**_N["--n"], "help": "sample size n of the contraction coefficient; without "
             "--info, a value other than --bu-n is flagged n-differs-from-bu-n"},
-    "--zeta-grid": {"action": _Grid, "default": DEFAULT_ZETA_GRID},
+    "--zeta-grid": {"action": _Grid},
 }
 # Taken by every subcommand in BOUNDS, after its own flags.
 _PRIVACY_AND_SWEEP_FLAGS = {
@@ -318,60 +319,65 @@ _PRIVACY_AND_SWEEP_FLAGS = {
 }
 
 # subcommand -> (help, its own flags as name -> add_argument keywords,
-# reports(args, params) -> one BoundReport per params entry)
+# reports(ldpkit.bounds, args, params) -> one BoundReport per params entry)
 BOUNDS = {
     "lecam": (
         "two-point minimax bound",
         {"--tau": _FLOAT, "--kl": _FLOAT, **_N},
-        lambda a, ps: [lecam_private(a.tau, a.kl, a.n, p) for p in ps],
+        lambda b, a, ps: [b.lecam_private(a.tau, a.kl, a.n, p) for p in ps],
     ),
     "moment": (
         "k-th moment mean-estimation bound",
         {"--k-moment": _FLOAT, **_N},
-        lambda a, ps: [moment_estimation_lb(a.k_moment, a.n, p) for p in ps],
+        lambda b, a, ps: [b.moment_estimation_lb(a.k_moment, a.n, p) for p in ps],
     ),
     "fano": (
         "multi-way testing bound",
         {"--v-count": _INT, "--avg-kl": _FLOAT, "--tau": _FLOAT, **_N,
          "--mi": {"type": float, "default": None, "help": "direct I(X^n; V) in nats"}},
-        lambda a, ps: [fano_lb(a.v_count, a.avg_kl, a.tau, a.n, p, mi_xn_v=a.mi) for p in ps],
+        lambda b, a, ps: [b.fano_lb(a.v_count, a.avg_kl, a.tau, a.n, p, mi_xn_v=a.mi) for p in ps],
     ),
     "highdim": (
         "l2-ball mean-estimation bound",
         {"--d": _INT, "--r": _FLOAT, **_N},
-        lambda a, ps: [highdim_mean_lb(a.d, a.r, a.n, p) for p in ps],
+        lambda b, a, ps: [b.highdim_mean_lb(a.d, a.r, a.n, p) for p in ps],
     ),
     "bayes-mi": (
         "Bayes-risk lower bound",
         _BAYES_FLAGS,
-        lambda a, ps: bayes_reports(True, a.info, a.bu_n, a.bu_panels, a.n, a.zeta_grid, ps),
+        lambda b, a, ps: bayes_reports(True, a.info, a.bu_n, a.bu_panels, a.n, a.zeta_grid, ps),
     ),
     "bayes-egamma": (
         "Bayes-risk lower bound",
         _BAYES_FLAGS,
-        lambda a, ps: bayes_reports(False, a.info, a.bu_n, a.bu_panels, a.n, a.zeta_grid, ps),
+        lambda b, a, ps: bayes_reports(False, a.info, a.bu_n, a.bu_panels, a.n, a.zeta_grid, ps),
     ),
     "ht": (
         "hypothesis-testing error exponent cap",
         {"--kl": _FLOAT},
-        lambda a, ps: [ht_exponent(a.kl, p) for p in ps],
+        lambda b, a, ps: [b.ht_exponent(a.kl, p) for p in ps],
     ),
     "micap": (
         "mutual-information cap",
         {"--entropy": _FLOAT},
-        lambda a, ps: [mi_cap(a.entropy, p) for p in ps],
+        lambda b, a, ps: [b.mi_cap(a.entropy, p) for p in ps],
     ),
 }
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
+    from . import bounds
+    from .contraction import PrivacyParams
+
     _, _, reports = BOUNDS[args.bound_kind]
+    if "zeta_grid" in vars(args) and args.zeta_grid is None:  # a bayes kind's default
+        args.zeta_grid = bounds.DEFAULT_ZETA_GRID
     # A sweep takes each epsilon from its grid, but --eps is still checked.
     params = PrivacyParams(args.eps, args.delta)
     if args.sweep is None:
         if args.out is not None:
             raise DomainError("--out requires --sweep")
-        _print_json(reports(args, [params])[0])
+        _print_json(reports(bounds, args, [params])[0])
         return 0
     what, grid = args.sweep
     if what != "epsilon":
@@ -379,7 +385,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     if not args.out:
         raise DomainError("--sweep requires --out for the CSV curve")
     params = [PrivacyParams(e, args.delta) for e in grid.values()]
-    results = reports(args, params)
+    results = reports(bounds, args, params)
     witness_keys = sorted(results[0].witness)
     header = ["epsilon", "value"] + [f"witness_{k}" for k in witness_keys]
     rows = [
@@ -391,15 +397,19 @@ def cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
-def gamma_opt_report(model, zeta_grid=DEFAULT_ZETA_GRID, gamma_grid=DEFAULT_GAMMA_GRID):
-    """The gamma-optimized non-private Bayes bound of a Bernoulli-uniform model."""
+def gamma_opt_report(model, zeta_grid=None, gamma_grid=None):
+    """The gamma-optimized non-private Bayes bound of a Bernoulli-uniform model, on
+    the default grid where a grid is None."""
+    from . import bounds
+    from .contraction import PrivacyParams
     from .info import bu_igamma
 
-    cfg = BayesConfig(
-        small_ball_uniform01, 0.0, model.n, PrivacyParams(0.0, 1.0), zeta_grid, gamma_grid,
+    cfg = bounds.BayesConfig(
+        bounds.small_ball_uniform01, 0.0, model.n, PrivacyParams(0.0, 1.0),
+        zeta_grid or bounds.DEFAULT_ZETA_GRID, gamma_grid or bounds.DEFAULT_GAMMA_GRID,
         partial(bu_igamma, model),
     )
-    return bayes_gamma_opt_lb(cfg)
+    return bounds.bayes_gamma_opt_lb(cfg)
 
 
 def cmd_gammaopt(args: argparse.Namespace) -> int:
@@ -414,6 +424,8 @@ def cmd_gammaopt(args: argparse.Namespace) -> int:
 
 
 def cmd_remark(args: argparse.Namespace) -> int:
+    from .bounds import LN2, BayesConfig, bayes_xu_raginsky_private, small_ball_uniform01
+    from .contraction import PrivacyParams
     from .info import BernoulliUniformModel, bu_mutual_information
 
     # The two non-private bounds of the Bernoulli-uniform model at n = 1.
@@ -459,6 +471,7 @@ def cmd_remark(args: argparse.Namespace) -> int:
 
 
 def cmd_model_curves(args: argparse.Namespace) -> int:
+    from .bounds import GridSpec
     from .info import BernoulliUniformModel, bu_igamma, bu_mutual_information, check_bu_igamma_work
 
     # I_gamma over the gamma grid at sample size n, and I(Theta; X^m) for m = 1..n_max.
@@ -488,6 +501,8 @@ def cmd_model_curves(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_eta_f(args: argparse.Namespace) -> int:
+    from .kernel import load_kernel
+
     kernel = load_kernel(args.kernel)
     from .dist import FGenerator
     from .oracle import SearchConfig, brute_eta_f
@@ -514,6 +529,10 @@ def cmd_oracle_eta_f(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_profile_check(args: argparse.Namespace) -> int:
+    import dataclasses
+
+    from .kernel import load_kernel
+
     kernel = load_kernel(args.kernel)
     from .ldp import delta_at
     from .oracle import brute_profile_check
@@ -550,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure1", help="Bayes-bound comparison curve (Bernoulli-uniform model)")
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--delta", type=float, default=1e-4)
-    p.add_argument("--eps-grid", action=_Grid, default=GridSpec(0.01, 3.0, 60))
+    p.add_argument("--eps-grid", action=_Grid)
     p.add_argument("--panels", type=int, default=20000, help=_PANELS_HELP)
     p.add_argument("--out", default="figure1.csv")
     p.set_defaults(func=cmd_figure1)
@@ -566,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = bsub.add_parser("bayes-gammaopt", help="gamma-optimized non-private Bayes bound")
     for flag in ("--bu-n", "--bu-panels", "--zeta-grid"):
         q.add_argument(flag, **_BAYES_FLAGS[flag])
-    q.add_argument("--gamma-grid", action=_Grid, default=DEFAULT_GAMMA_GRID)
+    q.add_argument("--gamma-grid", action=_Grid)
     q.set_defaults(func=cmd_gammaopt)
 
     p = sub.add_parser("remark", help="side-by-side non-private Bayes bounds")

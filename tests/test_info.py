@@ -541,7 +541,11 @@ class TestSimpson:
         assert simpson(y, x[1] - x[0]) == pytest.approx(exact, abs=1e-12)
 
     def test_import_leaves_scipy_out(self):
-        code = "import sys, ldpkit, ldpkit.cli; print('scipy' in sys.modules)"
+        code = (
+            "import importlib, sys, ldpkit; "
+            "[importlib.import_module(f'ldpkit.{m}') for m in [*ldpkit._EXPORTS, 'cli']]; "
+            "print('scipy' in sys.modules)"
+        )
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
