@@ -110,11 +110,12 @@ def small_ball_uniform01(zeta):
     """Small-ball function of a uniform [0, 1] prior under absolute loss.
 
     The largest probability that the parameter lands within zeta of any
-    fixed point: min(2 zeta, 1), elementwise on arrays.
+    fixed point: min(2 zeta, 1), elementwise on arrays, taken as
+    2 min(zeta, 1/2) so that no zeta overflows.
     """
     import numpy as np
 
-    return np.minimum(2.0 * zeta, 1.0)
+    return 2.0 * np.minimum(zeta, 0.5)
 
 
 @dataclass(frozen=True)

@@ -148,15 +148,22 @@ def _tv(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # 0 log 0 = 0; p_i > 0 with q_i = 0 gives +inf.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(p > 0, p * np.log(p / q), 0.0).sum(axis=-1)
+    # 0 log 0 = 0; p_i > 0 with q_i = 0 gives +inf. Where p_i / q_i
+    # overflows (a subnormal q_i > 0), its log is log p_i - log q_i.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = p / q
+        log_ratio = np.log(ratio)
+        over = np.isinf(ratio) & (q > 0)
+        if over.any():
+            log_ratio = np.where(over, np.log(p) - np.log(q), log_ratio)
+        return np.where(p > 0, p * log_ratio, 0.0).sum(axis=-1)
 
 
 def _chi2(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     # Pearson form sum (p - q)^2 / q; identical to sum p^2/q - 1 on
-    # probability vectors but free of cancellation.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # probability vectors but free of cancellation. A subnormal q_i > 0 may
+    # overflow its term to +inf, the right value.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = np.where(q > 0, (p - q) ** 2 / q, np.where(p > 0, np.inf, 0.0))
     return terms.sum(axis=-1)
 

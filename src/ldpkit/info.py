@@ -30,7 +30,7 @@ import numpy as np
 from .dist import Distribution, FGenerator, f_divergence, probability_array
 from .errors import DomainError, count, within_cap
 
-# Largest n of the Bernoulli-uniform model (I_gamma: ~140 B a class, ~12 s a gamma at it).
+# Largest n of the Bernoulli-uniform model (I_gamma: ~90 B a class, ~10 s a gamma at it).
 MAX_BU_N = 10**6
 # bu_igamma's gammas x n x ceil(sqrt(n)), ~12-16 ns a unit: 1 gamma at MAX_BU_N, 31 at n = 10^5.
 MAX_BU_WORK = 10**9
@@ -67,17 +67,16 @@ class BernoulliUniformModel:
     def _classes(self) -> tuple:
         """The gamma-free constants of bu_igamma, built on first use and kept
         with the model: the log mode heights of classes 0..n, and a table
-        with a column per class 1..n whose rows are s and n - s as floats,
-        the log Beta normalizer, the log mode log(s/n), the log mode height,
-        s n, and the gamma-free part of the log of the first tail term."""
+        with a column per class s = 1..n whose rows are the log Beta
+        normalizer, the log mode log(s/n) and the gamma-free part of the log
+        of the first tail term; s itself is exact in the column index."""
         n = self.n
         logfact = np.fromiter(map(math.lgamma, range(1, n + 3)), float, n + 2)  # log j!, j = 0..n+1
         # filled row by row from slices of logfact and the rows before: no
         # index arrays, gathered copies or stacked copy at large n
-        table = np.empty((7, n))
-        s, rest, logc, u_mode, logh_s, sn, log_choose = table
-        s[:] = np.arange(1, n + 1)
-        np.subtract(n, s, out=rest)
+        table = np.empty((3, n))
+        logc, u_mode, log_choose = table
+        s = np.arange(1.0, n + 1)
         np.log(np.divide(s, n, out=u_mode), out=u_mode)
         # log of the Beta normalizer (n+1) C(n,s) and of the mode height
         # f_s(s/n) of classes 0..n, each summed so that classes s and n - s
@@ -86,14 +85,12 @@ class BernoulliUniformModel:
         np.subtract(logfact[n], logh, out=logh)
         logh += math.log(n + 1)
         logc[:] = logh[1:]
-        # x_s + x_{n-s} with x_s = s log(s/n) (x_0 = 0), in the last two rows
-        np.multiply(s, u_mode, out=sn)
-        np.add(sn[:-1], sn[-2::-1], out=log_choose[:-1])
-        log_choose[-1] = sn[-1] + 0.0  # x_n + x_0
+        # x_s + x_{n-s} with x_s = s log(s/n) (x_0 = 0), x in place of s
+        x = np.multiply(s, u_mode, out=s)
+        np.add(x[:-1], x[-2::-1], out=log_choose[:-1])
+        log_choose[-1] = x[-1] + 0.0  # x_n + x_0
         logh[1:] += log_choose
         logh[0] += log_choose[-1]
-        logh_s[:] = logh[1:]
-        np.multiply(s, n, out=sn)
         np.add(logfact[2:], logfact[n - 1 :: -1], out=log_choose)
         np.subtract(logfact[n + 1], log_choose, out=log_choose)
         return logh, table
@@ -181,9 +178,10 @@ def _igamma_block(classes: tuple, gamma: np.ndarray) -> np.ndarray:
     m (1 - gamma) cancels max(1 - gamma, 0) (n + 1) exactly.
 
     The work is done on the flat list of active (gamma, class s >= 1)
-    cells, class by class and at most _BLOCK at a time. Each cell is
-    computed alone, so its value does not depend on the others in its
-    block. Only d_s is summed across a row, and that sum is numpy's
+    cells, class by class and at most _BLOCK at a time, each chunk with one
+    gather of the class table; s = column + 1 and n - s are exact. Each
+    cell is computed alone, so its value does not depend on the others in
+    its block. Only d_s is summed across a row, and that sum is numpy's
     pairwise sum over the whole length-n row (zeros at inactive classes),
     whose order is set by n alone.
     """
@@ -196,21 +194,23 @@ def _igamma_block(classes: tuple, gamma: np.ndarray) -> np.ndarray:
     d = np.zeros((gamma.size, n))
     for i in range(0, row.size, _BLOCK):  # one pass unless n > _BLOCK
         r, c = row[i : i + _BLOCK], col[i : i + _BLOCK]
-        s, rest = table[:2, c]
+        logc, u_mode, log_choose = table[:, c]
+        s = c + 1.0
+        rest = n - s
         # Class n has no (1 - theta) factor, and its left end rounds to
         # theta = 1 when gamma is within rounding of n + 1; the 0 * inf
         # products that makes are zeroed in _rest_terms.
         with np.errstate(divide="ignore", invalid="ignore"):
-            u, rest_log1m, odds = _log_left_ends(table, c, s, rest, logg[r])
+            u, rest_log1m, odds = _log_left_ends(s, rest, logc, u_mode, logh[1:][c], logg[r])
             # F_s(a_s) = P(Bin(n+1, a_s) >= s+1): the first term in log space,
             # then the term ratios (n+1-j)/(j+1) * a/(1-a) while they matter,
             # at j = s+1+t, where (n+1-j, j+1) = (n-s-t, s+2+t) are exact.
-            tail = np.add(table[6, c] + (s + 1.0) * u, rest_log1m, out=rest_log1m)
+            tail = np.add(log_choose + (s + 1.0) * u, rest_log1m, out=rest_log1m)
             np.exp(tail, out=tail)
             if c.size < _FEW_CELLS:
                 tail *= _tail_by_chunk(s, rest, odds, n)
             else:
-                tail *= _tail_by_term(table, c, odds)
+                tail *= _tail_by_term(c, odds, n)
         d[r, c] = gamma[r] * np.exp(u) - tail
     m = active.sum(axis=1)
     total = 2.0 * d.sum(axis=1) + (m * (1.0 - gamma) - (n + 1) * np.maximum(1.0 - gamma, 0.0))
@@ -229,11 +229,11 @@ def _rest_terms(u, rest, last, rest_log1m, odds):
     rest_log1m[last] = odds[last] = 0.0
 
 
-def _log_left_ends(table, col, s, rest, logg):
-    """log a_s for each cell, of class s = ``col`` + 1 with columns s and
-    rest = n - s of the constant table, at its log gamma: the root of
-    r(u) = log f_s(e^u) - log gamma below the mode u_m = log(s/n); with it
-    the _rest_terms at the root.
+def _log_left_ends(s, rest, logc, u_mode, logh, logg):
+    """log a_s for each cell, of class s with rest = n - s, log Beta
+    normalizer logc, log mode u_m = log(s/n) and log mode height logh, at its
+    log gamma: the root of r(u) = log f_s(e^u) - log gamma below u_m; with
+    it the _rest_terms at the root.
 
     In u = log(theta), r is increasing and concave on (-inf, u_m), so Newton
     steps from the left approach the root monotonically, and a step from its
@@ -245,12 +245,11 @@ def _log_left_ends(table, col, s, rest, logg):
     same one, so it stays stopped, and its _rest_terms are recomputed to the
     same values until every cell has stopped.
     """
-    logc, u_mode = table[2:4, col]
     last = rest == 0.0  # class n
     u_lo = np.subtract(logg, logc)
     u_lo /= s
-    # the quadratic model of r at the mode starts near-double roots close by
-    u = np.sqrt(2.0 * np.maximum(table[4, col] - logg, 0.0) * rest / table[5, col])
+    # the quadratic model of r at the mode (s + rest = n) starts near-double roots close by
+    u = np.sqrt(2.0 * np.maximum(logh - logg, 0.0) * rest / (s * (s + rest)))
     np.maximum(u_lo, np.subtract(u_mode, u, out=u), out=u)
     rest_log1m, odds, resid, new = (np.empty(u.size) for _ in range(4))
     for it in range(_NEWTON_CAP):
@@ -274,7 +273,7 @@ def _log_left_ends(table, col, s, rest, logg):
     return u, rest_log1m, odds
 
 
-def _tail_by_term(table, col, odds):
+def _tail_by_term(col, odds, n):
     """Per cell, of class s = ``col`` + 1 (in class order), 1 + the tail's
     term ratios summed in order, a term of every cell at a time (a class's
     ratio is computed once for its cells), until no term exceeds _TAIL_EPS
@@ -284,9 +283,9 @@ def _tail_by_term(table, col, odds):
     term is at most (1 + u)^2 times the one before. From a term <= 2^-60 S
     on, S the sum before it, every term is below 2^-54 S < ulp(S)/2, and
     S + t rounds to S."""
-    n = table.shape[1]
     classes, counts = np.unique(col, return_counts=True)
-    s, rest = table[:2, classes]
+    s = classes + 1.0
+    rest = n - s
     term, total = np.ones(col.size), np.ones(col.size)
     test, bar = np.empty(col.size, dtype=bool), np.empty(col.size)
     for t in range(n):

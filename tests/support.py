@@ -2,14 +2,23 @@
 for the test suite."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
+import ldpkit
 from ldpkit import info
 from ldpkit.dist import Distribution, FGenerator, _check_alphabets, f_divergence
 from ldpkit.errors import DimensionError, DomainError
 from ldpkit.kernel import Kernel, bsc, k_rr, randomized_response
+
+
+def ldpkit_path() -> str:
+    """The directory holding the ldpkit this suite imported, the checkout's
+    src or an installed copy's site-packages: the PYTHONPATH of a subprocess
+    that must run the same ldpkit."""
+    return str(Path(ldpkit.__file__).resolve().parents[1])
 
 
 def pushforward(p: Distribution, k: Kernel) -> Distribution:

@@ -354,6 +354,16 @@ def _xu_reference(info_value: float, pn: float, zetas: np.ndarray) -> float:
     return best
 
 
+class TestSmallBallUniform:
+    def test_saturates_at_one_without_overflow(self):
+        zeta = np.array([0.0, 0.25, 0.5, 0.75, 1e308, np.inf])
+        assert small_ball_uniform01(zeta).tolist() == [0.0, 0.5, 1.0, 1.0, 1.0, 1.0]
+
+    def test_is_min_of_two_zeta_and_one_bit_for_bit(self):
+        zeta = np.append(DEFAULT_ZETA_GRID.points(), [0.5000000000000001, np.nan, -np.inf])
+        assert small_ball_uniform01(zeta).tobytes() == np.minimum(2.0 * zeta, 1.0).tobytes()
+
+
 class TestBayesXuRaginsky:
     def test_matches_reference_grid(self):
         info = math.log(2.0) - 0.5

@@ -233,6 +233,18 @@ class TestFDivergence:
         # reverse direction stays finite
         assert math.isfinite(f_divergence(q, p, FGenerator("kl")))
 
+    def test_kl_and_chi2_at_a_subnormal_q_without_overflow(self):
+        # p / q overflows at q = 1e-320; the KL term is then log p - log q
+        p, q = Distribution([1.0, 0.0]), Distribution([1e-320, 1.0])
+        assert f_divergence(p, q, FGenerator("kl")) == -math.log(1e-320) == 736.8272408909739
+        assert f_divergence(p, q, FGenerator("chi2")) == math.inf
+        # in a batch with it, a row with no overflow keeps the bits of p log(p / q)
+        rows = np.array([[0.5, 0.5], [1.0, 0.0]])
+        qs = np.array([[0.25, 0.75], [1e-320, 1.0]])
+        kl = divergence(rows, qs, FGenerator("kl"))
+        assert kl[0] == (rows[0] * np.log(rows[0] / qs[0])).sum()
+        assert kl[1] == 736.8272408909739
+
     def test_finite_limits_for_tv_hellinger_egamma(self):
         p = Distribution([0.5, 0.5])
         q = Distribution.point_mass(1, 2)

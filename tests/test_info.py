@@ -4,7 +4,6 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +30,7 @@ from support import (
     bu_igamma_n1,
     bu_igamma_quadrature,
     bu_mutual_information_quadrature,
+    ldpkit_path,
     random_kernel,
     simpson,
 )
@@ -140,14 +140,15 @@ class TestBernoulliUniformModel:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 20, 1001, 2000])
     def test_class_table_is_the_index_array_one_bit_for_bit(self, n):
         logh, table = BernoulliUniformModel(n)._classes
-        logc, logh_dense, s, rest, log_choose, u_mode, sn = bu_classes_dense(n)
-        expected = np.stack([s, rest, logc[1:], u_mode, logh_dense[1:], sn, log_choose])
+        logc, logh_dense, _, _, log_choose, u_mode, _ = bu_classes_dense(n)
+        expected = np.stack([logc[1:], u_mode, log_choose])
         assert logh.tobytes() == logh_dense.tobytes()
         assert table.tobytes() == expected.tobytes()
 
     def test_class_table_peak_memory_is_what_it_keeps_and_log_factorials(self):
-        # kept: the (7, n) table and the n + 1 log mode heights, 64 MB at the
-        # cap; the n + 2 log-factorials are the one other array of that size
+        # kept: the (3, n) table and the n + 1 log mode heights, 32 MB at the
+        # cap; the n + 2 log-factorials and the classes s, overwritten by
+        # s log(s/n), are the two other arrays of that size
         model = BernoulliUniformModel(MAX_BU_N)
         tracemalloc.start()
         try:
@@ -155,7 +156,7 @@ class TestBernoulliUniformModel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 10 * (MAX_BU_N + 2)
+        assert peak < 8 * 7 * (MAX_BU_N + 2)
 
 
 class TestBuIgamma:
@@ -474,8 +475,7 @@ def test_tail_stop_rule_sums_every_term_bit_for_bit(case):
     a = np.array([a for _, a in cells])
     odds = a / (1.0 - a)
     expected = bits([every_tail_term(n, int(c), o) for c, o in zip(s, odds)])
-    table = BernoulliUniformModel(n)._classes[1]
-    assert bits(_tail_by_term(table, s.astype(int) - 1, odds)) == expected
+    assert bits(_tail_by_term(s.astype(int) - 1, odds, n)) == expected
     assert bits(_tail_by_chunk(s, n - s, odds, n)) == expected
 
 
@@ -546,7 +546,7 @@ class TestSimpson:
             "[importlib.import_module(f'ldpkit.{m}') for m in [*ldpkit._EXPORTS, 'cli']]; "
             "print('scipy' in sys.modules)"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        env = dict(os.environ, PYTHONPATH=ldpkit_path())
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
         )

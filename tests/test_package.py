@@ -2,11 +2,11 @@ import importlib
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import ldpkit
+from support import ldpkit_path
 
 # The package's public names, by the module that defines each one.
 PUBLIC = {
@@ -35,7 +35,6 @@ PUBLIC = {
     ],
     "oracle": ["ProfileCheckReport", "SearchConfig", "brute_eta_f", "brute_profile_check"],
 }
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_all_is_the_fifty_public_names():
@@ -58,7 +57,7 @@ def test_unknown_name_is_an_attribute_error():
 def test_import_ldpkit_loads_no_numpy():
     # Names resolve on first access, so the bare import reads no submodule.
     code = "import sys, ldpkit; print(sorted(m for m in sys.modules if m.startswith(('numpy', 'ldpkit.'))))"
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=ldpkit_path())
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
     )
