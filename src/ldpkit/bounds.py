@@ -101,6 +101,11 @@ class GridSpec:
         pts.setflags(write=False)
         return pts
 
+    @cached_property
+    def _balls(self) -> dict:
+        # id(small_ball) -> (small_ball, *its zeta side): see _ball_on_grid
+        return {}
+
 
 DEFAULT_ZETA_GRID = GridSpec(1e-4, 0.5, 2000, "log")
 DEFAULT_GAMMA_GRID = GridSpec(0.0, 4.0, 800, "linear")
@@ -143,11 +148,15 @@ class BayesConfig:
     is a ball radius and the supremum is over gamma >= 0.
 
     Both callables must take numpy arrays and broadcast: ``small_ball`` is
-    called once on the whole zeta grid (a column of it for the
-    gamma-optimized bound) and ``info_fn`` once on the 1-d gamma grid. A
-    constant result is broadcast to the grid. The grids they get are the
-    read-only arrays of ``GridSpec.points()``, shared by every bound
-    evaluated on that grid: neither callable may write into them.
+    called on the whole zeta grid (a column of it for the gamma-optimized
+    bound) and ``info_fn`` once on the 1-d gamma grid. A constant result is
+    broadcast to the grid. The grids they get are the read-only arrays of
+    ``GridSpec.points()``, shared by every bound evaluated on that grid:
+    neither callable may write into them. The two 1-d bounds read
+    ``small_ball`` once per zeta-grid instance and keep L, log(1/L) and
+    L < 1 with that grid, so it must be a pure function of zeta; each
+    (grid, ball) pair keeps about 17 B a grid point, 34 KB on
+    DEFAULT_ZETA_GRID and 17 MB at MAX_GRID_STEPS.
     """
 
     small_ball: Callable[[np.ndarray], np.ndarray]
@@ -340,17 +349,36 @@ def _bayes_inputs(cfg: BayesConfig, **extra) -> dict:
 
 
 def _ball_on_grid(cfg: BayesConfig):
-    """The zeta grid and L on it for the 1-d Bayes bounds; a NaN L (read as
-    infeasible) or a negative one (0 * inf at zeta = 0) is refused."""
-    import numpy as np
+    """The epsilon-free zeta side of the 1-d Bayes bounds: the zeta grid, L on
+    it, log(1/L) and the mask L < 1, as read-only arrays of the grid's shape.
 
-    zetas = cfg.zeta_grid.points()
-    ball = cfg.small_ball(zetas)
-    if np.isnan(ball).any():
-        raise DomainError("L(zeta) must not be NaN on the zeta grid")
-    if np.less(ball, 0.0).any():
-        raise DomainError("L(zeta) must be >= 0 on the zeta grid")
-    return zetas, ball
+    A NaN L (read as infeasible) or a negative one (0 * inf at zeta = 0) is
+    refused. An accepted side is kept with the grid instance, keyed on the
+    identity of ``small_ball`` and holding a reference to it, so L is read
+    once per (grid instance, callable) pair and the pair keeps about 17 B a
+    grid point for the life of the grid: 34 KB on DEFAULT_ZETA_GRID, 17 MB
+    at MAX_GRID_STEPS. Equal grids keep their own sides, as their points
+    may differ in the sign of a zero. A refused ball keeps nothing.
+    """
+    kept = cfg.zeta_grid._balls.get(id(cfg.small_ball))
+    if kept is None:
+        import numpy as np
+
+        zetas = cfg.zeta_grid.points()
+        ball = np.broadcast_to(cfg.small_ball(zetas), zetas.shape)
+        if np.isnan(ball).any():
+            raise DomainError("L(zeta) must not be NaN on the zeta grid")
+        if np.less(ball, 0.0).any():
+            raise DomainError("L(zeta) must be >= 0 on the zeta grid")
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            logs = np.log(1.0 / ball)
+        feasible = ball < 1.0
+        logs.setflags(write=False)
+        feasible.setflags(write=False)
+        kept = cfg.zeta_grid._balls[id(cfg.small_ball)] = (
+            cfg.small_ball, zetas, ball, logs, feasible,
+        )
+    return kept[1:]
 
 
 def bayes_xu_raginsky_private(cfg: BayesConfig) -> BoundReport:
@@ -364,10 +392,10 @@ def bayes_xu_raginsky_private(cfg: BayesConfig) -> BoundReport:
 
     pn = phi_n(cfg.params, cfg.n)
     numerator = pn * cfg.info_value + LN2
-    zetas, ball = _ball_on_grid(cfg)
+    zetas, _, logs, feasible = _ball_on_grid(cfg)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        bracket = 1.0 - numerator / np.log(1.0 / ball)
-    vals = np.where(ball < 1.0, zetas * np.maximum(0.0, bracket), -np.inf)
+        bracket = 1.0 - numerator / logs
+    vals = np.where(feasible, zetas * np.maximum(0.0, bracket), -np.inf)
     i = int(np.argmax(vals))
     value = float(vals[i])
     if math.isfinite(value):
@@ -394,7 +422,7 @@ def bayes_egamma_lb(cfg: BayesConfig) -> BoundReport:
 
     gamma = gamma_from_epsilon(cfg.params.epsilon)
     c = cfg.params.delta if cfg.n == 1 else phi_n(cfg.params, cfg.n)
-    zetas, ball = _ball_on_grid(cfg)
+    zetas, ball, _, _ = _ball_on_grid(cfg)
     # A zero ball absorbs gamma = inf, as a zero coefficient does in _contracted.
     penalty = gamma * ball if gamma < math.inf else np.where(ball > 0.0, math.inf, 0.0)
     vals = zetas * np.maximum(0.0, 1.0 - c * cfg.info_value - penalty)

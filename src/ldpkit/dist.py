@@ -132,10 +132,12 @@ def excess(p: np.ndarray, q: np.ndarray, gamma, out: np.ndarray | None = None) -
     array of the broadcast shape, takes the terms in place of a new
     temporary; the sums are the same bit for bit.
     """
-    with np.errstate(invalid="ignore"):  # inf * 0, overwritten below
-        t = np.subtract(p, np.multiply(gamma, q, out=out), out=out)
     if np.isinf(gamma).any():
+        with np.errstate(invalid="ignore"):  # inf * 0, overwritten next
+            t = np.subtract(p, np.multiply(gamma, q, out=out), out=out)
         np.copyto(t, p, where=(q == 0.0))
+    else:
+        t = np.subtract(p, np.multiply(gamma, q, out=out), out=out)
     return np.minimum(np.maximum(t, 0.0, out=t).sum(axis=-1), 1.0)
 
 

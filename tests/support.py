@@ -426,3 +426,62 @@ def gamma_opt_full_mesh(cfg) -> tuple[float, dict, tuple[str, ...]]:
     value, gamma = float(vals[i, j]), float(gammas[j])
     flags = ("gamma-at-grid-edge",) if gamma in (gammas[0], gammas[-1]) else ()
     return value, {"zeta": float(zetas[i]), "gamma": gamma}, flags + ("vacuous",) * (value <= 0)
+
+
+def bayes_xu_raginsky_uncached(cfg):
+    """``bayes_xu_raginsky_private(cfg)`` as it was before the zeta side was
+    kept with the grid: L, its refusals and log(1/L) taken again on each call."""
+    from ldpkit.bounds import LN2, BoundReport, _bayes_inputs, _flags_for
+    from ldpkit.contraction import phi_n
+
+    pn = phi_n(cfg.params, cfg.n)
+    numerator = pn * cfg.info_value + LN2
+    zetas, ball = _ball_on_grid_uncached(cfg)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bracket = 1.0 - numerator / np.log(1.0 / ball)
+    vals = np.where(ball < 1.0, zetas * np.maximum(0.0, bracket), -np.inf)
+    i = int(np.argmax(vals))
+    value = float(vals[i])
+    if math.isfinite(value):
+        witness, flags = {"zeta": float(zetas[i])}, _flags_for(value)
+    else:
+        value, witness, flags = 0.0, {}, ("no-feasible-zeta", "vacuous")
+    return BoundReport(
+        bound_name="bayes_xu_raginsky_private",
+        value=value,
+        witness=witness,
+        inputs=_bayes_inputs(cfg, phi_n=pn),
+        flags=flags,
+    )
+
+
+def bayes_egamma_uncached(cfg):
+    """``bayes_egamma_lb(cfg)`` as it was before the zeta side was kept with
+    the grid: L and its refusals taken again on each call."""
+    from ldpkit.bounds import BoundReport, _bayes_inputs, _flags_for
+    from ldpkit.contraction import gamma_from_epsilon, phi_n
+
+    gamma = gamma_from_epsilon(cfg.params.epsilon)
+    c = cfg.params.delta if cfg.n == 1 else phi_n(cfg.params, cfg.n)
+    zetas, ball = _ball_on_grid_uncached(cfg)
+    penalty = gamma * ball if gamma < math.inf else np.where(ball > 0.0, math.inf, 0.0)
+    vals = zetas * np.maximum(0.0, 1.0 - c * cfg.info_value - penalty)
+    i = int(np.argmax(vals))
+    value = float(vals[i])
+    return BoundReport(
+        bound_name="bayes_egamma_lb",
+        value=value,
+        witness={"zeta": float(zetas[i])},
+        inputs=_bayes_inputs(cfg, gamma=gamma, info_coefficient=c),
+        flags=_flags_for(value),
+    )
+
+
+def _ball_on_grid_uncached(cfg):
+    zetas = cfg.zeta_grid.points()
+    ball = cfg.small_ball(zetas)
+    if np.isnan(ball).any():
+        raise DomainError("L(zeta) must not be NaN on the zeta grid")
+    if np.less(ball, 0.0).any():
+        raise DomainError("L(zeta) must be >= 0 on the zeta grid")
+    return zetas, ball

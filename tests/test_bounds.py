@@ -34,7 +34,12 @@ from ldpkit.errors import CapacityError, DomainError
 from ldpkit.dist import FGenerator
 from ldpkit.info import BernoulliUniformModel, JointDistribution, bu_igamma, f_information
 from ldpkit.kernel import randomized_response
-from support import bu_igamma_n1, gamma_opt_full_mesh
+from support import (
+    bayes_egamma_uncached,
+    bayes_xu_raginsky_uncached,
+    bu_igamma_n1,
+    gamma_opt_full_mesh,
+)
 
 LN2 = math.log(2.0)
 
@@ -544,8 +549,124 @@ class TestBayesGrids:
         # the MI bound once read NaN as infeasible: 0.0 flagged no-feasible-zeta
         # for an all-NaN ball
         cfg = BayesConfig(ball, 0.1, 1, PrivacyParams(1, 0), GridSpec(0.0, 0.5, 11))
-        with pytest.raises(DomainError, match=f"L\\(zeta\\) {message} on the zeta grid"):
-            calculator(cfg)
+        for _ in range(3):  # a refused ball is kept nowhere: every call refuses it
+            with pytest.raises(DomainError, match=f"L\\(zeta\\) {message} on the zeta grid"):
+                calculator(cfg)
+
+
+@st.composite
+def _zeta_grids(draw):
+    """Fresh zeta grids: linear ones from a signed zero or a positive lo, log
+    ones, and one-step grids of either scale; hi up to 2 saturates L."""
+    hi = draw(st.floats(0.2, 2.0))
+    if draw(st.booleans()):
+        lo = draw(st.floats(1e-8, 0.1))
+        return GridSpec(lo, hi, draw(st.sampled_from([1, 2]) | st.integers(1, 300)), "log")
+    lo = draw(st.sampled_from([0.0, -0.0]) | st.floats(0.0, 0.1))
+    return GridSpec(lo, hi, draw(st.sampled_from([1, 2]) | st.integers(1, 300)))
+
+
+def _outcome(bound, cfg):
+    try:
+        return bound(cfg)
+    except DomainError as e:
+        return f"error: {e}"
+
+
+class TestBayesZetaSide:
+    """The two 1-d bounds read L, its refusals and log(1/L) once per
+    (zeta-grid instance, small ball) pair and keep them with the grid."""
+
+    PAIRS = (
+        (bayes_xu_raginsky_private, bayes_xu_raginsky_uncached),
+        (bayes_egamma_lb, bayes_egamma_uncached),
+    )
+
+    @given(
+        grid=_zeta_grids(),
+        constant=st.none() | st.floats(_TINY, 2.0),
+        info=st.sampled_from([0.0, 1e300]) | st.floats(0.0, 1e300),
+        n=st.sampled_from([1, 2]) | st.integers(1, 10**6),
+        delta=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        epsilons=st.lists(st.sampled_from([0.0, math.inf]) | st.floats(0.0, 1000.0),
+                          min_size=1, max_size=4),
+    )
+    def test_reports_equal_the_uncached_bodies(self, grid, constant, info, n, delta, epsilons):
+        ball = small_ball_uniform01 if constant is None else (lambda z: constant)
+        for eps in epsilons:  # the first call fills the grid's side, the rest read it
+            cfg = BayesConfig(ball, info, n, PrivacyParams(eps, delta), grid)
+            for bound, uncached in self.PAIRS:
+                got, want = _outcome(bound, cfg), _outcome(uncached, cfg)
+                assert got == want
+                if isinstance(want, str):  # only e^eps may overflow, in the egamma bound
+                    assert bound is bayes_egamma_lb and "e^epsilon overflows" in want
+                    continue
+                assert _bits(got.value) == _bits(want.value)
+                assert [_bits(z) for z in got.witness.values()] == [
+                    _bits(z) for z in want.witness.values()
+                ]
+
+    def test_small_ball_is_read_once_per_grid_instance(self):
+        calls = []
+
+        def ball(z):
+            calls.append(z)
+            return small_ball_uniform01(z)
+
+        grid = GridSpec(1e-4, 0.5, 200, "log")
+        for i in range(50):
+            cfg = BayesConfig(ball, 0.1 * i, 1 + i, PrivacyParams(0.06 * i, 0.01), grid)
+            bayes_xu_raginsky_private(cfg)
+            bayes_egamma_lb(cfg)
+        assert len(calls) == 1 and calls[0] is grid.points()
+        # an equal grid instance reads the ball once for itself
+        twin = GridSpec(1e-4, 0.5, 200, "log")
+        assert twin == grid
+        for _ in range(3):
+            bayes_egamma_lb(BayesConfig(ball, 0.1, 1, PrivacyParams(0.5, 0.0), twin))
+        assert len(calls) == 2 and calls[1] is twin.points()
+
+    def test_equal_grids_keep_their_own_sides(self):
+        # GridSpec(-0.0, 1.0, 1) == GridSpec(0.0, 1.0, 1), but L(-0.0) = -0.0
+        # makes log(1/L) NaN; a side kept by grid value would mix the two
+        calls = []
+
+        def ball(z):
+            calls.append(z)
+            return small_ball_uniform01(z)
+
+        minus, plus = GridSpec(-0.0, 1.0, 1), GridSpec(0.0, 1.0, 1)
+        assert minus == plus
+        params = PrivacyParams(0.5, 0.1)
+        for _ in range(2):
+            for grid, zero, mi_flags in [
+                (minus, -0.0, ("no-feasible-zeta", "vacuous")),
+                (plus, 0.0, ("vacuous",)),
+            ]:
+                cfg = BayesConfig(ball, 0.2, 2, params, grid)
+                report = bayes_egamma_lb(cfg)
+                assert _bits(report.value) == _bits(report.witness["zeta"]) == _bits(zero)
+                assert bayes_xu_raginsky_private(cfg).flags == mi_flags
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("ball", [small_ball_uniform01, lambda z: 0.25],
+                             ids=["uniform01", "constant"])
+    def test_kept_arrays_are_read_only(self, ball):
+        cfg = BayesConfig(ball, 0.1, 1, NONPRIVATE, GridSpec(0.0, 0.5, 11))
+        kept = ldpkit.bounds._ball_on_grid(cfg)
+        assert kept[0] is cfg.zeta_grid.points()
+        for arr in kept:
+            assert arr.shape == (11,) and not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = arr[1]
+        assert all(a is b for a, b in zip(ldpkit.bounds._ball_on_grid(cfg), kept))
+
+    def test_zero_constant_ball_gives_the_last_zeta(self):
+        # L = 0 everywhere: log(1/L) = inf leaves the bracket at 1. A Python
+        # 0.0 from the ball was once divided into 1.0, a ZeroDivisionError.
+        cfg = BayesConfig(lambda z: 0.0, 0.3, 1, NONPRIVATE, GridSpec(0.0, 0.5, 11))
+        report = bayes_xu_raginsky_private(cfg)
+        assert (report.value, report.witness, report.flags) == (0.5, {"zeta": 0.5}, ())
 
 
 class TestBayesGammaOpt:

@@ -579,23 +579,6 @@ class TestBayesModelCommands:
         argv = [a.format(kernel=rr1_file, out=tmp_path / "unwritten.csv") for a in argv]
         assert "grid" in run_error(capsys, [*argv, grid])
 
-    # A number too large for a float is one overflow line. The grid, mesh and
-    # Bernoulli-uniform n caps, refused before anything is allocated, are the
-    # corpus entries audit-grid-cap, gammaopt-over-cap, gammaopt-bu-n-cap and
-    # figure1-n-cap; these rows keep the ids they had beside them.
-    @pytest.mark.parametrize(
-        "argv",
-        [["bound", "highdim", "--d", "8", "--n", "64", "--r", "1e200", "--eps", "1"],
-         ["bound", "lecam", "--tau", "1", "--kl", "0.1", "--n", "{huge}", "--eps", "1"],
-         ["bound", "moment", "--k-moment", "2", "--n", "{huge}", "--eps", "1"],
-         ["bound", "bayes-mi", "--info", "0.1", "--n", "{huge}", "--eps", "1"],
-         ["bound", "bayes-egamma", "--info", "0.1", "--n", "{huge}", "--eps", "1"]],
-        ids=[f"argv{i}-numeric overflow" for i in range(2, 7)],
-    )
-    def test_oversized_grid_is_one_error_line(self, capsys, argv):
-        argv = [a.format(huge=10**400) for a in argv]
-        assert "numeric overflow" in run_error(capsys, argv)
-
     def test_grid_flags_reach_the_manifest_as_specs(self, capsys, tmp_path, rr1_file):
         runs = [
             (["bound", "bayes-mi", "--bu-n", "2", "--eps", "1", "--zeta-grid", "1e-3:0.5:50:log",
