@@ -101,10 +101,7 @@ class GridSpec:
         pts.setflags(write=False)
         return pts
 
-    @cached_property
-    def _balls(self) -> dict:
-        # id(small_ball) -> (small_ball, *its zeta side): see _ball_on_grid
-        return {}
+    _ball_side = None  # (small_ball, *its zeta side) of the last ball read: see _ball_on_grid
 
 
 DEFAULT_ZETA_GRID = GridSpec(1e-4, 0.5, 2000, "log")
@@ -139,8 +136,8 @@ class BayesConfig:
     """Inputs for the Bayes-risk lower bounds.
 
     ``small_ball`` maps zeta to the largest prior mass of a zeta-ball
-    (nondecreasing, valued in [0, 1]; a bound refuses only values it
-    cannot rank, such as NaN). ``info_value`` is
+    (nondecreasing, valued in [0, 1]; a bound refuses a NaN or negative L,
+    and the gamma-optimized bound an infinite one too). ``info_value`` is
     I(Theta; X^n) in nats for the mutual-information bound and
     I_{e^eps}(Theta; X^n) for the hockey-stick bound. The gamma-optimized
     bound ignores ``info_value`` and needs ``info_fn``, a callable
@@ -148,15 +145,15 @@ class BayesConfig:
     is a ball radius and the supremum is over gamma >= 0.
 
     Both callables must take numpy arrays and broadcast: ``small_ball`` is
-    called on the whole zeta grid (a column of it for the gamma-optimized
-    bound) and ``info_fn`` once on the 1-d gamma grid. A constant result is
-    broadcast to the grid. The grids they get are the read-only arrays of
+    called on the whole zeta grid and must give one value per zeta or a
+    constant, which is broadcast; ``info_fn`` is called once on the 1-d
+    gamma grid. The grids they get are the read-only arrays of
     ``GridSpec.points()``, shared by every bound evaluated on that grid:
-    neither callable may write into them. The two 1-d bounds read
-    ``small_ball`` once per zeta-grid instance and keep L, log(1/L) and
-    L < 1 with that grid, so it must be a pure function of zeta; each
-    (grid, ball) pair keeps about 17 B a grid point, 34 KB on
-    DEFAULT_ZETA_GRID and 17 MB at MAX_GRID_STEPS.
+    neither callable may write into them. The three bounds read
+    ``small_ball`` in one place, which keeps L, log(1/L) and L < 1 with
+    the zeta-grid instance, so it must be a pure function of zeta. A grid
+    keeps one side, that of the last ball read on it: about 17 B a grid
+    point, 34 KB on DEFAULT_ZETA_GRID and 17 MB at MAX_GRID_STEPS.
     """
 
     small_ball: Callable[[np.ndarray], np.ndarray]
@@ -349,23 +346,25 @@ def _bayes_inputs(cfg: BayesConfig, **extra) -> dict:
 
 
 def _ball_on_grid(cfg: BayesConfig):
-    """The epsilon-free zeta side of the 1-d Bayes bounds: the zeta grid, L on
-    it, log(1/L) and the mask L < 1, as read-only arrays of the grid's shape.
+    """The epsilon-free zeta side of the Bayes bounds: the zeta grid, L on it,
+    log(1/L) and the mask L < 1, as read-only arrays of the grid's shape.
 
-    A NaN L (read as infeasible) or a negative one (0 * inf at zeta = 0) is
-    refused. An accepted side is kept with the grid instance, keyed on the
-    identity of ``small_ball`` and holding a reference to it, so L is read
-    once per (grid instance, callable) pair and the pair keeps about 17 B a
-    grid point for the life of the grid: 34 KB on DEFAULT_ZETA_GRID, 17 MB
-    at MAX_GRID_STEPS. Equal grids keep their own sides, as their points
-    may differ in the sign of a zero. A refused ball keeps nothing.
+    L of another shape than the grid's, unless a constant, is refused, as is
+    a NaN L (read as infeasible) or a negative one (0 * inf at zeta = 0).
+    The grid instance keeps the side of the last ball it accepted, with a
+    reference to that ball, so L is read again only when ``small_ball`` is
+    another object. Equal grids keep their own sides, as their points may
+    differ in the sign of a zero. A refused ball is kept nowhere.
     """
-    kept = cfg.zeta_grid._balls.get(id(cfg.small_ball))
-    if kept is None:
+    kept = cfg.zeta_grid._ball_side
+    if kept is None or kept[0] is not cfg.small_ball:
         import numpy as np
 
         zetas = cfg.zeta_grid.points()
-        ball = np.broadcast_to(cfg.small_ball(zetas), zetas.shape)
+        ball = cfg.small_ball(zetas)
+        if np.shape(ball) not in ((), zetas.shape):
+            raise DomainError(f"L(zeta) must give one value per zeta, got shape {np.shape(ball)}")
+        ball = np.broadcast_to(ball, zetas.shape)
         if np.isnan(ball).any():
             raise DomainError("L(zeta) must not be NaN on the zeta grid")
         if np.less(ball, 0.0).any():
@@ -375,9 +374,8 @@ def _ball_on_grid(cfg: BayesConfig):
         feasible = ball < 1.0
         logs.setflags(write=False)
         feasible.setflags(write=False)
-        kept = cfg.zeta_grid._balls[id(cfg.small_ball)] = (
-            cfg.small_ball, zetas, ball, logs, feasible,
-        )
+        kept = (cfg.small_ball, zetas, ball, logs, feasible)
+        object.__setattr__(cfg.zeta_grid, "_ball_side", kept)
     return kept[1:]
 
 
@@ -443,23 +441,23 @@ def bayes_gamma_opt_lb(cfg: BayesConfig) -> BoundReport:
     sup over (zeta, gamma >= 0) of
     zeta [1 - I_gamma - gamma L(zeta) - max(1 - gamma, 0)], with the
     gamma profile supplied by ``cfg.info_fn``, evaluated once on the gamma
-    grid, and L once on the zeta grid.
+    grid, and L read as the 1-d bounds read it (``_ball_on_grid``).
 
     The value is the first maximum of the zeta x gamma mesh in row-major
     order, bit for bit, but the mesh is evaluated a block of zeta rows at a
     time, from the block of highest upper bound down, and the walk ends at
-    the first block whose bound is below the best cell found. A non-finite
-    I_gamma or L on the grids is refused.
+    the first block whose bound is below the best cell found. Beyond the
+    1-d bounds' refusals of L, a non-finite I_gamma or an infinite L is
+    refused: the block bounds need finite cells.
     """
     import numpy as np
 
     if cfg.info_fn is None:
         raise DomainError("bayes_gamma_opt_lb requires info_fn (gamma -> I_gamma)")
     within_cap("zeta x gamma mesh", cfg.zeta_grid.steps * cfg.gamma_grid.steps, MAX_MESH_POINTS)
-    zetas = cfg.zeta_grid.points()
     gammas = cfg.gamma_grid.points()
     info = cfg.info_fn(gammas)
-    ball = np.broadcast_to(cfg.small_ball(zetas[:, None]), (zetas.size, 1))
+    zetas, ball, _, _ = _ball_on_grid(cfg)
     if not (np.isfinite(info).all() and np.isfinite(ball).all()):
         raise DomainError("I_gamma and L(zeta) must be finite on the gamma and zeta grids")
     g, head = gammas[None, :], 1.0 - info
@@ -484,7 +482,7 @@ def bayes_gamma_opt_lb(cfg: BayesConfig) -> BoundReport:
     starts = np.arange(0, zetas.size, rows)
     bound = np.empty(starts.size)
     top = np.maximum.reduceat(zetas, starts)[:, None]
-    low = np.minimum.reduceat(ball[:, 0], starts)[:, None]
+    low = np.minimum.reduceat(ball, starts)[:, None]
     for s in range(0, starts.size, rows):
         bound[s : s + rows] = mesh(top[s : s + rows], low[s : s + rows]).max(axis=1)
 
@@ -492,7 +490,7 @@ def bayes_gamma_opt_lb(cfg: BayesConfig) -> BoundReport:
         # the block's first maximum, as (value, -flat index): of two equal
         # cells max() keeps the smaller index, the first maximum of np.argmax
         lo = int(starts[b])
-        vals = mesh(zetas[lo : lo + rows, None], ball[lo : lo + rows])
+        vals = mesh(zetas[lo : lo + rows, None], ball[lo : lo + rows, None])
         k = int(np.argmax(vals))
         return float(vals.flat[k]), -(lo * gammas.size + k)
 

@@ -1,8 +1,11 @@
 import dataclasses
+import gc
 import json
 import math
+import re
 import struct
 import tracemalloc
+import weakref
 from functools import lru_cache, partial
 
 import numpy as np
@@ -538,20 +541,35 @@ class TestBayesGrids:
             assert report.witness["gamma"] == 0.5
         assert "vacuous" in report.flags
 
-    @pytest.mark.parametrize("calculator", CALCULATORS[:2])
+    @pytest.mark.parametrize("calculator", CALCULATORS)
     @pytest.mark.parametrize("ball, message", [
         (lambda z: np.full_like(z, np.nan), "must not be NaN"),
         # on the default zeta grid this ball once gave the MI bound 0.0335 at zeta = 0.0499
         (lambda z: np.where(z > 0.05, np.nan, small_ball_uniform01(z)), "must not be NaN"),
         (lambda z: np.where(z == 0.0, -np.inf, small_ball_uniform01(z)), "must be >= 0"),
-    ], ids=["all-nan", "nan-above-0.05", "minus-inf-at-0"])
+        (lambda z: small_ball_uniform01(z) - 0.5, "must be >= 0"),
+    ], ids=["all-nan", "nan-above-0.05", "minus-inf-at-0", "negative-below-0.25"])
     def test_nan_or_negative_ball_is_refused(self, calculator, ball, message):
         # the MI bound once read NaN as infeasible: 0.0 flagged no-feasible-zeta
-        # for an all-NaN ball
-        cfg = BayesConfig(ball, 0.1, 1, PrivacyParams(1, 0), GridSpec(0.0, 0.5, 11))
+        # for an all-NaN ball; the gamma-optimized bound once took a negative L
+        cfg = BayesConfig(ball, 0.1, 1, PrivacyParams(1, 0), GridSpec(0.0, 0.5, 11),
+                          info_fn=np.zeros_like)
         for _ in range(3):  # a refused ball is kept nowhere: every call refuses it
             with pytest.raises(DomainError, match=f"L\\(zeta\\) {message} on the zeta grid"):
                 calculator(cfg)
+
+    @pytest.mark.parametrize("calculator", CALCULATORS)
+    @pytest.mark.parametrize("ball, shape", [
+        (lambda z: np.minimum(2.0 * z[:, None], 1.0), "(11, 1)"),
+        (lambda z: np.array([0.5]), "(1,)"),
+    ], ids=["column", "one-value"])
+    def test_ball_of_another_shape_is_refused(self, calculator, ball, shape):
+        # a column was once a raw numpy error, and one value was broadcast
+        cfg = BayesConfig(ball, 0.1, 1, PrivacyParams(1, 0), GridSpec(0.0, 0.5, 11),
+                          info_fn=np.zeros_like)
+        message = f"^L\\(zeta\\) must give one value per zeta, got shape {re.escape(shape)}$"
+        with pytest.raises(DomainError, match=message):
+            calculator(cfg)
 
 
 @st.composite
@@ -574,8 +592,8 @@ def _outcome(bound, cfg):
 
 
 class TestBayesZetaSide:
-    """The two 1-d bounds read L, its refusals and log(1/L) once per
-    (zeta-grid instance, small ball) pair and keep them with the grid."""
+    """The Bayes bounds read L, its refusals and log(1/L) in one place and
+    keep them with the zeta-grid instance, for the last small ball read."""
 
     PAIRS = (
         (bayes_xu_raginsky_private, bayes_xu_raginsky_uncached),
@@ -613,11 +631,12 @@ class TestBayesZetaSide:
             calls.append(z)
             return small_ball_uniform01(z)
 
-        grid = GridSpec(1e-4, 0.5, 200, "log")
+        grid, gammas = GridSpec(1e-4, 0.5, 200, "log"), GridSpec(0.0, 4.0, 33)
         for i in range(50):
-            cfg = BayesConfig(ball, 0.1 * i, 1 + i, PrivacyParams(0.06 * i, 0.01), grid)
-            bayes_xu_raginsky_private(cfg)
-            bayes_egamma_lb(cfg)
+            cfg = BayesConfig(ball, 0.1 * i, 1 + i, PrivacyParams(0.06 * i, 0.01), grid, gammas,
+                              np.zeros_like)
+            for bound in TestBayesGrids.CALCULATORS:
+                bound(cfg)
         assert len(calls) == 1 and calls[0] is grid.points()
         # an equal grid instance reads the ball once for itself
         twin = GridSpec(1e-4, 0.5, 200, "log")
@@ -625,6 +644,19 @@ class TestBayesZetaSide:
         for _ in range(3):
             bayes_egamma_lb(BayesConfig(ball, 0.1, 1, PrivacyParams(0.5, 0.0), twin))
         assert len(calls) == 2 and calls[1] is twin.points()
+
+    def test_a_grid_keeps_only_the_last_ball(self):
+        # each fresh ball once kept its own side for the life of the grid:
+        # 200 lambdas on DEFAULT_ZETA_GRID kept 6.95 MB
+        grid = GridSpec(1e-4, 0.5, 2000, "log")
+        refs = []
+        for i in range(200):
+            ball = lambda z: small_ball_uniform01(z)  # a fresh callable each time
+            refs.append(weakref.ref(ball))
+            bayes_egamma_lb(BayesConfig(ball, 0.1, 2, PrivacyParams(0.01 * i, 0.01), grid))
+        del ball
+        gc.collect()
+        assert [r() is None for r in refs] == [True] * 199 + [False]
 
     def test_equal_grids_keep_their_own_sides(self):
         # GridSpec(-0.0, 1.0, 1) == GridSpec(0.0, 1.0, 1), but L(-0.0) = -0.0
@@ -714,9 +746,9 @@ class TestBayesGammaOpt:
         bayes_gamma_opt_lb(cfg)
         assert len(seen) == 1
         assert np.array_equal(seen[0], grid.points())
-        # the small ball is called once too, on the whole zeta column
+        # the small ball is called once too, on the zeta grid, as the 1-d bounds call it
         assert len(balls) == 1
-        assert np.array_equal(balls[0], cfg.zeta_grid.points()[:, None])
+        assert np.array_equal(balls[0], cfg.zeta_grid.points())
 
     def test_oversized_mesh_is_refused_before_info_fn(self):
         def info_fn(g):

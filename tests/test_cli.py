@@ -921,33 +921,6 @@ def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
     assert err == "error: out of memory: Unable to allocate 8.00 EiB\n"
 
 
-# argparse's rejections go through main's handler too: exit 2 means only
-# "not certified", so a typo on an uncertified audit cannot read as it.
-# A grid value that starts with "-" reaches the grid check (every grid needs lo >= 0).
-_SWEEP = ["bound", "moment", "--k-moment", "2", "--eps", "1", "--out", "{out}", "--sweep"]
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["audit", "{eye}", "--epsilon", "abc", "--delta", "0"],
-        [],
-        ["audit", "{kernel}", "--profile-grid", "-1:1:3"],
-        ["figure1", "--out", "{out}", "--eps-grid", "-1:1:3"],
-        ["bound", "bayes-egamma", "--eps", "1", "--zeta-grid", "-1:1:3"],
-        ["bound", "bayes-gammaopt", "--zeta-grid", "-1:1:3"],
-        ["bound", "bayes-gammaopt", "--gamma-grid", "-1:1:3"],
-        ["model-curves", "--igamma-out", "{out}", "--gamma-grid", "-1:1:3"],
-        [*_SWEEP, "epsilon", "-1:1:3"],
-        [*_SWEEP, "epsilon"],
-    ],
-)
-def test_rejected_argv_is_one_error_line(capsys, tmp_path, rr1_file, identity_file, argv):
-    out = tmp_path / "unwritten.csv"
-    run_error(capsys, [a.format(eye=identity_file, kernel=rr1_file, out=out) for a in argv])
-    assert not out.exists()
-
-
 class TestOutputDirEnv:
     def test_relative_paths_resolve_against_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("LDPKIT_OUT_DIR", str(tmp_path))
