@@ -237,7 +237,7 @@ def moment_estimation_lb(k_moment: float, n: int, params: PrivacyParams) -> Boun
         extra = ("trivial",)
     else:
         omega = min(1.0, (1.0 - (7.0 / 8.0) ** (1.0 / math.sqrt(n))) / phi_v)
-        bracket = 1.0 - math.sqrt(2.0) * math.sqrt(1.0 - (1.0 - omega * phi_v) ** n)
+        bracket = 1.0 - math.sqrt(2.0) * math.sqrt(phi_n(PrivacyParams(0.0, omega * phi_v), n))
         value = omega**exponent * max(0.0, bracket)
     return BoundReport(
         bound_name="moment_estimation_lb",
@@ -522,7 +522,7 @@ def ht_exponent(kl_p0_p1: float, params: PrivacyParams) -> BoundReport:
     the type-I level does not enter (the exponent is level-free).
     """
     at_least("kl_p0_p1", kl_p0_p1, 0)
-    value = -_contracted(phi(params), kl_p0_p1)
+    value = 0.0 - _contracted(phi(params), kl_p0_p1)  # +0.0 when nothing leaks
     return BoundReport("ht_exponent", value, inputs={"kl_p0_p1": kl_p0_p1, **_fields(params)})
 
 

@@ -8,8 +8,10 @@ The universal upper bound for any f-divergence contraction of an
 
     phi(epsilon, delta) = 1 - (1 - delta) * exp(-epsilon),
 
-with the n-fold tensorized version phi_n = 1 - (1 - phi)^n. Only the
-scan imports numpy, when it runs; the closed forms need none.
+with the n-fold tensorized version phi_n = 1 - (1 - phi)^n. ``phi_n``
+computes both as -expm1(n (log1p(-delta) - epsilon)), exact to a few ulps
+as epsilon and delta go to 0. Only the scan imports numpy, when it runs;
+the closed forms need none.
 """
 
 from __future__ import annotations
@@ -160,19 +162,24 @@ def two_point_scan(k: Kernel, gammas) -> tuple[list[float], list[tuple[int, int]
 
 def phi(params: PrivacyParams) -> float:
     """Universal f-divergence contraction bound 1 - (1 - delta) e^{-epsilon}."""
-    return 1.0 - (1.0 - params.delta) * math.exp(-params.epsilon)
+    return phi_n(params, 1)
 
 
 def phi_n(params: PrivacyParams, n: int) -> float:
-    """Tensorized bound 1 - (1 - phi)^n = 1 - e^{-n epsilon} (1 - delta)^n."""
-    return 1.0 - (1.0 - phi(params)) ** count("n", n, 1)
+    """Tensorized bound 1 - (1 - phi)^n = 1 - e^{-n epsilon} (1 - delta)^n,
+    as one expm1 of a log1p: exact as epsilon and delta go to 0, +0.0 at
+    zero, and 1 at delta = 1, where log1p(-1) would raise."""
+    n = count("n", n, 1)
+    if params.delta == 1.0:
+        return 1.0
+    return 0.0 - math.expm1(n * (math.log1p(-params.delta) - params.epsilon))
 
 
 def eta_tv_from_eta_gamma(eta_gamma: float, gamma: float) -> float:
     """Upper bound on the TV coefficient: eta_tv <= 1 - (1 - eta_gamma) / gamma."""
     in_unit_interval("eta_gamma", eta_gamma)
     at_least("gamma", gamma, 1)
-    return 1.0 - (1.0 - eta_gamma) / gamma
+    return phi(PrivacyParams(math.log(gamma), eta_gamma))
 
 
 def eta_kl_bsc(omega: float) -> float:

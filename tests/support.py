@@ -1,6 +1,7 @@
 """Shared generators, hypothesis strategies and reference implementations
 for the test suite."""
 
+import decimal
 import math
 from pathlib import Path
 
@@ -75,6 +76,35 @@ def eps_delta_rr(eps: float, delta: float) -> Kernel:
         [delta, (1.0 - delta) * a, (1.0 - delta) * b, 0.0],
         [0.0, (1.0 - delta) * b, (1.0 - delta) * a, delta],
     ]))
+
+
+def _series(x, term):
+    """Sum of term(j) * x^j over j >= 1, up to the first term below 1e-70 of the sum."""
+    total, power, j = decimal.Decimal(0), decimal.Decimal(1), 1
+    while True:
+        power *= x
+        t = term(j) * power
+        total += t
+        if abs(t) <= abs(total) * decimal.Decimal("1e-70"):
+            return total
+        j += 1
+
+
+def phi_n_decimal(epsilon: float, delta: float, n: int) -> float:
+    """1 - (1 - delta)^n e^{-n epsilon}, computed in 60-digit decimal and
+    rounded once to a float. log(1 - delta) and 1 - e^x are taken by their
+    Taylor series when the argument is below 0.01, so neither loses digits
+    to cancellation as epsilon and delta go to 0."""
+    if delta == 1.0 or epsilon == math.inf:
+        return 1.0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        d, small = decimal.Decimal(delta), decimal.Decimal("0.01")
+        log_keep = -_series(d, lambda j: decimal.Decimal(1) / j) if d < small else (1 - d).ln()
+        x = n * (log_keep - decimal.Decimal(epsilon))
+        if -x < small:
+            return float(-_series(x, lambda j: 1 / decimal.Decimal(math.factorial(j))))
+        return float(1 - x.exp())
 
 
 def hadamard_response(eps: float, k: int) -> Kernel:

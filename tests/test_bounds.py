@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import gc
 import json
 import math
@@ -42,6 +43,7 @@ from support import (
     bayes_xu_raginsky_uncached,
     bu_igamma_n1,
     gamma_opt_full_mesh,
+    phi_n_decimal,
 )
 
 LN2 = math.log(2.0)
@@ -229,6 +231,17 @@ class TestMomentEstimation:
         report = moment_estimation_lb(2.0, 10, BLOCKED)
         assert report.value == 1.0
         assert "trivial" in report.flags
+
+    def test_tiny_epsilon_is_not_trivial(self):
+        # 1 - e^-eps would round phi = 1e-17 to 0 (trivial); omega = 1 and
+        # the bracket is 1 - sqrt(2) sqrt(phi_10), phi_10 about 1e-16.
+        report = moment_estimation_lb(2.0, 10, PrivacyParams(1e-17, 0.0))
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            pn = decimal.Decimal(phi_n_decimal(1e-17, 0.0, 10))
+            expected = float(1 - decimal.Decimal(2).sqrt() * pn.sqrt())
+        assert report.witness["omega"] == 1.0 and report.flags == ()
+        assert abs(report.value - expected) <= 1e-15
 
     def test_phi_scaling_is_exact_in_interior(self):
         # omega scales as 1/phi, omega*phi cancels, so values scale as
@@ -935,6 +948,11 @@ class TestScalarBounds:
         assert ht_exponent(1.0, PrivacyParams(math.log(2.0), 0.0)).value == pytest.approx(
             -0.5, abs=1e-15
         )
+
+    @pytest.mark.parametrize("kl", [3.0, math.inf])
+    def test_ht_without_leak_is_positive_zero(self, kl):
+        value = ht_exponent(kl, BLOCKED).value
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_mi_cap_examples(self):
         assert mi_cap(0.7, BLOCKED).value == 0.0

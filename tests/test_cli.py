@@ -260,22 +260,6 @@ class TestBound:
     def test_moment_domain_error_exit_one(self, capsys):
         assert "moment" in run_error(capsys, ["bound", "moment", "--k-moment", "1", "--eps", "1"])
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["lecam", "--tau", "1", "--n", "10", "--kl"],
-            ["fano", "--v-count", "4", "--tau", "1", "--avg-kl"],
-            ["fano", "--v-count", "4", "--tau", "1", "--avg-kl", "0.1", "--mi"],
-            ["bayes-mi", "--n", "10", "--info"],
-            ["bayes-egamma", "--n", "10", "--info"],
-            ["ht", "--kl"],
-            ["micap", "--entropy"],
-        ],
-    )
-    @pytest.mark.parametrize("value", ["-5", "nan"])
-    def test_negative_or_nan_information_is_one_error_line(self, capsys, argv, value):
-        assert "must be >= 0" in run_error(capsys, ["bound", *argv, value, "--eps", "1"])
-
     # The moment exponent 2(k - 1)/k is inf/inf, bayes-egamma at n = 1,
     # delta = 0 multiplies I by c = 0, and a separation or radius is a length.
     @pytest.mark.parametrize(

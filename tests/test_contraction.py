@@ -26,8 +26,21 @@ from support import (
     kernels,
     loop_infinite_epsilon_residual,
     loop_two_point,
+    phi_n_decimal,
     random_kernel,
 )
+
+# epsilon from the smallest subnormal to 1e6 and inf, delta from 0 to the
+# largest float below 1, and n up to 10^17: the grid phi_n must keep within
+# PHI_ULPS of the 60-digit reference, where 1 - (1 - x) lost every digit.
+PHI_EPSILONS = (0.0, 5e-324, 1e-300, 1e-17, 1e-9, 1e-3, 0.5, 1.0, 5.0, 50.0, 1e6, math.inf)
+PHI_DELTAS = (0.0, 5e-324, 1e-300, 1e-17, 1e-9, 1e-3, 0.5, 0.9, 1 - 2**-53)
+PHI_NS = (1, 2, 10, 1000, 10**9, 10**17)
+PHI_ULPS = 4
+
+
+def _within_ulps(value: float, ref: float) -> bool:
+    return abs(value - ref) <= PHI_ULPS * math.ulp(ref)
 
 
 class TestPrivacyParams:
@@ -274,6 +287,36 @@ class TestPhi:
         if delta <= 0.9:
             assert phi(PrivacyParams(eps, delta + 0.1)) >= phi(p)
         assert phi_n(p, 3) >= phi_n(p, 2) >= phi_n(p, 1)
+
+    @pytest.mark.parametrize("n", PHI_NS)
+    def test_phi_n_matches_the_decimal_reference(self, n):
+        bad = [
+            (eps, delta) for eps in PHI_EPSILONS for delta in PHI_DELTAS
+            if not _within_ulps(phi_n(PrivacyParams(eps, delta), n), phi_n_decimal(eps, delta, n))
+        ]
+        assert bad == []
+
+    @given(st.floats(-300.0, 3.0), st.floats(-300.0, 0.0), st.integers(1, 10**17))
+    def test_log_uniform_phi_n_matches_the_decimal_reference(self, log_eps, log_delta, n):
+        eps, delta = 10.0**log_eps, 10.0**log_delta
+        assert _within_ulps(phi_n(PrivacyParams(eps, delta), n), phi_n_decimal(eps, delta, n))
+
+    @pytest.mark.parametrize("delta", [0.0, -0.0])
+    def test_no_leak_is_positive_zero(self, delta):
+        p = PrivacyParams(0.0, delta)
+        for value in (phi(p), phi_n(p, 1), phi_n(p, 10**17)):
+            assert math.copysign(1.0, value) == 1.0 and value == 0.0
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, math.inf])
+    def test_delta_one_is_exactly_one(self, eps):
+        p = PrivacyParams(eps, 1.0)
+        assert phi(p) == phi_n(p, 1) == phi_n(p, 10**17) == 1.0
+
+    @given(st.floats(0.0, 1.0), st.floats(1.0, math.inf))
+    def test_phi_n_at_one_is_phi_bit_for_bit(self, delta, gamma):
+        p = PrivacyParams(math.log(gamma), delta)
+        assert phi_n(p, 1).hex() == phi(p).hex()
+        assert eta_tv_from_eta_gamma(delta, gamma).hex() == phi(p).hex()
 
     def test_phi_n_rejects_bad_n(self):
         with pytest.raises(DomainError):
