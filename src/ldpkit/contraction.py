@@ -25,10 +25,9 @@ from .errors import DomainError, at_least, count, in_unit_interval
 if TYPE_CHECKING:
     from .kernel import Kernel
 
-# Byte budget of the one buffer a pairwise scan reuses for every block:
-# blocks of rows (and of gammas) are sized to fit it, down to one row's
-# (|X|, |Z|) slab when that alone is larger. 1 MiB fits a 2 MiB
-# per-core L2 cache, so the passes over a block stay in cache.
+# Byte budget of a pairwise scan's blocks of rows (and of gammas), down to
+# one row's (|X|, |Z|) slab when that alone is larger; several blocks share
+# one buffer of it. 1 MiB fits a 2 MiB per-core L2 cache, so blocks stay in cache.
 SCAN_BYTES = 1 << 20
 
 
@@ -66,15 +65,15 @@ def two_point_scan(k: Kernel, gammas) -> tuple[list[float], list[tuple[int, int]
     :func:`ldpkit.dist.excess` gives it, and ``pairs[i]`` is
     the lexicographically smallest (x, x') attaining it ((0, 0) when it
     is 0). The (gamma, x, x', z) difference tensor is computed in blocks
-    of rows and gammas sized by SCAN_BYTES, each written into one buffer
-    allocated once per call; each gamma block's pair values fill one
-    slab that is reduced before the next block starts.
-
-    Gammas that fit one block take one full pass, in the caller's order.
-    More are taken in ascending order (a stable sort), the first block in
-    a full pass. Each pair's E_gamma is nonincreasing in gamma bit for
-    bit: fl(gamma q) does not fall as gamma rises, and the subtraction,
-    max(., 0), the pairwise row sum and min(., 1) are each monotone under
+    of rows and gammas sized by SCAN_BYTES. When all of it fits one
+    block, one ``excess`` call writes it into one array, in the caller's
+    order. Otherwise each block is written into one buffer allocated once
+    per call, each gamma block's pair values fill one slab that is reduced
+    before the next block starts, and the gammas are taken in ascending
+    order (a stable sort), the first block in a full pass. Each pair's
+    E_gamma is nonincreasing in gamma bit for bit: fl(gamma q) does not
+    fall as gamma rises, and the subtraction, max(., 0), the pairwise row
+    sum and min(., 1) are each monotone under
     round-to-nearest. So a pair's value at the largest gamma evaluated so
     far bounds it at every later gamma. A later block is floored by the
     last witness pair's value at the block's largest gamma, which no
@@ -92,13 +91,17 @@ def two_point_scan(k: Kernel, gammas) -> tuple[list[float], list[tuple[int, int]
     from .dist import excess
 
     g = np.asarray(gammas, dtype=float).reshape(-1)
-    bad = g[~(g >= 1)]
-    if bad.size:
+    if not g.min(initial=math.inf) >= 1:  # nan fails too
+        bad = g[~(g >= 1)]
         raise DomainError(f"two-point formula requires gamma >= 1, got {float(bad[0])!r}")
     rows = k.rows
     n, m = rows.shape
     step = min(n, max(1, SCAN_BYTES // (8 * n * m)))
     gstep = max(1, min(g.size, SCAN_BYTES // (8 * n * m * step)))
+    if step == n and g.size <= gstep:
+        t = np.empty((g.size, n, n, m))
+        flat = excess(rows[:, None, :], rows, g[:, None, None, None], out=t).reshape(g.size, n * n)
+        return flat.max(axis=1).tolist(), [divmod(i, n) for i in flat.argmax(axis=1).tolist()]
     # Past the first block a candidate takes two gathered rows beside its
     # gstep rows of terms; n >= 3 rows leave room for them already.
     buf = np.empty(max(gstep * step * n, gstep + 2) * m)
@@ -112,10 +115,6 @@ def two_point_scan(k: Kernel, gammas) -> tuple[list[float], list[tuple[int, int]
             t = buf[: gb.shape[0] * p.shape[0] * n * m].reshape(gb.shape[0], p.shape[0], n, m)
             block[:, lo : lo + step] = excess(p, rows, gb, out=t)
         return block.reshape(gb.shape[0], n * n)
-
-    if g.size <= gstep:
-        flat = full(g)
-        return flat.max(axis=1).tolist(), [divmod(i, n) for i in flat.argmax(axis=1).tolist()]
 
     def pruned(gb, xs, xps):  # the values of the pairs (xs, xps), (len(gb), xs.size)
         vals = slab.reshape(gstep, n * n)[: gb.size, : xs.size]

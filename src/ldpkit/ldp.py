@@ -153,7 +153,8 @@ def verify_equivalence(
     the point-mass sweep is the two-point scan: its top pair has the
     largest ratio of them all, and violates whenever any of them does.
     ``seed`` and ``trials`` make a :class:`~ldpkit.oracle.SearchConfig`,
-    which checks them and draws the Dirichlet(1) pairs. This function runs
+    which checks them and draws the Dirichlet(1) pairs, used as drawn: their
+    rows are already fixed points of :func:`normalize_rows`. This function runs
     the scan at e^epsilon; :func:`verify_from_scan` judges it and the pairs.
     """
     cfg = SearchConfig(seed=seed, trials=trials)
@@ -170,7 +171,7 @@ def verify_from_scan(
     d = k.input_size
     certified = top <= params.delta + IS_LDP_TOL
 
-    ps, qs = (normalize_rows(v) for v in cfg.dirichlet_pairs(d))
+    ps, qs = cfg.dirichlet_pairs(d)
     num = np.concatenate([[top], excess(_pushforward(ps, k), _pushforward(qs, k), gamma)])
     den = np.concatenate([[1.0], excess(ps, qs, gamma)])
 

@@ -251,6 +251,22 @@ class TestPairwiseScan:
         with pytest.raises(DomainError):
             two_point_scan(bsc(0.25), [math.nan])
 
+    @pytest.mark.parametrize(
+        "gammas, first",
+        [([2.0, 0.9], "0.9"), ([0.5], "0.5"), ([math.nan], "nan"), ([0.7, 2.0, 0.5], "0.7")],
+    )
+    def test_refusal_names_the_first_bad_gamma(self, gammas, first):
+        message = f"two-point formula requires gamma >= 1, got {first}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            two_point_scan(bsc(0.25), gammas)
+
+    def test_empty_grid(self, monkeypatch):
+        # One block, and a budget of one byte, which takes the blocked walk.
+        k = k_rr(1.0, 4)
+        assert two_point_scan(k, []) == ([], [])
+        monkeypatch.setattr(ldpkit.contraction, "SCAN_BYTES", 1)
+        assert two_point_scan(k, []) == ([], [])
+
 
 class TestDobrushin:
     @given(st.floats(0.0, 1.0))

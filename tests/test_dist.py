@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ldpkit.contraction import eta_tv_from_eta_gamma
 from ldpkit.dist import Distribution, FGenerator, divergence, excess, f_divergence, normalize_rows
 from ldpkit.errors import DimensionError, DomainError
+from ldpkit.oracle import SearchConfig
 from support import (
     bu_igamma_n1,
     distribution_pairs,
@@ -61,6 +62,27 @@ class TestDistribution:
                               (-1, ">= 1, got -1")]:
             with pytest.raises(DomainError, match=f"^alphabet size must be {message}$"):
                 Distribution.point_mass(0, size)
+
+
+class TestNormalizeRows:
+    @given(
+        st.lists(st.floats(0.0, 1e3), min_size=1, max_size=300).filter(lambda v: sum(v) > 0),
+        st.floats(-2.0, 2.0),
+    )
+    def test_idempotent_and_keeps_what_is_within_the_band(self, raw, scale):
+        once = normalize_rows(np.array(raw))
+        assert normalize_rows(once).tobytes() == once.tobytes()
+        # Off 1 by up to twice the band, so both sides of it are drawn.
+        v = once * (1.0 + round(scale * 4 * once.size) * 2.0**-53)
+        if abs(v.sum() - 1.0) <= v.size * 2.0**-51:
+            assert normalize_rows(v).tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 36, 256])
+    def test_dirichlet_draws_are_fixed_points(self, d):
+        # The sampled verifier uses its pairs as drawn, which rests on this.
+        for seed in range(50):
+            for v in SearchConfig(seed, 1000).dirichlet_pairs(d):
+                assert normalize_rows(v).tobytes() == v.tobytes()
 
 
 class TestFGenerator:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import ldpkit.contraction
 import ldpkit.ldp
 from ldpkit.contraction import PrivacyParams, two_point_scan
-from ldpkit.dist import Distribution, FGenerator, f_divergence
+from ldpkit.dist import Distribution, FGenerator, f_divergence, normalize_rows
 from ldpkit.errors import DomainError
 from ldpkit.kernel import Kernel, bsc, k_rr, randomized_response
 from ldpkit.ldp import (
@@ -304,6 +304,19 @@ class TestVerifyEquivalence:
                 assert same(report.violation_pair, violation)
                 assert same(report.max_ratio_pair, max_pair)
                 assert report.max_ratio == pytest.approx(max_ratio, rel=1e-12)
+
+    def test_normalizes_only_the_pushforwards(self, rng, monkeypatch):
+        # The Dirichlet draws are fixed points of normalize_rows, so the
+        # verifier takes them as drawn; only the pushforwards go through it.
+        shapes = []
+
+        def counted(v):
+            shapes.append(np.shape(v))
+            return normalize_rows(v)
+
+        monkeypatch.setattr(ldpkit.ldp, "normalize_rows", counted)
+        verify_equivalence(random_kernel(rng, 4, 6), PrivacyParams(0.5, 0.1), 50)
+        assert shapes == [(50, 6), (50, 6)]
 
     def test_point_mass_sweep_of_many_inputs_stays_small(self):
         # 256 inputs: the point-mass pairs alone would be a 65280 x 256
