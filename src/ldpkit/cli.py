@@ -37,7 +37,7 @@ from itertools import product
 from pathlib import Path
 
 from . import DEFAULT_SEED, F_KIND_NAMES, __version__
-from .errors import CapacityError, DimensionError, DomainError, count, within_cap
+from .errors import CapacityError, DimensionError, DomainError, count, in_unit_interval, within_cap
 
 # Values the remark table is compared against; treated as approximate.
 REMARK_REFERENCE_EGAMMA = 0.08
@@ -163,13 +163,16 @@ def cmd_audit(args: argparse.Namespace) -> int:
     from .kernel import load_kernel
 
     # Checked in this order, the file after epsilon and delta as those need no
-    # numpy, then one scan serves all: gamma = e^epsilon, 1, the grid.
-    if args.delta is not None and args.epsilon is None:
-        raise DomainError("--delta requires --epsilon")
+    # numpy, then one scan serves all: gamma = e^epsilon, 1, the grid. --delta
+    # without --epsilon asks for epsilon*, which tightest_epsilon's scans find.
     if args.out is not None and args.profile_grid is None:
         raise DomainError("--out requires --profile-grid")
     head = [] if args.epsilon is None else [gamma_from_epsilon(args.epsilon), 1.0]
-    params = None if args.delta is None else PrivacyParams(args.epsilon, args.delta)
+    params = None
+    if args.delta is not None:
+        in_unit_interval("delta", args.delta)
+        if args.epsilon is not None:
+            params = PrivacyParams(args.epsilon, args.delta)
     if args.out is not None:  # the profile may not overwrite the kernel it was read from
         kernel_file = ("the kernel file", args.kernel, Path(args.kernel).resolve())
         _refuse_same_file(_written("--out", args.out), [kernel_file])
@@ -180,7 +183,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         "output_size": kernel.output_size,
     }
 
-    from .ldp import PrivacyProfile, verify_from_scan
+    from .ldp import PrivacyProfile, tightest_epsilon, verify_from_scan
     from .oracle import SearchConfig
 
     cfg = SearchConfig(args.seed, args.trials)  # checked even when no --delta runs the verifier
@@ -199,6 +202,10 @@ def cmd_audit(args: argparse.Namespace) -> int:
                 "max_ratio": verifier.max_ratio,
                 "violation_found": verifier.violation_found,
             }
+    elif args.delta is not None:
+        search = tightest_epsilon(kernel, args.delta)
+        report.update(delta_requested=args.delta, epsilon_star=search.epsilon,
+                      delta_achieved=search.delta_achieved)
 
     if args.profile_grid is not None:
         points = PrivacyProfile(tuple(zip(eps, values[len(head):]))).points

@@ -83,8 +83,16 @@ def two_point_scan(k: Kernel, gammas) -> tuple[list[float], list[tuple[int, int]
     any of the block's maxima, nor win a tie. The candidates' rows are
     gathered into the same buffer, so each value is the full pass's bit
     for bit; a block where more than half the pairs are candidates takes
-    the full pass. A scan that returns every pair above a threshold must
-    keep the pairs whose bound is >= min(floor, threshold).
+    the full pass. A pruned block runs on through the later gammas that
+    admit no new pair. With beta the largest bound among the pairs left
+    out, those are the gammas where w, the last witness, stays > beta, or
+    all of them when the floor is 0: the pairs left out are then 0 for
+    good, and (0, 0) wins their ties. It is tried only when the floor is 0
+    or w's value is the same at the block's first and last gamma, and runs
+    on only as far as the slab holds its values and one chunk of the
+    buffer its gathered rows. A scan that returns every pair above a
+    threshold must keep the pairs whose bound is >= min(floor, threshold),
+    and may run on only while min(floor, threshold) > beta.
     """
     import numpy as np
 
@@ -117,7 +125,7 @@ def two_point_scan(k: Kernel, gammas) -> tuple[list[float], list[tuple[int, int]
         return block.reshape(gb.shape[0], n * n)
 
     def pruned(gb, xs, xps):  # the values of the pairs (xs, xps), (len(gb), xs.size)
-        vals = slab.reshape(gstep, n * n)[: gb.size, : xs.size]
+        vals = slab.reshape(-1)[: gb.size * xs.size].reshape(gb.size, xs.size)
         chunk = buf.size // ((gb.size + 2) * m)
         for lo in range(0, xs.size, chunk):
             c = min(chunk, xs.size - lo)
@@ -133,16 +141,30 @@ def two_point_scan(k: Kernel, gammas) -> tuple[list[float], list[tuple[int, int]
     gs = g[order]
     values, pairs = [0.0] * g.size, [(0, 0)] * g.size
     bound = np.empty((n, n))
-    for a in range(0, g.size, gstep):
-        gb = gs[a : a + gstep]
+    a = 0
+    while a < g.size:
+        b = min(a + gstep, g.size)
         many = True
         if a:
             x, xp = pairs[order[a - 1]]
-            floor = excess(rows[x], rows[xp], gb[-1], out=buf[:m])
+            rx, rxp = rows[x], rows[xp]  # the last witness, w
+            ends = gs[a : b : max(1, b - a - 1)]  # the block's first and last gamma
+            on_w = excess(rx, rxp, ends[:, None], out=buf[: ends.size * m].reshape(-1, m))
+            floor = on_w[-1]
             keep = bound >= floor if floor else bound > 0.0
             keep[0, 0] = True
+            live = np.count_nonzero(keep)
             # A gathered pair costs about 1.5 times a pair of the full pass.
-            many = 2 * np.count_nonzero(keep) > n * n
+            many = 2 * live > n * n
+            # A pruned block runs on while the slab and one chunk of buf hold it.
+            end = min(g.size, a + min(slab.size, buf.size // m - 2 * live) // live)
+            if not many and end > b and (not floor or on_w[0] == floor):
+                if floor:  # through the gammas where w stays above every pair left out
+                    beta = bound.max(where=~keep, initial=0.0)
+                    t = buf[: (end - b) * m].reshape(end - b, m)
+                    end = b + np.count_nonzero(excess(rx, rxp, gs[b:end, None], out=t) > beta)
+                b = end
+        gb = gs[a:b]
         if many:
             flat = full(gb)
             bound[...] = flat[-1].reshape(n, n)
@@ -153,9 +175,10 @@ def two_point_scan(k: Kernel, gammas) -> tuple[list[float], list[tuple[int, int]
             bound[xs, xps] = flat[-1]
             i = flat.argmax(axis=1)
             top = xs[i] * n + xps[i]
-        found = zip(order[a : a + gstep].tolist(), flat.max(axis=1).tolist(), top.tolist())
+        found = zip(order[a:b].tolist(), flat.max(axis=1).tolist(), top.tolist())
         for i, v, w in found:
             values[i], pairs[i] = v, divmod(w, n)
+        a = b
     return values, pairs
 
 

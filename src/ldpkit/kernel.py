@@ -42,6 +42,7 @@ class Kernel:
     """
 
     rows: np.ndarray
+    _scans = None  # {gamma: (eta_gamma, witness pair)} of the scans read: see ldpkit.ldp._scan
 
     def __post_init__(self):
         from .dist import probability_array

@@ -9,6 +9,16 @@ rows. A sampled verifier checks the contraction inequality
 
 on random and point-mass input pairs; the point masses make the negative
 direction exact rather than probabilistic.
+
+Every audit question here reads one function of the kernel, gamma ->
+(eta_gamma, witness pair), through one helper, ``_scan``. It keeps each
+gamma's (value, pair) on the Kernel instance and runs
+:func:`~ldpkit.contraction.two_point_scan` only on the gammas it does not
+hold yet. A Kernel is frozen, compared by identity, and its rows are
+read-only, and each gamma's result does not depend on the other gammas
+of its scan, so a kept value is the one a fresh scan gives, bit for bit.
+A kernel keeps at most SCAN_BYTES / 256 gammas (4096), about SCAN_BYTES
+of entries; past that, results are returned but not kept.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import DEFAULT_SEED
-from .contraction import PrivacyParams, gamma_from_epsilon, two_point_scan
+from .contraction import SCAN_BYTES, PrivacyParams, gamma_from_epsilon, two_point_scan
 from .dist import excess, normalize_rows
 from .errors import DomainError, in_unit_interval
 from .kernel import Kernel
@@ -29,9 +39,28 @@ IS_LDP_TOL = 1e-12
 VERIFY_TOL = 1e-10
 
 
+def _scan(k: Kernel, gammas: list) -> list[tuple[float, tuple[int, int]]]:
+    """``two_point_scan(k, gammas)`` as one (value, pair) per gamma, scanning
+    only the gammas that k does not keep yet, and keeping them while there is room."""
+    kept = k._scans
+    if kept is None:
+        kept = {}
+        object.__setattr__(k, "_scans", kept)
+    missed = [g for g in gammas if g not in kept]
+    if not missed:
+        return [kept[g] for g in gammas]
+    scanned = list(zip(*two_point_scan(k, missed)))
+    # Keep what fits; the rest is returned, not kept.
+    kept.update(zip(missed[: max(0, (SCAN_BYTES >> 8) - len(kept))], scanned))
+    if len(missed) == len(gammas):
+        return scanned
+    fresh = dict(zip(missed, scanned))
+    return [fresh.get(g) or kept[g] for g in gammas]  # a (value, pair) is never falsy
+
+
 def delta_at(k: Kernel, epsilon: float) -> float:
     """Smallest delta for which k is (epsilon, delta)-LDP; epsilon may be +inf."""
-    return two_point_scan(k, [gamma_from_epsilon(epsilon)])[0][0]
+    return _scan(k, [gamma_from_epsilon(epsilon)])[0][0]
 
 
 def is_ldp(k: Kernel, params: PrivacyParams) -> bool:
@@ -57,9 +86,10 @@ class PrivacyProfile:
 
 
 def privacy_profile(k: Kernel, epsilons) -> PrivacyProfile:
-    """Evaluate the exact profile on a strictly increasing epsilon grid, in one scan."""
+    """Evaluate the exact profile on a strictly increasing epsilon grid, in one
+    scan of the gammas that k does not keep yet."""
     eps = [float(e) for e in epsilons]
-    deltas = two_point_scan(k, [gamma_from_epsilon(e) for e in eps])[0]
+    deltas = [v for v, _ in _scan(k, [gamma_from_epsilon(e) for e in eps])]
     return PrivacyProfile(points=tuple(zip(eps, deltas)))
 
 
@@ -92,7 +122,7 @@ def tightest_epsilon(k: Kernel, delta: float) -> EpsilonSearchResult:
     scan is delta_at(k, epsilon).
     """
     in_unit_interval("delta", delta)
-    (residual, best), (_, pair) = two_point_scan(k, [math.inf, 1.0])
+    (residual, _), (best, pair) = _scan(k, [math.inf, 1.0])
     if residual > delta:
         return EpsilonSearchResult(epsilon=math.inf, delta_achieved=residual)
     epsilon, gamma = 0.0, 1.0
@@ -104,7 +134,7 @@ def tightest_epsilon(k: Kernel, delta: float) -> EpsilonSearchResult:
         if not next_gamma > gamma:
             break
         epsilon, gamma = next_epsilon, next_gamma
-        (best,), (pair,) = two_point_scan(k, [gamma])
+        ((best, pair),) = _scan(k, [gamma])
     return EpsilonSearchResult(epsilon=epsilon, delta_achieved=best)
 
 
@@ -154,11 +184,11 @@ def verify_equivalence(
     largest ratio of them all, and violates whenever any of them does.
     ``seed`` and ``trials`` make a :class:`~ldpkit.oracle.SearchConfig`,
     which checks them and draws the Dirichlet(1) pairs, used as drawn: their
-    rows are already fixed points of :func:`normalize_rows`. This function runs
+    rows are already fixed points of :func:`normalize_rows`. This function reads
     the scan at e^epsilon; :func:`verify_from_scan` judges it and the pairs.
     """
     cfg = SearchConfig(seed=seed, trials=trials)
-    (top,), (worst,) = two_point_scan(k, [gamma_from_epsilon(params.epsilon)])
+    ((top, worst),) = _scan(k, [gamma_from_epsilon(params.epsilon)])
     return verify_from_scan(k, params, top, worst, cfg)
 
 

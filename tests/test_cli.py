@@ -28,9 +28,9 @@ from ldpkit.dist import FGenerator
 from ldpkit.errors import DomainError
 from ldpkit.info import BernoulliUniformModel, bu_igamma, bu_mutual_information
 from ldpkit.kernel import Kernel, k_rr, load_kernel, randomized_response
-from ldpkit.ldp import privacy_profile
+from ldpkit.ldp import privacy_profile, tightest_epsilon
 from ldpkit.oracle import MAX_PROFILE_WORK, SearchConfig, brute_eta_f
-from support import ldpkit_path
+from support import hadamard_response, ldpkit_path
 
 
 def kernel_json(k) -> str:
@@ -136,9 +136,34 @@ class TestAudit:
         err = run_error(capsys, ["audit", str(path), "--epsilon", "1"])
         assert err.startswith(f"error: {message}")
 
-    def test_delta_without_epsilon_is_one_error_line(self, capsys, rr1_file):
-        err = run_error(capsys, ["audit", str(rr1_file), "--delta", "0.01"])
-        assert err == "error: --delta requires --epsilon\n"
+    # --delta alone reports tightest_epsilon's epsilon* and delta_achieved,
+    # and exits 0. Disjoint supports leave epsilon* = inf; Hadamard response
+    # has the closed form epsilon* = ln(e^eps - 2 delta (1 + e^eps)).
+    @pytest.mark.parametrize(
+        "kernel, delta, closed_form",
+        [(k_rr(1.0, 5), 0.01, None),
+         (Kernel(np.random.default_rng(4).dirichlet(np.ones(8), size=6)), 1e-6, None),
+         (Kernel([[0.2, 0.3, 0.5, 0, 0, 0], [0, 0, 0, 0.1, 0.6, 0.3]]), 0.5, math.inf),
+         (hadamard_response(1.0, 7), 0.05, math.log(math.e - 2 * 0.05 * (1 + math.e)))],
+        ids=["k_rr", "dirichlet", "disjoint", "hadamard"],
+    )
+    def test_delta_without_epsilon_reports_epsilon_star(
+        self, capsys, tmp_path, kernel, delta, closed_form
+    ):
+        path = tmp_path / "k.json"
+        path.write_text(kernel_json(kernel))
+        code, out, _ = run(capsys, ["audit", str(path), "--delta", repr(delta)])
+        payload, search = json.loads(out), tightest_epsilon(load_kernel(path), delta)
+        assert code == 0 and "certified" not in payload
+        keys = ("delta_requested", "epsilon_star", "delta_achieved")
+        assert [payload[key] for key in keys] == [delta, search.epsilon, search.delta_achieved]
+        if closed_form is not None:
+            ulps = 4 * math.ulp(closed_form)
+            assert math.isclose(payload["epsilon_star"], closed_form, rel_tol=0.0, abs_tol=ulps)
+
+    def test_delta_alone_is_checked_before_the_file(self, capsys, tmp_path):
+        err = run_error(capsys, ["audit", str(tmp_path / "missing.json"), "--delta", "2"])
+        assert err == "error: delta must be in [0, 1], got 2.0\n"
 
     # --out writes only the profile (audit) or the sweep (bound), so
     # without one it would write nothing.

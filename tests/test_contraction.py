@@ -116,20 +116,29 @@ class TestTwoPoint:
 @st.composite
 def tied_kernels(draw):
     """Kernels up to 6 x 8 with exact ties: duplicated rows, all-zero
-    columns, and point-mass or small-integer rows, often disjoint."""
+    columns, point-mass or small-integer rows, often disjoint, and rows on
+    a run of columns that other rows' runs may miss, whose pairs' E_gamma
+    stays flat as gamma rises."""
     nx, nz = draw(st.integers(1, 6)), draw(st.integers(1, 8))
     live = draw(st.lists(st.booleans(), min_size=nz, max_size=nz).filter(any))
+    cols = np.flatnonzero(live)
     rows = np.zeros((nx, nz))
     for x in range(nx):
-        kind = draw(st.sampled_from(["copy", "point", "weights"] if x else ["point", "weights"]))
+        kinds = ["point", "weights", "run"]
+        kind = draw(st.sampled_from(["copy", *kinds] if x else kinds))
         if kind == "copy":
             rows[x] = rows[draw(st.integers(0, x - 1))]
         elif kind == "point":
-            rows[x, draw(st.sampled_from(np.flatnonzero(live).tolist()))] = 1.0
+            rows[x, draw(st.sampled_from(cols.tolist()))] = 1.0
+        elif kind == "run":
+            lo = draw(st.integers(0, cols.size - 1))
+            hi = draw(st.integers(lo + 1, cols.size))
+            run = st.lists(st.integers(1, 3), min_size=hi - lo, max_size=hi - lo)
+            rows[x, cols[lo:hi]] = draw(run)
         else:
             w = draw(st.lists(st.integers(0, 3) | st.integers(0, 1000), min_size=nz, max_size=nz))
             rows[x] = np.where(live, w, 0)
-            rows[x, np.flatnonzero(live)[0]] += rows[x].sum() == 0
+            rows[x, cols[0]] += rows[x].sum() == 0
     return Kernel(rows / rows.sum(axis=1, keepdims=True))
 
 
@@ -230,6 +239,9 @@ class TestPairwiseScan:
         assert values == direct.max(axis=1).tolist()
         assert pairs == [divmod(i, 36) for i in direct.argmax(axis=1).tolist()]
         assert sum(cells) < 31 * 36**2 / 10
+        # One gamma a block: here the full first block, then two pruned
+        # blocks of three calls each, the second run on through the rest.
+        assert len(cells) <= 8
 
     def test_disjoint_rows_clamped_to_one(self):
         # Seeded instance whose unclamped E_2 sums to 1 + 1 ulp; before the

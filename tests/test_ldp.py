@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -182,7 +183,8 @@ class TestTightestEpsilon:
         ks = [random_kernel(rng, 7, 5) for _ in range(3)]
         whole = [tightest_epsilon(k, 0.01).epsilon for k in ks]
         monkeypatch.setattr(ldpkit.contraction, "SCAN_BYTES", 1)
-        assert [tightest_epsilon(k, 0.01).epsilon for k in ks] == whole
+        # A new Kernel keeps no scan, so the blocked walk runs.
+        assert [tightest_epsilon(Kernel(k.rows), 0.01).epsilon for k in ks] == whole
 
     @given(kernels(max_in=5, max_out=7), st.sampled_from([0.0, 1e-6, 0.05, 0.3, 0.9]))
     def test_matches_sorted_prefix_reference(self, k, delta):
@@ -212,14 +214,14 @@ class TestTightestEpsilon:
         monkeypatch.setattr(ldpkit.ldp, "two_point_scan", counted)
         for delta in (0.0, 1e-6, 0.05):
             calls.clear()
-            tightest_epsilon(k, delta)
+            tightest_epsilon(Kernel(k.rows), delta)  # keeps no scan of the last delta
             assert 2 <= len(calls) <= most
 
     def test_memory_stays_within_the_scan_budget(self):
         k = k_rr(1.0, 128)
         for run in (
-            lambda: privacy_profile(k, np.linspace(0.0, 3.0, 31)),
-            lambda: tightest_epsilon(k, 1e-6),
+            lambda: privacy_profile(Kernel(k.rows), np.linspace(0.0, 3.0, 31)),
+            lambda: tightest_epsilon(Kernel(k.rows), 1e-6),
         ):
             tracemalloc.start()
             try:
@@ -228,6 +230,62 @@ class TestTightestEpsilon:
             finally:
                 tracemalloc.stop()
             assert peak <= 3 * ldpkit.contraction.SCAN_BYTES
+
+
+def _bits(result):
+    """A result as nested lists with each float as its hex, so == is bit for bit."""
+    if dataclasses.is_dataclass(result):
+        result = [getattr(result, f.name) for f in dataclasses.fields(result)]
+    if isinstance(result, np.ndarray):
+        result = result.tolist()
+    if isinstance(result, (list, tuple)):
+        return [_bits(r) for r in result]
+    return result.hex() if isinstance(result, float) else result
+
+
+# Levels from a short list, so that calls share gammas: 0 is gamma = 1 and
+# inf the residual.
+LEVELS = (0.0, 0.5, math.log(3.0), 1.0, 2.0, math.inf)
+DELTAS = (0.0, 1e-6, 0.05, 0.3)
+_level = st.sampled_from(LEVELS)
+_params = st.builds(PrivacyParams, _level, st.sampled_from(DELTAS))
+LDP_CALLS = st.one_of(
+    st.tuples(st.just(delta_at), _level),
+    st.tuples(st.just(is_ldp), _params),
+    st.tuples(st.just(privacy_profile), st.lists(_level, max_size=5, unique=True).map(sorted)),
+    st.tuples(st.just(tightest_epsilon), st.sampled_from(DELTAS)),
+    st.tuples(st.just(verify_equivalence), _params, st.just(20)),
+)
+
+
+class TestKeptScans:
+    # A Kernel keeps the (value, pair) of each gamma it was scanned at; a new
+    # Kernel of the same rows keeps none, so it scans every gamma afresh.
+    @given(kernels(max_in=5, max_out=6), st.lists(LDP_CALLS, min_size=1, max_size=6),
+           st.sampled_from([1, ldpkit.contraction.SCAN_BYTES]))
+    def test_any_sequence_of_calls_is_each_call_on_a_new_kernel(self, k, calls, budget):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ldpkit.contraction, "SCAN_BYTES", budget)
+            for fn, *args in calls:
+                assert _bits(fn(k, *args)) == _bits(fn(Kernel(k.rows), *args)), fn.__name__
+
+    def test_kept_gammas_stay_within_the_scan_budget(self):
+        # 10^5 gammas: the first SCAN_BYTES / 256 are kept, the rest returned.
+        k = k_rr(1.0, 3)
+        grid = np.linspace(0.0, 3.0, 10**5)
+        want = two_point_scan(k, [math.exp(e) for e in grid])[0]
+        tracemalloc.start()
+        try:
+            profile = privacy_profile(k, grid)
+            assert [d for _, d in profile.points] == want
+            del profile
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(k._scans) == ldpkit.contraction.SCAN_BYTES >> 8
+        assert kept <= ldpkit.contraction.SCAN_BYTES
+        assert delta_at(k, 3.0) == want[-1]
+        assert len(k._scans) == ldpkit.contraction.SCAN_BYTES >> 8
 
 
 class TestVerifyEquivalence:
@@ -344,7 +402,7 @@ class TestPrivacyProfile:
         whole = privacy_profile(k, grid)
         # Three gammas per chunk: four chunks, the last one partial.
         monkeypatch.setattr(ldpkit.contraction, "SCAN_BYTES", 8 * 6 * 6 * 3)
-        assert privacy_profile(k, grid) == whole
+        assert privacy_profile(Kernel(k.rows), grid) == whole  # a Kernel that keeps no scan
 
     def test_grid_must_increase(self):
         with pytest.raises(DomainError):
@@ -375,3 +433,14 @@ def test_hadamard_response_matches_its_closed_form(k):
         expected = math.log(e - 2 * delta * (1 + e))
         got = tightest_epsilon(kernel, delta).epsilon
         assert abs(got - expected) <= 4 * math.ulp(expected), delta
+
+
+# ROADMAP item 11: the 31-point profile of HR(1, 127) over [0, 3] is the closed
+# form. All pairs tie, so the full pass runs up to epsilon = 1, where every
+# value reaches 0, and one pruned block then runs on through the rest.
+def test_hadamard_response_profile_over_the_audit_grid():
+    e = math.e
+    grid = np.linspace(0.0, 3.0, 31)
+    points = privacy_profile(hadamard_response(1.0, 127), grid).points
+    for (_, got), e2 in zip(points, grid):
+        assert abs(got - max(e - math.exp(e2), 0.0) / (2 * (1 + e))) <= 1e-15
