@@ -392,9 +392,11 @@ def bayes_xu_raginsky_private(cfg: BayesConfig) -> BoundReport:
     numerator = pn * cfg.info_value + LN2
     zetas, _, logs, feasible = _ball_on_grid(cfg)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        bracket = 1.0 - numerator / logs
-    vals = np.where(feasible, zetas * np.maximum(0.0, bracket), -np.inf)
-    i = int(np.argmax(vals))
+        vals = np.divide(numerator, logs)
+        np.subtract(1.0, vals, out=vals)
+    np.multiply(zetas, np.maximum(0.0, vals, out=vals), out=vals)
+    np.copyto(vals, -np.inf, where=~feasible)
+    i = int(vals.argmax())
     value = float(vals[i])
     if math.isfinite(value):
         witness, flags = {"zeta": float(zetas[i])}, _flags_for(value)
@@ -422,9 +424,10 @@ def bayes_egamma_lb(cfg: BayesConfig) -> BoundReport:
     c = cfg.params.delta if cfg.n == 1 else phi_n(cfg.params, cfg.n)
     zetas, ball, _, _ = _ball_on_grid(cfg)
     # A zero ball absorbs gamma = inf, as a zero coefficient does in _contracted.
-    penalty = gamma * ball if gamma < math.inf else np.where(ball > 0.0, math.inf, 0.0)
-    vals = zetas * np.maximum(0.0, 1.0 - c * cfg.info_value - penalty)
-    i = int(np.argmax(vals))
+    vals = np.multiply(gamma, ball) if gamma < math.inf else np.where(ball > 0.0, math.inf, 0.0)
+    np.subtract(1.0 - c * cfg.info_value, vals, out=vals)
+    np.multiply(zetas, np.maximum(0.0, vals, out=vals), out=vals)
+    i = int(vals.argmax())
     value = float(vals[i])
     return BoundReport(
         bound_name="bayes_egamma_lb",

@@ -177,29 +177,31 @@ def _igamma_block(classes: tuple, gamma: np.ndarray) -> np.ndarray:
     m (1 - gamma) + 2 sum_s d_s; below gamma = 1 all n + 1 are active and
     m (1 - gamma) cancels max(1 - gamma, 0) (n + 1) exactly.
 
-    The work is done on the flat list of active (gamma, class s >= 1)
-    cells, class by class and at most _BLOCK at a time, each chunk with one
-    gather of the class table; s = column + 1 and n - s are exact. Each
-    cell is computed alone, so its value does not depend on the others in
-    its block. Only d_s is summed across a row, and that sum is numpy's
-    pairwise sum over the whole length-n row (zeros at inactive classes),
-    whose order is set by n alone.
+    Class n, of density (n + 1) theta^n, is solved apart where active, with
+    tail a_n^(n+1). The interior classes 1..n-1 run on the flat list of
+    their active (gamma, class) cells, class by class and at most _BLOCK at
+    a time, each chunk with one gather of the class table; s = column + 1
+    and n - s are exact. A gamma above every interior mode height runs no
+    Newton step and no tail sum. Each cell is computed alone, whatever else
+    its block holds. Only d_s is summed across a row, by numpy's pairwise
+    sum over the length-n row (zeros at inactive classes), in an order set
+    by n alone.
     """
     logh, table = classes
     n = table.shape[1]
     logg = np.log(gamma)
     active = logg[:, None] < logh  # {f_s > gamma} is non-empty; symmetric in s <-> n - s
-    # the cells class by class, so that the cells of a class are adjacent
-    col, row = np.nonzero(active[:, 1:].T)
     d = np.zeros((gamma.size, n))
+    r = np.flatnonzero(active[:, n])
+    u = _edge_left_ends(n, table[0, -1], logg[r])
+    d[r, -1] = gamma[r] * np.exp(u) - np.exp(table[2, -1] + (n + 1.0) * u)
+    # the interior cells class by class, so that the cells of a class are adjacent
+    col, row = np.nonzero(active[:, 1:n].T)
     for i in range(0, row.size, _BLOCK):  # one pass unless n > _BLOCK
         r, c = row[i : i + _BLOCK], col[i : i + _BLOCK]
         logc, u_mode, log_choose = table[:, c]
         s = c + 1.0
         rest = n - s
-        # Class n has no (1 - theta) factor, and its left end rounds to
-        # theta = 1 when gamma is within rounding of n + 1; the 0 * inf
-        # products that makes are zeroed in _rest_terms.
         with np.errstate(divide="ignore", invalid="ignore"):
             u, rest_log1m, odds = _log_left_ends(s, rest, logc, u_mode, logh[1:][c], logg[r])
             # F_s(a_s) = P(Bin(n+1, a_s) >= s+1): the first term in log space,
@@ -217,20 +219,34 @@ def _igamma_block(classes: tuple, gamma: np.ndarray) -> np.ndarray:
     return np.maximum(total / (n + 1), 0.0)
 
 
-def _rest_terms(u, rest, last, rest_log1m, odds):
+def _edge_left_ends(n, logc, logg):
+    """log a_n at each log gamma for class n, of log Beta normalizer logc:
+    _log_left_ends's steps at s = n, rest = 0 and u_m = 0, where r(u) =
+    logc + n u - log gamma is linear and needs no exp or log1p. Its first
+    step lands on u_lo bit for bit; rounding can leave r(u_lo) < 0."""
+    u = u_lo = (logg - logc) / n
+    for _ in range(1, _NEWTON_CAP):
+        resid = n * u + logc - logg
+        new = np.minimum(np.maximum(u - resid / n, u_lo), 0.0)
+        live = (new != u) & (resid < 0)
+        if not np.count_nonzero(live):
+            break
+        u = np.where(live, new, u)
+    return u
+
+
+def _rest_terms(u, rest, rest_log1m, odds):
     """(n - s) log(1 - theta) and theta / (1 - theta) at theta = e^u, into
-    ``rest_log1m`` and ``odds``; both are 0 at the ``last`` cells, of
-    class n, whose density has no (1 - theta) factor."""
+    ``rest_log1m`` and ``odds``, for cells of interior classes s < n."""
     np.exp(u, out=odds)
     np.negative(odds, out=odds)
     np.log1p(odds, out=odds)
     np.multiply(rest, odds, out=rest_log1m)
     np.exp(np.subtract(u, odds, out=odds), out=odds)
-    rest_log1m[last] = odds[last] = 0.0
 
 
 def _log_left_ends(s, rest, logc, u_mode, logh, logg):
-    """log a_s for each cell, of class s with rest = n - s, log Beta
+    """log a_s for each cell, of class s < n with rest = n - s, log Beta
     normalizer logc, log mode u_m = log(s/n) and log mode height logh, at its
     log gamma: the root of r(u) = log f_s(e^u) - log gamma below u_m; with
     it the _rest_terms at the root.
@@ -245,15 +261,14 @@ def _log_left_ends(s, rest, logc, u_mode, logh, logg):
     same one, so it stays stopped, and its _rest_terms are recomputed to the
     same values until every cell has stopped.
     """
-    last = rest == 0.0  # class n
     u_lo = np.subtract(logg, logc)
     u_lo /= s
     # the quadratic model of r at the mode (s + rest = n) starts near-double roots close by
     u = np.sqrt(2.0 * np.maximum(logh - logg, 0.0) * rest / (s * (s + rest)))
     np.maximum(u_lo, np.subtract(u_mode, u, out=u), out=u)
-    rest_log1m, odds, resid, new = (np.empty(u.size) for _ in range(4))
+    rest_log1m, odds, resid, new = np.empty((4, u.size))
     for it in range(_NEWTON_CAP):
-        _rest_terms(u, rest, last, rest_log1m, odds)
+        _rest_terms(u, rest, rest_log1m, odds)
         np.multiply(s, u, out=resid)
         resid += logc
         resid += rest_log1m
@@ -266,10 +281,10 @@ def _log_left_ends(s, rest, logc, u_mode, logh, logg):
         live = new != u
         if it:  # past the first step the iterates stay left of the root,
             live &= resid < 0  # so r >= 0 means it is reached within rounding
-        if not live.any():
+        if not np.count_nonzero(live):
             return u, rest_log1m, odds
         np.copyto(u, new, where=live)
-    _rest_terms(u, rest, last, rest_log1m, odds)  # at the cap, u moved after its last _rest_terms
+    _rest_terms(u, rest, rest_log1m, odds)  # at the cap, u moved after its last _rest_terms
     return u, rest_log1m, odds
 
 
@@ -279,7 +294,7 @@ def _tail_by_term(col, odds, n):
     ratio is computed once for its cells), until no term exceeds _TAIL_EPS
     times its cell's sum. That is the sum of all the terms, bit for bit:
     the tail starts past the pmf's mode ((n + 2) a_s < s + 2, as a_s <= s/n
-    and s < n; class n has odds 0), so ratio_t * odds < 1 and each float
+    and s < n; class n is solved apart), so ratio_t * odds < 1 and each float
     term is at most (1 + u)^2 times the one before. From a term <= 2^-60 S
     on, S the sum before it, every term is below 2^-54 S < ulp(S)/2, and
     S + t rounds to S."""

@@ -75,13 +75,20 @@ class PrivacyProfile:
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        eps = [e for e, _ in self.points]
-        deltas = [d for _, d in self.points]
-        if any(e2 <= e1 for e1, e2 in zip(eps, eps[1:])):
-            raise DomainError("epsilon grid must be strictly increasing")
-        if any(not 0.0 <= d <= 1.0 for d in deltas):
+        # one pass; of the rules broken, the first in this order is named
+        out_of_range = rising = False
+        e1 = d1 = math.nan  # no point before the first
+        for e2, d2 in self.points:
+            if e2 <= e1:
+                raise DomainError("epsilon grid must be strictly increasing")
+            if not 0.0 <= d2 <= 1.0:
+                out_of_range = True
+            elif d2 > d1 + 1e-12:
+                rising = True
+            e1, d1 = e2, d2
+        if out_of_range:
             raise DomainError("profile deltas must lie in [0, 1]")
-        if any(d2 > d1 + 1e-12 for d1, d2 in zip(deltas, deltas[1:])):
+        if rising:
             raise DomainError("profile deltas must be nonincreasing in epsilon")
 
 

@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ldpkit.bounds
+import ldpkit.contraction
 from ldpkit.bounds import (
     DEFAULT_GAMMA_GRID,
     DEFAULT_ZETA_GRID,
@@ -712,6 +713,81 @@ class TestBayesZetaSide:
         cfg = BayesConfig(lambda z: 0.0, 0.3, 1, NONPRIVATE, GridSpec(0.0, 0.5, 11))
         report = bayes_xu_raginsky_private(cfg)
         assert (report.value, report.witness, report.flags) == (0.5, {"zeta": 0.5}, ())
+
+
+def _xu_expression(cfg):
+    """float.hex of the Xu-Raginsky bound's value and witness zeta, from its
+    grid search spelled as one expression of the zeta side."""
+    zetas, _, logs, feasible = ldpkit.bounds._ball_on_grid(cfg)
+    numerator = phi_n(cfg.params, cfg.n) * cfg.info_value + LN2
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bracket = 1.0 - numerator / logs
+    vals = np.where(feasible, zetas * np.maximum(0.0, bracket), -np.inf)
+    i = int(np.argmax(vals))
+    if not math.isfinite(vals[i]):
+        return "0x0.0p+0", None  # no feasible zeta: 0, with no witness
+    return float(vals[i]).hex(), float(zetas[i]).hex()
+
+
+def _egamma_expression(cfg):
+    """float.hex of the E_gamma bound's value and witness zeta, from one expression."""
+    gamma = ldpkit.contraction.gamma_from_epsilon(cfg.params.epsilon)
+    c = cfg.params.delta if cfg.n == 1 else phi_n(cfg.params, cfg.n)
+    zetas, ball, _, _ = ldpkit.bounds._ball_on_grid(cfg)
+    penalty = gamma * ball if gamma < math.inf else np.where(ball > 0.0, math.inf, 0.0)
+    vals = zetas * np.maximum(0.0, 1.0 - c * cfg.info_value - penalty)
+    i = int(np.argmax(vals))
+    return float(vals[i]).hex(), float(zetas[i]).hex()
+
+
+def _hexes(bound, cfg):
+    """float.hex of a bound's value and witness zeta, or the error it raises."""
+    try:
+        out = bound(cfg)
+    except (DomainError, RuntimeWarning) as e:
+        return type(e).__name__, str(e)
+    if isinstance(out, tuple):
+        return out
+    return out.value.hex(), (out.witness["zeta"].hex() if out.witness else None)
+
+
+class TestBayesOneBuffer:
+    """The 1-D Bayes bounds build their zeta values in one buffer, in place:
+    value and witness equal the one-expression forms bit for bit, with no
+    -0.0 and no other first argmax."""
+
+    @given(
+        lo=st.sampled_from([0.0, -0.0]) | st.floats(0.0, 0.6),
+        hi=st.sampled_from([0.5, 1.0]) | st.floats(0.2, 2.0),
+        steps=st.sampled_from([1, 2, 2000]) | st.integers(1, 300),
+        log_scale=st.booleans(),
+        constant=st.none() | st.sampled_from([0.0, _TINY, 0.5, 1.0, 1.5]) | st.floats(0.0, 2.0),
+        info=st.sampled_from([0.0, _TINY, 1e-310, 1e300]) | st.floats(0.0, 1e300),
+        n=st.sampled_from([1, 2]) | st.integers(1, 10**6),
+        delta=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        eps=st.sampled_from([0.0, _TINY, 1e-300, 1e-9, math.inf]) | st.floats(0.0, 800.0),
+    )
+    def test_equals_the_one_expression_forms(
+        self, lo, hi, steps, log_scale, constant, info, n, delta, eps
+    ):
+        if steps > 1 and not lo < hi:
+            lo, hi = hi, lo + 1.0
+        if log_scale and lo <= 0.0:
+            log_scale = False
+        grid = GridSpec(lo, hi, steps, "log" if log_scale else "linear")
+        ball = small_ball_uniform01 if constant is None else (lambda z: constant)
+        cfg = BayesConfig(ball, info, n, PrivacyParams(eps, delta), grid)
+        assert _hexes(bayes_xu_raginsky_private, cfg) == _hexes(_xu_expression, cfg)
+        assert _hexes(bayes_egamma_lb, cfg) == _hexes(_egamma_expression, cfg)
+
+    def test_negative_bracket_gives_positive_zero_at_the_first_zeta(self):
+        # the bracket is negative at every zeta: every value is +0.0, and the
+        # witness is the first of the tied grid points
+        cfg = BayesConfig(small_ball_uniform01, 1e300, 2, PrivacyParams(0.5, 0.5),
+                          GridSpec(0.1, 0.4, 4))
+        for bound in (bayes_xu_raginsky_private, bayes_egamma_lb):
+            report = bound(cfg)
+            assert (report.value.hex(), report.witness) == ("0x0.0p+0", {"zeta": 0.1})
 
 
 class TestBayesGammaOpt:

@@ -17,6 +17,7 @@ from ldpkit.info import (
     MAX_BU_WORK,
     BernoulliUniformModel,
     JointDistribution,
+    _edge_left_ends,
     _tail_by_chunk,
     _tail_by_term,
     bu_igamma,
@@ -443,6 +444,97 @@ def test_each_path_is_the_dense_rectangle_bit_for_bit(monkeypatch, setting):
         expected = bu_igamma_dense(n, gammas)
         assert bits(bu_igamma(model, gammas)) == bits(expected), n
         assert bits([bu_igamma(model, float(g)) for g in gammas[::5]]) == bits(expected[::5]), n
+
+
+# gammas at which class n's left end steps past u_lo, its first Newton
+# iterate, found with the class-n iteration of the general Newton solver
+# (grids linspace(0, n + 1, 4001), and linspace(0, 6, 4001) at n = 5)
+PAST_U_LO = {
+    3: ["0x1.4189374bc6a7fp-3", "0x1.51eb851eb851fp-3"],
+    5: ["0x1.89374bc6a7efap-10", "0x1.26e978d4fdf3cp-8", "0x1.eb851eb851eb8p-8"],
+    7: ["0x1.89374bc6a7efap-6", "0x1.a9fbe76c8b43ap-6"],
+    40: ["0x1.6f5c28f5c28f6p-2", "0x1.845a1cac08313p-2"],
+    200: ["0x1.4e76c8b439581p-1", "0x1.0e24dd2f1a9fcp+0"],
+}
+
+
+def steps_past_u_lo(n: int, gammas) -> int:
+    """How many of the gammas (those where class n is active) have class n's
+    left end past u_lo = (log gamma - log(n + 1)) / n."""
+    logh, table = BernoulliUniformModel(n)._classes
+    logg = np.log(np.asarray(gammas, dtype=float))
+    logg = logg[logg < logh[n]]
+    u = _edge_left_ends(n, table[0, -1], logg)
+    return int(np.count_nonzero(u != (logg - table[0, -1]) / n))
+
+
+class TestEdgeClass:
+    """Class n is solved apart from the Newton iteration and the tail sums
+    of the interior classes 1..n-1, with the same values bit for bit."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import ldpkit.info
+
+        counts = {}
+        for name in ("_log_left_ends", "_tail_by_chunk", "_tail_by_term"):
+            def counted(*args, _inner=getattr(ldpkit.info, name), _name=name):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _inner(*args)
+
+            monkeypatch.setattr(ldpkit.info, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 20, 200])
+    def test_a_gamma_above_every_interior_mode_runs_no_newton(self, calls, n):
+        logh = bu_classes_dense(n)[1]
+        heights = mode_heights(n)[1:n]
+        top = heights.max(initial=0.0)
+        gammas = [
+            *np.linspace(top, n + 1.0, 9)[1:-1], *heights, *np.nextafter(heights, 0.0),
+            math.nextafter(n + 1.0, 0.0), 0.5 * top or 0.5, 1.0,
+        ]
+        model = BernoulliUniformModel(n)
+        edge_only = []
+        for gamma in gammas:
+            calls.clear()
+            value = bu_igamma(model, float(gamma))
+            # the interior classes active at gamma, as the dense reference has them
+            interior = int(bool((math.log(gamma) < logh[1:n]).any()))
+            assert calls.get("_log_left_ends", 0) == interior, gamma
+            assert calls.get("_tail_by_chunk", 0) + calls.get("_tail_by_term", 0) == interior, gamma
+            assert value.hex() == float(bu_igamma_dense(n, np.array([gamma]))[0]).hex(), gamma
+            if not interior:
+                edge_only.append(gamma)
+        assert len(edge_only) >= 8  # the 7 gammas between top and n + 1, and nextafter(n + 1, 0)
+        if n > 1:  # a gamma below an interior mode height still runs Newton
+            calls.clear()
+            bu_igamma(model, 0.5 * top)
+            assert calls["_log_left_ends"] == 1
+        calls.clear()
+        values = bu_igamma(model, np.array(edge_only))
+        assert calls == {}
+        assert bits(values) == bits(bu_igamma_dense(n, np.array(edge_only)))
+        assert bits(bu_igamma(model, np.array(gammas))) == bits(bu_igamma_dense(n, np.array(gammas)))
+
+    @pytest.mark.parametrize("n", [5, 10, 20])
+    def test_a_curve_of_scalar_calls_is_one_array_call_and_the_dense_one(self, n):
+        # the Figure-1 curve: gamma = e^epsilon at 60 epsilon, one call each
+        gammas = np.array([math.exp(e) for e in np.linspace(0.01, 3.0, 60)])
+        model = BernoulliUniformModel(n)
+        scalar = [bu_igamma(model, float(g)) for g in gammas]
+        assert bits(scalar) == bits(bu_igamma(model, gammas)) == bits(bu_igamma_dense(n, gammas))
+        if n > 5:  # at n = 5 no point of this curve steps past u_lo
+            assert steps_past_u_lo(n, gammas) > 0
+
+    @pytest.mark.parametrize("n", sorted(PAST_U_LO))
+    def test_class_n_past_its_first_iterate(self, n):
+        gammas = np.array([float.fromhex(g) for g in PAST_U_LO[n]])
+        assert steps_past_u_lo(n, gammas) == gammas.size
+        model = BernoulliUniformModel(n)
+        expected = bits(bu_igamma_dense(n, gammas))
+        assert bits([bu_igamma(model, float(g)) for g in gammas]) == expected
+        assert bits(bu_igamma(model, gammas)) == expected
 
 
 @st.composite

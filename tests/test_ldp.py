@@ -417,6 +417,51 @@ class TestPrivacyProfile:
         with pytest.raises(DomainError):
             PrivacyProfile(points=((0.0, 0.1), (1.0, 0.4)))
 
+    def test_a_profile_breaking_every_rule_names_the_epsilon_grid(self):
+        # delta 0.4 rises, then 1.5 leaves [0, 1], then epsilon falls
+        points = ((0.0, 0.1), (1.0, 0.4), (2.0, 1.5), (1.5, 0.2))
+        with pytest.raises(DomainError, match="^epsilon grid must be strictly increasing$"):
+            PrivacyProfile(points=points)
+        with pytest.raises(DomainError, match="^profile deltas must lie in"):
+            PrivacyProfile(points=points[:3])
+
+    def test_a_profile_breaking_only_monotonicity_names_it(self):
+        points = ((0.0, 0.3), (1.0, 0.2), (2.0, 0.2 + 2e-12), (3.0, 0.0))
+        with pytest.raises(DomainError, match="^profile deltas must be nonincreasing in epsilon$"):
+            PrivacyProfile(points=points)
+        # within the 1e-12 slack a rise is accepted
+        PrivacyProfile(points=((0.0, 0.2), (1.0, 0.2 + 1e-12)))
+
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 1.0, math.inf, -math.inf, math.nan]) | st.floats(-2.0, 2.0),
+            st.sampled_from([0.0, 1.0, 1e-12, -0.0, math.nan]) | st.floats(-0.5, 1.5),
+        ),
+        max_size=8,
+    ))
+    def test_checks_raise_what_three_passes_raise(self, points):
+        points = tuple(points)
+        try:
+            PrivacyProfile(points=points)
+            got = None
+        except DomainError as e:
+            got = str(e)
+        assert got == _three_pass_profile_check(points)
+
+
+def _three_pass_profile_check(points) -> str | None:
+    """The profile rules one pass each, in order of precedence: the message
+    of the first rule the points break, or None."""
+    eps = [e for e, _ in points]
+    deltas = [d for _, d in points]
+    if any(e2 <= e1 for e1, e2 in zip(eps, eps[1:])):
+        return "epsilon grid must be strictly increasing"
+    if any(not 0.0 <= d <= 1.0 for d in deltas):
+        return "profile deltas must lie in [0, 1]"
+    if any(d2 > d1 + 1e-12 for d1, d2 in zip(deltas, deltas[1:])):
+        return "profile deltas must be nonincreasing in epsilon"
+    return None
+
 
 # Every pair of Hadamard-response rows has the same closed-form profile,
 # so the scan, eta_TV and the inverted profile are checked at |X| = 127.
