@@ -159,15 +159,16 @@ def _print_json(payload) -> None:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    from .contraction import PrivacyParams, gamma_from_epsilon, two_point_scan
+    from .contraction import PrivacyParams, gamma_from_epsilon
     from .kernel import load_kernel
 
     # Checked in this order, the file after epsilon and delta as those need no
-    # numpy, then one scan serves all: gamma = e^epsilon, 1, the grid. --delta
-    # without --epsilon asks for epsilon*, which tightest_epsilon's scans find.
+    # numpy, then the grid. Every answer reads the kernel's kept scans, so no
+    # answer scans a gamma that another has scanned. --delta without --epsilon
+    # asks for epsilon*, which tightest_epsilon's scans find.
     if args.out is not None and args.profile_grid is None:
         raise DomainError("--out requires --profile-grid")
-    head = [] if args.epsilon is None else [gamma_from_epsilon(args.epsilon), 1.0]
+    gamma = None if args.epsilon is None else gamma_from_epsilon(args.epsilon)
     params = None
     if args.delta is not None:
         in_unit_interval("delta", args.delta)
@@ -183,18 +184,18 @@ def cmd_audit(args: argparse.Namespace) -> int:
         "output_size": kernel.output_size,
     }
 
-    from .ldp import PrivacyProfile, tightest_epsilon, verify_from_scan
+    from .ldp import _scan, privacy_profile, tightest_epsilon, verify_equivalence
     from .oracle import SearchConfig
 
-    cfg = SearchConfig(args.seed, args.trials)  # checked even when no --delta runs the verifier
-    eps = () if args.profile_grid is None else args.profile_grid.values()
-    gammas = head + [gamma_from_epsilon(e) for e in eps]
-    values, pairs = two_point_scan(kernel, gammas) if gammas else ([], [])
-    if args.epsilon is not None:
-        report.update(epsilon=args.epsilon, delta_tight=values[0], eta_tv=values[1],
-                      argmax_pair=list(pairs[0]))
+    SearchConfig(args.seed, args.trials)  # checked even when no --delta runs the verifier
+    if args.profile_grid is not None:
+        report["profile"] = privacy_profile(kernel, args.profile_grid.values()).points
+    if gamma is not None:
+        (delta_tight, pair), (eta_tv, _) = _scan(kernel, [gamma, 1.0])
+        report.update(epsilon=args.epsilon, delta_tight=delta_tight, eta_tv=eta_tv,
+                      argmax_pair=list(pair))
         if params is not None:
-            verifier = verify_from_scan(kernel, params, values[0], pairs[0], cfg)
+            verifier = verify_equivalence(kernel, params, args.trials, args.seed)
             report["delta_requested"] = args.delta
             report["certified"] = verifier.certified
             report["verifier"] = {
@@ -207,11 +208,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
         report.update(delta_requested=args.delta, epsilon_star=search.epsilon,
                       delta_achieved=search.delta_achieved)
 
-    if args.profile_grid is not None:
-        points = PrivacyProfile(tuple(zip(eps, values[len(head):]))).points
-        report["profile"] = points
-        if args.out is not None:
-            report.update(write_outputs("audit", args, args.out, ["epsilon", "delta"], points))
+    if args.out is not None:  # written last, once every answer is in
+        points = report["profile"]
+        report.update(write_outputs("audit", args, args.out, ["epsilon", "delta"], points))
     _print_json(report)
     return 0 if report.get("certified", True) else 2
 

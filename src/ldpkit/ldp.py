@@ -10,15 +10,16 @@ rows. A sampled verifier checks the contraction inequality
 on random and point-mass input pairs; the point masses make the negative
 direction exact rather than probabilistic.
 
-Every audit question here reads one function of the kernel, gamma ->
-(eta_gamma, witness pair), through one helper, ``_scan``. It keeps each
-gamma's (value, pair) on the Kernel instance and runs
-:func:`~ldpkit.contraction.two_point_scan` only on the gammas it does not
-hold yet. A Kernel is frozen, compared by identity, and its rows are
-read-only, and each gamma's result does not depend on the other gammas
-of its scan, so a kept value is the one a fresh scan gives, bit for bit.
-A kernel keeps at most SCAN_BYTES / 256 gammas (4096), about SCAN_BYTES
-of entries; past that, results are returned but not kept.
+Every audit question here, and so every answer of ``ldpkit audit``,
+reads one function of the kernel, gamma -> (eta_gamma, witness pair),
+through one helper, ``_scan``. It keeps each gamma's (value, pair) on
+the Kernel instance and runs :func:`~ldpkit.contraction.two_point_scan`
+only on the gammas it does not hold yet. A Kernel is frozen, compared by
+identity, and its rows are read-only, and each gamma's result does not
+depend on the other gammas of its scan, so a kept value is the one a
+fresh scan gives, bit for bit. A kernel keeps at most SCAN_BYTES / 256
+gammas (4096), about SCAN_BYTES of entries; past that, results are
+returned but not kept.
 """
 
 from __future__ import annotations
@@ -77,9 +78,9 @@ class PrivacyProfile:
     def __post_init__(self):
         # one pass; of the rules broken, the first in this order is named
         out_of_range = rising = False
-        e1 = d1 = math.nan  # no point before the first
+        e1, d1 = -math.inf, math.nan  # no point before the first
         for e2, d2 in self.points:
-            if e2 <= e1:
+            if not e2 > e1:  # NaN fails every check
                 raise DomainError("epsilon grid must be strictly increasing")
             if not 0.0 <= d2 <= 1.0:
                 out_of_range = True
@@ -191,22 +192,14 @@ def verify_equivalence(
     largest ratio of them all, and violates whenever any of them does.
     ``seed`` and ``trials`` make a :class:`~ldpkit.oracle.SearchConfig`,
     which checks them and draws the Dirichlet(1) pairs, used as drawn: their
-    rows are already fixed points of :func:`normalize_rows`. This function reads
-    the scan at e^epsilon; :func:`verify_from_scan` judges it and the pairs.
+    rows are already fixed points of :func:`normalize_rows`. ``certified`` is
+    :func:`is_ldp`, which reads the kept scan at e^epsilon as the sweep does.
     """
     cfg = SearchConfig(seed=seed, trials=trials)
-    ((top, worst),) = _scan(k, [gamma_from_epsilon(params.epsilon)])
-    return verify_from_scan(k, params, top, worst, cfg)
-
-
-def verify_from_scan(
-    k: Kernel, params: PrivacyParams, top: float, worst: tuple[int, int], cfg: SearchConfig
-) -> EquivalenceReport:
-    """:func:`verify_equivalence` after its scan, which this function does not run:
-    ``top`` and ``worst`` are ``two_point_scan``'s value and pair for k at e^epsilon."""
     gamma = gamma_from_epsilon(params.epsilon)
+    ((top, worst),) = _scan(k, [gamma])
+    certified = is_ldp(k, params)
     d = k.input_size
-    certified = top <= params.delta + IS_LDP_TOL
 
     ps, qs = cfg.dirichlet_pairs(d)
     num = np.concatenate([[top], excess(_pushforward(ps, k), _pushforward(qs, k), gamma)])

@@ -405,8 +405,11 @@ class TestPrivacyProfile:
         assert privacy_profile(Kernel(k.rows), grid) == whole  # a Kernel that keeps no scan
 
     def test_grid_must_increase(self):
-        with pytest.raises(DomainError):
-            PrivacyProfile(points=((0.5, 0.3), (0.5, 0.2)))
+        # NaN fails every check, so a NaN epsilon is refused wherever it stands
+        for points in [((0.5, 0.3), (0.5, 0.2)), ((0.0, 0.5), (math.nan, 0.4), (1.0, 0.3)),
+                       ((math.nan, 0.5),)]:
+            with pytest.raises(DomainError, match="^epsilon grid must be strictly increasing$"):
+                PrivacyProfile(points=points)
 
     @pytest.mark.parametrize("delta", [-0.1, 1.5, math.nan])
     def test_deltas_must_lie_in_unit_interval(self, delta):
@@ -454,7 +457,7 @@ def _three_pass_profile_check(points) -> str | None:
     of the first rule the points break, or None."""
     eps = [e for e, _ in points]
     deltas = [d for _, d in points]
-    if any(e2 <= e1 for e1, e2 in zip(eps, eps[1:])):
+    if any(not e2 > e1 for e1, e2 in zip([-math.inf, *eps], eps)):
         return "epsilon grid must be strictly increasing"
     if any(not 0.0 <= d <= 1.0 for d in deltas):
         return "profile deltas must lie in [0, 1]"
